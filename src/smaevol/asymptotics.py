@@ -11,7 +11,6 @@ refined discretization for vanishing step size or mesh size.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -21,7 +20,7 @@ import scipy.sparse as sp
 from .constitutive import (PointTrajectory, StressPath, TimeGrid,
                            run_constitutive)
 from .dissipation import Dissipation
-from .fem import assemble_forms, assemble_load, inject
+from .fem import assemble_load, inject
 from .material import (MaterialParams, transformation_energy_sharp,
                        transformation_energy_smooth)
 from .quasistatic import (BvpProblem, BvpStep, QuasistaticSolver,
@@ -69,14 +68,6 @@ class LimitSchedule:
     def varies(self, name: str) -> bool:
         arr = getattr(self, name)
         return bool(np.ptp(arr) > 0)
-
-
-def _pmap(fn, items, threads):
-    """Map over independent schedule members, optionally on a thread pool."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 def _reference_values(schedule: LimitSchedule):
@@ -141,12 +132,8 @@ def _trajectory_diffs(traj: PointTrajectory, ref: PointTrajectory):
     """(state, energy, dissipation) differences at the member's own nodes."""
     state = 0.0
     energy = 0.0
-    ref_nodes = ref.grid.nodes
     for i, t in enumerate(traj.grid.nodes):
-        j = int(np.argmin(np.abs(ref_nodes - t)))
-        if abs(ref_nodes[j] - t) > 1e-9 * max(1.0, ref_nodes[-1]):
-            j = min(int(np.searchsorted(ref_nodes, t, side="right")) - 1,
-                    len(ref_nodes) - 1)
+        j = ref.grid.node_index(t)
         state = max(state, math.sqrt(
             float(np.sum((traj.eps[i] - ref.eps[j]) ** 2))
             + float(np.sum((traj.z[i] - ref.z[j]) ** 2))))
@@ -156,8 +143,7 @@ def _trajectory_diffs(traj: PointTrajectory, ref: PointTrajectory):
 
 
 def limit_constitutive(p: MaterialParams, d: Dissipation, path: StressPath,
-                       schedule: LimitSchedule, tol: float = 1e-10,
-                       threads: int = 1):
+                       schedule: LimitSchedule, tol: float = 1e-10):
     """Constitutive-relation limits over a (rho, tau) schedule."""
     if schedule.varies("nu") or schedule.varies("n"):
         raise ValueError("the constitutive study takes rho and tau schedules only")
@@ -176,7 +162,7 @@ def limit_constitutive(p: MaterialParams, d: Dissipation, path: StressPath,
                 "tau": float(schedule.tau[k]), "h": 0.0,
                 "state_diff": state, "energy_diff": energy, "diss_diff": diss}
 
-    rows = _pmap(member, range(len(schedule)), threads)
+    rows = [member(k) for k in range(len(schedule))]
     return {"label": schedule.label, "rows": rows,
             "reference": {"rho": rho_ref, "tau": tau_ref}}
 
@@ -194,8 +180,7 @@ def _bvp_state_diff(member_space, ref_space, ref_forms, v_m, z_m, v_r, z_r):
 
 
 def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule,
-                     t: Optional[float] = None, tol: float = 1e-9,
-                     threads: int = 1):
+                     t: Optional[float] = None, tol: float = 1e-9):
     """Single incremental minimization along a (rho, nu, h) schedule."""
     if schedule.varies("tau"):
         raise ValueError("the minimum-problem study keeps the step data fixed")
@@ -212,50 +197,41 @@ def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule,
                        problem.program.dirichlet_vector(space, t),
                        assemble_load(space, problem.program, t),
                        np.zeros(space.n_z), tol=tol)
-        u, z = solve_bvp_step(step)
         solver = QuasistaticSolver(space, params, problem.diss)
+        u, z = solve_bvp_step(step, solver)
         v = u - step.u_dir
-        return space, v, z, solver.stored_energy(v, z), \
+        return solver, v, z, solver.stored_energy(v, z), \
             solver.dissipation_increment(z, step.anchor)
 
-    ref_space, v_r, z_r, w_r, d_r = solve_member(rho_ref, nu_ref, n_ref)
-    ref_params = replace(problem.params, rho=rho_ref, nu=nu_ref)
-    ref_forms = assemble_forms(ref_space, ref_params)
+    ref_solver, v_r, z_r, w_r, d_r = solve_member(rho_ref, nu_ref, n_ref)
+    ref_space, ref_forms = ref_solver.space, ref_solver.forms
 
     def member(k):
-        space, v, z, w, dd = solve_member(float(schedule.rho[k]),
-                                          float(schedule.nu[k]),
-                                          int(schedule.n[k]))
+        solver, v, z, w, dd = solve_member(float(schedule.rho[k]),
+                                           float(schedule.nu[k]),
+                                           int(schedule.n[k]))
         return {"k": k, "rho": float(schedule.rho[k]),
                 "nu": float(schedule.nu[k]), "tau": 0.0,
-                "h": space.mesh.h,
-                "state_diff": _bvp_state_diff(space, ref_space, ref_forms,
+                "h": solver.space.mesh.h,
+                "state_diff": _bvp_state_diff(solver.space, ref_space, ref_forms,
                                               v, z, v_r, z_r),
                 "energy_diff": abs(w - w_r),
                 "diss_diff": abs(dd - d_r)}
 
-    rows = _pmap(member, range(len(schedule)), threads)
+    rows = [member(k) for k in range(len(schedule))]
     return {"label": schedule.label, "rows": rows,
             "reference": {"rho": rho_ref, "nu": nu_ref, "n": n_ref}}
 
 
 def limit_evolution(problem: BvpProblem, schedule: LimitSchedule,
-                    tol: float = 1e-9, threads: int = 1):
+                    tol: float = 1e-9):
     """Space-time evolution limits along a (rho, tau, h) schedule, nu fixed."""
     if schedule.varies("nu"):
         raise ValueError("the evolution study fixes nu")
     nu = float(schedule.nu[0])
     rho_ref, _, tau_ref, n_ref = _reference_values(schedule)
     ref, _ = spacetime_run(problem, rho_ref, nu, tau_ref, n_ref, tol=tol)
-    ref_forms = assemble_forms(ref.space, ref.params)
-    ref_nodes = ref.grid.nodes
-
-    def ref_index(t):
-        j = int(np.argmin(np.abs(ref_nodes - t)))
-        if abs(ref_nodes[j] - t) > 1e-9 * max(1.0, ref_nodes[-1]):
-            j = min(int(np.searchsorted(ref_nodes, t, side="right")) - 1,
-                    len(ref_nodes) - 1)
-        return j
+    ref_forms = ref.solver.forms
 
     def member(k):
         rec, rep = spacetime_run(problem, float(schedule.rho[k]), nu,
@@ -264,7 +240,7 @@ def limit_evolution(problem: BvpProblem, schedule: LimitSchedule,
         state = 0.0
         energy = 0.0
         for i, t in enumerate(rec.grid.nodes):
-            j = ref_index(t)
+            j = ref.grid.node_index(t)
             state = max(state, _bvp_state_diff(rec.space, ref.space, ref_forms,
                                                rec.v[i], rec.z[i],
                                                ref.v[j], ref.z[j]))
@@ -276,6 +252,6 @@ def limit_evolution(problem: BvpProblem, schedule: LimitSchedule,
                 "ledger_bound_ok": rep["bound_ok"],
                 "nu_in_scope": rep["nu_in_scope"]}
 
-    rows = _pmap(member, range(len(schedule)), threads)
+    rows = [member(k) for k in range(len(schedule))]
     return {"label": schedule.label, "rows": rows,
             "reference": {"rho": rho_ref, "nu": nu, "tau": tau_ref, "n": n_ref}}

@@ -62,7 +62,7 @@ def _sample_grid(p, inside, outside, seed):
     return e * radii[:, None]
 
 
-def run_scenario(s: Scenario, out_dir, threads: int = 1) -> dict:
+def run_scenario(s: Scenario, out_dir) -> dict:
     """Execute a validated scenario; returns the manifest dictionary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -105,8 +105,7 @@ def run_scenario(s: Scenario, out_dir, threads: int = 1) -> dict:
                  "reference_tau": study.reference_tau}
 
     elif s.kind == "conv-rho":
-        table = limit_constitutive(p, d, s.path(), s.limit_schedule(),
-                                   threads=threads)
+        table = limit_constitutive(p, d, s.path(), s.limit_schedule())
         header, body = _limit_table_rows(table["rows"])
         write_csv(out / "limit_table.csv", header, body)
         artifacts.append("limit_table.csv")
@@ -145,9 +144,9 @@ def run_scenario(s: Scenario, out_dir, threads: int = 1) -> dict:
         problem = s.bvp_problem()
         sched = s.limit_schedule()
         if s.study == "evolution":
-            table = limit_evolution(problem, sched, threads=threads)
+            table = limit_evolution(problem, sched)
         elif s.study == "minproblem":
-            table = limit_minproblem(problem, sched, threads=threads)
+            table = limit_minproblem(problem, sched)
         else:
             out_nh = nstep_h_convergence(problem, list(sched.n),
                                          steps=s.time["steps"])
@@ -174,7 +173,6 @@ def run_scenario(s: Scenario, out_dir, threads: int = 1) -> dict:
         "kind": s.kind,
         "scenario": s.raw,
         "seed": s.seed,
-        "threads": threads,
         "artifacts": artifacts,
         "package_version": __version__,
         "numpy_version": np.__version__,
@@ -203,8 +201,6 @@ def build_parser():
                              "field or the current directory)")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the scenario RNG seed")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent schedule members")
         sp.add_argument("--dry-run", action="store_true",
                         help="validate the scenario and exit")
     return parser
@@ -233,7 +229,7 @@ def main(argv=None) -> int:
         return 0
     out = args.out or scenario.raw.get("out") or "."
     try:
-        manifest = run_scenario(scenario, out, threads=args.threads)
+        manifest = run_scenario(scenario, out)
     except Exception as e:
         print(f"error: scenario {args.scenario} ({scenario.kind}) failed: "
               f"{type(e).__name__}: {e}", file=sys.stderr)

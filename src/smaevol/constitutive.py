@@ -53,6 +53,15 @@ class TimeGrid:
     def steps(self) -> int:
         return len(self.nodes) - 1
 
+    def node_index(self, t: float) -> int:
+        """Index of the node at t (to a relative 1e-9), else of the last
+        node before t."""
+        j = int(np.argmin(np.abs(self.nodes - t)))
+        if abs(self.nodes[j] - t) > 1e-9 * max(1.0, self.nodes[-1]):
+            j = min(int(np.searchsorted(self.nodes, t, side="right")) - 1,
+                    len(self.nodes) - 1)
+        return j
+
 
 @dataclass(frozen=True)
 class StressPath:
@@ -321,12 +330,8 @@ def _sup_state_diff(traj: PointTrajectory, ref: PointTrajectory) -> float:
     that are exact at the nodes.
     """
     worst = 0.0
-    ref_nodes = ref.grid.nodes
     for i, t in enumerate(traj.grid.nodes):
-        j = int(np.argmin(np.abs(ref_nodes - t)))
-        if abs(ref_nodes[j] - t) > 1e-9 * max(1.0, ref_nodes[-1]):
-            j = min(int(np.searchsorted(ref_nodes, t, side="right")) - 1,
-                    len(ref_nodes) - 1)
+        j = ref.grid.node_index(t)
         worst = max(worst, math.sqrt(float(np.sum((traj.eps[i] - ref.eps[j]) ** 2))
                                      + float(np.sum((traj.z[i] - ref.z[j]) ** 2))))
     return worst

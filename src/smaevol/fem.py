@@ -32,6 +32,7 @@ from .tensors import DEV_BASIS
 
 PLANES = ("x0", "x1", "y0", "y1", "z0", "z1")
 _PERMS = list(itertools.permutations((0, 1, 2)))
+_LOCAL_FACES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
 class SingularFormError(Exception):
@@ -61,58 +62,36 @@ def box_mesh(extents=(1.0, 1.0, 1.0), n=(2, 2, 2)) -> BoxMesh:
     xs = [np.linspace(0, extents[a], n[a] + 1) for a in range(3)]
     I, J, K = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), np.arange(nz + 1),
                           indexing="ij")
-    nid = lambda i, j, k: i + (nx + 1) * (j + (ny + 1) * k)
     nodes = np.stack([xs[0][I], xs[1][J], xs[2][K]], axis=-1)
     nodes = nodes.transpose(2, 1, 0, 3).reshape(-1, 3)  # node id order
 
-    # cells appended with i fastest so tet id = 6 * (i + nx*(j + ny*k)) + perm,
-    # matching the cell indexing used by locate()
-    tets = []
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                base = np.array([i, j, k])
-                for perm in _PERMS:
-                    idx = [base.copy()]
-                    cur = base.copy()
-                    for axis in perm:
-                        cur = cur.copy()
-                        cur[axis] += 1
-                        idx.append(cur)
-                    tets.append([nid(*v) for v in idx])
-    tets = np.array(tets, dtype=int)
+    # cells with i fastest so tet id = 6 * (i + nx*(j + ny*k)) + perm,
+    # matching the cell indexing used by locate(); a tet walks from the
+    # cell's low corner to its high corner one axis at a time, in perm order
+    Kc, Jc, Ic = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx),
+                             indexing="ij")
+    base = (Ic + (nx + 1) * (Jc + (ny + 1) * Kc)).ravel()
+    stride = np.array([1, nx + 1, (nx + 1) * (ny + 1)])
+    offsets = np.cumsum(np.pad(stride[np.array(_PERMS)], ((0, 0), (1, 0))), axis=1)
+    tets = (base[:, None, None] + offsets[None]).reshape(-1, 4)
 
     coords = nodes[tets]
-    edges = coords[:, 1:, :] - coords[:, :1, :]
     all_edges = []
     for a in range(4):
         for b in range(a + 1, 4):
             all_edges.append(np.linalg.norm(coords[:, a] - coords[:, b], axis=1))
     h = float(np.max(all_edges))
 
-    faces = {}
-    local_faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    for tet in tets:
-        for f in local_faces:
-            key = tuple(sorted(tet[list(f)]))
-            faces[key] = faces.get(key, 0) + 1
-    boundary = {pl: [] for pl in PLANES}
+    # a face with all three nodes on a box plane lies in that plane, so it
+    # belongs to exactly one tet; these are the boundary faces, listed in
+    # (tet, local face) order with sorted node triples
+    faces = np.sort(tets[:, _LOCAL_FACES], axis=2).reshape(-1, 3)
     tol = 1e-9 * max(extents)
-    for key, count in faces.items():
-        if count != 1:
-            continue
-        pts = nodes[list(key)]
-        for a, pl0, pl1 in ((0, "x0", "x1"), (1, "y0", "y1"), (2, "z0", "z1")):
-            if np.all(np.abs(pts[:, a]) < tol):
-                boundary[pl0].append(list(key))
-                break
-            if np.all(np.abs(pts[:, a] - extents[a]) < tol):
-                boundary[pl1].append(list(key))
-                break
-        else:
-            raise RuntimeError("boundary face not on any box plane")
-    boundary = {pl: np.array(tris, dtype=int).reshape(-1, 3)
-                for pl, tris in boundary.items()}
+    boundary = {}
+    for a in range(3):
+        x = nodes[faces, a]
+        for pl, level in ((PLANES[2 * a], 0.0), (PLANES[2 * a + 1], extents[a])):
+            boundary[pl] = faces[np.all(np.abs(x - level) < tol, axis=1)]
     return BoxMesh(extents, n, nodes, tets, h, boundary)
 
 

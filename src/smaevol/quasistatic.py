@@ -204,8 +204,7 @@ class AprioriBound:
 class EvolutionRecord:
     grid: TimeGrid
     space: FeSpace
-    params: MaterialParams
-    diss: Dissipation
+    solver: QuasistaticSolver    # forms and factorizations, reused downstream
     v: np.ndarray                # (N+1, n_u) homogeneous-Dirichlet states
     z: np.ndarray                # (N+1, n_z)
     u_dir: np.ndarray            # (N+1, n_u) liftings
@@ -310,9 +309,9 @@ def run_incremental_bvp(space: FeSpace, params: MaterialParams, d: Dissipation,
     residual = (E + cum) - (E[0] - worksum)
 
     stacked = [np.concatenate([L_u[i], L_z[i]]) for i in range(n + 1)]
-    norms = _dual_norms(solver, stacked)
-    dnorms = _dual_norms(solver, [stacked[i] - stacked[i - 1]
-                                  for i in range(1, n + 1)])
+    all_norms = _dual_norms(solver, stacked + [stacked[i] - stacked[i - 1]
+                                               for i in range(1, n + 1)])
+    norms, dnorms = all_norms[:n + 1], all_norms[n + 1:]
     c0 = stored_v[0] + norms[0] * math.sqrt(max(stored_v[0], 0.0))
     b = float(norms.max() + dnorms.sum())
     S = 0.5 * (b + math.sqrt(b * b + 4.0 * max(c0, 0.0)))
@@ -321,7 +320,7 @@ def run_incremental_bvp(space: FeSpace, params: MaterialParams, d: Dissipation,
     stored_u = np.array([solver.stored_energy(v[i] + u_dir[i], z[i])
                          for i in range(n + 1)])
     load_pair = np.array([float(ell[i] @ (v[i] + u_dir[i])) for i in range(n + 1)])
-    return EvolutionRecord(grid, space, params, d, v, z, u_dir, L_u, L_z, q,
+    return EvolutionRecord(grid, space, solver, v, z, u_dir, L_u, L_z, q,
                            stored_v, stored_u, load_pair, L_pair, diss_inc,
                            cum, worksum, residual, bound)
 
@@ -348,10 +347,10 @@ def verify_energetic(record: EvolutionRecord, n_probes=20, tol=1e-8,
     Dirichlet part, transformation strain clamped into the ball in the
     sharp case) and interpolants of smooth manufactured fields.
     """
-    solver = QuasistaticSolver(record.space, record.params, record.diss)
+    solver = record.solver
     rng = np.random.Generator(np.random.Philox(seed))
     space = record.space
-    p = record.params
+    p = solver.params
     nodes = range(len(record.grid.nodes))
     worst = np.full(len(record.grid.nodes), -math.inf)
 
@@ -454,24 +453,17 @@ def nstep_h_convergence(problem: BvpProblem, n_list, steps: int,
     step, the H1-type norm of the difference between consecutive levels
     (coarse states injected into the finer space).
     """
-    runs = []
-    spaces = []
-    for n in n_list:
-        space = problem.space(n)
-        grid = problem.grid(steps)
-        rec = run_incremental_bvp(space, problem.params, problem.diss, grid,
-                                  problem.program, tol=tol)
-        runs.append(rec)
-        spaces.append(space)
+    runs = [run_incremental_bvp(problem.space(n), problem.params, problem.diss,
+                                problem.grid(steps), problem.program, tol=tol)
+            for n in n_list]
     table = []
     for lev in range(len(runs) - 1):
-        coarse, fine = spaces[lev], spaces[lev + 1]
-        forms_f = assemble_forms(fine, problem.params)
+        coarse, fine = runs[lev].space, runs[lev + 1].space
         P3 = sp.kron(inject(coarse, fine), sp.eye(3), format="csr")
         diffs = []
         for i in range(steps + 1):
             du = P3 @ runs[lev].u[i] - runs[lev + 1].u[i]
-            diffs.append(_h1_norm(fine, forms_f, du))
+            diffs.append(_h1_norm(fine, runs[lev + 1].solver.forms, du))
         table.append({"n_coarse": n_list[lev], "n_fine": n_list[lev + 1],
                       "diffs": np.array(diffs)})
     return {"runs": runs, "table": table}

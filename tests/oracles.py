@@ -6,6 +6,8 @@ the 2-plane spanned by the driving stress deviator and the anchor, which
 contains the minimizer by rotational symmetry of all radial terms.
 """
 
+import itertools
+
 import numpy as np
 
 from smaevol.material import radial_core_value
@@ -69,3 +71,51 @@ def planar_step_oracle(p, d, sigma, z_prev, n=400, extent=None):
     z_star = X[i, j] * u1 + Y[i, j] * u2
     step = max(rs[1] - rs[0], rs[i] * (thetas[1] - thetas[0]))
     return z_star, step
+
+
+def box_mesh_loops(n):
+    """Tets and boundary triangles of the box mesh, built one tet at a time.
+
+    Cells run with i fastest, each cut into six tets by the axis
+    permutations; a face is on the boundary when exactly one tet has it,
+    and boundary faces are listed in first-appearance order with sorted
+    node triples.  Planes are recognized on the integer lattice, so the
+    result does not depend on the box extents.
+    """
+    nx, ny, nz = n
+    nid = lambda i, j, k: i + (nx + 1) * (j + (ny + 1) * k)
+    tets = []
+    for k in range(nz):
+        for j in range(ny):
+            for i in range(nx):
+                for perm in itertools.permutations((0, 1, 2)):
+                    cur = [i, j, k]
+                    idx = [nid(*cur)]
+                    for axis in perm:
+                        cur[axis] += 1
+                        idx.append(nid(*cur))
+                    tets.append(idx)
+    tets = np.array(tets, dtype=int)
+
+    faces = {}
+    for tet in tets:
+        for f in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]:
+            key = tuple(sorted(int(v) for v in tet[list(f)]))
+            faces[key] = faces.get(key, 0) + 1
+    boundary = {pl: [] for pl in ("x0", "x1", "y0", "y1", "z0", "z1")}
+    for key, count in faces.items():
+        if count != 1:
+            continue
+        ijk = [(v % (nx + 1), v // (nx + 1) % (ny + 1), v // ((nx + 1) * (ny + 1)))
+               for v in key]
+        for a, pl0, pl1 in ((0, "x0", "x1"), (1, "y0", "y1"), (2, "z0", "z1")):
+            if all(p[a] == 0 for p in ijk):
+                boundary[pl0].append(list(key))
+                break
+            if all(p[a] == n[a] for p in ijk):
+                boundary[pl1].append(list(key))
+                break
+        else:
+            raise RuntimeError("boundary face not on any box plane")
+    return tets, {pl: np.array(tris, dtype=int).reshape(-1, 3)
+                  for pl, tris in boundary.items()}

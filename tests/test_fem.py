@@ -9,6 +9,8 @@ from smaevol.fem import (LoadProgram, SingularFormError, assemble_forms,
 from smaevol.material import MaterialParams
 from smaevol.tensors import dev_from_sym, sym_from_matrix
 
+from oracles import box_mesh_loops
+
 RNG = np.random.default_rng(41)
 
 P = MaterialParams(rho=0.1, nu=0.01)
@@ -28,6 +30,20 @@ def test_mesh_counts_and_volume():
     # every boundary face tagged exactly once
     ntri = sum(len(t) for t in m.boundary.values())
     assert ntri == 2 * 2 * (2 * 3 + 3 * 4 + 2 * 4)
+
+
+@pytest.mark.parametrize("extents, n", [((1.0, 1.0, 1.0), (1, 1, 1)),
+                                        ((1.0, 2.0, 3.0), (2, 3, 4)),
+                                        ((1.0, 1.0, 1.0), (4, 4, 4))])
+def test_mesh_matches_loop_oracle(extents, n):
+    m = box_mesh(extents, n)
+    tets, boundary = box_mesh_loops(n)
+    assert m.tets.dtype == tets.dtype
+    assert np.array_equal(m.tets, tets)
+    assert list(m.boundary) == list(boundary)
+    for pl, tris in boundary.items():
+        assert m.boundary[pl].dtype == tris.dtype
+        assert np.array_equal(m.boundary[pl], tris), pl
 
 
 def test_mesh_h_is_max_edge():

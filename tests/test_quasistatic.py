@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -7,7 +9,7 @@ from smaevol.dissipation import Dissipation
 from smaevol.fem import LoadProgram, assemble_load, box_mesh, build_space
 from smaevol.material import MaterialParams
 from smaevol.quasistatic import (BvpProblem, BvpStep, QuasistaticSolver,
-                                 SingularSystem, nstep_h_convergence,
+                                 SingularSystem, _dual_norms, nstep_h_convergence,
                                  run_incremental_bvp, solve_bvp_step,
                                  spacetime_run, verify_energetic)
 
@@ -156,6 +158,44 @@ def test_verify_energetic_passes_and_flags():
     rep_bad = verify_energetic(bad, n_probes=15, tol=1e-8, seed=3)
     assert not rep_bad.passed
     assert rep_bad.stability_worst[i] > 1e-6
+
+
+def test_run_and_verify_share_one_solver_and_two_factorizations(monkeypatch):
+    inits, factors = [], []
+    init, splu = QuasistaticSolver.__init__, spla.splu
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_splu(*args, **kwargs):
+        factors.append(1)
+        return splu(*args, **kwargs)
+
+    space = space_n(2)
+    grid = TimeGrid.uniform(1.0, 4)
+    with monkeypatch.context() as m:
+        m.setattr(QuasistaticSolver, "__init__", counting_init)
+        m.setattr(spla, "splu", counting_splu)
+        rec = run_incremental_bvp(space, P_SMOOTH, D, grid, pull_program())
+        verify_energetic(rec, n_probes=2)
+    assert len(inits) == 1
+    assert len(factors) == 2  # K_ff and the joint (u, z) matrix
+
+    # the bound as computed with one _dual_norms call per family of functionals
+    fresh = QuasistaticSolver(space, P_SMOOTH, D)
+    stacked = [np.concatenate([rec.L_u[i], rec.L_z[i]])
+               for i in range(grid.steps + 1)]
+    norms = _dual_norms(fresh, stacked)
+    dnorms = _dual_norms(fresh, [stacked[i] - stacked[i - 1]
+                                 for i in range(1, grid.steps + 1)])
+    c0 = rec.stored_v[0] + norms[0] * math.sqrt(max(rec.stored_v[0], 0.0))
+    b = float(norms.max() + dnorms.sum())
+    total = c0 + b * 0.5 * (b + math.sqrt(b * b + 4.0 * max(c0, 0.0)))
+    assert b > 0
+    for got, want in ((rec.apriori.c0, c0), (rec.apriori.b, b),
+                      (rec.apriori.total, total)):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_verify_energetic_zero_data():
