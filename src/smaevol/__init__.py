@@ -12,12 +12,12 @@ from .material import (MaterialParams, stored_energy_density,
                        transformation_energy, transformation_energy_grad,
                        transformation_energy_hess, transformation_energy_sharp,
                        transformation_energy_smooth)
-from .proxsolve import NonConvergence, PointProblem, solve_point
+from .proxsolve import NonConvergence, StepProblem, solve_point
 from .tensors import Elasticity, dev_split, dev_to_sym, sym_from_matrix
 
 __all__ = [
     "Dissipation", "Elasticity", "MaterialParams", "NonConvergence",
-    "PointProblem", "PointState", "PointTrajectory", "StressPath", "TimeGrid",
+    "PointState", "PointTrajectory", "StepProblem", "StressPath", "TimeGrid",
     "UnstableInitialState", "continuous_dependence_check", "dev_split",
     "dev_to_sym", "energy_balance_residual", "incremental_step",
     "run_constitutive", "solve_point", "stable_initial_state",

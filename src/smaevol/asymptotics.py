@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .constitutive import (PointTrajectory, StressPath, TimeGrid,
-                           run_constitutive)
+                           _sup_state_diff, run_constitutive)
 from .dissipation import Dissipation
 from .fem import assemble_load, inject
 from .material import (MaterialParams, transformation_energy_sharp,
@@ -130,16 +130,10 @@ def gamma_check_F(p: MaterialParams, rhos, points) -> GammaReport:
 
 def _trajectory_diffs(traj: PointTrajectory, ref: PointTrajectory):
     """(state, energy, dissipation) differences at the member's own nodes."""
-    state = 0.0
-    energy = 0.0
-    for i, t in enumerate(traj.grid.nodes):
-        j = ref.grid.node_index(t)
-        state = max(state, math.sqrt(
-            float(np.sum((traj.eps[i] - ref.eps[j]) ** 2))
-            + float(np.sum((traj.z[i] - ref.z[j]) ** 2))))
-        energy = max(energy, abs(traj.stored[i] - ref.stored[j]))
+    energy = max(abs(traj.stored[i] - ref.stored[ref.grid.node_index(t)])
+                 for i, t in enumerate(traj.grid.nodes))
     diss = abs(traj.cum_diss[-1] - ref.cum_diss[-1])
-    return state, energy, diss
+    return _sup_state_diff(traj, ref), energy, diss
 
 
 def limit_constitutive(p: MaterialParams, d: Dissipation, path: StressPath,
@@ -187,11 +181,8 @@ def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule,
     t = problem.program.T if t is None else t
     rho_ref, nu_ref, _, n_ref = _reference_values(schedule)
 
-    spaces = {n: problem.space(n)
-              for n in sorted({n_ref, *(int(v) for v in schedule.n)})}
-
     def solve_member(rho, nu, n):
-        space = spaces[n]
+        space = problem.space(n)
         params = replace(problem.params, rho=rho, nu=nu)
         step = BvpStep(space, params, problem.diss,
                        problem.program.dirichlet_vector(space, t),

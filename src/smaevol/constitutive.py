@@ -23,7 +23,7 @@ import numpy as np
 from .dissipation import Dissipation
 from .material import (MaterialParams, radial_core_value, stored_energy_density,
                        transformation_energy_grad)
-from .proxsolve import PointProblem, solve_point
+from .proxsolve import StepProblem, solve_point
 from .tensors import dev_split, dev_to_sym
 
 
@@ -147,8 +147,8 @@ class PointTrajectory:
         return header, body
 
 
-def reduced_problem(p: MaterialParams, d: Dissipation, sigma, z_prev,
-                    tol=1e-10) -> PointProblem:
+def reduced_problem(p: MaterialParams, d: Dissipation, sigma,
+                    z_prev) -> StepProblem:
     """The z-only incremental problem after eliminating the strain."""
     b = dev_split(sigma)[0]
     anchor = np.asarray(z_prev, dtype=float)
@@ -160,9 +160,7 @@ def reduced_problem(p: MaterialParams, d: Dissipation, sigma, z_prev,
         def grad(z):
             return transformation_energy_grad(p, z) - b
 
-        return PointProblem(smooth, grad, p.curvature_bound, d.R, anchor,
-                            strong_convexity=2.0 * p.c2,
-                            tol=tol * (1.0 + np.linalg.norm(b)))
+        return StepProblem(smooth, grad, p.curvature_bound, d.R, anchor)
 
     if np.linalg.norm(anchor) > p.c3 * (1.0 + 1e-12):
         raise ValueError("anchor must satisfy |z_prev| <= c3 when rho = 0")
@@ -173,17 +171,15 @@ def reduced_problem(p: MaterialParams, d: Dissipation, sigma, z_prev,
     def grad0(z):
         return 2.0 * p.c2 * z - b
 
-    return PointProblem(smooth0, grad0, 2.0 * p.c2, d.R, anchor,
-                        w_zero=p.c1, radius=p.c3,
-                        strong_convexity=2.0 * p.c2,
-                        tol=tol * (1.0 + np.linalg.norm(b)))
+    return StepProblem(smooth0, grad0, 2.0 * p.c2, d.R, anchor,
+                       w_zero=p.c1, radius=p.c3)
 
 
 def incremental_step(p: MaterialParams, d: Dissipation, sigma, z_prev,
                      tol=1e-10) -> PointState:
     """Exact minimizer of the step functional at the given stress."""
-    pb = reduced_problem(p, d, sigma, z_prev, tol=tol)
-    z = solve_point(pb)
+    pb = reduced_problem(p, d, sigma, z_prev)
+    z = solve_point(pb, tol * (1.0 + np.linalg.norm(dev_split(sigma)[0])))
     eps = p.elastic.apply_inverse(sigma) + dev_to_sym(z)
     return PointState(eps, z)
 

@@ -1,10 +1,9 @@
-"""Dissipation distance on the deviatoric space and its proximal map.
+"""Dissipation distance on the deviatoric space.
 
-The default density is the isotropic von-Mises-type choice R |a|.  The
-class keeps the density behind overridable methods so any convex,
-positively 1-homogeneous density with a computable prox can be plugged in;
-the rest of the code only relies on 1-homogeneity, the triangle inequality
-and the two-sided linear bounds (both equal to R here).
+The density is the isotropic von-Mises-type choice R |a|.  The step
+solvers take it through R alone (the w_shift weight of a step problem),
+so this class only evaluates it: the cost of one increment (energy
+ledger, stability probes) and the total along a path.
 """
 
 from dataclasses import dataclass
@@ -22,20 +21,6 @@ class Dissipation:
 
     def value(self, a) -> float:
         return self.R * float(np.linalg.norm(a))
-
-    def value_radial(self, r):
-        """Vectorized density for radial arguments |a| = r."""
-        return self.R * np.asarray(r, dtype=float)
-
-    def prox(self, lam: float, x) -> np.ndarray:
-        """Unique minimizer of 0.5 |y - x|^2 + lam * R |y| (shrinkage)."""
-        if lam <= 0:
-            raise ValueError("prox parameter must be > 0")
-        x = np.asarray(x, dtype=float)
-        n = np.linalg.norm(x)
-        if n <= lam * self.R:
-            return np.zeros_like(x)
-        return x * (1.0 - lam * self.R / n)
 
     def path_total(self, samples) -> float:
         """Sum of increment costs along an ordered list of deviators.

@@ -1,22 +1,26 @@
 """Proximal-gradient kernel for the incremental minimization step.
 
 Each incremental problem reduces to minimizing, on the 5-dimensional
-deviatoric space (or nodewise on a field of such spaces),
+deviatoric space (a (5,) point) or nodewise on a field of such spaces (an
+(m, 5) field with per-node weights),
 
     smooth(z) + w_zero |z| + w_shift |z - anchor| + indicator(|z| <= radius)
 
-with a strongly convex smooth part.  The prox of the nonsmooth part is
-closed-form whenever the kinks share a center (pure shrinkage, or radial
-shrink-then-project about the origin); the remaining case, a ball plus a
-shifted kink, is handled by the Dykstra-like proximal splitting iterated
-to high accuracy so that every outer iteration is effectively exact.
+with a strongly convex smooth part.  One StepProblem type and one loop
+serve both shapes; only the prox evaluator is chosen by shape, because on
+a single row the scalar prox_nonsmooth is cheaper than the rowwise
+prox_nodal.  The prox of the nonsmooth part is closed-form whenever the
+kinks share a center (pure shrinkage, or radial shrink-then-project about
+the origin); the remaining case, a ball plus a shifted kink, is handled
+by the Dykstra-like proximal splitting iterated to high accuracy so that
+every outer iteration is effectively exact.
 
-The driver is proximal gradient with a Barzilai-Borwein step, safeguarded
+The loop is proximal gradient with a Barzilai-Borwein step, safeguarded
 by the 1/L fallback step so the objective is non-increasing.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -75,112 +79,6 @@ def prox_nonsmooth(x, t, w_shift, anchor, w_zero=0.0, radius=None,
     return w
 
 
-@dataclass
-class PointProblem:
-    """One incremental minimization on the deviatoric space.
-
-    smooth/grad evaluate the strongly convex differentiable part,
-    lipschitz bounds its gradient's Lipschitz constant, and the nonsmooth
-    structure is w_zero |z| + w_shift |z - anchor| plus an optional ball
-    constraint of the given radius (active in the sharp case only).
-    """
-
-    smooth: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
-    w_shift: float
-    anchor: np.ndarray
-    w_zero: float = 0.0
-    radius: Optional[float] = None
-    strong_convexity: float = 0.0
-    tol: float = 1e-10
-    max_iter: int = 10000
-
-    def nonsmooth(self, z) -> float:
-        v = self.w_shift * np.linalg.norm(z - self.anchor)
-        if self.w_zero:
-            v += self.w_zero * np.linalg.norm(z)
-        return float(v)
-
-    def objective(self, z) -> float:
-        return self.smooth(z) + self.nonsmooth(z)
-
-    def prox(self, x, t):
-        return prox_nonsmooth(x, t, self.w_shift, self.anchor,
-                              self.w_zero, self.radius)
-
-
-@dataclass
-class SolveInfo:
-    iterations: int = 0
-    residual: float = float("nan")
-    objective_history: list = field(default_factory=list)
-
-
-def solve_point(pb: PointProblem, info: Optional[SolveInfo] = None) -> np.ndarray:
-    """Minimize the point problem to first-order residual <= tol.
-
-    Deterministic: identical inputs produce bit-identical iterates.  The
-    BB trial step is accepted only if it does not increase the objective;
-    otherwise the guaranteed-descent 1/L step is taken.  The tolerance is
-    floored at the roundoff resolution of the residual measure, which
-    scales with the Lipschitz bound (the 1/L trial step divides machine
-    noise by 1/L).
-    """
-    if pb.tol <= 0:
-        raise ValueError("tolerance must be > 0")
-    t0 = 1.0 / pb.lipschitz
-    eps_floor = 64.0 * np.finfo(float).eps * pb.lipschitz
-    z = np.asarray(pb.anchor, dtype=float).copy()
-    if pb.radius is not None:
-        n = np.linalg.norm(z)
-        if n > pb.radius:
-            z = z * (pb.radius / n)
-    f = pb.objective(z)
-    if info is not None:
-        info.objective_history.append(f)
-    z_prev = None
-    g_prev = None
-    f_smooth = pb.smooth(z)
-    for it in range(pb.max_iter):
-        g = pb.grad(z)
-        fallback = pb.prox(z - t0 * g, t0)
-        res = float(np.linalg.norm(z - fallback) / t0)
-        if info is not None:
-            info.iterations = it
-            info.residual = res
-        if res <= max(pb.tol, eps_floor * (1.0 + np.linalg.norm(z))):
-            return z
-        # BB trial step, backtracked until the quadratic majorization holds;
-        # the step floor 1/L makes the final candidate a guaranteed-descent
-        # prox-gradient step, so the objective never increases
-        t = t0
-        if z_prev is not None:
-            s = z - z_prev
-            y = g - g_prev
-            sy = float(s @ y)
-            if sy > 0:
-                t = min(max(float(s @ s) / sy, t0), 1e8 * t0)
-        while True:
-            cand = fallback if t == t0 else pb.prox(z - t * g, t)
-            dz = cand - z
-            fs_cand = pb.smooth(cand)
-            if t <= t0:
-                break
-            if fs_cand <= f_smooth + float(g @ dz) + float(dz @ dz) / (2.0 * t) \
-                    + 1e-14 * (1.0 + abs(f_smooth)):
-                break
-            t = max(t / 4.0, t0)
-        z_prev, g_prev = z, g
-        z = cand
-        f_smooth = fs_cand
-        f = min(f, fs_cand + pb.nonsmooth(cand))
-        if info is not None:
-            info.objective_history.append(f)
-    raise NonConvergence(
-        f"point solve stalled at residual {res:.3e} after {pb.max_iter} iterations")
-
-
 # ---------------------------------------------------------------------------
 # vectorized nodal variant for finite-element z-fields
 
@@ -228,82 +126,138 @@ def prox_nodal(X, t, w_shift, anchors, w_zero=None, radius=None,
     return W
 
 
+
+
+# ---------------------------------------------------------------------------
+# the step problem and its solver
+
+
 @dataclass
-class FieldProblem:
-    """Nodal-separable composite problem for a z-field of shape (m, 5)."""
+class StepProblem:
+    """One incremental minimization on a (5,) point or an (m, 5) field.
+
+    smooth/grad evaluate the strongly convex differentiable part and
+    lipschitz bounds its gradient's Lipschitz constant.  The nonsmooth
+    structure is w_zero |z| + w_shift |z - anchor| plus an optional ball
+    constraint of the given radius (active in the sharp case only); on a
+    field the norms are nodal and the weights per node (already including
+    quadrature weights).
+    """
 
     smooth: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
-    w_shift: np.ndarray
-    anchors: np.ndarray
-    w_zero: Optional[np.ndarray] = None
+    w_shift: Union[float, np.ndarray]
+    anchor: np.ndarray
+    w_zero: Union[float, np.ndarray, None] = None
     radius: Optional[float] = None
 
-    def prox(self, X, t):
-        return prox_nodal(X, t, self.w_shift, self.anchors,
-                          self.w_zero, self.radius)
-
-    def nonsmooth(self, X) -> float:
-        v = float(self.w_shift @ np.linalg.norm(X - self.anchors, axis=1))
+    def nonsmooth(self, z) -> float:
+        v = float(np.sum(self.w_shift * np.linalg.norm(z - self.anchor, axis=-1)))
         if self.w_zero is not None:
-            v += float(self.w_zero @ np.linalg.norm(X, axis=1))
+            v += float(np.sum(self.w_zero * np.linalg.norm(z, axis=-1)))
         return v
 
-    def objective(self, X) -> float:
-        return self.smooth(X) + self.nonsmooth(X)
+    def prox(self, x, t):
+        if x.ndim == 1:
+            w_zero = 0.0 if self.w_zero is None else self.w_zero
+            return prox_nonsmooth(x, t, self.w_shift, self.anchor, w_zero,
+                                  self.radius)
+        return prox_nodal(x, t, self.w_shift, self.anchor, self.w_zero,
+                          self.radius)
 
-    def residual(self, X) -> float:
+    def residual(self, z) -> float:
         t0 = 1.0 / self.lipschitz
-        step = self.prox(X - t0 * self.grad(X), t0)
-        return float(np.linalg.norm(X - step) / t0)
+        step = self.prox(z - t0 * self.grad(z), t0)
+        return float(np.linalg.norm(z - step) / t0)
 
 
-def solve_field(fp: FieldProblem, X0, tol, max_iter=20000) -> np.ndarray:
-    """Safeguarded BB proximal gradient on a nodal field problem.
+@dataclass
+class SolveInfo:
+    iterations: int = 0
+    residual: float = float("nan")
+    objective_history: list = field(default_factory=list)
 
-    As in solve_point, the tolerance is floored at the roundoff
-    resolution of the prox-gradient residual.
+
+def solve_point(pb: StepProblem, tol, max_iter=20000,
+                info: Optional[SolveInfo] = None) -> np.ndarray:
+    """Minimize a (5,) point problem from its anchor to residual <= tol."""
+    return _prox_gradient(pb, pb.anchor, tol, max_iter, info)
+
+
+def solve_field(pb: StepProblem, X0, tol, max_iter=20000,
+                info: Optional[SolveInfo] = None) -> np.ndarray:
+    """Minimize an (m, 5) field problem from X0 to residual <= tol."""
+    return _prox_gradient(pb, X0, tol, max_iter, info)
+
+
+def _dot(a, b):
+    # BLAS dot on a point, elementwise sum on a field: the two round
+    # differently in the last bit, and using either one for both shapes
+    # moves the last digits of one side's scenario CSVs
+    return float(a @ b) if a.ndim == 1 else float((a * b).sum())
+
+
+def _prox_gradient(pb, z0, tol, max_iter, info):
+    """Safeguarded BB proximal gradient to first-order residual <= tol.
+
+    Deterministic: identical inputs produce bit-identical iterates.  The
+    BB trial step is accepted only if it does not increase the objective;
+    otherwise the guaranteed-descent 1/L step is taken.  The tolerance is
+    floored at the roundoff resolution of the residual measure, which
+    scales with the Lipschitz bound (the 1/L trial step divides machine
+    noise by 1/L).  The objective of every iterate is recorded only into
+    info.
     """
-    t0 = 1.0 / fp.lipschitz
-    eps_floor = 64.0 * np.finfo(float).eps * fp.lipschitz
-    X = np.asarray(X0, dtype=float).copy()
-    if fp.radius is not None:
-        n = np.linalg.norm(X, axis=1, keepdims=True)
-        over = n > fp.radius
+    if tol <= 0:
+        raise ValueError("tolerance must be > 0")
+    t0 = 1.0 / pb.lipschitz
+    eps_floor = 64.0 * np.finfo(float).eps * pb.lipschitz
+    z = np.asarray(z0, dtype=float).copy()
+    if pb.radius is not None:
+        n = np.linalg.norm(z, axis=-1, keepdims=True)
+        over = n > pb.radius
         if over.any():
-            X = np.where(over, X * (fp.radius / np.maximum(n, 1e-300)), X)
-    f_smooth = fp.smooth(X)
-    X_prev = None
+            z = np.where(over, z * (pb.radius / np.maximum(n, 1e-300)), z)
+    f_smooth = pb.smooth(z)
+    if info is not None:
+        info.objective_history.append(f_smooth + pb.nonsmooth(z))
+    z_prev = None
     g_prev = None
-    for _ in range(max_iter):
-        g = fp.grad(X)
-        fallback = fp.prox(X - t0 * g, t0)
-        res = float(np.linalg.norm(X - fallback) / t0)
-        if res <= max(tol, eps_floor * (1.0 + np.linalg.norm(X))):
-            return X
+    for it in range(max_iter):
+        g = pb.grad(z)
+        fallback = pb.prox(z - t0 * g, t0)
+        res = float(np.linalg.norm(z - fallback) / t0)
+        if info is not None:
+            info.iterations = it
+            info.residual = res
+        if res <= max(tol, eps_floor * (1.0 + np.linalg.norm(z))):
+            return z
+        # BB trial step, backtracked until the quadratic majorization holds;
+        # the step floor 1/L makes the final candidate a guaranteed-descent
+        # prox-gradient step, so the objective never increases
         t = t0
-        if X_prev is not None:
-            s = X - X_prev
+        if z_prev is not None:
+            s = z - z_prev
             y = g - g_prev
-            sy = float((s * y).sum())
+            sy = _dot(s, y)
             if sy > 0:
-                t = min(max(float((s * s).sum()) / sy, t0), 1e8 * t0)
-        # backtrack the BB trial until the quadratic majorization holds;
-        # the 1/L floor keeps every accepted step a descent step
+                t = min(max(_dot(s, s) / sy, t0), 1e8 * t0)
         while True:
-            cand = fallback if t == t0 else fp.prox(X - t * g, t)
-            dX = cand - X
-            fs_cand = fp.smooth(cand)
+            cand = fallback if t == t0 else pb.prox(z - t * g, t)
+            dz = cand - z
+            fs_cand = pb.smooth(cand)
             if t <= t0:
                 break
-            if fs_cand <= f_smooth + float((g * dX).sum()) \
-                    + float((dX * dX).sum()) / (2.0 * t) \
+            if fs_cand <= f_smooth + _dot(g, dz) \
+                    + _dot(dz, dz) / (2.0 * t) \
                     + 1e-14 * (1.0 + abs(f_smooth)):
                 break
             t = max(t / 4.0, t0)
-        X_prev, g_prev = X, g
-        X = cand
+        z_prev, g_prev = z, g
+        z = cand
         f_smooth = fs_cand
-    raise NonConvergence(
-        f"field solve stalled at residual {res:.3e} after {max_iter} iterations")
+        if info is not None:
+            info.objective_history.append(fs_cand + pb.nonsmooth(cand))
+    raise NonConvergence(f"prox-gradient solve stalled at residual {res:.3e} "
+                         f"after {max_iter} iterations")

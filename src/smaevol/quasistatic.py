@@ -21,7 +21,7 @@ energy inequality is checked exactly, not modulo quadrature error.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -33,7 +33,7 @@ from .dissipation import Dissipation
 from .fem import (FeSpace, LoadProgram, StepForms, assemble_forms,
                   assemble_load, box_mesh, build_space, inject)
 from .material import MaterialParams, radial_core_d1, radial_core_value
-from .proxsolve import FieldProblem, NonConvergence, solve_field
+from .proxsolve import NonConvergence, StepProblem, solve_field
 
 
 class SingularSystem(Exception):
@@ -142,8 +142,8 @@ class QuasistaticSolver:
                 def grad(Z):
                     zf = Z.ravel()
                     return (self.A_z @ zf - b).reshape(-1, 5)
-            return FieldProblem(smooth, grad, self.z_lipschitz, w_shift,
-                                anchors, w_zero, radius)
+            return StepProblem(smooth, grad, self.z_lipschitz, w_shift,
+                               anchors, w_zero, radius)
 
         res = math.inf
         floor = 64.0 * np.finfo(float).eps * self.z_lipschitz
@@ -408,10 +408,16 @@ class BvpProblem:
     n: int = 2
     steps: int = 8
     dirichlet_planes: tuple = ("x0",)
+    _spaces: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def space(self, n: Optional[int] = None) -> FeSpace:
+        """The space on the n-cell box mesh, built once per n."""
         k = self.n if n is None else n
-        return build_space(box_mesh(self.extents, (k, k, k)), self.dirichlet_planes)
+        if k not in self._spaces:
+            self._spaces[k] = build_space(box_mesh(self.extents, (k, k, k)),
+                                          self.dirichlet_planes)
+        return self._spaces[k]
 
     def grid(self, steps: Optional[int] = None) -> TimeGrid:
         return TimeGrid.uniform(self.program.T, self.steps if steps is None else steps)

@@ -30,43 +30,6 @@ def test_triangle_inequality():
         assert D.value(b + c) <= D.value(b) + D.value(c) + 1e-14
 
 
-def test_prox_examples():
-    assert np.all(D.prox(1.0, np.zeros(5)) == 0.0)
-    # dead zone: |x| <= lam R forces zero
-    x = np.zeros(5)
-    x[1] = 0.5
-    assert np.all(D.prox(2.0, x) == 0.0)  # lam R = 1 > 0.5
-    # shrink by lam R outside
-    e = np.zeros(5)
-    e[2] = 1.0
-    y = D.prox(2.0, 3.0 * e)
-    assert np.allclose(y, 2.0 * e, atol=1e-14)
-
-
-def test_prox_brute_force_oracle():
-    # brute-force line search over the ray through x confirms the shrinkage
-    e = np.zeros(5)
-    e[0] = 1.0
-    lam = 2.0  # lam * R = 1
-    ts = np.arange(0.0, 3.0001, 1e-4)
-    vals = 0.5 * (ts - 3.0) ** 2 + lam * D.R * ts
-    t_star = ts[np.argmin(vals)]
-    y = D.prox(lam, 3.0 * e)
-    assert abs(np.linalg.norm(y) - t_star) <= 2e-4
-
-
-def test_prox_subgradient_optimality():
-    for _ in range(100):
-        x = RNG.standard_normal(5) * RNG.uniform(0, 3)
-        lam = RNG.uniform(0.1, 3)
-        y = D.prox(lam, x)
-        if np.linalg.norm(y) == 0.0:
-            assert np.linalg.norm(x) <= lam * D.R + 1e-10
-        else:
-            g = x - y
-            assert np.linalg.norm(g - lam * D.R * y / np.linalg.norm(y)) <= 1e-10
-
-
 def test_path_examples():
     a = RNG.standard_normal(5)
     const = np.tile(a, (4, 1))
@@ -89,7 +52,5 @@ def test_path_reparametrization_invariance():
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         Dissipation(R=0.0)
-    with pytest.raises(ValueError):
-        D.prox(0.0, np.zeros(5))
     with pytest.raises(ValueError):
         D.path_total(np.zeros((0, 5)))

@@ -1,35 +1,60 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import planar_step_oracle
 from smaevol.dissipation import Dissipation
 from smaevol.material import MaterialParams
 from smaevol.constitutive import reduced_problem
-from smaevol.proxsolve import (NonConvergence, PointProblem, SolveInfo,
-                               prox_nonsmooth, solve_point)
+from smaevol.proxsolve import (NonConvergence, SolveInfo, StepProblem,
+                               prox_nodal, prox_nonsmooth, solve_field,
+                               solve_point)
 
 RNG = np.random.default_rng(23)
+TOL = 1e-10
 
 
 def quad_problem(b, w_shift, anchor, **kw):
     b = np.asarray(b, float)
-    return PointProblem(smooth=lambda z: 0.5 * float(z @ z) - float(b @ z),
-                        grad=lambda z: z - b,
-                        lipschitz=1.0, w_shift=w_shift,
-                        anchor=np.asarray(anchor, float),
-                        strong_convexity=1.0, **kw)
+    return StepProblem(smooth=lambda z: 0.5 * float(z @ z) - float(b @ z),
+                       grad=lambda z: z - b,
+                       lipschitz=1.0, w_shift=w_shift,
+                       anchor=np.asarray(anchor, float), **kw)
+
+
+def coupled_field_problem(m, rng):
+    """Sharp-type field problem: nodes coupled through an SPD quadratic
+    with condition number 100 (so unchecked BB steps overshoot), per-node
+    kinks at random anchors inside the unit ball."""
+    Q = np.linalg.qr(rng.standard_normal((5 * m, 5 * m)))[0]
+    A = Q @ np.diag(np.logspace(0, 2, 5 * m)) @ Q.T
+    b = rng.standard_normal(5 * m) * 3
+
+    def smooth(Z):
+        zf = Z.ravel()
+        return 0.5 * float(zf @ (A @ zf)) - float(b @ zf)
+
+    def grad(Z):
+        return (A @ Z.ravel() - b).reshape(-1, 5)
+
+    anchors = rng.standard_normal((m, 5))
+    anchors *= rng.uniform(0.2, 0.9, (m, 1)) / np.linalg.norm(anchors, axis=1,
+                                                             keepdims=True)
+    return StepProblem(smooth, grad, 101.0,  # > the top eigenvalue 100
+                       rng.uniform(0.1, 0.5, m), anchors,
+                       w_zero=rng.uniform(0.1, 0.5, m), radius=1.0)
 
 
 def test_trivial_unconstrained_minimum():
     pb = quad_problem(np.zeros(5), 0.0, np.zeros(5))
-    assert np.allclose(solve_point(pb), 0.0, atol=1e-9)
+    assert np.allclose(solve_point(pb, TOL), 0.0, atol=1e-9)
 
 
 def test_shrinkage_dead_zone():
     b = np.zeros(5)
     b[0] = 0.8
     pb = quad_problem(b, 1.0, np.zeros(5))  # |b| <= w_shift -> 0
-    assert np.allclose(solve_point(pb), 0.0, atol=1e-9)
+    assert np.allclose(solve_point(pb, TOL), 0.0, atol=1e-9)
 
 
 def test_quadratic_plus_shift_matches_closed_form():
@@ -39,7 +64,7 @@ def test_quadratic_plus_shift_matches_closed_form():
         anchor = RNG.standard_normal(5) * 0.5
         w = RNG.uniform(0.05, 1.0)
         pb = quad_problem(b, w, anchor)
-        z = solve_point(pb)
+        z = solve_point(pb, TOL)
         u = b - anchor
         nu = np.linalg.norm(u)
         expect = anchor + (u * max(0.0, 1 - w / nu) if nu > 0 else 0.0)
@@ -62,10 +87,19 @@ def test_monotone_descent_and_info():
     d = Dissipation(0.5)
     pb = reduced_problem(p, d, RNG.standard_normal(6) * 2, RNG.standard_normal(5) * 0.2)
     info = SolveInfo()
-    solve_point(pb, info=info)
+    solve_point(pb, TOL, info=info)
     hist = np.array(info.objective_history)
     assert np.all(np.diff(hist) <= 1e-12)
-    assert info.residual <= pb.tol
+    assert info.residual <= TOL
+    # field-shaped: three coupled nodes with the ball and the zero kink
+    fp = coupled_field_problem(3, np.random.default_rng(31))
+    info = SolveInfo()
+    X = solve_field(fp, fp.anchor, TOL, info=info)
+    hist = np.array(info.objective_history)
+    assert len(hist) > 2 and np.all(np.diff(hist) <= 1e-12)
+    assert info.residual <= TOL
+    assert hist[-1] == pytest.approx(fp.smooth(X) + fp.nonsmooth(X), abs=1e-12)
+    assert np.all(np.linalg.norm(X, axis=1) <= fp.radius + 1e-12)
 
 
 def test_fixed_point_property():
@@ -74,16 +108,16 @@ def test_fixed_point_property():
     b[0] = 0.3
     anchor = np.zeros(5)
     pb = quad_problem(b, 0.5, anchor)  # 0 is optimal since |b| <= 0.5
-    z = solve_point(pb)
-    assert np.linalg.norm(z - anchor) <= 10 * pb.tol
+    z = solve_point(pb, TOL)
+    assert np.linalg.norm(z - anchor) <= 10 * TOL
 
 
 def test_solver_level_continuous_dependence():
     anchor = RNG.standard_normal(5) * 0.2
     b1 = RNG.standard_normal(5)
     b2 = b1 + RNG.standard_normal(5) * 0.01
-    z1 = solve_point(quad_problem(b1, 0.4, anchor))
-    z2 = solve_point(quad_problem(b2, 0.4, anchor))
+    z1 = solve_point(quad_problem(b1, 0.4, anchor), TOL)
+    z2 = solve_point(quad_problem(b2, 0.4, anchor), TOL)
     # strong convexity modulus of the smooth part is 1 here
     assert np.linalg.norm(z1 - z2) <= np.linalg.norm(b1 - b2) + 2e-10
 
@@ -126,10 +160,12 @@ def test_nonconvergence_raises():
     b = np.ones(5) * 10
     pb = quad_problem(b, 0.1, np.zeros(5))
     pb.lipschitz = 1e4  # overstated bound forces tiny steps
-    pb.max_iter = 2
-    pb.tol = 1e-14
     with pytest.raises(NonConvergence):
-        solve_point(pb)
+        solve_point(pb, 1e-14, max_iter=2)
+    fp = coupled_field_problem(3, np.random.default_rng(37))
+    fp.lipschitz *= 1e4
+    with pytest.raises(NonConvergence):
+        solve_field(fp, fp.anchor, 1e-14, max_iter=2)
 
 
 def test_deterministic_repeat():
@@ -137,6 +173,25 @@ def test_deterministic_repeat():
     d = Dissipation(0.5)
     sigma = RNG.standard_normal(6)
     anchor = RNG.standard_normal(5) * 0.1
-    z1 = solve_point(reduced_problem(p, d, sigma, anchor))
-    z2 = solve_point(reduced_problem(p, d, sigma, anchor))
+    z1 = solve_point(reduced_problem(p, d, sigma, anchor), TOL)
+    z2 = solve_point(reduced_problem(p, d, sigma, anchor), TOL)
     assert np.all(z1 == z2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(st.floats(-3, 3), min_size=5, max_size=5),
+       anchor=st.lists(st.floats(-1.5, 1.5), min_size=5, max_size=5),
+       zero_anchor=st.booleans(),
+       t=st.floats(0.01, 3.0), w1=st.floats(0.0, 2.0),
+       w0=st.none() | st.floats(0.0, 2.0),
+       radius=st.none() | st.floats(0.1, 2.0))
+def test_point_and_nodal_prox_agree_on_one_row(x, anchor, zero_anchor, t, w1,
+                                               w0, radius):
+    # the step problem picks prox_nonsmooth for a point and prox_nodal for a
+    # field; on one row the two evaluators must give the same prox
+    x = np.array(x)
+    a = np.zeros(5) if zero_anchor else np.array(anchor)
+    y = prox_nonsmooth(x, t, w1, a, 0.0 if w0 is None else w0, radius)
+    y_nodal = prox_nodal(x[None], t, [w1], a[None],
+                         None if w0 is None else [w0], radius)[0]
+    assert np.linalg.norm(y - y_nodal) <= 1e-10
