@@ -7,7 +7,6 @@ from .constitutive import (PointState, PointTrajectory, StressPath, TimeGrid,
                            energy_balance_residual, incremental_step,
                            run_constitutive, stable_initial_state,
                            temporal_error_study, verify_stability)
-from .dissipation import Dissipation
 from .material import (MaterialParams, stored_energy_density,
                        transformation_energy, transformation_energy_grad,
                        transformation_energy_hess, transformation_energy_sharp,
@@ -16,7 +15,7 @@ from .proxsolve import NonConvergence, StepProblem, solve_point
 from .tensors import Elasticity, dev_split, dev_to_sym, sym_from_matrix
 
 __all__ = [
-    "Dissipation", "Elasticity", "MaterialParams", "NonConvergence",
+    "Elasticity", "MaterialParams", "NonConvergence",
     "PointState", "PointTrajectory", "StepProblem", "StressPath", "TimeGrid",
     "UnstableInitialState", "continuous_dependence_check", "dev_split",
     "dev_to_sym", "energy_balance_residual", "incremental_step",

@@ -19,7 +19,6 @@ import scipy.sparse as sp
 
 from .constitutive import (PointTrajectory, StressPath, TimeGrid,
                            _sup_state_diff, run_constitutive)
-from .dissipation import Dissipation
 from .fem import assemble_load, inject
 from .material import (MaterialParams, transformation_energy_sharp,
                        transformation_energy_smooth)
@@ -136,19 +135,19 @@ def _trajectory_diffs(traj: PointTrajectory, ref: PointTrajectory):
     return _sup_state_diff(traj, ref), energy, diss
 
 
-def limit_constitutive(p: MaterialParams, d: Dissipation, path: StressPath,
+def limit_constitutive(p: MaterialParams, path: StressPath,
                        schedule: LimitSchedule, tol: float = 1e-10):
     """Constitutive-relation limits over a (rho, tau) schedule."""
     if schedule.varies("nu") or schedule.varies("n"):
         raise ValueError("the constitutive study takes rho and tau schedules only")
     T = path.T
     rho_ref, _, tau_ref, _ = _reference_values(schedule)
-    ref = run_constitutive(replace(p, rho=rho_ref), d, path,
+    ref = run_constitutive(replace(p, rho=rho_ref), path,
                            TimeGrid.uniform(T, int(round(T / tau_ref))), tol=tol)
 
     def member(k):
         pk = replace(p, rho=float(schedule.rho[k]))
-        traj = run_constitutive(pk, d, path,
+        traj = run_constitutive(pk, path,
                                 TimeGrid.uniform(T, int(round(T / schedule.tau[k]))),
                                 tol=tol)
         state, energy, diss = _trajectory_diffs(traj, ref)
@@ -165,16 +164,21 @@ def limit_constitutive(p: MaterialParams, d: Dissipation, path: StressPath,
 # boundary-value limits
 
 
-def _bvp_state_diff(member_space, ref_space, ref_forms, v_m, z_m, v_r, z_r):
+def _injections(member_space, ref_space):
+    """Member-to-reference injections of the (v, z) dof vectors."""
     P = inject(member_space, ref_space)
-    vu = sp.kron(P, sp.eye(3), format="csr") @ v_m
-    vz = sp.kron(P, sp.eye(5), format="csr") @ z_m
-    d = (vu - v_r, vz - z_r)
+    return (sp.kron(P, sp.eye(3), format="csr"),
+            sp.kron(P, sp.eye(5), format="csr"))
+
+
+def _bvp_state_diff(injections, ref_forms, v_m, z_m, v_r, z_r):
+    P3, P5 = injections
+    d = (P3 @ v_m - v_r, P5 @ z_m - z_r)
     return math.sqrt(max(ref_forms.energy_value(d), 0.0))
 
 
 def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule,
-                     t: Optional[float] = None, tol: float = 1e-9):
+                     t: Optional[float] = None):
     """Single incremental minimization along a (rho, nu, h) schedule."""
     if schedule.varies("tau"):
         raise ValueError("the minimum-problem study keeps the step data fixed")
@@ -184,11 +188,11 @@ def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule,
     def solve_member(rho, nu, n):
         space = problem.space(n)
         params = replace(problem.params, rho=rho, nu=nu)
-        step = BvpStep(space, params, problem.diss,
+        step = BvpStep(space, params,
                        problem.program.dirichlet_vector(space, t),
                        assemble_load(space, problem.program, t),
-                       np.zeros(space.n_z), tol=tol)
-        solver = QuasistaticSolver(space, params, problem.diss)
+                       np.zeros(space.n_z))
+        solver = QuasistaticSolver(space, params)
         u, z = solve_bvp_step(step, solver)
         v = u - step.u_dir
         return solver, v, z, solver.stored_energy(v, z), \
@@ -204,8 +208,9 @@ def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule,
         return {"k": k, "rho": float(schedule.rho[k]),
                 "nu": float(schedule.nu[k]), "tau": 0.0,
                 "h": solver.space.mesh.h,
-                "state_diff": _bvp_state_diff(solver.space, ref_space, ref_forms,
-                                              v, z, v_r, z_r),
+                "state_diff": _bvp_state_diff(
+                    _injections(solver.space, ref_space), ref_forms,
+                    v, z, v_r, z_r),
                 "energy_diff": abs(w - w_r),
                 "diss_diff": abs(dd - d_r)}
 
@@ -214,25 +219,24 @@ def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule,
             "reference": {"rho": rho_ref, "nu": nu_ref, "n": n_ref}}
 
 
-def limit_evolution(problem: BvpProblem, schedule: LimitSchedule,
-                    tol: float = 1e-9):
+def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
     """Space-time evolution limits along a (rho, tau, h) schedule, nu fixed."""
     if schedule.varies("nu"):
         raise ValueError("the evolution study fixes nu")
     nu = float(schedule.nu[0])
     rho_ref, _, tau_ref, n_ref = _reference_values(schedule)
-    ref, _ = spacetime_run(problem, rho_ref, nu, tau_ref, n_ref, tol=tol)
+    ref, _ = spacetime_run(problem, rho_ref, nu, tau_ref, n_ref)
     ref_forms = ref.solver.forms
 
     def member(k):
         rec, rep = spacetime_run(problem, float(schedule.rho[k]), nu,
-                                 float(schedule.tau[k]), int(schedule.n[k]),
-                                 tol=tol)
+                                 float(schedule.tau[k]), int(schedule.n[k]))
+        injections = _injections(rec.space, ref.space)
         state = 0.0
         energy = 0.0
         for i, t in enumerate(rec.grid.nodes):
             j = ref.grid.node_index(t)
-            state = max(state, _bvp_state_diff(rec.space, ref.space, ref_forms,
+            state = max(state, _bvp_state_diff(injections, ref_forms,
                                                rec.v[i], rec.z[i],
                                                ref.v[j], ref.z[j]))
             energy = max(energy, abs(rec.stored_v[i] - ref.stored_v[j]))

@@ -68,11 +68,10 @@ def run_scenario(s: Scenario, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
     p = s.params()
-    d = s.dissipation()
     artifacts = []
 
     if s.kind == "point-test":
-        traj = run_constitutive(p, d, s.path(), s.time_grid())
+        traj = run_constitutive(p, s.path(), s.time_grid())
         header, body = traj.rows()
         write_csv(out / "trajectory.csv", header, body)
         artifacts.append("trajectory.csv")
@@ -81,7 +80,7 @@ def run_scenario(s: Scenario, out_dir) -> dict:
         path = s.path()
         idx = sorted({0, grid.steps // 2, grid.steps})
         for i in idx:
-            rep = verify_stability(p, d, path.value(grid.nodes[i]),
+            rep = verify_stability(p, path.value(grid.nodes[i]),
                                    traj.state(i), n_probes=s.probes,
                                    tol=1e-8, seed=s.seed)
             checks.append([grid.nodes[i], rep.worst_violation,
@@ -96,7 +95,7 @@ def run_scenario(s: Scenario, out_dir) -> dict:
                  "max_balance_residual": float(traj.residual.max())}
 
     elif s.kind == "conv-tau":
-        study = temporal_error_study(p, d, s.path(), s.taus,
+        study = temporal_error_study(p, s.path(), s.taus,
                                      reference_tau=s.reference_tau)
         write_csv(out / "rate_table.csv", ["tau", "sup_state_error"],
                   list(zip(study.taus, study.errors)))
@@ -105,7 +104,7 @@ def run_scenario(s: Scenario, out_dir) -> dict:
                  "reference_tau": study.reference_tau}
 
     elif s.kind == "conv-rho":
-        table = limit_constitutive(p, d, s.path(), s.limit_schedule())
+        table = limit_constitutive(p, s.path(), s.limit_schedule())
         header, body = _limit_table_rows(table["rows"])
         write_csv(out / "limit_table.csv", header, body)
         artifacts.append("limit_table.csv")
@@ -126,8 +125,7 @@ def run_scenario(s: Scenario, out_dir) -> dict:
     elif s.kind == "bvp-run":
         problem = s.bvp_problem()
         space = problem.space()
-        rec = run_incremental_bvp(space, p, d, problem.grid(),
-                                  problem.program)
+        rec = run_incremental_bvp(space, p, problem.grid(), problem.program)
         header, body = rec.rows()
         write_csv(out / "ledger.csv", header, body)
         dump_fields(out / "final_state.txt", space,

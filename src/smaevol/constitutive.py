@@ -5,7 +5,7 @@ incremental minimization for the pair (strain, transformation strain).
 The strain is eliminated analytically: minimizing over it at fixed z gives
 eps = C^-1 sigma + z, and the remaining 5-dimensional problem in z is
 
-    F(z) - sigma_dev : z + D(z - z_prev)
+    F(z) - sigma_dev : z + R |z - z_prev|
 
 which the proximal kernel solves.  The per-node energy ledger (stored
 energy, dissipation, external work) is kept exactly for the
@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from .dissipation import Dissipation
 from .material import (MaterialParams, radial_core_value, stored_energy_density,
                        transformation_energy_grad)
 from .proxsolve import StepProblem, solve_point
@@ -130,12 +129,6 @@ class PointTrajectory:
     def times(self) -> np.ndarray:
         return self.grid.nodes
 
-    def value_at(self, t: float):
-        """Right-continuous piecewise-constant interpolant of the states."""
-        i = int(np.searchsorted(self.grid.nodes, t, side="right")) - 1
-        i = min(max(i, 0), len(self.grid.nodes) - 1)
-        return self.eps[i], self.z[i]
-
     def rows(self):
         header = (["t"] + [f"eps{k}" for k in range(6)] + [f"z{k}" for k in range(5)]
                   + ["stored_energy", "cum_dissipation", "work_integral",
@@ -147,8 +140,7 @@ class PointTrajectory:
         return header, body
 
 
-def reduced_problem(p: MaterialParams, d: Dissipation, sigma,
-                    z_prev) -> StepProblem:
+def reduced_problem(p: MaterialParams, sigma, z_prev) -> StepProblem:
     """The z-only incremental problem after eliminating the strain."""
     b = dev_split(sigma)[0]
     anchor = np.asarray(z_prev, dtype=float)
@@ -160,7 +152,7 @@ def reduced_problem(p: MaterialParams, d: Dissipation, sigma,
         def grad(z):
             return transformation_energy_grad(p, z) - b
 
-        return StepProblem(smooth, grad, p.curvature_bound, d.R, anchor)
+        return StepProblem(smooth, grad, p.curvature_bound, p.R, anchor)
 
     if np.linalg.norm(anchor) > p.c3 * (1.0 + 1e-12):
         raise ValueError("anchor must satisfy |z_prev| <= c3 when rho = 0")
@@ -171,20 +163,20 @@ def reduced_problem(p: MaterialParams, d: Dissipation, sigma,
     def grad0(z):
         return 2.0 * p.c2 * z - b
 
-    return StepProblem(smooth0, grad0, 2.0 * p.c2, d.R, anchor,
+    return StepProblem(smooth0, grad0, 2.0 * p.c2, p.R, anchor,
                        w_zero=p.c1, radius=p.c3)
 
 
-def incremental_step(p: MaterialParams, d: Dissipation, sigma, z_prev,
+def incremental_step(p: MaterialParams, sigma, z_prev,
                      tol=1e-10) -> PointState:
     """Exact minimizer of the step functional at the given stress."""
-    pb = reduced_problem(p, d, sigma, z_prev)
+    pb = reduced_problem(p, sigma, z_prev)
     z = solve_point(pb, tol * (1.0 + np.linalg.norm(dev_split(sigma)[0])))
     eps = p.elastic.apply_inverse(sigma) + dev_to_sym(z)
     return PointState(eps, z)
 
 
-def stability_residual(p: MaterialParams, d: Dissipation, sigma, state) -> float:
+def stability_residual(p: MaterialParams, sigma, state) -> float:
     """First-order stability defect of (eps, z) at the given stress.
 
     Combines the strain optimality C(eps - z) = sigma with the inclusion
@@ -198,15 +190,15 @@ def stability_residual(p: MaterialParams, d: Dissipation, sigma, state) -> float
     nz = np.linalg.norm(z)
     if p.rho > 0:
         v = b - transformation_energy_grad(p, z)
-        r_z = max(0.0, np.linalg.norm(v) - d.R)
+        r_z = max(0.0, np.linalg.norm(v) - p.R)
     elif nz == 0.0:
-        r_z = max(0.0, np.linalg.norm(b) - p.c1 - d.R)
+        r_z = max(0.0, np.linalg.norm(b) - p.c1 - p.R)
     else:
         zhat = z / nz
         v = b - 2.0 * p.c2 * z - p.c1 * zhat
         if nz >= p.c3 * (1.0 - 1e-12):
             v = v - max(0.0, float(v @ zhat)) * zhat
-        r_z = max(0.0, np.linalg.norm(v) - d.R)
+        r_z = max(0.0, np.linalg.norm(v) - p.R)
     return float(r_eps + r_z)
 
 
@@ -229,7 +221,7 @@ def _ball(rng, dim, radius):
     return u * radius * rng.uniform() ** (1.0 / dim)
 
 
-def verify_stability(p: MaterialParams, d: Dissipation, sigma, state,
+def verify_stability(p: MaterialParams, sigma, state,
                      n_probes=200, tol=1e-8, seed=0) -> StabilityReport:
     """Probe the global stability inequality with random competitors.
 
@@ -251,9 +243,9 @@ def verify_stability(p: MaterialParams, d: Dissipation, sigma, state,
             if n > p.c3:
                 z_c = z_c * (p.c3 / n)
         comp = (stored_energy_density(p, eps_c, z_c) - float(sigma @ eps_c)
-                + d.value(z_c - state.z))
+                + p.R * float(np.linalg.norm(z_c - state.z)))
         worst = max(worst, base - comp)
-    return StabilityReport(worst, stability_residual(p, d, sigma, state),
+    return StabilityReport(worst, stability_residual(p, sigma, state),
                            n_probes, seed, tol)
 
 
@@ -263,7 +255,7 @@ def stable_initial_state(p: MaterialParams, sigma0, z0=None) -> PointState:
     return PointState(p.elastic.apply_inverse(sigma0) + dev_to_sym(z), z)
 
 
-def run_constitutive(p: MaterialParams, d: Dissipation, path: StressPath,
+def run_constitutive(p: MaterialParams, path: StressPath,
                      grid: TimeGrid, init: Optional[PointState] = None,
                      tol=1e-10) -> PointTrajectory:
     """Incremental evolution along the grid, with the exact energy ledger."""
@@ -273,7 +265,7 @@ def run_constitutive(p: MaterialParams, d: Dissipation, path: StressPath,
         init = stable_initial_state(p, sig0)
     comp0 = stored_energy_density(p, init.eps, init.z) - float(np.asarray(sig0) @ init.eps)
     scale = 1.0 + abs(comp0)
-    if stability_residual(p, d, sig0, init) > 1e-8 * scale:
+    if stability_residual(p, sig0, init) > 1e-8 * scale:
         raise UnstableInitialState(
             "initial state violates the stability condition at t = 0")
 
@@ -289,11 +281,11 @@ def run_constitutive(p: MaterialParams, d: Dissipation, path: StressPath,
     sig_prev = sig0
     for i in range(1, n + 1):
         sig = path.value(grid.nodes[i])
-        st = incremental_step(p, d, sig, z[i - 1], tol=tol)
+        st = incremental_step(p, sig, z[i - 1], tol=tol)
         eps[i], z[i] = st.eps, st.z
         stored[i] = stored_energy_density(p, st.eps, st.z)
         comp[i] = stored[i] - float(sig @ st.eps)
-        diss_inc[i] = d.value(z[i] - z[i - 1])
+        diss_inc[i] = p.R * float(np.linalg.norm(z[i] - z[i - 1]))
         # exact for piecewise-linear sigma against the piecewise-constant
         # right-continuous strain interpolant
         work[i] = work[i - 1] + float((sig - sig_prev) @ eps[i - 1])
@@ -333,7 +325,7 @@ def _sup_state_diff(traj: PointTrajectory, ref: PointTrajectory) -> float:
     return worst
 
 
-def temporal_error_study(p: MaterialParams, d: Dissipation, path: StressPath,
+def temporal_error_study(p: MaterialParams, path: StressPath,
                          taus, reference_tau=None, init=None, tol=1e-11) -> RateStudy:
     """Self-convergence study against a fine reference grid.
 
@@ -349,11 +341,11 @@ def temporal_error_study(p: MaterialParams, d: Dissipation, path: StressPath,
     if reference_tau > taus[0] / 8.0 + 1e-15:
         raise ValueError("reference tau must be at most min(taus)/8")
     T = path.T
-    ref = run_constitutive(p, d, path, TimeGrid.uniform(T, int(round(T / reference_tau))),
+    ref = run_constitutive(p, path, TimeGrid.uniform(T, int(round(T / reference_tau))),
                            init=init, tol=tol)
     errs = []
     for tau in taus:
-        traj = run_constitutive(p, d, path, TimeGrid.uniform(T, int(round(T / tau))),
+        traj = run_constitutive(p, path, TimeGrid.uniform(T, int(round(T / tau))),
                                 init=init, tol=tol)
         errs.append(_sup_state_diff(traj, ref))
     errs = np.array(errs)
@@ -375,29 +367,31 @@ class DependenceReport:
         return all(r["ok"] for r in self.rows)
 
 
-def continuous_dependence_check(p: MaterialParams, d: Dissipation, pairs,
+def continuous_dependence_check(p: MaterialParams, pairs,
                                 slack=1e-8, trajectory_data=None) -> DependenceReport:
     """Check the single-step continuous dependence estimate on data pairs.
 
     Each pair is ((sigma1, z_prev1), (sigma2, z_prev2)); the asserted bound
     is |eps1-eps2|^2 + |z1-z2|^2 <= (1/alpha^2)|sigma1-sigma2|^2
-    + (4/alpha) D(z_prev1 - z_prev2) + slack, with alpha the uniform
+    + (4/alpha) R |z_prev1 - z_prev2| + slack, with alpha the uniform
     convexity constant of the stored density.
     """
     a = p.alpha
     rows = []
     for (s1, zb1), (s2, zb2) in pairs:
-        st1 = incremental_step(p, d, s1, zb1)
-        st2 = incremental_step(p, d, s2, zb2)
+        st1 = incremental_step(p, s1, zb1)
+        st2 = incremental_step(p, s2, zb2)
         lhs = float(np.sum((st1.eps - st2.eps) ** 2) + np.sum((st1.z - st2.z) ** 2))
         rhs = (float(np.sum((np.asarray(s1) - np.asarray(s2)) ** 2)) / a ** 2
-               + 4.0 / a * d.value(np.asarray(zb1) - np.asarray(zb2)) + slack)
+               + 4.0 / a * (p.R * float(np.linalg.norm(np.asarray(zb1)
+                                                       - np.asarray(zb2))))
+               + slack)
         rows.append({"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs})
     traj_report = None
     if trajectory_data is not None:
         path1, path2, grid, init1, init2 = trajectory_data
-        t1 = run_constitutive(p, d, path1, grid, init=init1)
-        t2 = run_constitutive(p, d, path2, grid, init=init2)
+        t1 = run_constitutive(p, path1, grid, init=init1)
+        t2 = run_constitutive(p, path2, grid, init=init2)
         sup2 = max(float(np.sum((t1.eps[i] - t2.eps[i]) ** 2)
                          + np.sum((t1.z[i] - t2.z[i]) ** 2))
                    for i in range(len(grid.nodes)))

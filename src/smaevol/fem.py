@@ -128,9 +128,6 @@ class FeSpace:
     def u_free(self) -> np.ndarray:
         return ~np.repeat(self.dirichlet_nodes, 3)
 
-    def zeros(self):
-        return np.zeros(self.n_u), np.zeros(self.n_z)
-
 
 def _element_geometry(mesh: BoxMesh):
     coords = mesh.nodes[mesh.tets]                       # (nt, 4, 3)

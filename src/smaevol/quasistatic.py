@@ -29,11 +29,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .constitutive import TimeGrid, UnstableInitialState
-from .dissipation import Dissipation
 from .fem import (FeSpace, LoadProgram, StepForms, assemble_forms,
                   assemble_load, box_mesh, build_space, inject)
 from .material import MaterialParams, radial_core_d1, radial_core_value
 from .proxsolve import NonConvergence, StepProblem, solve_field
+
+
+MAX_SWEEPS = 200
 
 
 class SingularSystem(Exception):
@@ -57,10 +59,9 @@ def _power_lambda_max(A, iters=60):
 class QuasistaticSolver:
     """Per-(space, material) engine with cached factorizations."""
 
-    def __init__(self, space: FeSpace, params: MaterialParams, diss: Dissipation):
+    def __init__(self, space: FeSpace, params: MaterialParams):
         self.space = space
         self.params = params
-        self.diss = diss
         self.forms = assemble_forms(space, params)
         free = space.u_free
         if not space.dirichlet_nodes.any():
@@ -95,7 +96,7 @@ class QuasistaticSolver:
 
     def dissipation_increment(self, z1, z0) -> float:
         dr = np.linalg.norm((z1 - z0).reshape(-1, 5), axis=1)
-        return float(self.diss.R * (self.w @ dr))
+        return float(self.params.R * (self.w @ dr))
 
     def solve_v(self, b_u):
         v = np.zeros(self.space.n_u)
@@ -104,15 +105,13 @@ class QuasistaticSolver:
 
     # -- one incremental minimization --------------------------------------
 
-    def solve_step(self, L_u, L_z, anchor, tol=1e-9, max_sweeps=200,
-                   v0=None, z0=None):
-        """Minimize W(v,z) - <L,(v,z)> + D(z - anchor) over the v,z fields."""
+    def solve_step(self, L_u, L_z, anchor, tol=1e-9):
+        """Minimize W(v,z) - <L,(v,z)> + R |z - anchor| over the v,z fields,
+        starting the alternation from z = anchor."""
         p = self.params
-        space = self.space
-        v = np.zeros(space.n_u) if v0 is None else v0.copy()
-        z = anchor.copy() if z0 is None else z0.copy()
+        z = anchor.copy()
         anchors = anchor.reshape(-1, 5)
-        w_shift = self.w * self.diss.R
+        w_shift = self.w * p.R
         w_zero = self.w * p.c1 if p.rho == 0 else None
         radius = p.c3 if p.rho == 0 else None
         scale = 1.0 + np.linalg.norm(L_u) + np.linalg.norm(L_z)
@@ -147,7 +146,7 @@ class QuasistaticSolver:
 
         res = math.inf
         floor = 64.0 * np.finfo(float).eps * self.z_lipschitz
-        for sweep in range(max_sweeps):
+        for sweep in range(MAX_SWEEPS):
             v = self.solve_v(self.forms.Cup @ z + L_u)
             b = self.forms.Cup.T @ v + L_z
             fp = make_field_problem(b)
@@ -157,7 +156,7 @@ class QuasistaticSolver:
             inner_tol = max(0.2 * res, 0.45 * tol * scale)
             z = solve_field(fp, z.reshape(-1, 5), inner_tol).ravel()
         raise NonConvergence(
-            f"step stalled at joint residual {res:.3e} after {max_sweeps} sweeps")
+            f"step stalled at joint residual {res:.3e} after {MAX_SWEEPS} sweeps")
 
 
 @dataclass
@@ -166,22 +165,20 @@ class BvpStep:
 
     space: FeSpace
     params: MaterialParams
-    diss: Dissipation
     u_dir: np.ndarray            # full lifted Dirichlet vector
     load_u: np.ndarray
     anchor: np.ndarray
     load_z: Optional[np.ndarray] = None
-    tol: float = 1e-9
 
 
 def solve_bvp_step(step: BvpStep, solver: Optional[QuasistaticSolver] = None):
     """Solve one step of the incremental problem; returns (u, z)."""
     if solver is None:
-        solver = QuasistaticSolver(step.space, step.params, step.diss)
+        solver = QuasistaticSolver(step.space, step.params)
     load_z = np.zeros(step.space.n_z) if step.load_z is None else step.load_z
     L_u = step.load_u - solver.forms.K @ step.u_dir
     L_z = solver.forms.Cup.T @ step.u_dir + load_z
-    v, z, _ = solver.solve_step(L_u, L_z, step.anchor, tol=step.tol)
+    v, z, _ = solver.solve_step(L_u, L_z, step.anchor)
     return v + step.u_dir, z
 
 
@@ -259,13 +256,11 @@ def _dual_norms(solver: QuasistaticSolver, L_list):
     return np.array(out)
 
 
-def run_incremental_bvp(space: FeSpace, params: MaterialParams, d: Dissipation,
-                        grid: TimeGrid, program: LoadProgram,
-                        z0: Optional[np.ndarray] = None, tol: float = 1e-9,
-                        solver: Optional[QuasistaticSolver] = None) -> EvolutionRecord:
+def run_incremental_bvp(space: FeSpace, params: MaterialParams, grid: TimeGrid,
+                        program: LoadProgram,
+                        z0: Optional[np.ndarray] = None) -> EvolutionRecord:
     """Incremental evolution with the discrete energetic ledger."""
-    if solver is None:
-        solver = QuasistaticSolver(space, params, d)
+    solver = QuasistaticSolver(space, params)
     n = grid.steps
     times = grid.nodes
     u_dir = np.array([program.dirichlet_vector(space, t) for t in times])
@@ -280,8 +275,7 @@ def run_incremental_bvp(space: FeSpace, params: MaterialParams, d: Dissipation,
     z[0] = np.zeros(space.n_z) if z0 is None else np.asarray(z0, dtype=float)
     # initial state: elastic equilibrium at t0, then fixed-point consistency
     v[0] = solver.solve_v(solver.forms.Cup @ z[0] + L_u[0])
-    v_chk, z_chk, _ = solver.solve_step(L_u[0], L_z[0], z[0], tol=tol,
-                                        v0=v[0], z0=z[0])
+    v_chk, z_chk, _ = solver.solve_step(L_u[0], L_z[0], z[0])
     scale0 = 1.0 + math.sqrt(max(solver.stored_energy(v[0], z[0]), 0.0))
     drift = np.linalg.norm(z_chk - z[0]) + np.linalg.norm(v_chk - v[0])
     if drift > 1e-6 * scale0:
@@ -295,8 +289,7 @@ def run_incremental_bvp(space: FeSpace, params: MaterialParams, d: Dissipation,
     stored_v[0] = solver.stored_energy(v[0], z[0])
     L_pair[0] = float(L_u[0] @ v[0]) + float(L_z[0] @ z[0])
     for i in range(1, n + 1):
-        v[i], z[i], _ = solver.solve_step(L_u[i], L_z[i], z[i - 1], tol=tol,
-                                          v0=v[i - 1], z0=z[i - 1])
+        v[i], z[i], _ = solver.solve_step(L_u[i], L_z[i], z[i - 1])
         stored_v[i] = solver.stored_energy(v[i], z[i])
         L_pair[i] = float(L_u[i] @ v[i]) + float(L_z[i] @ z[i])
         diss_inc[i] = solver.dissipation_increment(z[i], z[i - 1])
@@ -402,7 +395,6 @@ class BvpProblem:
     """Mesh/material/load bundle for the evolution studies."""
 
     params: MaterialParams
-    diss: Dissipation
     program: LoadProgram
     extents: tuple = (1.0, 1.0, 1.0)
     n: int = 2
@@ -424,7 +416,7 @@ class BvpProblem:
 
 
 def spacetime_run(problem: BvpProblem, rho: float, nu: float, tau: float,
-                  n: int, tol: float = 1e-9):
+                  n: int):
     """One (rho, nu, tau, h) member of the space-time approximation family.
 
     Returns the record plus a report with the explicit ledger-bound check;
@@ -434,8 +426,7 @@ def spacetime_run(problem: BvpProblem, rho: float, nu: float, tau: float,
     space = problem.space(n)
     steps = max(1, int(round(problem.program.T / tau)))
     grid = TimeGrid.uniform(problem.program.T, steps)
-    record = run_incremental_bvp(space, params, problem.diss, grid,
-                                 problem.program, tol=tol)
+    record = run_incremental_bvp(space, params, grid, problem.program)
     peak = float((record.stored_v + record.cum_diss).max())
     report = {
         "ledger_peak": peak,
@@ -451,16 +442,15 @@ def _h1_norm(space: FeSpace, forms: StepForms, du) -> float:
     return math.sqrt(float(du @ (forms.K @ du)) + float(du @ (space.M3 @ du)))
 
 
-def nstep_h_convergence(problem: BvpProblem, n_list, steps: int,
-                        tol: float = 1e-9):
+def nstep_h_convergence(problem: BvpProblem, n_list, steps: int):
     """Inter-level displacement differences under mesh refinement.
 
     Runs the N-step incremental problem on each mesh and reports, per time
     step, the H1-type norm of the difference between consecutive levels
     (coarse states injected into the finer space).
     """
-    runs = [run_incremental_bvp(problem.space(n), problem.params, problem.diss,
-                                problem.grid(steps), problem.program, tol=tol)
+    runs = [run_incremental_bvp(problem.space(n), problem.params,
+                                problem.grid(steps), problem.program)
             for n in n_list]
     table = []
     for lev in range(len(runs) - 1):

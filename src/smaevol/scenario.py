@@ -35,7 +35,6 @@ import numpy as np
 
 from .asymptotics import LimitSchedule
 from .constitutive import StressPath, TimeGrid
-from .dissipation import Dissipation
 from .fem import PLANES, LoadProgram
 from .material import MaterialParams
 from .quasistatic import BvpProblem
@@ -107,9 +106,6 @@ class Scenario:
                               c1=m["c1"], c2=m["c2"], c3=m["c3"], rho=m["rho"],
                               nu=m["nu"], R=m["R"], delta=m["delta"])
 
-    def dissipation(self) -> Dissipation:
-        return Dissipation(self.material["R"])
-
     def time_grid(self) -> TimeGrid:
         return TimeGrid.uniform(self.time["T"], self.time["steps"])
 
@@ -142,8 +138,8 @@ class Scenario:
 
     def bvp_problem(self) -> BvpProblem:
         mesh = self.mesh
-        return BvpProblem(self.params(), self.dissipation(),
-                          self.load_program(), extents=tuple(mesh["extents"]),
+        return BvpProblem(self.params(), self.load_program(),
+                          extents=tuple(mesh["extents"]),
                           n=mesh["n"], steps=self.time["steps"],
                           dirichlet_planes=tuple(mesh["dirichlet"]))
 
@@ -155,8 +151,8 @@ class Scenario:
                                 n=s["n"], label=s.get("label", ""))
 
 
-def _check_keys(section, data, allowed, errors):
-    del errors  # structural problems abort immediately
+def _check_keys(section, data, allowed):
+    """Unknown keys are structural problems: they abort immediately."""
     for key in data:
         if key not in allowed:
             raise ParseError(f"unknown key {key!r} in {section}")
@@ -176,7 +172,7 @@ def parse_scenario(text: str) -> Scenario:
                          f"{e.msg}") from None
     if not isinstance(raw, dict):
         raise ParseError("scenario must be a JSON object")
-    _check_keys("scenario", raw, _TOP_KEYS, [])
+    _check_keys("scenario", raw, _TOP_KEYS)
 
     errors = []
     kind = raw.get("kind")
@@ -185,7 +181,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError(errors)
 
     material = {**MATERIAL_DEFAULTS, **raw.get("material", {})}
-    _check_keys("material", raw.get("material", {}), _MATERIAL_KEYS, errors)
+    _check_keys("material", raw.get("material", {}), _MATERIAL_KEYS)
     for name in ("c1", "c2", "c3", "R", "delta", "G", "kappa"):
         if not (isinstance(material[name], (int, float)) and material[name] > 0):
             errors.append(f"{name} must be > 0")
@@ -194,7 +190,7 @@ def parse_scenario(text: str) -> Scenario:
             errors.append(f"{name} must be >= 0")
 
     time = {"T": 1.0, "steps": 16, **raw.get("time", {})}
-    _check_keys("time", raw.get("time", {}), _TIME_KEYS, errors)
+    _check_keys("time", raw.get("time", {}), _TIME_KEYS)
     if not time["T"] > 0:
         errors.append("T must be > 0")
     if not (isinstance(time["steps"], int) and time["steps"] >= 1):
@@ -204,7 +200,7 @@ def parse_scenario(text: str) -> Scenario:
                      "amplitudes": [0.0, 3.0, 0.0],
                      "times": [0.0, time["T"] / 2.0, time["T"]]}
     stress_path = {**defaults_path, **raw.get("stress_path", {})}
-    _check_keys("stress_path", raw.get("stress_path", {}), _PATH_KEYS, errors)
+    _check_keys("stress_path", raw.get("stress_path", {}), _PATH_KEYS)
     if len(stress_path["direction"]) != 6:
         errors.append("direction needs 6 components (xx yy zz yz xz xy)")
     if len(stress_path["amplitudes"]) != len(stress_path["times"]):
@@ -239,7 +235,7 @@ def parse_scenario(text: str) -> Scenario:
             errors.append("rhos must decrease strictly through positive values")
         scenario.rhos = rhos
         grid = {"inside": 40, "outside": 10, **raw.get("grid", {})}
-        _check_keys("grid", raw.get("grid", {}), _GRID_KEYS, errors)
+        _check_keys("grid", raw.get("grid", {}), _GRID_KEYS)
         scenario.grid = grid
 
     if kind in ("conv-rho", "bvp-conv"):
@@ -247,7 +243,7 @@ def parse_scenario(text: str) -> Scenario:
         if sched is None:
             errors.append(f"{kind} requires a schedule section")
         else:
-            _check_keys("schedule", sched, _SCHEDULE_KEYS, errors)
+            _check_keys("schedule", sched, _SCHEDULE_KEYS)
             sched = {"rho": material["rho"], "nu": material["nu"],
                      "tau": time["T"] / time["steps"], "n": 2, **sched}
             scenario.schedule = sched
@@ -255,7 +251,7 @@ def parse_scenario(text: str) -> Scenario:
     if kind in ("bvp-run", "bvp-conv"):
         mesh = {"extents": [1.0, 1.0, 1.0], "n": 2, "dirichlet": ["x0"],
                 **raw.get("mesh", {})}
-        _check_keys("mesh", raw.get("mesh", {}), _MESH_KEYS, errors)
+        _check_keys("mesh", raw.get("mesh", {}), _MESH_KEYS)
         if not (isinstance(mesh["n"], int) and mesh["n"] >= 1):
             errors.append("mesh n must be an integer >= 1")
         for pl in mesh["dirichlet"]:
@@ -270,7 +266,7 @@ def parse_scenario(text: str) -> Scenario:
             program = {"times": [0.0, time["T"] / 2.0, time["T"]],
                        "traction": {"x1": [1.0, 0.0, 0.0]},
                        "traction_amps": [0.0, 3.0, 0.0]}
-        _check_keys("program", program, _PROGRAM_KEYS, errors)
+        _check_keys("program", program, _PROGRAM_KEYS)
         if "times" not in program:
             errors.append("program requires time breakpoints")
         prof = program.get("dirichlet_profile")

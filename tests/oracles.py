@@ -37,7 +37,20 @@ def plane_basis(b, anchor):
     return vecs[0], vecs[1]
 
 
-def planar_step_oracle(p, d, sigma, z_prev, n=400, extent=None):
+def path_dissipation(R, samples):
+    """Total dissipation R sum |z_k - z_{k-1}| along ordered deviators.
+
+    For the piecewise-constant interpolants produced by the solvers this
+    equals the total dissipation on the whole interval.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or len(samples) == 0:
+        raise ValueError("need a non-empty ordered list of deviators")
+    steps = np.diff(samples, axis=0)
+    return R * float(np.linalg.norm(steps, axis=1).sum())
+
+
+def planar_step_oracle(p, sigma, z_prev, n=400, extent=None):
     """Grid minimizer of the reduced incremental objective in the 2-plane.
 
     Returns (z_star_5d, grid_step).  The reduced objective is
@@ -65,7 +78,7 @@ def planar_step_oracle(p, d, sigma, z_prev, n=400, extent=None):
         F = np.where(R <= p.c3, p.c1 * R + p.c2 * R * R, np.inf)
     lin = (b @ u1) * X + (b @ u2) * Y
     ax, ay = anchor @ u1, anchor @ u2
-    diss = d.R * np.sqrt((X - ax) ** 2 + (Y - ay) ** 2)
+    diss = p.R * np.sqrt((X - ax) ** 2 + (Y - ay) ** 2)
     obj = F - lin + diss
     i, j = np.unravel_index(np.argmin(obj), obj.shape)
     z_star = X[i, j] * u1 + Y[i, j] * u2

@@ -15,7 +15,6 @@ from smaevol.constitutive import (PointState, StressPath, TimeGrid,
                                   continuous_dependence_check,
                                   incremental_step, run_constitutive,
                                   temporal_error_study, verify_stability)
-from smaevol.dissipation import Dissipation
 from smaevol.fem import (LoadProgram, assemble_forms, assemble_load, box_mesh,
                          build_space, galerkin_project, inject,
                          interp_constrained)
@@ -25,7 +24,6 @@ from smaevol.quasistatic import (BvpProblem, BvpStep, nstep_h_convergence,
                                  spacetime_run)
 from smaevol.tensors import dev_to_sym
 
-D = Dissipation(0.5)
 P0 = MaterialParams()                      # defaults, sharp (rho = 0)
 PS = MaterialParams(rho=0.1)
 UNIT = np.zeros(5)
@@ -73,7 +71,7 @@ def test_criterion_1_single_step_continuous_dependence():
                         if n > p.c3:
                             zb *= p.c3 / n
                 pairs.append(((s1, zb1), (s2, zb2)))
-            rep = continuous_dependence_check(p, D, pairs, slack=1e-8)
+            rep = continuous_dependence_check(p, pairs, slack=1e-8)
             assert rep.all_ok, [r for r in rep.rows if not r["ok"]][:3]
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s"
@@ -83,7 +81,7 @@ def test_criterion_2_temporal_rate():
     t0 = time.perf_counter()
     with criterion(2, "temporal convergence order >= 0.45"):
         study = temporal_error_study(
-            PS, D, ramp_unload_offgrid(),
+            PS, ramp_unload_offgrid(),
             taus=[1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256],
             reference_tau=1 / 2048)
         assert not study.degenerate
@@ -97,7 +95,7 @@ def test_criterion_3_energy_inequality_and_gap():
         for p in (P0, PS):
             prev_gap = None
             for n in (16, 32, 64, 128):
-                traj = run_constitutive(p, D, ramp_unload(), TimeGrid.uniform(1.0, n))
+                traj = run_constitutive(p, ramp_unload(), TimeGrid.uniform(1.0, n))
                 assert traj.residual.max() <= 1e-10, (p.rho, n)
                 gap = float(np.abs(traj.residual).max())
                 if prev_gap is not None:
@@ -110,18 +108,18 @@ def test_criterion_4_stability_certification():
         for p in (P0, PS):
             grid = TimeGrid.uniform(1.0, 16)
             path = ramp_unload()
-            traj = run_constitutive(p, D, path, grid)
+            traj = run_constitutive(p, path, grid)
             for i in range(grid.steps + 1):
-                rep = verify_stability(p, D, path.value(grid.nodes[i]),
+                rep = verify_stability(p, path.value(grid.nodes[i]),
                                        traj.state(i), n_probes=200,
                                        tol=1e-8, seed=100 + i)
                 assert rep.passed, (p.rho, i, rep.worst_violation,
                                     rep.analytic_residual)
         # a constructed perturbed state is flagged
         sigma = dev_to_sym(2.5 * UNIT)
-        st = incremental_step(PS, D, sigma, np.zeros(5))
+        st = incremental_step(PS, sigma, np.zeros(5))
         bad = PointState(st.eps, st.z + 0.1 * UNIT)
-        rep = verify_stability(PS, D, sigma, bad, n_probes=200, tol=1e-8, seed=0)
+        rep = verify_stability(PS, sigma, bad, n_probes=200, tol=1e-8, seed=0)
         assert not rep.passed
 
 
@@ -136,15 +134,15 @@ def test_criterion_5_step_oracle_equivalence():
                     n = np.linalg.norm(z_prev)
                     if n > p.c3:
                         z_prev *= p.c3 / n
-                st = incremental_step(p, D, sigma, z_prev)
-                z_bf, step = planar_step_oracle(p, D, sigma, z_prev, n=400)
+                st = incremental_step(p, sigma, z_prev)
+                z_bf, step = planar_step_oracle(p, sigma, z_prev, n=400)
                 assert np.linalg.norm(st.z - z_bf) <= 2 * step, (p.rho, trial)
 
 
 def test_criterion_6_constraint_exactness():
     with criterion(6, "sharp-model transformation strain stays in the ball"):
         # constitutive run pushed well past saturation
-        traj = run_constitutive(P0, D, ramp_unload(peak=4.0),
+        traj = run_constitutive(P0, ramp_unload(peak=4.0),
                                 TimeGrid.uniform(1.0, 32))
         assert np.linalg.norm(traj.z, axis=1).max() <= P0.c3 + 1e-14
         # boundary-value run
@@ -152,7 +150,7 @@ def test_criterion_6_constraint_exactness():
         space = build_space(box_mesh((1.0, 1.0, 1.0), (2, 2, 2)), ("x0",))
         prog = LoadProgram(times=[0.0, 1.0], traction={"x1": [1.0, 0.0, 0.0]},
                            traction_amps=[0.0, 4.0])
-        rec = run_incremental_bvp(space, p, D, TimeGrid.uniform(1.0, 8), prog)
+        rec = run_incremental_bvp(space, p, TimeGrid.uniform(1.0, 8), prog)
         assert rec.max_nodal_z_norm() <= p.c3 + 1e-14
         assert rec.max_nodal_z_norm() > 0.9
         # the averaging interpolant preserves the bound on admissible fields
@@ -196,7 +194,7 @@ def test_criterion_7_galerkin_projector():
 
 def test_criterion_8_superelastic_hysteresis():
     with criterion(8, "superelastic loop closes with positive dissipation"):
-        traj = run_constitutive(P0, D, ramp_unload(peak=3.0),
+        traj = run_constitutive(P0, ramp_unload(peak=3.0),
                                 TimeGrid.uniform(1.0, 64))
         assert np.linalg.norm(traj.z[-1]) <= 1e-6
         assert traj.cum_diss[-1] >= 0.1
@@ -254,7 +252,7 @@ def test_criterion_10_bvp_convergence_tables():
                            traction={"x1": [1.0, 0.0, 0.0]},
                            traction_amps=[0.0, 1.5, 3.0],
                            body=[0.6, 0.4, 0.0], body_amps=[0.0, 2.0, 0.0])
-        problem = BvpProblem(p, D, prog)
+        problem = BvpProblem(p, prog)
 
         def check_bound(rec):
             peak = float((rec.stored_v + rec.cum_diss).max())
@@ -266,7 +264,7 @@ def test_criterion_10_bvp_convergence_tables():
         spaces2 = []
         for n in (2, 4, 8):
             space = problem.space(n)
-            step = BvpStep(space, p, D, prog.dirichlet_vector(space, t_star),
+            step = BvpStep(space, p, prog.dirichlet_vector(space, t_star),
                            assemble_load(space, prog, t_star),
                            np.zeros(space.n_z))
             u, z = solve_bvp_step(step)
@@ -341,7 +339,7 @@ def test_criterion_11_gradient_checks():
                 rng = np.random.default_rng(15000 + trial)
                 sigma = rng.standard_normal(6)
                 zb = rng.standard_normal(5) * 0.2
-                pb = reduced_problem(p, D, sigma, zb)
+                pb = reduced_problem(p, sigma, zb)
                 z = rng.standard_normal(5) * 0.4
                 g = pb.grad(z)
                 fd = np.zeros(5)

@@ -5,7 +5,6 @@ from smaevol.asymptotics import (LimitSchedule, gamma_check_F,
                                  limit_constitutive, limit_evolution,
                                  limit_minproblem)
 from smaevol.constitutive import StressPath
-from smaevol.dissipation import Dissipation
 from smaevol.fem import LoadProgram
 from smaevol.material import MaterialParams
 from smaevol.quasistatic import BvpProblem
@@ -13,7 +12,6 @@ from smaevol.tensors import dev_to_sym
 
 RNG = np.random.default_rng(61)
 
-D = Dissipation(0.5)
 P = MaterialParams()
 UNIT = np.zeros(5)
 UNIT[0] = 1.0
@@ -35,13 +33,13 @@ def ramp_path(peak=3.0):
 def pull_problem(nu=0.01, rho=0.1, peak=3.0):
     prog = LoadProgram(times=[0.0, 0.5, 1.0], traction={"x1": [1.0, 0.0, 0.0]},
                        traction_amps=[0.0, peak, 0.0])
-    return BvpProblem(MaterialParams(rho=rho, nu=nu), D, prog)
+    return BvpProblem(MaterialParams(rho=rho, nu=nu), prog)
 
 
 def monotone_pull_problem(nu=0.01, rho=0.1, peak=3.0):
     prog = LoadProgram(times=[0.0, 1.0], traction={"x1": [1.0, 0.0, 0.0]},
                        traction_amps=[0.0, peak])
-    return BvpProblem(MaterialParams(rho=rho, nu=nu), D, prog)
+    return BvpProblem(MaterialParams(rho=rho, nu=nu), prog)
 
 
 def test_schedule_validation():
@@ -77,7 +75,7 @@ def test_limit_constitutive_rho_arrow():
     # values sit well under 4 rho^(2/3).
     sched = LimitSchedule.of(4, rho=[0.1, 0.01, 0.001, 1e-4], tau=1 / 16,
                              label="fig1-b")
-    out = limit_constitutive(P, D, ramp_path(), sched)
+    out = limit_constitutive(P, ramp_path(), sched)
     diffs = np.array([r["state_diff"] for r in out["rows"]])
     assert all(np.diff(diffs) < 0)
     assert np.all(diffs <= 4.0 * sched.rho ** (2.0 / 3.0))
@@ -91,7 +89,7 @@ def test_limit_constitutive_tau_arrow():
                              label="fig1-a")
     path = StressPath.proportional(dev_to_sym(UNIT), [0.0, 2.2, 0.0],
                                    [0.0, 1.0 / 3.0, 1.0])
-    out = limit_constitutive(P, D, path, sched)
+    out = limit_constitutive(P, path, sched)
     diffs = [r["state_diff"] for r in out["rows"]]
     assert all(np.diff(diffs) <= 1e-12)
     assert diffs[-1] < 0.8 * diffs[0]
@@ -99,7 +97,7 @@ def test_limit_constitutive_tau_arrow():
 
 def test_limit_constitutive_constant_schedule_is_zero():
     sched = LimitSchedule.of(2, rho=0.1, tau=1 / 8, label="const")
-    out = limit_constitutive(P, D, ramp_path(), sched)
+    out = limit_constitutive(P, ramp_path(), sched)
     for r in out["rows"]:
         assert r["state_diff"] <= 1e-9
         assert r["energy_diff"] <= 1e-9

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import planar_step_oracle
+from oracles import path_dissipation, planar_step_oracle
 from smaevol.constitutive import (PointState, StressPath, TimeGrid,
                                   UnstableInitialState,
                                   continuous_dependence_check,
                                   energy_balance_residual, incremental_step,
                                   run_constitutive, stable_initial_state,
                                   temporal_error_study, verify_stability)
-from smaevol.dissipation import Dissipation
 from smaevol.material import MaterialParams, radial_core_value
 from smaevol.tensors import dev_split, dev_to_sym
 
@@ -16,7 +15,6 @@ RNG = np.random.default_rng(31)
 
 P0 = MaterialParams()            # sharp
 PS = MaterialParams(rho=0.1)
-D = Dissipation(0.5)
 
 UNIT_DEV = np.zeros(5)
 UNIT_DEV[0] = 1.0
@@ -36,7 +34,7 @@ def rate_path():
 
 
 def test_step_zero_data():
-    st = incremental_step(P0, D, np.zeros(6), np.zeros(5))
+    st = incremental_step(P0, np.zeros(6), np.zeros(5))
     assert np.allclose(st.eps, 0.0, atol=1e-12)
     assert np.allclose(st.z, 0.0, atol=1e-12)
 
@@ -45,7 +43,7 @@ def test_step_elastic_regime():
     # 0 is optimal iff sigma_dev lies in the (c1 + R) ball; check both via
     # the solver and by evaluating the reduced objective on a test sphere
     sigma = dev_to_sym(1.4 * UNIT_DEV)  # |sigma_dev| = 1.4 <= c1 + R = 1.5
-    st = incremental_step(P0, D, sigma, np.zeros(5))
+    st = incremental_step(P0, sigma, np.zeros(5))
     assert np.allclose(st.z, 0.0, atol=1e-9)
     assert np.allclose(st.eps, P0.elastic.apply_inverse(sigma), atol=1e-9)
     b = dev_split(sigma)[0]
@@ -53,15 +51,15 @@ def test_step_elastic_regime():
         e = RNG.standard_normal(5)
         e /= np.linalg.norm(e)
         for t in (1e-3, 1e-2, 0.1):
-            val = P0.c1 * t + P0.c2 * t * t - t * float(b @ e) + D.R * t
+            val = P0.c1 * t + P0.c2 * t * t - t * float(b @ e) + P0.R * t
             assert val >= 0.0  # objective at 0 is 0
 
 
 def test_step_inelastic_proportional_matches_1d_brute_force():
     sigma = dev_to_sym(2.0 * UNIT_DEV)
-    st = incremental_step(PS, D, sigma, np.zeros(5))
+    st = incremental_step(PS, sigma, np.zeros(5))
     ts = np.arange(0.0, PS.c3 + 2 * PS.delta, 1e-5)
-    vals = radial_core_value(PS, ts) + PS.c2 * ts ** 2 - 2.0 * ts + D.R * ts
+    vals = radial_core_value(PS, ts) + PS.c2 * ts ** 2 - 2.0 * ts + PS.R * ts
     t_star = ts[np.argmin(vals)]
     assert np.linalg.norm(st.z - t_star * UNIT_DEV) <= 2e-5
     # minimizer stays on the loading ray
@@ -78,20 +76,20 @@ def test_step_oracle_random_instances():
                 n = np.linalg.norm(z_prev)
                 if n > p.c3:
                     z_prev *= p.c3 / n
-            st = incremental_step(p, D, sigma, z_prev)
-            z_bf, step = planar_step_oracle(p, D, sigma, z_prev)
+            st = incremental_step(p, sigma, z_prev)
+            z_bf, step = planar_step_oracle(p, sigma, z_prev)
             assert np.linalg.norm(st.z - z_bf) <= 2 * step
 
 
 def test_step_rejects_infeasible_anchor():
     with pytest.raises(ValueError):
-        incremental_step(P0, D, np.zeros(6), 1.5 * UNIT_DEV)
+        incremental_step(P0, np.zeros(6), 1.5 * UNIT_DEV)
 
 
 def test_run_zero_path():
     grid = TimeGrid.uniform(1.0, 8)
     path = StressPath(np.array([0.0, 1.0]), np.zeros((2, 6)))
-    traj = run_constitutive(P0, D, path, grid)
+    traj = run_constitutive(P0, path, grid)
     assert np.allclose(traj.eps, 0.0)
     assert np.allclose(traj.z, 0.0)
     assert traj.cum_diss[-1] == 0.0
@@ -101,15 +99,15 @@ def test_run_zero_path():
 def test_run_single_step_equals_direct_call():
     sigma = dev_to_sym(2.0 * UNIT_DEV)
     path = StressPath(np.array([0.0, 1.0]), np.vstack([np.zeros(6), sigma]))
-    traj = run_constitutive(PS, D, path, TimeGrid.uniform(1.0, 1))
-    st = incremental_step(PS, D, sigma, np.zeros(5))
+    traj = run_constitutive(PS, path, TimeGrid.uniform(1.0, 1))
+    st = incremental_step(PS, sigma, np.zeros(5))
     assert np.allclose(traj.z[1], st.z, atol=1e-12)
     assert np.allclose(traj.eps[1], st.eps, atol=1e-12)
 
 
 def test_superelastic_loop_closes():
     grid = TimeGrid.uniform(1.0, 200)
-    traj = run_constitutive(P0, D, ramp_unload_path(), grid)
+    traj = run_constitutive(P0, ramp_unload_path(), grid)
     peak_z = np.linalg.norm(traj.z, axis=1).max()
     assert peak_z >= 0.9  # loading drives the state to the constraint
     assert np.linalg.norm(traj.z[-1]) <= 1e-6
@@ -120,7 +118,7 @@ def test_superelastic_loop_closes():
 
 def test_constraint_exact_for_sharp_model():
     grid = TimeGrid.uniform(1.0, 60)
-    traj = run_constitutive(P0, D, ramp_unload_path(peak=4.0), grid)
+    traj = run_constitutive(P0, ramp_unload_path(peak=4.0), grid)
     assert np.linalg.norm(traj.z, axis=1).max() <= P0.c3 + 1e-14
 
 
@@ -129,30 +127,30 @@ def test_unstable_initial_state_raises():
     path = ramp_unload_path()
     bad = PointState(np.zeros(6), 0.9 * UNIT_DEV)  # strain not equilibrated
     with pytest.raises(UnstableInitialState):
-        run_constitutive(P0, D, path, grid, init=bad)
+        run_constitutive(P0, path, grid, init=bad)
 
 
 def test_stability_of_incremental_states():
     grid = TimeGrid.uniform(1.0, 16)
     path = ramp_unload_path()
-    traj = run_constitutive(PS, D, path, grid)
+    traj = run_constitutive(PS, path, grid)
     for i in (4, 8, 12, 16):
-        rep = verify_stability(PS, D, path.value(grid.nodes[i]), traj.state(i),
+        rep = verify_stability(PS, path.value(grid.nodes[i]), traj.state(i),
                                n_probes=200, tol=1e-8, seed=5)
         assert rep.passed, (i, rep.worst_violation, rep.analytic_residual)
 
 
 def test_stability_flags_perturbed_state():
     sigma = dev_to_sym(2.5 * UNIT_DEV)
-    st = incremental_step(PS, D, sigma, np.zeros(5))
+    st = incremental_step(PS, sigma, np.zeros(5))
     bad = PointState(st.eps, st.z + 0.1 * UNIT_DEV)
-    rep = verify_stability(PS, D, sigma, bad, n_probes=200, tol=1e-8, seed=5)
+    rep = verify_stability(PS, sigma, bad, n_probes=200, tol=1e-8, seed=5)
     assert not rep.passed
     assert max(rep.worst_violation, rep.analytic_residual) > 0
 
 
 def test_stability_at_global_minimum():
-    rep = verify_stability(P0, D, np.zeros(6), PointState(np.zeros(6), np.zeros(5)),
+    rep = verify_stability(P0, np.zeros(6), PointState(np.zeros(6), np.zeros(5)),
                            n_probes=100, tol=1e-12, seed=1)
     assert rep.worst_violation <= 0.0
     assert rep.analytic_residual == 0.0
@@ -162,7 +160,7 @@ def test_balance_residual_one_sided_and_shrinking():
     path = ramp_unload_path()
     prev_gap = None
     for n in (25, 50, 100, 200):
-        traj = run_constitutive(PS, D, path, TimeGrid.uniform(1.0, n))
+        traj = run_constitutive(PS, path, TimeGrid.uniform(1.0, n))
         res = energy_balance_residual(traj)
         assert res.max() <= 1e-10
         gap = np.abs(res).max()
@@ -172,7 +170,7 @@ def test_balance_residual_one_sided_and_shrinking():
 
 
 def test_temporal_rate_at_least_half():
-    study = temporal_error_study(PS, D, rate_path(),
+    study = temporal_error_study(PS, rate_path(),
                                  taus=[1 / 16, 1 / 32, 1 / 64],
                                  reference_tau=1 / 512)
     assert not study.degenerate
@@ -182,14 +180,14 @@ def test_temporal_rate_at_least_half():
 def test_temporal_study_degenerate_in_elastic_regime():
     path = StressPath.proportional(dev_to_sym(UNIT_DEV), [0.0, 0.3, 0.0],
                                    [0.0, 0.5, 1.0])
-    study = temporal_error_study(PS, D, path, taus=[1 / 8, 1 / 16],
+    study = temporal_error_study(PS, path, taus=[1 / 8, 1 / 16],
                                  reference_tau=1 / 128)
     assert study.degenerate
     assert study.order is None
 
 
 def test_temporal_study_single_tau():
-    study = temporal_error_study(PS, D, ramp_unload_path(), taus=[1 / 16],
+    study = temporal_error_study(PS, ramp_unload_path(), taus=[1 / 16],
                                  reference_tau=1 / 128)
     assert study.order is None
     assert len(study.errors) == 1
@@ -197,15 +195,15 @@ def test_temporal_study_single_tau():
 
 def test_temporal_study_preconditions():
     with pytest.raises(ValueError):
-        temporal_error_study(P0, D, ramp_unload_path(), taus=[1 / 8])
+        temporal_error_study(P0, ramp_unload_path(), taus=[1 / 8])
     with pytest.raises(ValueError):
-        temporal_error_study(PS, D, ramp_unload_path(), taus=[1 / 8],
+        temporal_error_study(PS, ramp_unload_path(), taus=[1 / 8],
                              reference_tau=1 / 16)
 
 
 def test_continuous_dependence_identical_inputs():
     sigma = dev_to_sym(1.0 * UNIT_DEV)
-    rep = continuous_dependence_check(P0, D, [(((sigma), np.zeros(5)),
+    rep = continuous_dependence_check(P0, [(((sigma), np.zeros(5)),
                                               ((sigma), np.zeros(5)))], slack=0.0)
     assert rep.rows[0]["lhs"] <= 1e-18
 
@@ -227,7 +225,7 @@ def test_continuous_dependence_random_pairs():
                     if n > p.c3:
                         zb *= p.c3 / n
             pairs.append(((s1, zb1), (s2, zb2)))
-        rep = continuous_dependence_check(p, D, pairs)
+        rep = continuous_dependence_check(p, pairs)
         assert rep.all_ok
 
 
@@ -238,7 +236,7 @@ def test_trajectory_dependence_monitored():
     init1 = stable_initial_state(PS, path1.value(0.0))
     init2 = stable_initial_state(PS, path2.value(0.0))
     rep = continuous_dependence_check(
-        PS, D, [], trajectory_data=(path1, path2, grid, init1, init2))
+        PS, [], trajectory_data=(path1, path2, grid, init1, init2))
     assert rep.trajectory is not None
     assert rep.trajectory["sup_state_diff_sq"] < 1e-2
 
@@ -247,19 +245,19 @@ def test_rate_independence_under_reparametrization():
     # run the same stress trace through a nonlinear increasing clock
     path = ramp_unload_path()
     grid = TimeGrid.uniform(1.0, 16)
-    traj = run_constitutive(P0, D, path, grid)
+    traj = run_constitutive(P0, path, grid)
     phi = lambda s: s ** 2  # increasing bijection of [0, 1]
     new_nodes = np.sqrt(grid.nodes)
     slow_path = path.reparametrized(phi, np.sort(np.unique(np.concatenate(
         [new_nodes, np.sqrt(path.times)]))))
-    traj2 = run_constitutive(P0, D, slow_path, TimeGrid(new_nodes))
+    traj2 = run_constitutive(P0, slow_path, TimeGrid(new_nodes))
     assert np.allclose(traj.z, traj2.z, atol=1e-9)
     assert np.allclose(traj.eps, traj2.eps, atol=1e-9)
 
 
 def test_proportional_load_stays_on_ray():
     grid = TimeGrid.uniform(1.0, 24)
-    traj = run_constitutive(PS, D, ramp_unload_path(), grid)
+    traj = run_constitutive(PS, ramp_unload_path(), grid)
     for zi in traj.z:
         r = np.linalg.norm(zi)
         assert abs(r - float(zi @ UNIT_DEV)) <= 1e-9
@@ -267,13 +265,14 @@ def test_proportional_load_stays_on_ray():
 
 def test_ledger_matches_path_total():
     grid = TimeGrid.uniform(1.0, 24)
-    traj = run_constitutive(P0, D, ramp_unload_path(), grid)
-    assert traj.cum_diss[-1] == pytest.approx(D.path_total(traj.z), rel=1e-12)
+    traj = run_constitutive(P0, ramp_unload_path(), grid)
+    assert traj.cum_diss[-1] == pytest.approx(path_dissipation(P0.R, traj.z),
+                                              rel=1e-12)
 
 
 def test_csv_rows_shape():
     grid = TimeGrid.uniform(1.0, 4)
-    traj = run_constitutive(P0, D, ramp_unload_path(), grid)
+    traj = run_constitutive(P0, ramp_unload_path(), grid)
     header, body = traj.rows()
     assert len(header) == 1 + 6 + 5 + 4
     assert len(body) == 5

@@ -27,6 +27,8 @@ def test_params_validation():
         MaterialParams(c3=-1.0)
     with pytest.raises(ValueError):
         MaterialParams(rho=-0.1)
+    with pytest.raises(ValueError):
+        MaterialParams(R=0.0)
 
 
 def test_alpha_value_at_defaults():

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import planar_step_oracle
-from smaevol.dissipation import Dissipation
 from smaevol.material import MaterialParams
 from smaevol.constitutive import reduced_problem
 from smaevol.proxsolve import (NonConvergence, SolveInfo, StepProblem,
@@ -73,19 +72,17 @@ def test_quadratic_plus_shift_matches_closed_form():
 
 def test_generic_smooth_instance_matches_planar_oracle():
     p = MaterialParams(rho=0.1)
-    d = Dissipation(0.5)
     sigma = RNG.standard_normal(6) * 1.5
     z_prev = RNG.standard_normal(5) * 0.3
     from smaevol.constitutive import incremental_step
-    st = incremental_step(p, d, sigma, z_prev)
-    z_oracle, step = planar_step_oracle(p, d, sigma, z_prev)
+    st = incremental_step(p, sigma, z_prev)
+    z_oracle, step = planar_step_oracle(p, sigma, z_prev)
     assert np.linalg.norm(st.z - z_oracle) <= 2 * step
 
 
 def test_monotone_descent_and_info():
     p = MaterialParams(rho=0.05)
-    d = Dissipation(0.5)
-    pb = reduced_problem(p, d, RNG.standard_normal(6) * 2, RNG.standard_normal(5) * 0.2)
+    pb = reduced_problem(p, RNG.standard_normal(6) * 2, RNG.standard_normal(5) * 0.2)
     info = SolveInfo()
     solve_point(pb, TOL, info=info)
     hist = np.array(info.objective_history)
@@ -170,11 +167,10 @@ def test_nonconvergence_raises():
 
 def test_deterministic_repeat():
     p = MaterialParams(rho=0.1)
-    d = Dissipation(0.5)
     sigma = RNG.standard_normal(6)
     anchor = RNG.standard_normal(5) * 0.1
-    z1 = solve_point(reduced_problem(p, d, sigma, anchor), TOL)
-    z2 = solve_point(reduced_problem(p, d, sigma, anchor), TOL)
+    z1 = solve_point(reduced_problem(p, sigma, anchor), TOL)
+    z2 = solve_point(reduced_problem(p, sigma, anchor), TOL)
     assert np.all(z1 == z2)
 
 

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from smaevol.constitutive import TimeGrid, UnstableInitialState
-from smaevol.dissipation import Dissipation
 from smaevol.fem import LoadProgram, assemble_load, box_mesh, build_space
 from smaevol.material import MaterialParams
 from smaevol.quasistatic import (BvpProblem, BvpStep, QuasistaticSolver,
@@ -15,7 +14,6 @@ from smaevol.quasistatic import (BvpProblem, BvpStep, QuasistaticSolver,
 
 RNG = np.random.default_rng(53)
 
-D = Dissipation(0.5)
 P_SMOOTH = MaterialParams(rho=0.1, nu=0.01)
 P_SHARP = MaterialParams(rho=0.0, nu=0.01)
 
@@ -41,7 +39,7 @@ def stretch_program(gamma=0.05):
 
 def test_zero_data_gives_zero_state():
     space = space_n(2)
-    step = BvpStep(space, P_SMOOTH, D, np.zeros(space.n_u), np.zeros(space.n_u),
+    step = BvpStep(space, P_SMOOTH, np.zeros(space.n_u), np.zeros(space.n_u),
                    np.zeros(space.n_z))
     u, z = solve_bvp_step(step)
     assert np.linalg.norm(u) < 1e-10
@@ -51,10 +49,10 @@ def test_zero_data_gives_zero_state():
 def test_elastic_regime_matches_direct_elasticity():
     # a small stretch keeps z = 0 and u solves pure linear elasticity
     space = space_n(2)
-    solver = QuasistaticSolver(space, P_SHARP, D)
+    solver = QuasistaticSolver(space, P_SHARP)
     prog = stretch_program(gamma=0.02)
     u_dir = prog.dirichlet_vector(space, 1.0)
-    step = BvpStep(space, P_SHARP, D, u_dir, np.zeros(space.n_u),
+    step = BvpStep(space, P_SHARP, u_dir, np.zeros(space.n_u),
                    np.zeros(space.n_z))
     u, z = solve_bvp_step(step, solver)
     assert np.linalg.norm(z) < 1e-9
@@ -69,7 +67,7 @@ def test_elastic_regime_matches_direct_elasticity():
 
 def test_step_objective_decreases_and_long_run_consistency():
     space = space_n(2)
-    solver = QuasistaticSolver(space, P_SMOOTH, D)
+    solver = QuasistaticSolver(space, P_SMOOTH)
     prog = pull_program(unload=False)
     ell = assemble_load(space, prog, 1.0)
     L_u = ell
@@ -89,9 +87,9 @@ def test_step_objective_decreases_and_long_run_consistency():
 def test_single_step_grid_equals_step_call():
     space = space_n(2)
     prog = pull_program(peak=2.0, unload=False)
-    rec = run_incremental_bvp(space, P_SMOOTH, D, TimeGrid.uniform(1.0, 1), prog)
-    solver = QuasistaticSolver(space, P_SMOOTH, D)
-    step = BvpStep(space, P_SMOOTH, D, np.zeros(space.n_u),
+    rec = run_incremental_bvp(space, P_SMOOTH, TimeGrid.uniform(1.0, 1), prog)
+    solver = QuasistaticSolver(space, P_SMOOTH)
+    step = BvpStep(space, P_SMOOTH, np.zeros(space.n_u),
                    assemble_load(space, prog, 1.0), np.zeros(space.n_z))
     u, z = solve_bvp_step(step, solver)
     assert np.linalg.norm(rec.u[1] - u) < 1e-7
@@ -100,7 +98,7 @@ def test_single_step_grid_equals_step_call():
 
 def test_yield_under_ramped_traction():
     space = space_n(2)
-    rec = run_incremental_bvp(space, P_SMOOTH, D, TimeGrid.uniform(1.0, 8),
+    rec = run_incremental_bvp(space, P_SMOOTH, TimeGrid.uniform(1.0, 8),
                               pull_program(peak=3.0, unload=False))
     assert rec.max_nodal_z_norm() > 0.05
     assert rec.cum_diss[-1] > 0.0
@@ -108,7 +106,7 @@ def test_yield_under_ramped_traction():
 
 def test_ledger_bound_holds():
     space = space_n(2)
-    rec = run_incremental_bvp(space, P_SMOOTH, D, TimeGrid.uniform(1.0, 8),
+    rec = run_incremental_bvp(space, P_SMOOTH, TimeGrid.uniform(1.0, 8),
                               pull_program())
     peak = float((rec.stored_v + rec.cum_diss).max())
     assert peak <= rec.apriori.total + 1e-9 * (1 + rec.apriori.total)
@@ -117,7 +115,7 @@ def test_ledger_bound_holds():
 def test_energy_inequality_one_sided():
     space = space_n(2)
     for p in (P_SMOOTH, P_SHARP):
-        rec = run_incremental_bvp(space, p, D, TimeGrid.uniform(1.0, 6),
+        rec = run_incremental_bvp(space, p, TimeGrid.uniform(1.0, 6),
                                   pull_program())
         scale = 1.0 + np.abs(rec.stored_v).max()
         assert rec.residual.max() <= 1e-9 * scale
@@ -125,7 +123,7 @@ def test_energy_inequality_one_sided():
 
 def test_energy_identity_between_u_and_v_bookkeeping():
     space = space_n(2)
-    rec = run_incremental_bvp(space, P_SMOOTH, D, TimeGrid.uniform(1.0, 4),
+    rec = run_incremental_bvp(space, P_SMOOTH, TimeGrid.uniform(1.0, 4),
                               stretch_program(gamma=0.4))
     # W(u,z) - <l,u> = W(v,z) - <L,(v,z)> + q at every node
     lhs = rec.stored_u - rec.load_pair
@@ -135,7 +133,7 @@ def test_energy_identity_between_u_and_v_bookkeeping():
 
 def test_sharp_model_constraint_exact():
     space = space_n(2)
-    rec = run_incremental_bvp(space, P_SHARP, D, TimeGrid.uniform(1.0, 6),
+    rec = run_incremental_bvp(space, P_SHARP, TimeGrid.uniform(1.0, 6),
                               pull_program(peak=4.0, unload=False))
     assert rec.max_nodal_z_norm() <= P_SHARP.c3 + 1e-14
     assert rec.max_nodal_z_norm() > 0.9  # the constraint is actually active
@@ -143,7 +141,7 @@ def test_sharp_model_constraint_exact():
 
 def test_verify_energetic_passes_and_flags():
     space = space_n(2)
-    rec = run_incremental_bvp(space, P_SMOOTH, D, TimeGrid.uniform(1.0, 6),
+    rec = run_incremental_bvp(space, P_SMOOTH, TimeGrid.uniform(1.0, 6),
                               pull_program())
     rep = verify_energetic(rec, n_probes=15, tol=1e-8, seed=3)
     assert rep.passed
@@ -152,7 +150,7 @@ def test_verify_energetic_passes_and_flags():
     bad = rec
     i = 3
     bad.z[i] = bad.z[i] * 1.5 + 0.3
-    bad.stored_v[i] = QuasistaticSolver(space, P_SMOOTH, D).stored_energy(
+    bad.stored_v[i] = QuasistaticSolver(space, P_SMOOTH).stored_energy(
         bad.v[i], bad.z[i])
     bad.L_pair[i] = float(bad.L_u[i] @ bad.v[i]) + float(bad.L_z[i] @ bad.z[i])
     rep_bad = verify_energetic(bad, n_probes=15, tol=1e-8, seed=3)
@@ -177,13 +175,13 @@ def test_run_and_verify_share_one_solver_and_two_factorizations(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(QuasistaticSolver, "__init__", counting_init)
         m.setattr(spla, "splu", counting_splu)
-        rec = run_incremental_bvp(space, P_SMOOTH, D, grid, pull_program())
+        rec = run_incremental_bvp(space, P_SMOOTH, grid, pull_program())
         verify_energetic(rec, n_probes=2)
     assert len(inits) == 1
     assert len(factors) == 2  # K_ff and the joint (u, z) matrix
 
     # the bound as computed with one _dual_norms call per family of functionals
-    fresh = QuasistaticSolver(space, P_SMOOTH, D)
+    fresh = QuasistaticSolver(space, P_SMOOTH)
     stacked = [np.concatenate([rec.L_u[i], rec.L_z[i]])
                for i in range(grid.steps + 1)]
     norms = _dual_norms(fresh, stacked)
@@ -201,7 +199,7 @@ def test_run_and_verify_share_one_solver_and_two_factorizations(monkeypatch):
 def test_verify_energetic_zero_data():
     space = space_n(2)
     prog = LoadProgram(times=[0.0, 1.0])
-    rec = run_incremental_bvp(space, P_SMOOTH, D, TimeGrid.uniform(1.0, 3), prog)
+    rec = run_incremental_bvp(space, P_SMOOTH, TimeGrid.uniform(1.0, 3), prog)
     assert np.all(rec.residual == 0.0)
     assert np.all(rec.stored_v == 0.0)
 
@@ -211,31 +209,31 @@ def test_unstable_initial_state_detected():
     prog = LoadProgram(times=[0.0, 1.0], traction={"x1": [1.0, 0.0, 0.0]},
                        traction_amps=[3.0, 3.0])  # already yielded at t = 0
     with pytest.raises(UnstableInitialState):
-        run_incremental_bvp(space, P_SMOOTH, D, TimeGrid.uniform(1.0, 2), prog)
+        run_incremental_bvp(space, P_SMOOTH, TimeGrid.uniform(1.0, 2), prog)
 
 
 def test_singular_system_without_dirichlet():
     space = build_space(box_mesh((1.0, 1.0, 1.0), (2, 2, 2)), ())
     with pytest.raises(SingularSystem):
-        QuasistaticSolver(space, P_SMOOTH, D)
+        QuasistaticSolver(space, P_SMOOTH)
 
 
 def test_change_of_variables_consistency():
     # solving with lifting u_dir vs. v_dir plus the compensating linear
     # functional gives the same state after shifting back
     space = space_n(2)
-    solver = QuasistaticSolver(space, P_SMOOTH, D)
+    solver = QuasistaticSolver(space, P_SMOOTH)
     prog = stretch_program(gamma=0.35)
     u_dir = prog.dirichlet_vector(space, 1.0)
     anchor = np.zeros(space.n_z)
-    step = BvpStep(space, P_SMOOTH, D, u_dir, np.zeros(space.n_u), anchor)
+    step = BvpStep(space, P_SMOOTH, u_dir, np.zeros(space.n_u), anchor)
     u_star, z_star = solve_bvp_step(step, solver)
 
     v_dir = 0.5 * u_dir  # different lifting of a different boundary value
     w = u_dir - v_dir
     load_u = -(solver.forms.K @ w)
     load_z = solver.forms.Cup.T @ w
-    step2 = BvpStep(space, P_SMOOTH, D, v_dir, load_u, anchor, load_z=load_z)
+    step2 = BvpStep(space, P_SMOOTH, v_dir, load_u, anchor, load_z=load_z)
     v_star, z2 = solve_bvp_step(step2, solver)
     assert np.linalg.norm((v_star - v_dir + u_dir) - u_star) < 1e-7
     assert np.linalg.norm(z2 - z_star) < 1e-7
@@ -244,11 +242,11 @@ def test_change_of_variables_consistency():
 def test_rate_independence_of_record():
     space = space_n(2)
     prog = pull_program(peak=2.5)
-    rec = run_incremental_bvp(space, P_SMOOTH, D, TimeGrid.uniform(1.0, 6), prog)
+    rec = run_incremental_bvp(space, P_SMOOTH, TimeGrid.uniform(1.0, 6), prog)
     # same amplitudes traversed on a rescaled clock
     prog2 = LoadProgram(times=[0.0, 1.0, 2.0], traction={"x1": [1.0, 0.0, 0.0]},
                         traction_amps=[0.0, 2.5, 0.0])
-    rec2 = run_incremental_bvp(space, P_SMOOTH, D, TimeGrid.uniform(2.0, 6), prog2)
+    rec2 = run_incremental_bvp(space, P_SMOOTH, TimeGrid.uniform(2.0, 6), prog2)
     assert np.allclose(rec.z, rec2.z, atol=1e-8)
     assert np.allclose(rec.u, rec2.u, atol=1e-8)
 
@@ -258,9 +256,9 @@ def test_step_continuous_dependence_scaling():
     # difference: quadratic scaling in the load/boundary channels, first
     # order through the dissipation anchor
     space = space_n(2)
-    solver = QuasistaticSolver(space, P_SMOOTH, D)
+    solver = QuasistaticSolver(space, P_SMOOTH)
     prog = pull_program(peak=2.5, unload=False)
-    base = BvpStep(space, P_SMOOTH, D, np.zeros(space.n_u),
+    base = BvpStep(space, P_SMOOTH, np.zeros(space.n_u),
                    assemble_load(space, prog, 1.0), np.zeros(space.n_z))
     u0, z0 = solve_bvp_step(base, solver)
     rng = np.random.default_rng(8)
@@ -268,7 +266,7 @@ def test_step_continuous_dependence_scaling():
     d_anchor = rng.standard_normal(space.n_z) * 0.02
     lhs_sq = []
     for scale in (1.0, 0.5):
-        step = BvpStep(space, P_SMOOTH, D, np.zeros(space.n_u),
+        step = BvpStep(space, P_SMOOTH, np.zeros(space.n_u),
                        base.load_u + scale * d_ell,
                        scale * d_anchor)
         u, z = solve_bvp_step(step, solver)
@@ -278,7 +276,7 @@ def test_step_continuous_dependence_scaling():
 
 
 def test_nstep_h_convergence_decreasing():
-    problem = BvpProblem(P_SMOOTH, D, pull_program(peak=2.5, unload=False))
+    problem = BvpProblem(P_SMOOTH, pull_program(peak=2.5, unload=False))
     out = nstep_h_convergence(problem, [1, 2, 4], steps=3)
     t = out["table"]
     assert len(t) == 2
@@ -287,12 +285,12 @@ def test_nstep_h_convergence_decreasing():
 
 
 def test_spacetime_run_consistency_and_flag():
-    problem = BvpProblem(P_SMOOTH, D, pull_program(peak=2.5))
+    problem = BvpProblem(P_SMOOTH, pull_program(peak=2.5))
     rec, rep = spacetime_run(problem, rho=0.1, nu=0.01, tau=0.25, n=2)
     assert rep["bound_ok"]
     assert rep["nu_in_scope"]
     rec0 = run_incremental_bvp(problem.space(2),
-                               MaterialParams(rho=0.1, nu=0.01), D,
+                               MaterialParams(rho=0.1, nu=0.01),
                                TimeGrid.uniform(1.0, 4), problem.program)
     assert np.allclose(rec.z, rec0.z, atol=1e-10)
     _, rep0 = spacetime_run(problem, rho=0.1, nu=0.0, tau=0.5, n=1)

@@ -21,7 +21,7 @@ def test_minimal_point_test_fills_defaults():
     assert len(s.stress_path["direction"]) == 6
     # typed accessors build real objects
     assert s.params().c2 == 0.5
-    assert s.dissipation().R == 0.5
+    assert s.params().R == 0.5
     assert s.time_grid().steps == 16
 
 
