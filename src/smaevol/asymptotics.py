@@ -22,8 +22,13 @@ from .constitutive import (PointTrajectory, StressPath, TimeGrid,
 from .fem import assemble_load, inject
 from .material import (MaterialParams, transformation_energy_sharp,
                        transformation_energy_smooth)
-from .quasistatic import (BvpProblem, BvpStep, QuasistaticSolver,
-                          solve_bvp_step, spacetime_run)
+from .quasistatic import (BvpProblem, QuasistaticSolver, solve_bvp_step,
+                          spacetime_run)
+
+
+# schedule entries that each limit study keeps fixed
+_FIXED_ENTRIES = {"constitutive": ("nu", "n"), "minproblem": ("tau",),
+                  "evolution": ("nu",)}
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,12 @@ class LimitSchedule:
     def varies(self, name: str) -> bool:
         arr = getattr(self, name)
         return bool(np.ptp(arr) > 0)
+
+    def check_study(self, study: str):
+        """Raise ValueError if the schedule varies an entry the study fixes."""
+        for name in _FIXED_ENTRIES.get(study, ()):
+            if self.varies(name):
+                raise ValueError(f"the {study} study fixes {name}")
 
 
 def _reference_values(schedule: LimitSchedule):
@@ -138,8 +149,7 @@ def _trajectory_diffs(traj: PointTrajectory, ref: PointTrajectory):
 def limit_constitutive(p: MaterialParams, path: StressPath,
                        schedule: LimitSchedule, tol: float = 1e-10):
     """Constitutive-relation limits over a (rho, tau) schedule."""
-    if schedule.varies("nu") or schedule.varies("n"):
-        raise ValueError("the constitutive study takes rho and tau schedules only")
+    schedule.check_study("constitutive")
     T = path.T
     rho_ref, _, tau_ref, _ = _reference_values(schedule)
     ref = run_constitutive(replace(p, rho=rho_ref), path,
@@ -180,23 +190,20 @@ def _bvp_state_diff(injections, ref_forms, v_m, z_m, v_r, z_r):
 def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule,
                      t: Optional[float] = None):
     """Single incremental minimization along a (rho, nu, h) schedule."""
-    if schedule.varies("tau"):
-        raise ValueError("the minimum-problem study keeps the step data fixed")
+    schedule.check_study("minproblem")
     t = problem.program.T if t is None else t
     rho_ref, nu_ref, _, n_ref = _reference_values(schedule)
 
     def solve_member(rho, nu, n):
         space = problem.space(n)
-        params = replace(problem.params, rho=rho, nu=nu)
-        step = BvpStep(space, params,
-                       problem.program.dirichlet_vector(space, t),
-                       assemble_load(space, problem.program, t),
-                       np.zeros(space.n_z))
-        solver = QuasistaticSolver(space, params)
-        u, z = solve_bvp_step(step, solver)
-        v = u - step.u_dir
+        solver = QuasistaticSolver(space, replace(problem.params, rho=rho, nu=nu))
+        u_dir = problem.program.dirichlet_vector(space, t)
+        anchor = np.zeros(space.n_z)
+        u, z = solve_bvp_step(solver, u_dir,
+                              assemble_load(space, problem.program, t), anchor)
+        v = u - u_dir
         return solver, v, z, solver.stored_energy(v, z), \
-            solver.dissipation_increment(z, step.anchor)
+            solver.dissipation_increment(z, anchor)
 
     ref_solver, v_r, z_r, w_r, d_r = solve_member(rho_ref, nu_ref, n_ref)
     ref_space, ref_forms = ref_solver.space, ref_solver.forms
@@ -221,8 +228,7 @@ def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule,
 
 def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
     """Space-time evolution limits along a (rho, tau, h) schedule, nu fixed."""
-    if schedule.varies("nu"):
-        raise ValueError("the evolution study fixes nu")
+    schedule.check_study("evolution")
     nu = float(schedule.nu[0])
     rho_ref, _, tau_ref, n_ref = _reference_values(schedule)
     ref, _ = spacetime_run(problem, rho_ref, nu, tau_ref, n_ref)
@@ -231,7 +237,7 @@ def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
     def member(k):
         rec, rep = spacetime_run(problem, float(schedule.rho[k]), nu,
                                  float(schedule.tau[k]), int(schedule.n[k]))
-        injections = _injections(rec.space, ref.space)
+        injections = _injections(rec.solver.space, ref.solver.space)
         state = 0.0
         energy = 0.0
         for i, t in enumerate(rec.grid.nodes):
@@ -241,7 +247,7 @@ def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
                                                ref.v[j], ref.z[j]))
             energy = max(energy, abs(rec.stored_v[i] - ref.stored_v[j]))
         return {"k": k, "rho": float(schedule.rho[k]), "nu": nu,
-                "tau": float(schedule.tau[k]), "h": rec.space.mesh.h,
+                "tau": float(schedule.tau[k]), "h": rec.solver.space.mesh.h,
                 "state_diff": state, "energy_diff": energy,
                 "diss_diff": abs(rec.cum_diss[-1] - ref.cum_diss[-1]),
                 "ledger_bound_ok": rep["bound_ok"],

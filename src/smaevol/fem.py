@@ -239,15 +239,18 @@ class StepForms:
     def energy_value(self, y) -> float:
         return self.energy_product(y, y)
 
+    def z_block(self) -> sp.csr_matrix:
+        """The z-z block (G + c2) M5 + nu/2 G5 of the energy matrix."""
+        G, c2, nu = self.params.elastic.G, self.params.c2, self.params.nu
+        Z = (G + c2) * self.space.M5
+        if nu:
+            Z = Z + 0.5 * nu * self.space.G5
+        return Z
+
     def matrix(self) -> sp.csr_matrix:
         """Sparse H with y . H y = energy_value(y) on stacked (u, z) dofs."""
-        G, c2, nu = self.params.elastic.G, self.params.c2, self.params.nu
-        spc = self.space
-        Z = (G + c2) * spc.M5
-        if nu:
-            Z = Z + 0.5 * nu * spc.G5
         return sp.bmat([[0.5 * self.K, -0.5 * self.Cup],
-                        [-0.5 * self.Cup.T, Z]], format="csr")
+                        [-0.5 * self.Cup.T, self.z_block()]], format="csr")
 
 
 def assemble_forms(space: FeSpace, params: MaterialParams) -> StepForms:
@@ -299,6 +302,9 @@ class LoadProgram:
         self.times = t
         if len(t) < 2 or np.any(np.diff(t) <= 0):
             raise ValueError("time breakpoints must be strictly increasing")
+        for pl in self.traction:
+            if pl not in PLANES:
+                raise ValueError(f"unknown traction plane {pl!r}")
         for name in ("traction_amps", "body_amps", "dirichlet_amps"):
             amps = getattr(self, name)
             if amps is not None:

@@ -69,11 +69,16 @@ class MaterialParams:
         return 0.5 * min(3.0 * kappa, lam_dev)
 
     @property
-    def curvature_bound(self) -> float:
-        """Upper bound for the Hessian of the smooth transformation energy."""
+    def core_curvature(self) -> float:
+        """Upper bound for the Hessian of the non-quadratic radial core."""
         if self.rho <= 0:
             raise ValueError("curvature bound requires rho > 0")
-        return 2.0 * self.c2 + (self.c1 + 6.0 / self.delta) / self.rho
+        return (self.c1 + 6.0 / self.delta) / self.rho
+
+    @property
+    def curvature_bound(self) -> float:
+        """Upper bound for the Hessian of the smooth transformation energy."""
+        return 2.0 * self.c2 + self.core_curvature
 
 
 def penalty(p: MaterialParams, r):

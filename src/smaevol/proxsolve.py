@@ -126,6 +126,13 @@ def prox_nodal(X, t, w_shift, anchors, w_zero=None, radius=None,
     return W
 
 
+def project_ball(z, radius):
+    """Project a (5,) point, or each row of an (m, 5) field, onto the ball."""
+    n = np.linalg.norm(z, axis=-1, keepdims=True)
+    over = n > radius
+    if not over.any():
+        return z
+    return np.where(over, z * (radius / np.maximum(n, 1e-300)), z)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +222,7 @@ def _prox_gradient(pb, z0, tol, max_iter, info):
     eps_floor = 64.0 * np.finfo(float).eps * pb.lipschitz
     z = np.asarray(z0, dtype=float).copy()
     if pb.radius is not None:
-        n = np.linalg.norm(z, axis=-1, keepdims=True)
-        over = n > pb.radius
-        if over.any():
-            z = np.where(over, z * (pb.radius / np.maximum(n, 1e-300)), z)
+        z = project_ball(z, pb.radius)
     f_smooth = pb.smooth(z)
     if info is not None:
         info.objective_history.append(f_smooth + pb.nonsmooth(z))

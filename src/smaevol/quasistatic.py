@@ -32,7 +32,8 @@ from .constitutive import TimeGrid, UnstableInitialState
 from .fem import (FeSpace, LoadProgram, StepForms, assemble_forms,
                   assemble_load, box_mesh, build_space, inject)
 from .material import MaterialParams, radial_core_d1, radial_core_value
-from .proxsolve import NonConvergence, StepProblem, solve_field
+from .proxsolve import (NonConvergence, StepProblem, project_ball,
+                        solve_field)
 
 
 MAX_SWEEPS = 200
@@ -63,23 +64,17 @@ class QuasistaticSolver:
         self.space = space
         self.params = params
         self.forms = assemble_forms(space, params)
-        free = space.u_free
         if not space.dirichlet_nodes.any():
             raise SingularSystem("need a Dirichlet part with positive area")
-        self.free = free
+        self.free = free = space.u_free
         K = self.forms.K.tocsc()
         self.K_ff = K[free][:, free]
         self.lu = spla.splu(self.K_ff.tocsc())
-        G, c2, nu = params.elastic.G, params.c2, params.nu
-        self.A_z = (2.0 * (G + c2) * space.M5 + nu * space.G5).tocsr()
+        self.A_z = (2.0 * self.forms.z_block()).tocsr()
+        self.w = space.lumped
+        core = params.core_curvature if params.rho > 0 else 0.0
         lam = _power_lambda_max(self.A_z)
-        w = space.lumped
-        if params.rho > 0:
-            core = (params.c1 + 6.0 / params.delta) / params.rho
-        else:
-            core = 0.0
-        self.z_lipschitz = 1.01 * lam + core * w.max()
-        self.w = w
+        self.z_lipschitz = 1.01 * lam + core * self.w.max()
 
     # -- pieces of the step functional ------------------------------------
 
@@ -97,6 +92,10 @@ class QuasistaticSolver:
     def dissipation_increment(self, z1, z0) -> float:
         dr = np.linalg.norm((z1 - z0).reshape(-1, 5), axis=1)
         return float(self.params.R * (self.w @ dr))
+
+    def lifted_load(self, u_dir, ell):
+        """The functional (L_u, L_z) of the shifted variables v = u - u_dir."""
+        return ell - self.forms.K @ u_dir, self.forms.Cup.T @ u_dir
 
     def solve_v(self, b_u):
         v = np.zeros(self.space.n_u)
@@ -116,40 +115,31 @@ class QuasistaticSolver:
         radius = p.c3 if p.rho == 0 else None
         scale = 1.0 + np.linalg.norm(L_u) + np.linalg.norm(L_z)
 
-        def make_field_problem(b):
+        # one step problem for every sweep: smooth and grad read the current
+        # right-hand side b of the z-problem, which each sweep reassigns
+        def smooth(Z):
+            zf = Z.ravel()
+            val = 0.5 * float(zf @ (self.A_z @ zf)) - float(b @ zf)
+            return val + self.core_energy(zf) if p.rho > 0 else val
+
+        def grad(Z):
+            g = (self.A_z @ Z.ravel() - b).reshape(-1, 5)
             if p.rho > 0:
-                def smooth(Z):
-                    zf = Z.ravel()
-                    r = np.linalg.norm(Z, axis=1)
-                    return (0.5 * float(zf @ (self.A_z @ zf)) - float(b @ zf)
-                            + float(self.w @ radial_core_value(p, r)))
+                r = np.linalg.norm(Z, axis=1)
+                fac = np.zeros_like(r)
+                pos = r > 0
+                fac[pos] = radial_core_d1(p, r[pos]) / r[pos]
+                fac[~pos] = p.c1 / p.rho
+                g = g + (self.w * fac)[:, None] * Z
+            return g
 
-                def grad(Z):
-                    zf = Z.ravel()
-                    r = np.linalg.norm(Z, axis=1)
-                    fac = np.zeros_like(r)
-                    pos = r > 0
-                    fac[pos] = radial_core_d1(p, r[pos]) / r[pos]
-                    fac[~pos] = p.c1 / p.rho
-                    g = (self.A_z @ zf - b).reshape(-1, 5)
-                    return g + (self.w * fac)[:, None] * Z
-            else:
-                def smooth(Z):
-                    zf = Z.ravel()
-                    return 0.5 * float(zf @ (self.A_z @ zf)) - float(b @ zf)
-
-                def grad(Z):
-                    zf = Z.ravel()
-                    return (self.A_z @ zf - b).reshape(-1, 5)
-            return StepProblem(smooth, grad, self.z_lipschitz, w_shift,
-                               anchors, w_zero, radius)
-
+        fp = StepProblem(smooth, grad, self.z_lipschitz, w_shift, anchors,
+                         w_zero, radius)
         res = math.inf
         floor = 64.0 * np.finfo(float).eps * self.z_lipschitz
         for sweep in range(MAX_SWEEPS):
             v = self.solve_v(self.forms.Cup @ z + L_u)
             b = self.forms.Cup.T @ v + L_z
-            fp = make_field_problem(b)
             res = fp.residual(z.reshape(-1, 5))
             if res <= max(tol * scale, floor * (1.0 + np.linalg.norm(z))):
                 return v, z, {"sweeps": sweep, "residual": res}
@@ -159,27 +149,11 @@ class QuasistaticSolver:
             f"step stalled at joint residual {res:.3e} after {MAX_SWEEPS} sweeps")
 
 
-@dataclass
-class BvpStep:
-    """Data of one incremental minimization in the physical u variables."""
-
-    space: FeSpace
-    params: MaterialParams
-    u_dir: np.ndarray            # full lifted Dirichlet vector
-    load_u: np.ndarray
-    anchor: np.ndarray
-    load_z: Optional[np.ndarray] = None
-
-
-def solve_bvp_step(step: BvpStep, solver: Optional[QuasistaticSolver] = None):
-    """Solve one step of the incremental problem; returns (u, z)."""
-    if solver is None:
-        solver = QuasistaticSolver(step.space, step.params)
-    load_z = np.zeros(step.space.n_z) if step.load_z is None else step.load_z
-    L_u = step.load_u - solver.forms.K @ step.u_dir
-    L_z = solver.forms.Cup.T @ step.u_dir + load_z
-    v, z, _ = solver.solve_step(L_u, L_z, step.anchor)
-    return v + step.u_dir, z
+def solve_bvp_step(solver: QuasistaticSolver, u_dir, load_u, anchor):
+    """Solve one step of the incremental problem in the physical variables:
+    u_dir is the full lifted Dirichlet vector; returns (u, z)."""
+    v, z, _ = solver.solve_step(*solver.lifted_load(u_dir, load_u), anchor)
+    return v + u_dir, z
 
 
 @dataclass
@@ -200,7 +174,6 @@ class AprioriBound:
 @dataclass
 class EvolutionRecord:
     grid: TimeGrid
-    space: FeSpace
     solver: QuasistaticSolver    # forms and factorizations, reused downstream
     v: np.ndarray                # (N+1, n_u) homogeneous-Dirichlet states
     z: np.ndarray                # (N+1, n_z)
@@ -265,8 +238,7 @@ def run_incremental_bvp(space: FeSpace, params: MaterialParams, grid: TimeGrid,
     times = grid.nodes
     u_dir = np.array([program.dirichlet_vector(space, t) for t in times])
     ell = np.array([assemble_load(space, program, t) for t in times])
-    L_u = ell - np.array([solver.forms.K @ u_dir[i] for i in range(n + 1)])
-    L_z = np.array([solver.forms.Cup.T @ u_dir[i] for i in range(n + 1)])
+    L_u, L_z = map(np.array, zip(*map(solver.lifted_load, u_dir, ell)))
     q = np.array([0.5 * float(u_dir[i] @ (solver.forms.K @ u_dir[i]))
                   - float(ell[i] @ u_dir[i]) for i in range(n + 1)])
 
@@ -282,21 +254,16 @@ def run_incremental_bvp(space: FeSpace, params: MaterialParams, grid: TimeGrid,
         raise UnstableInitialState(
             f"initial state is not stable at t = {times[0]} (drift {drift:.2e})")
 
-    stored_v = np.zeros(n + 1)
-    L_pair = np.zeros(n + 1)
     diss_inc = np.zeros(n + 1)
     worksum = np.zeros(n + 1)
-    stored_v[0] = solver.stored_energy(v[0], z[0])
-    L_pair[0] = float(L_u[0] @ v[0]) + float(L_z[0] @ z[0])
     for i in range(1, n + 1):
         v[i], z[i], _ = solver.solve_step(L_u[i], L_z[i], z[i - 1])
-        stored_v[i] = solver.stored_energy(v[i], z[i])
-        L_pair[i] = float(L_u[i] @ v[i]) + float(L_z[i] @ z[i])
         diss_inc[i] = solver.dissipation_increment(z[i], z[i - 1])
-        dLu = L_u[i] - L_u[i - 1]
-        dLz = L_z[i] - L_z[i - 1]
-        worksum[i] = worksum[i - 1] + float(dLu @ v[i - 1]) + float(dLz @ z[i - 1])
-
+        worksum[i] = (worksum[i - 1] + float((L_u[i] - L_u[i - 1]) @ v[i - 1])
+                      + float((L_z[i] - L_z[i - 1]) @ z[i - 1]))
+    stored_v = np.array([solver.stored_energy(v[i], z[i]) for i in range(n + 1)])
+    L_pair = np.array([float(L_u[i] @ v[i]) + float(L_z[i] @ z[i])
+                       for i in range(n + 1)])
     cum = np.cumsum(diss_inc)
     E = stored_v - L_pair
     residual = (E + cum) - (E[0] - worksum)
@@ -313,7 +280,7 @@ def run_incremental_bvp(space: FeSpace, params: MaterialParams, grid: TimeGrid,
     stored_u = np.array([solver.stored_energy(v[i] + u_dir[i], z[i])
                          for i in range(n + 1)])
     load_pair = np.array([float(ell[i] @ (v[i] + u_dir[i])) for i in range(n + 1)])
-    return EvolutionRecord(grid, space, solver, v, z, u_dir, L_u, L_z, q,
+    return EvolutionRecord(grid, solver, v, z, u_dir, L_u, L_z, q,
                            stored_v, stored_u, load_pair, L_pair, diss_inc,
                            cum, worksum, residual, bound)
 
@@ -342,20 +309,20 @@ def verify_energetic(record: EvolutionRecord, n_probes=20, tol=1e-8,
     """
     solver = record.solver
     rng = np.random.Generator(np.random.Philox(seed))
-    space = record.space
+    space = solver.space
     p = solver.params
-    nodes = range(len(record.grid.nodes))
     worst = np.full(len(record.grid.nodes), -math.inf)
 
-    smooth_fields = []
+    # one smooth manufactured (u, z) profile, u zeroed on the Dirichlet part
     X = space.mesh.nodes
     prof_u = np.stack([np.sin(np.pi * X[:, 0]) * X[:, 1], X[:, 2] * X[:, 0],
                        0.2 * X[:, 1]], axis=1).ravel()
-    prof_z = np.stack([0.3 * X[:, 0], 0.1 * X[:, 1], -0.2 * X[:, 2],
-                       0.15 * X[:, 0] * X[:, 1], np.zeros(len(X))], axis=1).ravel()
-    smooth_fields.append((prof_u, prof_z))
+    prof_u[~space.u_free] = 0.0
+    prof_z = 0.1 * np.stack([0.3 * X[:, 0], 0.1 * X[:, 1], -0.2 * X[:, 2],
+                             0.15 * X[:, 0] * X[:, 1], np.zeros(len(X))],
+                            axis=1).ravel()
 
-    for i in nodes:
+    for i in range(len(worst)):
         base = (record.stored_v[i] - record.L_pair[i])
         competitors = []
         for _ in range(n_probes):
@@ -363,20 +330,11 @@ def verify_energetic(record: EvolutionRecord, n_probes=20, tol=1e-8,
             du[~space.u_free] = 0.0
             dz = rng.standard_normal(space.n_z) * 0.05
             competitors.append((record.v[i] + du, record.z[i] + dz))
-        for pu, pz in smooth_fields:
-            su = pu.copy()
-            su[~space.u_free] = 0.0
-            competitors.append((record.v[i] + 0.1 * su, record.z[i] + 0.1 * pz))
-            competitors.append((su, pz * 0.1))
+        competitors += [(record.v[i] + 0.1 * prof_u, record.z[i] + prof_z),
+                        (prof_u, prof_z)]
         for vb, zb in competitors:
             if p.rho == 0:
-                Zb = zb.reshape(-1, 5)
-                nrm = np.linalg.norm(Zb, axis=1, keepdims=True)
-                over = (nrm > p.c3).ravel()
-                if over.any():
-                    Zb = Zb.copy()
-                    Zb[over] *= (p.c3 / nrm[over])
-                    zb = Zb.ravel()
+                zb = project_ball(zb.reshape(-1, 5), p.c3).ravel()
             comp = (solver.stored_energy(vb, zb)
                     - float(record.L_u[i] @ vb) - float(record.L_z[i] @ zb)
                     + solver.dissipation_increment(zb, record.z[i]))
@@ -454,7 +412,7 @@ def nstep_h_convergence(problem: BvpProblem, n_list, steps: int):
             for n in n_list]
     table = []
     for lev in range(len(runs) - 1):
-        coarse, fine = runs[lev].space, runs[lev + 1].space
+        coarse, fine = runs[lev].solver.space, runs[lev + 1].solver.space
         P3 = sp.kron(inject(coarse, fine), sp.eye(3), format="csr")
         diffs = []
         for i in range(steps + 1):

@@ -8,7 +8,7 @@ Scenarios are JSON documents.  Top-level schema (defaults in brackets):
     probes          stability probes per check                   [200]
     material        {G [1], kappa [1], c1 [1], c2 [0.5], c3 [1],
                      rho [0], nu [0], R [0.5], delta [0.1]}
-    time            {T [1], steps [16]}
+    time            {T [1], steps [16]}  (bvp kinds: T is the program end)
     stress_path     {direction (6 plain tensor components, order
                      xx yy zz yz xz xy), amplitudes, times}
                     [ramp-unload of a unit deviator to 3 and back]
@@ -267,8 +267,12 @@ def parse_scenario(text: str) -> Scenario:
                        "traction": {"x1": [1.0, 0.0, 0.0]},
                        "traction_amps": [0.0, 3.0, 0.0]}
         _check_keys("program", program, _PROGRAM_KEYS)
+        n_errors = len(errors)
         if "times" not in program:
             errors.append("program requires time breakpoints")
+        elif "T" in raw.get("time", {}) and program["times"] \
+                and program["times"][-1] != time["T"]:
+            errors.append("time.T must equal the last program time")
         prof = program.get("dirichlet_profile")
         if prof is not None and prof not in DIRICHLET_PROFILES:
             errors.append(f"unknown dirichlet_profile {prof!r}")
@@ -279,13 +283,27 @@ def parse_scenario(text: str) -> Scenario:
                 errors.append(f"{chan} requires {amps}")
             if amps in program and len(program[amps]) != len(program.get("times", [])):
                 errors.append(f"{amps} must match the program times")
+        errors += [f"traction prescribed on the Dirichlet plane {pl!r}"
+                   for pl in program.get("traction", {}) if pl in mesh["dirichlet"]]
         scenario.program = program
+        if len(errors) == n_errors:
+            try:
+                scenario.load_program()
+            except ValueError as e:
+                errors.append(f"program: {e}")
 
     if kind == "bvp-conv":
         study = raw.get("study", "evolution")
         if study not in ("evolution", "minproblem", "nstep-h"):
             errors.append("study must be evolution, minproblem or nstep-h")
         scenario.study = study
+
+    if scenario.schedule is not None:
+        try:
+            scenario.limit_schedule().check_study(
+                "constitutive" if kind == "conv-rho" else scenario.study)
+        except ValueError as e:
+            errors.append(f"schedule: {e}")
 
     if errors:
         raise ValidationError(errors)

@@ -19,9 +19,9 @@ from smaevol.fem import (LoadProgram, assemble_forms, assemble_load, box_mesh,
                          build_space, galerkin_project, inject,
                          interp_constrained)
 from smaevol.material import MaterialParams, transformation_energy_grad
-from smaevol.quasistatic import (BvpProblem, BvpStep, nstep_h_convergence,
-                                 run_incremental_bvp, solve_bvp_step,
-                                 spacetime_run)
+from smaevol.quasistatic import (BvpProblem, QuasistaticSolver,
+                                 nstep_h_convergence, run_incremental_bvp,
+                                 solve_bvp_step, spacetime_run)
 from smaevol.tensors import dev_to_sym
 
 P0 = MaterialParams()                      # defaults, sharp (rho = 0)
@@ -264,10 +264,10 @@ def test_criterion_10_bvp_convergence_tables():
         spaces2 = []
         for n in (2, 4, 8):
             space = problem.space(n)
-            step = BvpStep(space, p, prog.dirichlet_vector(space, t_star),
-                           assemble_load(space, prog, t_star),
-                           np.zeros(space.n_z))
-            u, z = solve_bvp_step(step)
+            u, z = solve_bvp_step(QuasistaticSolver(space, p),
+                                  prog.dirichlet_vector(space, t_star),
+                                  assemble_load(space, prog, t_star),
+                                  np.zeros(space.n_z))
             states.append((u, z))
             spaces2.append(space)
         min_diffs = []
@@ -289,7 +289,7 @@ def test_criterion_10_bvp_convergence_tables():
             check_bound(rec)
             recs_tau.append(rec)
         tau_diffs = _consecutive_bvp_diffs(recs_tau,
-                                           [r.space for r in recs_tau], p)
+                                           [r.solver.space for r in recs_tau], p)
         assert tau_diffs[1] < tau_diffs[0], tau_diffs
 
         # Figure-3 rho arrow at fixed tau, h
@@ -300,7 +300,7 @@ def test_criterion_10_bvp_convergence_tables():
             check_bound(rec)
             recs_rho.append(rec)
         rho_diffs = _consecutive_bvp_diffs(recs_rho,
-                                           [r.space for r in recs_rho], p)
+                                           [r.solver.space for r in recs_rho], p)
         assert rho_diffs[1] < rho_diffs[0], rho_diffs
 
         # Figure-3 h arrow: meshes n in {2, 4, 8} at fixed N

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from smaevol.constitutive import TimeGrid, UnstableInitialState
 from smaevol.fem import LoadProgram, assemble_load, box_mesh, build_space
 from smaevol.material import MaterialParams
-from smaevol.quasistatic import (BvpProblem, BvpStep, QuasistaticSolver,
+from smaevol.quasistatic import (BvpProblem, QuasistaticSolver,
                                  SingularSystem, _dual_norms, nstep_h_convergence,
                                  run_incremental_bvp, solve_bvp_step,
                                  spacetime_run, verify_energetic)
@@ -39,9 +39,8 @@ def stretch_program(gamma=0.05):
 
 def test_zero_data_gives_zero_state():
     space = space_n(2)
-    step = BvpStep(space, P_SMOOTH, np.zeros(space.n_u), np.zeros(space.n_u),
-                   np.zeros(space.n_z))
-    u, z = solve_bvp_step(step)
+    u, z = solve_bvp_step(QuasistaticSolver(space, P_SMOOTH), np.zeros(space.n_u),
+                          np.zeros(space.n_u), np.zeros(space.n_z))
     assert np.linalg.norm(u) < 1e-10
     assert np.linalg.norm(z) < 1e-10
 
@@ -52,9 +51,8 @@ def test_elastic_regime_matches_direct_elasticity():
     solver = QuasistaticSolver(space, P_SHARP)
     prog = stretch_program(gamma=0.02)
     u_dir = prog.dirichlet_vector(space, 1.0)
-    step = BvpStep(space, P_SHARP, u_dir, np.zeros(space.n_u),
-                   np.zeros(space.n_z))
-    u, z = solve_bvp_step(step, solver)
+    u, z = solve_bvp_step(solver, u_dir, np.zeros(space.n_u),
+                          np.zeros(space.n_z))
     assert np.linalg.norm(z) < 1e-9
     # independent oracle: direct sparse solve of K u = 0 with lifting
     free = space.u_free
@@ -89,9 +87,8 @@ def test_single_step_grid_equals_step_call():
     prog = pull_program(peak=2.0, unload=False)
     rec = run_incremental_bvp(space, P_SMOOTH, TimeGrid.uniform(1.0, 1), prog)
     solver = QuasistaticSolver(space, P_SMOOTH)
-    step = BvpStep(space, P_SMOOTH, np.zeros(space.n_u),
-                   assemble_load(space, prog, 1.0), np.zeros(space.n_z))
-    u, z = solve_bvp_step(step, solver)
+    u, z = solve_bvp_step(solver, np.zeros(space.n_u),
+                          assemble_load(space, prog, 1.0), np.zeros(space.n_z))
     assert np.linalg.norm(rec.u[1] - u) < 1e-7
     assert np.linalg.norm(rec.z[1] - z) < 1e-7
 
@@ -226,15 +223,15 @@ def test_change_of_variables_consistency():
     prog = stretch_program(gamma=0.35)
     u_dir = prog.dirichlet_vector(space, 1.0)
     anchor = np.zeros(space.n_z)
-    step = BvpStep(space, P_SMOOTH, u_dir, np.zeros(space.n_u), anchor)
-    u_star, z_star = solve_bvp_step(step, solver)
+    u_star, z_star = solve_bvp_step(solver, u_dir, np.zeros(space.n_u), anchor)
 
     v_dir = 0.5 * u_dir  # different lifting of a different boundary value
     w = u_dir - v_dir
     load_u = -(solver.forms.K @ w)
     load_z = solver.forms.Cup.T @ w
-    step2 = BvpStep(space, P_SMOOTH, v_dir, load_u, anchor, load_z=load_z)
-    v_star, z2 = solve_bvp_step(step2, solver)
+    L_u, L_z = solver.lifted_load(v_dir, load_u)
+    v, z2, _ = solver.solve_step(L_u, L_z + load_z, anchor)
+    v_star = v + v_dir
     assert np.linalg.norm((v_star - v_dir + u_dir) - u_star) < 1e-7
     assert np.linalg.norm(z2 - z_star) < 1e-7
 
@@ -258,18 +255,16 @@ def test_step_continuous_dependence_scaling():
     space = space_n(2)
     solver = QuasistaticSolver(space, P_SMOOTH)
     prog = pull_program(peak=2.5, unload=False)
-    base = BvpStep(space, P_SMOOTH, np.zeros(space.n_u),
-                   assemble_load(space, prog, 1.0), np.zeros(space.n_z))
-    u0, z0 = solve_bvp_step(base, solver)
+    base_load = assemble_load(space, prog, 1.0)
+    u0, z0 = solve_bvp_step(solver, np.zeros(space.n_u), base_load,
+                            np.zeros(space.n_z))
     rng = np.random.default_rng(8)
     d_ell = rng.standard_normal(space.n_u) * 0.05
     d_anchor = rng.standard_normal(space.n_z) * 0.02
     lhs_sq = []
     for scale in (1.0, 0.5):
-        step = BvpStep(space, P_SMOOTH, np.zeros(space.n_u),
-                       base.load_u + scale * d_ell,
-                       scale * d_anchor)
-        u, z = solve_bvp_step(step, solver)
+        u, z = solve_bvp_step(solver, np.zeros(space.n_u),
+                              base_load + scale * d_ell, scale * d_anchor)
         lhs_sq.append(float(np.sum((u - u0) ** 2) + np.sum((z - z0) ** 2)))
     assert lhs_sq[0] > 1e-10  # the perturbation is actually felt
     assert lhs_sq[1] <= 0.55 * lhs_sq[0]
@@ -296,3 +291,15 @@ def test_spacetime_run_consistency_and_flag():
     _, rep0 = spacetime_run(problem, rho=0.1, nu=0.0, tau=0.5, n=1)
     assert not rep0["nu_in_scope"]
     assert rep0["flag"]
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+def test_z_step_matrix_is_twice_the_z_block(nu):
+    # A_z = 2 z_block() keeps every bit of the matrix written out directly,
+    # so the z-step iterates do not move
+    space = space_n(2)
+    p = MaterialParams(rho=0.1, nu=nu)
+    G, c2 = p.elastic.G, p.c2
+    direct = 2.0 * (G + c2) * space.M5 + nu * space.G5
+    assert np.array_equal(QuasistaticSolver(space, p).A_z.toarray(),
+                          direct.toarray())

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,3 +157,52 @@ def test_cli_full_run(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 3
     assert "trajectory.csv" in manifest["artifacts"]
+
+
+_TRACTION = {"traction_amps": [0.0, 1.0], "times": [0.0, 1.0]}
+
+# documents that the run rejects; parsing must reject them as well
+BAD_DOCUMENTS = {
+    "increasing-rho": ("bvp-conv", {"material": {"rho": 0.1, "nu": 0.01},
+                                    "schedule": {"rho": [0.05, 0.1]}}),
+    "program-times": ("bvp-run", {"program": {"times": [0, 1, 0.5]}}),
+    "traction-on-dirichlet": ("bvp-run", {"program": {
+        "traction": {"x0": [1.0, 0.0, 0.0]}, **_TRACTION}}),
+    "varying-nu": ("conv-rho", {"schedule": {"rho": [0.1, 0.01],
+                                             "nu": [0.02, 0.01]}}),
+    "unknown-plane": ("bvp-run", {"program": {
+        "traction": {"q9": [1.0, 0.0, 0.0]}, **_TRACTION}}),
+    "evolution-varying-nu": ("bvp-conv", {"schedule": {"rho": 0.1,
+                                                       "nu": [0.02, 0.01]}}),
+    "minproblem-varying-tau": ("bvp-conv", {"study": "minproblem",
+                                            "schedule": {"rho": 0.1,
+                                                         "tau": [0.5, 0.25]}}),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_DOCUMENTS))
+def test_parse_rejects_what_the_run_rejects(name, tmp_path):
+    kind, extra = BAD_DOCUMENTS[name]
+    with pytest.raises(ValidationError):
+        parse_scenario(minimal(kind, **extra))
+    path = tmp_path / "s.json"
+    path.write_text(minimal(kind, **extra))
+    assert main([kind, "--scenario", str(path), "--dry-run"]) == 1
+
+
+def test_bvp_time_T_must_be_the_program_end():
+    program = {"traction": {"x1": [1.0, 0.0, 0.0]}, **_TRACTION}
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(minimal("bvp-run", time={"T": 2.0}, program=program))
+    assert any("time.T" in m for m in exc.value.errors)
+    s = parse_scenario(minimal("bvp-run", time={"T": 1.0}, program=program))
+    assert s.bvp_problem().grid().nodes[-1] == 1.0
+
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
+def test_shipped_scenarios_pass_dry_run(path):
+    kind = json.loads(path.read_text())["kind"]
+    assert main([kind, "--scenario", str(path), "--dry-run"]) == 0
