@@ -4,9 +4,9 @@ __version__ = "0.1.0"
 
 from .constitutive import (PointState, PointTrajectory, StressPath, TimeGrid,
                            UnstableInitialState, continuous_dependence_check,
-                           energy_balance_residual, incremental_step,
-                           run_constitutive, stable_initial_state,
-                           temporal_error_study, verify_stability)
+                           incremental_step, run_constitutive,
+                           stable_initial_state, temporal_error_study,
+                           verify_stability)
 from .material import (MaterialParams, stored_energy_density,
                        transformation_energy, transformation_energy_grad,
                        transformation_energy_hess, transformation_energy_sharp,
@@ -18,9 +18,9 @@ __all__ = [
     "Elasticity", "MaterialParams", "NonConvergence",
     "PointState", "PointTrajectory", "StepProblem", "StressPath", "TimeGrid",
     "UnstableInitialState", "continuous_dependence_check", "dev_split",
-    "dev_to_sym", "energy_balance_residual", "incremental_step",
-    "run_constitutive", "solve_point", "stable_initial_state",
-    "stored_energy_density", "sym_from_matrix", "temporal_error_study",
+    "dev_to_sym", "incremental_step", "run_constitutive", "solve_point",
+    "stable_initial_state", "stored_energy_density", "sym_from_matrix",
+    "temporal_error_study",
     "transformation_energy", "transformation_energy_grad",
     "transformation_energy_hess", "transformation_energy_sharp",
     "transformation_energy_smooth", "verify_stability",

@@ -295,11 +295,6 @@ def run_constitutive(p: MaterialParams, path: StressPath,
     return PointTrajectory(grid, eps, z, stored, comp, diss_inc, cum, work, residual)
 
 
-def energy_balance_residual(traj: PointTrajectory) -> np.ndarray:
-    """Per-node defect of the energy identity; discrete theory gives <= 0."""
-    return traj.residual.copy()
-
-
 @dataclass
 class RateStudy:
     taus: np.ndarray

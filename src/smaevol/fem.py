@@ -239,12 +239,16 @@ class StepForms:
     def energy_value(self, y) -> float:
         return self.energy_product(y, y)
 
-    def z_block(self) -> sp.csr_matrix:
-        """The z-z block (G + c2) M5 + nu/2 G5 of the energy matrix."""
+    def z_block(self, nodal=False) -> sp.csr_matrix:
+        """The z-z block (G + c2) M5 + nu/2 G5 of the energy matrix; with
+        nodal=True, the scalar nodal matrix S = (G + c2) M + nu/2 Gs, so
+        that z_block() = S (x) I5."""
         G, c2, nu = self.params.elastic.G, self.params.c2, self.params.nu
-        Z = (G + c2) * self.space.M5
+        spc = self.space
+        M, Gs = (spc.M, spc.Gs) if nodal else (spc.M5, spc.G5)
+        Z = (G + c2) * M
         if nu:
-            Z = Z + 0.5 * nu * self.space.G5
+            Z = Z + 0.5 * nu * Gs
         return Z
 
     def matrix(self) -> sp.csr_matrix:
@@ -334,6 +338,31 @@ class LoadProgram:
         amp = self._amp(self.dirichlet_amps, t)
         vals = self._nodal(self.dirichlet, space.mesh.nodes)
         return amp * vals.ravel()
+
+    def channels(self, space: FeSpace, times):
+        """The active channels as (amplitudes at times, unit lifting, unit load).
+
+        dirichlet_vector(t) and assemble_load(t) are the sums over the
+        channels of amplitude(t) times the unit lifting and the unit load;
+        a channel whose amplitudes all vanish at the given times is left out.
+        """
+        nodes, zero = space.mesh.nodes, np.zeros(space.n_u)
+        found = []
+        if self.body is not None:
+            found.append((self.body_amps, zero,
+                          space.M3 @ self._nodal(self.body, nodes).ravel()))
+        if self.traction:
+            load = sum(sp.kron(space.surf[pl], sp.eye(3), format="csr")
+                       @ self._nodal(shape, nodes).ravel()
+                       for pl, shape in self.traction.items())
+            found.append((self.traction_amps, zero, load))
+        if self.dirichlet is not None:
+            found.append((self.dirichlet_amps,
+                          self._nodal(self.dirichlet, nodes).ravel(), zero))
+        for amps, lifting, load in found:
+            a = np.array([self._amp(amps, t) for t in times])
+            if a.any():
+                yield a, lifting, load
 
 
 def assemble_load(space: FeSpace, program: LoadProgram, t: float) -> np.ndarray:

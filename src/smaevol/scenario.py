@@ -21,6 +21,8 @@ Scenarios are JSON documents.  Top-level schema (defaults in brackets):
                      body, body_amps, dirichlet_profile
                      (zero|stretch_x|shear_xy), dirichlet_amps}  (bvp kinds)
     schedule        {rho, nu, tau, n, label}    (conv-rho, bvp-conv)
+                    [material rho and nu, n = 2, tau = end / time.steps
+                     with end the last program time (bvp-conv) or T]
     study           evolution | minproblem | nstep-h     (bvp-conv) [evolution]
 
 Unknown keys raise ParseError naming the key; constraint violations are
@@ -238,16 +240,6 @@ def parse_scenario(text: str) -> Scenario:
         _check_keys("grid", raw.get("grid", {}), _GRID_KEYS)
         scenario.grid = grid
 
-    if kind in ("conv-rho", "bvp-conv"):
-        sched = raw.get("schedule")
-        if sched is None:
-            errors.append(f"{kind} requires a schedule section")
-        else:
-            _check_keys("schedule", sched, _SCHEDULE_KEYS)
-            sched = {"rho": material["rho"], "nu": material["nu"],
-                     "tau": time["T"] / time["steps"], "n": 2, **sched}
-            scenario.schedule = sched
-
     if kind in ("bvp-run", "bvp-conv"):
         mesh = {"extents": [1.0, 1.0, 1.0], "n": 2, "dirichlet": ["x0"],
                 **raw.get("mesh", {})}
@@ -291,6 +283,20 @@ def parse_scenario(text: str) -> Scenario:
                 scenario.load_program()
             except ValueError as e:
                 errors.append(f"program: {e}")
+
+    if kind in ("conv-rho", "bvp-conv"):
+        sched = raw.get("schedule")
+        if sched is None:
+            errors.append(f"{kind} requires a schedule section")
+        else:
+            _check_keys("schedule", sched, _SCHEDULE_KEYS)
+            # a bvp-conv study runs on the program's interval
+            end = time["T"]
+            if kind == "bvp-conv" and scenario.program.get("times"):
+                end = scenario.program["times"][-1]
+            sched = {"rho": material["rho"], "nu": material["nu"],
+                     "tau": end / time["steps"], "n": 2, **sched}
+            scenario.schedule = sched
 
     if kind == "bvp-conv":
         study = raw.get("study", "evolution")

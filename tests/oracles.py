@@ -3,12 +3,16 @@
 These deliberately avoid the solver code paths they are used to check:
 the incremental step is minimized by exhaustive evaluation on a grid in
 the 2-plane spanned by the driving stress deviator and the anchor, which
-contains the minimizer by rotational symmetry of all radial terms.
+contains the minimizer by rotational symmetry of all radial terms.  The
+dual energy norms of load functionals come from a sparse LU of the whole
+constrained (u, z) energy matrix.
 """
 
 import itertools
+import math
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from smaevol.material import radial_core_value
 from smaevol.tensors import dev_split
@@ -132,3 +136,17 @@ def box_mesh_loops(n):
             raise RuntimeError("boundary face not on any box plane")
     return tets, {pl: np.array(tris, dtype=int).reshape(-1, 3)
                   for pl, tris in boundary.items()}
+
+
+def joint_lu_dual_norms(solver, L_list):
+    """Dual norms of stacked (u, z) load functionals in the constrained
+    energy norm, by a sparse LU of the joint energy matrix."""
+    H = solver.forms.matrix().tocsc()
+    free = np.concatenate([solver.space.u_free,
+                           np.ones(solver.space.n_z, dtype=bool)])
+    lu = spla.splu(H[free][:, free])
+    out = []
+    for L in L_list:
+        Lc = L[free]
+        out.append(math.sqrt(max(float(Lc @ lu.solve(Lc)), 0.0)))
+    return np.array(out)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from oracles import joint_lu_dual_norms
+from smaevol import quasistatic
 from smaevol.constitutive import TimeGrid, UnstableInitialState
 from smaevol.fem import LoadProgram, assemble_load, box_mesh, build_space
 from smaevol.material import MaterialParams
+from smaevol.proxsolve import NonConvergence
 from smaevol.quasistatic import (BvpProblem, QuasistaticSolver,
                                  SingularSystem, _dual_norms, nstep_h_convergence,
                                  run_incremental_bvp, solve_bvp_step,
@@ -31,9 +34,12 @@ def pull_program(peak=3.0, unload=True):
                        traction_amps=[0.0, peak])
 
 
+def stretch_x(x):
+    return np.array([x[0], 0.0, 0.0])
+
+
 def stretch_program(gamma=0.05):
-    return LoadProgram(times=[0.0, 1.0],
-                       dirichlet=lambda x: np.array([x[0], 0.0, 0.0]),
+    return LoadProgram(times=[0.0, 1.0], dirichlet=stretch_x,
                        dirichlet_amps=[0.0, gamma])
 
 
@@ -155,17 +161,35 @@ def test_verify_energetic_passes_and_flags():
     assert rep_bad.stability_worst[i] > 1e-6
 
 
+def oracle_bound(rec):
+    """(c0, b, total) of the ledger bound from joint-LU dual norms of the
+    record's lifted load functionals and of their increments."""
+    stacked = [np.concatenate([L_u, L_z]) for L_u, L_z in zip(rec.L_u, rec.L_z)]
+    norms = joint_lu_dual_norms(rec.solver, stacked)
+    dnorms = joint_lu_dual_norms(rec.solver, [b - a for a, b in
+                                              zip(stacked, stacked[1:])])
+    c0 = rec.stored_v[0] + norms[0] * math.sqrt(max(rec.stored_v[0], 0.0))
+    b = float(norms.max() + dnorms.sum())
+    return c0, b, c0 + b * 0.5 * (b + math.sqrt(b * b + 4.0 * max(c0, 0.0)))
+
+
+def assert_bound_matches_oracle(rec):
+    for got, want in zip((rec.apriori.c0, rec.apriori.b, rec.apriori.total),
+                         oracle_bound(rec)):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_run_and_verify_share_one_solver_and_two_factorizations(monkeypatch):
-    inits, factors = [], []
+    inits, shapes = [], []
     init, splu = QuasistaticSolver.__init__, spla.splu
 
     def counting_init(self, *args, **kwargs):
         inits.append(1)
         init(self, *args, **kwargs)
 
-    def counting_splu(*args, **kwargs):
-        factors.append(1)
-        return splu(*args, **kwargs)
+    def counting_splu(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return splu(A, *args, **kwargs)
 
     space = space_n(2)
     grid = TimeGrid.uniform(1.0, 4)
@@ -175,22 +199,81 @@ def test_run_and_verify_share_one_solver_and_two_factorizations(monkeypatch):
         rec = run_incremental_bvp(space, P_SMOOTH, grid, pull_program())
         verify_energetic(rec, n_probes=2)
     assert len(inits) == 1
-    assert len(factors) == 2  # K_ff and the joint (u, z) matrix
+    # K_ff and the scalar nodal matrix S of the ledger-bound preconditioner;
+    # nothing as large as the joint (u, z) matrix is ever factored
+    assert len(shapes) == 2
+    largest = max(int(space.u_free.sum()), space.n_nodes)
+    assert all(rows <= largest for rows, _ in shapes)
 
-    # the bound as computed with one _dual_norms call per family of functionals
-    fresh = QuasistaticSolver(space, P_SMOOTH)
-    stacked = [np.concatenate([rec.L_u[i], rec.L_z[i]])
-               for i in range(grid.steps + 1)]
-    norms = _dual_norms(fresh, stacked)
-    dnorms = _dual_norms(fresh, [stacked[i] - stacked[i - 1]
-                                 for i in range(1, grid.steps + 1)])
-    c0 = rec.stored_v[0] + norms[0] * math.sqrt(max(rec.stored_v[0], 0.0))
-    b = float(norms.max() + dnorms.sum())
-    total = c0 + b * 0.5 * (b + math.sqrt(b * b + 4.0 * max(c0, 0.0)))
-    assert b > 0
-    for got, want in ((rec.apriori.c0, c0), (rec.apriori.b, b),
-                      (rec.apriori.total, total)):
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert rec.apriori.b > 0
+    assert_bound_matches_oracle(rec)
+
+
+BODY = np.array([0.0, 0.0, -1.0])
+TRACTION = {"x1": np.array([1.0, 0.0, 0.0])}
+BOUND_PROGRAMS = {
+    "body": dict(body=BODY, body_amps=[0.2, 2.0, 0.5]),
+    "traction": dict(traction=TRACTION, traction_amps=[0.3, 2.5, 0.0]),
+    "dirichlet": dict(dirichlet=stretch_x, dirichlet_amps=[0.05, 0.3, 0.1]),
+    "all": dict(body=BODY, body_amps=[0.2, 1.0, 0.4],
+                traction=TRACTION, traction_amps=[0.3, 1.5, 0.0],
+                dirichlet=stretch_x, dirichlet_amps=[0.0, 0.05, 0.02]),
+    "callable": dict(body=lambda x: np.array([x[1], -x[2], 0.5 * x[0]]),
+                     body_amps=[0.0, 2.0, 1.0],
+                     traction={"x1": lambda x: np.array([x[1], 0.0, x[2]])},
+                     traction_amps=[0.1, 1.0, 0.0]),
+    "two-planes": dict(traction={"x1": [1.0, 0.0, 0.0], "y1": [0.0, -0.5, 0.2]},
+                       traction_amps=[0.2, 2.0, 0.0]),
+}
+BOUND_CASES = ([(name, 0.1, 0.01) for name in sorted(BOUND_PROGRAMS)]
+               + [("all", rho, nu) for rho, nu in ((0.0, 0.0), (0.0, 0.01),
+                                                   (0.1, 0.0))])
+
+
+@pytest.mark.parametrize("name,rho,nu", BOUND_CASES)
+def test_channel_bound_matches_joint_lu(name, rho, nu):
+    prog = LoadProgram(times=[0.0, 0.5, 1.0], **BOUND_PROGRAMS[name])
+    rec = run_incremental_bvp(space_n(2), MaterialParams(rho=rho, nu=nu),
+                              TimeGrid.uniform(1.0, 4), prog)
+    assert rec.apriori.c0 > 0 and rec.apriori.b > 0
+    assert_bound_matches_oracle(rec)
+
+
+@pytest.mark.parametrize("program", [
+    LoadProgram(times=[0.0, 1.0]),
+    LoadProgram(times=[0.0, 1.0], traction=TRACTION, traction_amps=[0.0, 0.0],
+                body=BODY)])
+def test_dual_norms_without_active_channel_are_zero_without_a_solve(
+        program, monkeypatch):
+    solver = QuasistaticSolver(space_n(2), P_SMOOTH)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("no solve expected")
+
+    monkeypatch.setattr(quasistatic, "_pcg", no_solve)
+    monkeypatch.setattr(spla, "splu", no_solve)
+    norms, dnorms = _dual_norms(solver, program, np.linspace(0.0, 1.0, 4))
+    assert np.array_equal(norms, np.zeros(4))
+    assert np.array_equal(dnorms, np.zeros(3))
+
+
+def test_failing_step_is_named(monkeypatch):
+    monkeypatch.setattr(quasistatic, "MAX_SWEEPS", 1)
+    with pytest.raises(NonConvergence, match=r"^step 1 at t = 0\.25: step "
+                                             r"stalled .* after 1 sweeps"):
+        run_incremental_bvp(space_n(2), P_SMOOTH, TimeGrid.uniform(1.0, 4),
+                            pull_program())
+
+
+def test_bound_cg_exhaustion_reports_its_residual_trail(monkeypatch):
+    monkeypatch.setattr(quasistatic, "CG_MAX_ITER", 1)
+    with pytest.raises(NonConvergence) as err:
+        run_incremental_bvp(space_n(2), P_SMOOTH, TimeGrid.uniform(1.0, 4),
+                            pull_program())
+    msg = str(err.value)
+    assert "after 1 iterations" in msg
+    trail = [float(t) for t in msg.split("relative residuals ")[1].split()]
+    assert len(trail) == 2 and trail[0] == 1.0 and 1e-13 < trail[1] < 1.0
 
 
 def test_verify_energetic_zero_data():

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from smaevol import quasistatic
 from smaevol.cli import main, run_scenario
 from smaevol.scenario import (ParseError, ValidationError, parse_scenario)
 
@@ -197,6 +198,25 @@ def test_bvp_time_T_must_be_the_program_end():
     assert any("time.T" in m for m in exc.value.errors)
     s = parse_scenario(minimal("bvp-run", time={"T": 1.0}, program=program))
     assert s.bvp_problem().grid().nodes[-1] == 1.0
+
+
+def test_bvp_conv_default_tau_spans_the_program(tmp_path, monkeypatch):
+    program = {"times": [0.0, 1.0, 2.0], "traction": {"x1": [1.0, 0.0, 0.0]},
+               "traction_amps": [0.0, 2.0, 0.0]}
+    s = parse_scenario(minimal("bvp-conv", material={"rho": 0.1, "nu": 0.01},
+                               time={"steps": 8}, mesh={"n": 1},
+                               program=program,
+                               schedule={"rho": [0.1, 0.05]}))
+    assert s.schedule["tau"] == 0.25
+    steps, run = [], quasistatic.run_incremental_bvp
+
+    def recording_run(space, params, grid, *args, **kwargs):
+        steps.append((grid.steps, grid.nodes[-1]))
+        return run(space, params, grid, *args, **kwargs)
+
+    monkeypatch.setattr(quasistatic, "run_incremental_bvp", recording_run)
+    run_scenario(s, tmp_path)
+    assert steps and all(st == (8, 2.0) for st in steps)
 
 
 SHIPPED = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
