@@ -11,11 +11,11 @@ from .material import (MaterialParams, stored_energy_density,
                        transformation_energy, transformation_energy_grad,
                        transformation_energy_hess, transformation_energy_sharp,
                        transformation_energy_smooth)
-from .proxsolve import NonConvergence, StepProblem, solve_point
+from .proxsolve import NonConvergence, PointProblem, StepProblem, solve_point
 from .tensors import Elasticity, dev_split, dev_to_sym, sym_from_matrix
 
 __all__ = [
-    "Elasticity", "MaterialParams", "NonConvergence",
+    "Elasticity", "MaterialParams", "NonConvergence", "PointProblem",
     "PointState", "PointTrajectory", "StepProblem", "StressPath", "TimeGrid",
     "UnstableInitialState", "continuous_dependence_check", "dev_split",
     "dev_to_sym", "incremental_step", "run_constitutive", "solve_point",

@@ -147,19 +147,18 @@ def _trajectory_diffs(traj: PointTrajectory, ref: PointTrajectory):
 
 
 def limit_constitutive(p: MaterialParams, path: StressPath,
-                       schedule: LimitSchedule, tol: float = 1e-10):
+                       schedule: LimitSchedule):
     """Constitutive-relation limits over a (rho, tau) schedule."""
     schedule.check_study("constitutive")
     T = path.T
     rho_ref, _, tau_ref, _ = _reference_values(schedule)
     ref = run_constitutive(replace(p, rho=rho_ref), path,
-                           TimeGrid.uniform(T, int(round(T / tau_ref))), tol=tol)
+                           TimeGrid.uniform(T, int(round(T / tau_ref))))
 
     def member(k):
         pk = replace(p, rho=float(schedule.rho[k]))
         traj = run_constitutive(pk, path,
-                                TimeGrid.uniform(T, int(round(T / schedule.tau[k]))),
-                                tol=tol)
+                                TimeGrid.uniform(T, int(round(T / schedule.tau[k]))))
         state, energy, diss = _trajectory_diffs(traj, ref)
         return {"k": k, "rho": float(schedule.rho[k]), "nu": 0.0,
                 "tau": float(schedule.tau[k]), "h": 0.0,

@@ -20,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .material import (MaterialParams, radial_core_value, stored_energy_density,
+from .material import (MaterialParams, stored_energy_density,
                        transformation_energy_grad)
-from .proxsolve import StepProblem, solve_point
+from .proxsolve import PointProblem, solve_point
 from .tensors import dev_split, dev_to_sym
 
 
@@ -140,38 +140,20 @@ class PointTrajectory:
         return header, body
 
 
-def reduced_problem(p: MaterialParams, sigma, z_prev) -> StepProblem:
+def reduced_problem(p: MaterialParams, sigma, z_prev) -> PointProblem:
     """The z-only incremental problem after eliminating the strain."""
     b = dev_split(sigma)[0]
     anchor = np.asarray(z_prev, dtype=float)
     if p.rho > 0:
-        def smooth(z):
-            r = np.linalg.norm(z)
-            return radial_core_value(p, r) + p.c2 * r * r - float(b @ z)
-
-        def grad(z):
-            return transformation_energy_grad(p, z) - b
-
-        return StepProblem(smooth, grad, p.curvature_bound, p.R, anchor)
-
+        return PointProblem(b, p.c2, p.R, anchor, core=p)
     if np.linalg.norm(anchor) > p.c3 * (1.0 + 1e-12):
         raise ValueError("anchor must satisfy |z_prev| <= c3 when rho = 0")
-
-    def smooth0(z):
-        return p.c2 * float(z @ z) - float(b @ z)
-
-    def grad0(z):
-        return 2.0 * p.c2 * z - b
-
-    return StepProblem(smooth0, grad0, 2.0 * p.c2, p.R, anchor,
-                       w_zero=p.c1, radius=p.c3)
+    return PointProblem(b, p.c2, p.R, anchor, w_zero=p.c1, radius=p.c3)
 
 
-def incremental_step(p: MaterialParams, sigma, z_prev,
-                     tol=1e-10) -> PointState:
+def incremental_step(p: MaterialParams, sigma, z_prev) -> PointState:
     """Exact minimizer of the step functional at the given stress."""
-    pb = reduced_problem(p, sigma, z_prev)
-    z = solve_point(pb, tol * (1.0 + np.linalg.norm(dev_split(sigma)[0])))
+    z = solve_point(reduced_problem(p, sigma, z_prev))
     eps = p.elastic.apply_inverse(sigma) + dev_to_sym(z)
     return PointState(eps, z)
 
@@ -256,8 +238,8 @@ def stable_initial_state(p: MaterialParams, sigma0, z0=None) -> PointState:
 
 
 def run_constitutive(p: MaterialParams, path: StressPath,
-                     grid: TimeGrid, init: Optional[PointState] = None,
-                     tol=1e-10) -> PointTrajectory:
+                     grid: TimeGrid,
+                     init: Optional[PointState] = None) -> PointTrajectory:
     """Incremental evolution along the grid, with the exact energy ledger."""
     n = grid.steps
     sig0 = path.value(grid.nodes[0])
@@ -281,7 +263,7 @@ def run_constitutive(p: MaterialParams, path: StressPath,
     sig_prev = sig0
     for i in range(1, n + 1):
         sig = path.value(grid.nodes[i])
-        st = incremental_step(p, sig, z[i - 1], tol=tol)
+        st = incremental_step(p, sig, z[i - 1])
         eps[i], z[i] = st.eps, st.z
         stored[i] = stored_energy_density(p, st.eps, st.z)
         comp[i] = stored[i] - float(sig @ st.eps)
@@ -321,7 +303,7 @@ def _sup_state_diff(traj: PointTrajectory, ref: PointTrajectory) -> float:
 
 
 def temporal_error_study(p: MaterialParams, path: StressPath,
-                         taus, reference_tau=None, init=None, tol=1e-11) -> RateStudy:
+                         taus, reference_tau=None, init=None) -> RateStudy:
     """Self-convergence study against a fine reference grid.
 
     Restricted to the smooth regularization (rho > 0), where the order-1/2
@@ -337,11 +319,11 @@ def temporal_error_study(p: MaterialParams, path: StressPath,
         raise ValueError("reference tau must be at most min(taus)/8")
     T = path.T
     ref = run_constitutive(p, path, TimeGrid.uniform(T, int(round(T / reference_tau))),
-                           init=init, tol=tol)
+                           init=init)
     errs = []
     for tau in taus:
         traj = run_constitutive(p, path, TimeGrid.uniform(T, int(round(T / tau))),
-                                init=init, tol=tol)
+                                init=init)
         errs.append(_sup_state_diff(traj, ref))
     errs = np.array(errs)
     degenerate = bool(errs.max() < 1e-12)

@@ -85,8 +85,12 @@ def penalty(p: MaterialParams, r):
     """Constraint penalty phi: zero on [0, c3], C^{2,1}, phi' bounded by 6.
 
     phi'' is the piecewise-linear hat rising from 0 at c3 to 6/delta at
-    c3 + delta and back to 0 at c3 + 2 delta; phi' = 6 beyond.
+    c3 + delta and back to 0 at c3 + 2 delta; phi' = 6 beyond.  A float
+    r inside the ball returns 0.0 at once (the radial cores pass their r
+    through unconverted for this), as np.where would.
     """
+    if isinstance(r, float) and r <= p.c3:
+        return 0.0
     d = p.delta
     s = np.asarray(r, dtype=float) - p.c3
     out = np.where(
@@ -100,6 +104,8 @@ def penalty(p: MaterialParams, r):
 
 
 def penalty_d1(p: MaterialParams, r):
+    if isinstance(r, float) and r <= p.c3:
+        return 0.0
     d = p.delta
     s = np.asarray(r, dtype=float) - p.c3
     out = np.where(
@@ -111,6 +117,8 @@ def penalty_d1(p: MaterialParams, r):
 
 
 def penalty_d2(p: MaterialParams, r):
+    if isinstance(r, float) and r <= p.c3:
+        return 0.0
     d = p.delta
     s = np.asarray(r, dtype=float) - p.c3
     out = np.where(
@@ -137,16 +145,25 @@ def radial_core_value(p: MaterialParams, r):
     """Non-quadratic radial core of the smooth density (all but c2 r^2)."""
     if p.rho <= 0:
         raise ValueError("smooth transformation energy requires rho > 0")
-    r = np.asarray(r, dtype=float)
-    out = p.c1 * (np.sqrt(p.rho ** 2 + r ** 2) - p.rho) + penalty(p, r) / p.rho
+    x = np.asarray(r, dtype=float)
+    out = p.c1 * (np.sqrt(p.rho ** 2 + x ** 2) - p.rho) + penalty(p, r) / p.rho
     return out if out.ndim else float(out)
 
 
 def radial_core_d1(p: MaterialParams, r):
     if p.rho <= 0:
         raise ValueError("smooth transformation energy requires rho > 0")
-    r = np.asarray(r, dtype=float)
-    out = p.c1 * r / np.sqrt(p.rho ** 2 + r ** 2) + penalty_d1(p, r) / p.rho
+    x = np.asarray(r, dtype=float)
+    out = p.c1 * x / np.sqrt(p.rho ** 2 + x ** 2) + penalty_d1(p, r) / p.rho
+    return out if out.ndim else float(out)
+
+
+def radial_core_d2(p: MaterialParams, r):
+    if p.rho <= 0:
+        raise ValueError("smooth transformation energy requires rho > 0")
+    x = np.asarray(r, dtype=float)
+    q = np.sqrt(p.rho ** 2 + x ** 2)
+    out = p.c1 * p.rho ** 2 / q ** 3 + penalty_d2(p, r) / p.rho
     return out if out.ndim else float(out)
 
 
@@ -181,9 +198,8 @@ def transformation_energy_hess(p: MaterialParams, z) -> np.ndarray:
     eye = np.eye(5)
     if r == 0.0:
         return (p.c1 / p.rho + 2.0 * p.c2) * eye
-    q = math.sqrt(p.rho ** 2 + r * r)
-    radial = p.c1 * p.rho ** 2 / q ** 3 + penalty_d2(p, r) / p.rho
-    tangential = p.c1 / q + penalty_d1(p, r) / (p.rho * r)
+    radial = radial_core_d2(p, r)
+    tangential = radial_core_d1(p, r) / r
     proj = np.outer(z, z) / (r * r)
     return radial * proj + tangential * (eye - proj) + 2.0 * p.c2 * eye
 

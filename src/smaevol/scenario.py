@@ -22,7 +22,8 @@ Scenarios are JSON documents.  Top-level schema (defaults in brackets):
                      (zero|stretch_x|shear_xy), dirichlet_amps}  (bvp kinds)
     schedule        {rho, nu, tau, n, label}    (conv-rho, bvp-conv)
                     [material rho and nu, n = 2, tau = end / time.steps
-                     with end the last program time (bvp-conv) or T]
+                     with end the last program time (bvp-conv) or
+                     stress-path time (conv-rho)]
     study           evolution | minproblem | nstep-h     (bvp-conv) [evolution]
 
 Unknown keys raise ParseError naming the key; constraint violations are
@@ -154,7 +155,10 @@ class Scenario:
 
 
 def _check_keys(section, data, allowed):
-    """Unknown keys are structural problems: they abort immediately."""
+    """Non-object sections and unknown keys are structural problems: they
+    abort immediately."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{section} must be a JSON object")
     for key in data:
         if key not in allowed:
             raise ParseError(f"unknown key {key!r} in {section}")
@@ -182,8 +186,8 @@ def parse_scenario(text: str) -> Scenario:
         errors.append(f"kind must be one of {', '.join(KINDS)} (got {kind!r})")
         raise ValidationError(errors)
 
-    material = {**MATERIAL_DEFAULTS, **raw.get("material", {})}
     _check_keys("material", raw.get("material", {}), _MATERIAL_KEYS)
+    material = {**MATERIAL_DEFAULTS, **raw.get("material", {})}
     for name in ("c1", "c2", "c3", "R", "delta", "G", "kappa"):
         if not (isinstance(material[name], (int, float)) and material[name] > 0):
             errors.append(f"{name} must be > 0")
@@ -191,8 +195,8 @@ def parse_scenario(text: str) -> Scenario:
         if not (isinstance(material[name], (int, float)) and material[name] >= 0):
             errors.append(f"{name} must be >= 0")
 
-    time = {"T": 1.0, "steps": 16, **raw.get("time", {})}
     _check_keys("time", raw.get("time", {}), _TIME_KEYS)
+    time = {"T": 1.0, "steps": 16, **raw.get("time", {})}
     if not time["T"] > 0:
         errors.append("T must be > 0")
     if not (isinstance(time["steps"], int) and time["steps"] >= 1):
@@ -201,8 +205,8 @@ def parse_scenario(text: str) -> Scenario:
     defaults_path = {"direction": DEFAULT_DIRECTION,
                      "amplitudes": [0.0, 3.0, 0.0],
                      "times": [0.0, time["T"] / 2.0, time["T"]]}
-    stress_path = {**defaults_path, **raw.get("stress_path", {})}
     _check_keys("stress_path", raw.get("stress_path", {}), _PATH_KEYS)
+    stress_path = {**defaults_path, **raw.get("stress_path", {})}
     if len(stress_path["direction"]) != 6:
         errors.append("direction needs 6 components (xx yy zz yz xz xy)")
     if len(stress_path["amplitudes"]) != len(stress_path["times"]):
@@ -236,14 +240,14 @@ def parse_scenario(text: str) -> Scenario:
         if any(r <= 0 for r in rhos) or any(np.diff(rhos) >= 0):
             errors.append("rhos must decrease strictly through positive values")
         scenario.rhos = rhos
-        grid = {"inside": 40, "outside": 10, **raw.get("grid", {})}
         _check_keys("grid", raw.get("grid", {}), _GRID_KEYS)
+        grid = {"inside": 40, "outside": 10, **raw.get("grid", {})}
         scenario.grid = grid
 
     if kind in ("bvp-run", "bvp-conv"):
+        _check_keys("mesh", raw.get("mesh", {}), _MESH_KEYS)
         mesh = {"extents": [1.0, 1.0, 1.0], "n": 2, "dirichlet": ["x0"],
                 **raw.get("mesh", {})}
-        _check_keys("mesh", raw.get("mesh", {}), _MESH_KEYS)
         if not (isinstance(mesh["n"], int) and mesh["n"] >= 1):
             errors.append("mesh n must be an integer >= 1")
         for pl in mesh["dirichlet"]:
@@ -290,10 +294,12 @@ def parse_scenario(text: str) -> Scenario:
             errors.append(f"{kind} requires a schedule section")
         else:
             _check_keys("schedule", sched, _SCHEDULE_KEYS)
-            # a bvp-conv study runs on the program's interval
+            # a study runs on the interval of its program or stress path
             end = time["T"]
             if kind == "bvp-conv" and scenario.program.get("times"):
                 end = scenario.program["times"][-1]
+            if kind == "conv-rho" and stress_path["times"]:
+                end = stress_path["times"][-1]
             sched = {"rho": material["rho"], "nu": material["nu"],
                      "tau": end / time["steps"], "n": 2, **sched}
             scenario.schedule = sched

@@ -2,9 +2,10 @@
 
 The gate (perfbench/gate.py) compares every artifact with the outputs
 recorded in perfbench/reference, within a column-scaled RTOL; without this
-test a drift would only show up in a benchmark run.  One cheap scenario of
-each gated kind except conv-tau, plus one bvp-conv study, runs through
-``run_scenario`` here.  The test reads perfbench/ and edits nothing there.
+test a drift would only show up in a benchmark run.  One scenario of each
+point-paths kind (gamma-table, conv-tau, point-test, conv-rho), plus one
+bvp-conv study, runs through ``run_scenario`` here.  The test reads
+perfbench/ and edits nothing there.
 """
 
 import importlib.util
@@ -32,6 +33,7 @@ workloads = _load("workloads")
 
 CASES = [
     ("point-paths", workloads.pool("point-paths")[0]),
+    ("point-paths", workloads.point_ops(0)[0]),
     ("point-paths", workloads.point_ops(0)[1]),
     ("point-paths", workloads.point_ops(0)[2]),
     ("bvp-schedule", workloads.pool("bvp-schedule")[0]),

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smaevol import quasistatic
+from smaevol import asymptotics, constitutive, quasistatic
 from smaevol.cli import main, run_scenario
 from smaevol.scenario import (ParseError, ValidationError, parse_scenario)
 
@@ -215,6 +215,38 @@ def test_bvp_conv_default_tau_spans_the_program(tmp_path, monkeypatch):
         return run(space, params, grid, *args, **kwargs)
 
     monkeypatch.setattr(quasistatic, "run_incremental_bvp", recording_run)
+    run_scenario(s, tmp_path)
+    assert steps and all(st == (8, 2.0) for st in steps)
+
+
+@pytest.mark.parametrize("kind,section", [("bvp-run", "program"),
+                                          ("point-test", "material"),
+                                          ("conv-rho", "schedule"),
+                                          ("bvp-conv", "mesh")])
+def test_non_object_section_is_a_schema_error(kind, section, tmp_path,
+                                              capsys):
+    # e.g. {"kind": "bvp-run", "program": []}
+    text = minimal(kind, **{section: []})
+    with pytest.raises(ParseError, match=f"{section} must be a JSON object"):
+        parse_scenario(text)
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    assert main([kind, "--scenario", str(path), "--dry-run"]) == 1
+    assert f"{section} must be a JSON object" in capsys.readouterr().err
+
+
+def test_conv_rho_default_tau_spans_the_stress_path(tmp_path, monkeypatch):
+    path = {"amplitudes": [0.0, 2.0, 0.0], "times": [0.0, 1.0, 2.0]}
+    s = parse_scenario(minimal("conv-rho", time={"steps": 8}, stress_path=path,
+                               schedule={"rho": [0.1, 0.05]}))
+    assert s.schedule["tau"] == 0.25
+    steps, run = [], constitutive.run_constitutive
+
+    def recording_run(p, path, grid, *args, **kwargs):
+        steps.append((grid.steps, grid.nodes[-1]))
+        return run(p, path, grid, *args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "run_constitutive", recording_run)
     run_scenario(s, tmp_path)
     assert steps and all(st == (8, 2.0) for st in steps)
 
