@@ -38,9 +38,10 @@ fallback step so the objective is non-increasing.  Its rowwise prox,
 prox_nodal, is closed-form whenever the kinks share a center (pure
 shrinkage, or radial shrink-then-project about the origin); the remaining
 case, a ball plus a shifted kink, is handled by the Dykstra-like proximal
-splitting, and a row that it leaves more than ROW_ATOL from the exact
-prox (by a first-order residual check, then a comparison with
-prox_nonsmooth) is redone exactly.
+splitting, and every row it leaves short of first-order optimality (by
+more than ROW_ATOL) is redone by prox_nonsmooth.  That check is a second
+evaluator of the same prox, kept only until the exact kernel runs
+rowwise and replaces the splitting.
 """
 
 import math
@@ -71,8 +72,8 @@ NEWTON_STEP_RTOL = 1e-12
 # 1 + |b| (or to the roundoff floor of the residual, if that is larger)
 RESIDUAL_RTOL = 1e-12
 
-# a row of the nodal Dykstra prox farther than this from the exact prox is
-# redone exactly
+# a row of the nodal Dykstra prox whose first-order residual exceeds this
+# is redone exactly
 ROW_ATOL = 1e-10
 
 
@@ -102,7 +103,9 @@ class PointProblem:
     the smooth non-quadratic radial core of the given material (rho > 0),
     which comes without the zero kink and the ball; None leaves a
     quadratic profile.  smooth and grad evaluate the differentiable part
-    c2 |z|^2 + core(|z|) - b.z.
+    c2 |z|^2 + core(|z|) - b.z.  solve_point uses grad only (in its
+    residual check); smooth is the value grad is checked against, and the
+    objective of the prox-gradient oracle in the tests.
     """
 
     b: np.ndarray
@@ -426,30 +429,29 @@ def prox_nodal(X, t, w_shift, anchors, w_zero=None, radius=None,
 
 
 def _checked_rows(X, t, w_shift, anchors, w_zero, radius, W, P):
-    """W with every row farther than ROW_ATOL from the exact prox redone.
+    """W with every row that is not first-order optimal redone exactly.
 
-    The splitting stops on an absolute drift test, which can end it early
-    at small scales or when the two kinks nearly coincide, and it returns
-    silently at dyk_max.  Its iterates keep X = W + P + Q with Q exactly a
-    subgradient of the radial kink and ball at W, so the distance from P
-    to the subdifferential of the shifted kink at W is a first-order
-    residual of the row; the prox objective is 1-strongly convex, so a row
-    whose residual is at most ROW_ATOL lies within ROW_ATOL of the prox.
-    Every other row is compared with the exact prox_nonsmooth and
-    replaced if the two differ by more than ROW_ATOL.
+    A stopgap beside the Dykstra loop, to be deleted with it once the
+    exact kernel runs rowwise.  The splitting stops on an absolute drift
+    test, which can end it early at small scales or when the two kinks
+    nearly coincide, and it returns silently at dyk_max.  Its iterates
+    keep X = W + P + Q with Q exactly a subgradient of the radial kink and
+    ball at W, so the distance from P to the subdifferential of the
+    shifted kink at W is a first-order residual of the row; the prox
+    objective is 1-strongly convex, so a row whose residual is at most
+    ROW_ATOL lies within ROW_ATOL of the prox.  Every other row is
+    replaced by prox_nonsmooth.
     """
     k1 = t * np.asarray(w_shift, dtype=float)
     D = W - anchors
     nd = np.sqrt((D * D).sum(axis=1))
-    off = nd > 64.0 * EPS * (1.0 + np.sqrt((W * W).sum(axis=1)))
-    R = P - (np.where(off, k1, 0.0) / np.where(off, nd, 1.0))[:, None] * D
-    res = np.sqrt((R * R).sum(axis=1)) - np.where(off, 0.0, k1)
+    on = nd <= 64.0 * EPS * (1.0 + np.sqrt((W * W).sum(axis=1)))
+    R = P - (k1 / np.where(on, np.inf, nd))[:, None] * D
+    res = np.sqrt((R * R).sum(axis=1)) - np.where(on, k1, 0.0)
     for i in np.flatnonzero(res > ROW_ATOL):
-        y = prox_nonsmooth(X[i], t, np.asarray(w_shift)[i], anchors[i],
-                           0.0 if w_zero is None else np.asarray(w_zero)[i],
-                           radius)
-        if _norm(y - W[i]) > ROW_ATOL:
-            W[i] = y
+        W[i] = prox_nonsmooth(X[i], t, np.asarray(w_shift)[i], anchors[i],
+                              0.0 if w_zero is None else np.asarray(w_zero)[i],
+                              radius)
     return W
 
 
