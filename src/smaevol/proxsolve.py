@@ -35,13 +35,9 @@ A field step minimizes the same structure nodewise on an (m, 5) field with
 per-node weights and a coupled strongly convex smooth part.  It is solved
 by proximal gradient with a Barzilai-Borwein step, safeguarded by the 1/L
 fallback step so the objective is non-increasing.  Its rowwise prox,
-prox_nodal, is closed-form whenever the kinks share a center (pure
-shrinkage, or radial shrink-then-project about the origin); the remaining
-case, a ball plus a shifted kink, is handled by the Dykstra-like proximal
-splitting, and every row it leaves short of first-order optimality (by
-more than ROW_ATOL) is redone by prox_nonsmooth.  That check is a second
-evaluator of the same prox, kept only until the exact kernel runs
-rowwise and replaces the splitting.
+prox_nodal, is a shrinkage about each anchor without the zero kink and
+the ball; otherwise every row runs the plane prox of prox_nonsmooth, its
+change of coordinates and residual check vectorized over the rows.
 """
 
 import math
@@ -71,10 +67,6 @@ NEWTON_STEP_RTOL = 1e-12
 # a point solution must be first-order optimal to this fraction of
 # 1 + |b| (or to the roundoff floor of the residual, if that is larger)
 RESIDUAL_RTOL = 1e-12
-
-# a row of the nodal Dykstra prox whose first-order residual exceeds this
-# is redone exactly
-ROW_ATOL = 1e-10
 
 
 class NonConvergence(Exception):
@@ -178,11 +170,7 @@ def prox_nonsmooth(x, t, w_shift, anchor, w_zero=0.0, radius=None):
         z = np.zeros_like(x)
     else:
         alpha = (A, 0.0)
-        y = None
-        if radius is not None:
-            y = _sphere_prox(xi, alpha, k0, k1, radius, trail)
-        if y is None:
-            y = _interior_prox(xi, alpha, k0, k1, trail)
+        y = _plane_prox(xi, alpha, k0, k1, radius, trail)
         z = _embed(y, alpha, anchor, e1, e2)
     _check(z, z - x, ((np.zeros_like(z), k0), (anchor, k1)), radius, 1.0,
            1.0 + _norm(x), trail)
@@ -287,6 +275,13 @@ def _multiplier_root(g, lo, guess, trail):
                          f"steps; |g| trail {_trail(trail)}")
 
 
+def _plane_prox(xi, alpha, k0, k1, radius, trail):
+    """prox_nonsmooth in plane coordinates."""
+    y = None if radius is None else _sphere_prox(xi, alpha, k0, k1, radius,
+                                                 trail)
+    return _interior_prox(xi, alpha, k0, k1, trail) if y is None else y
+
+
 def _sphere_prox(xi, alpha, k0, k1, r, trail):
     """The prox when the ball is active at it, else None (plane coordinates).
 
@@ -336,10 +331,12 @@ def _plane_root(slopes, modulus, beta, alpha, w, trail):
         d1, d2 = slopes(s)
         return mu * s - d1, s + (mu - d2) * ds, x
 
-    # the anchor's own multiplier F'(A)/A is the first guess
+    # the anchor's own multiplier F'(A)/A is the first guess, unless the
+    # anchor is below beta's roundoff: at a kink of F it is then so large
+    # that g' underflows there and Newton steps only about halve mu
     A = alpha[0]
     d1, d2 = slopes(A)
-    guess = min(d1 / A, MU_MAX) if A > 0.0 else d2
+    guess = min(d1 / A, MU_MAX) if A > EPS * math.hypot(*beta) else d2
     x = _multiplier_root(g, modulus, guess if guess > modulus else 2.0 * modulus,
                          trail)
     # a root beyond MU_MAX puts the minimizer within F'(0+)/MU_MAX of the
@@ -385,74 +382,75 @@ def _check(z, g, kinks, radius, curvature, scale, trail):
 # vectorized nodal variant for finite-element z-fields
 
 
-def prox_nodal(X, t, w_shift, anchors, w_zero=None, radius=None,
-               dyk_tol=1e-12, dyk_max=500):
+def prox_nodal(X, t, w_shift, anchors, w_zero=None, radius=None):
     """Rowwise prox for a field of nodal problems; X and anchors are (m, 5).
 
     w_shift / w_zero are per-node weights (already including quadrature
-    weights).  All rows iterate jointly in the Dykstra branch.
+    weights) or one weight for all nodes.  Without the zero kink and the
+    ball a row is a shrinkage about its anchor, else prox_nonsmooth's.
     """
-    X = np.asarray(X, dtype=float)
-    k1 = (t * np.asarray(w_shift, dtype=float))[:, None]
+    X, anchors = np.asarray(X, dtype=float), np.asarray(anchors, dtype=float)
+    k1 = t * np.asarray(w_shift, dtype=float)
     if w_zero is None and radius is None:
         U = X - anchors
         n = np.linalg.norm(U, axis=1, keepdims=True)
-        scale = np.maximum(1.0 - k1 / np.maximum(n, 1e-300), 0.0)
+        scale = np.maximum(1.0 - k1[..., None] / np.maximum(n, 1e-300), 0.0)
         return anchors + U * scale
-
-    def shrink(V, k, centers):
-        U = V - centers
-        n = np.linalg.norm(U, axis=1, keepdims=True)
-        return centers + U * np.maximum(1.0 - k / np.maximum(n, 1e-300), 0.0)
-
-    def radial(V, k):
-        n = np.linalg.norm(V, axis=1, keepdims=True)
-        m = np.maximum(n - k, 0.0)
-        if radius is not None:
-            m = np.minimum(m, radius)
-        return V * (m / np.maximum(n, 1e-300))
-
-    k0 = (t * np.asarray(w_zero, dtype=float))[:, None] if w_zero is not None else 0.0
-    P = np.zeros_like(X)
-    Q = np.zeros_like(X)
-    W = X.copy()
-    for _ in range(dyk_max):
-        Y = shrink(W + P, k1, anchors)
-        P = W + P - Y
-        W_new = radial(Y + Q, k0)
-        Q = Y + Q - W_new
-        drift = max(np.abs(W_new - W).max(), np.abs(W_new - Y).max())
-        if drift <= dyk_tol:
-            break
-        W = W_new
-    return _checked_rows(X, t, w_shift, anchors, w_zero, radius, W_new, P)
+    zero = np.zeros(len(X))  # adding it gives a single weight to every row
+    k1 = zero + k1
+    k0 = zero if w_zero is None else zero + t * np.asarray(w_zero, dtype=float)
+    # _plane of every row; where x = anchor = 0 the plane coordinates are
+    # zero and so is the prox
+    A, nx = np.hypot.reduce(anchors, axis=1), np.hypot.reduce(X, axis=1)
+    E1 = _unit_rows(np.where((A > 0.0)[:, None], anchors, X),
+                    np.where(A > 0.0, A, nx))
+    xi0 = np.einsum("ij,ij->i", X, E1)
+    perp = X - xi0[:, None] * E1
+    xi1 = np.hypot.reduce(perp, axis=1)
+    E2 = _unit_rows(perp, xi1)
+    rows = zip(*(v.tolist() for v in (xi0, xi1, A, k0, k1)))
+    Y = np.array([_plane_prox((x0, x1), (a, 0.0), c0, c1, radius, [])
+                  for x0, x1, a, c0, c1 in rows]).reshape(-1, 2)
+    # a row stuck at its anchor is the anchor itself
+    stuck = (Y[:, 0] == A) & (Y[:, 1] == 0.0)
+    Z = np.where(stuck[:, None], anchors, Y[:, :1] * E1 + Y[:, 1:] * E2)
+    _check_rows(Z, X, nx, anchors, A, k0, k1, radius)
+    return Z
 
 
-def _checked_rows(X, t, w_shift, anchors, w_zero, radius, W, P):
-    """W with every row that is not first-order optimal redone exactly.
+def _unit_rows(V, n):
+    """Rows of V / n, n = |V| rowwise: zero rows stay, subnormal n rescaled."""
+    U = V / np.where(n > 0.0, n, 1.0)[:, None]
+    sub = (n > 0.0) & (n < TINY)
+    if sub.any():
+        U[sub] /= np.hypot.reduce(U[sub], axis=1)[:, None]
+    return U
 
-    A stopgap beside the Dykstra loop, to be deleted with it once the
-    exact kernel runs rowwise.  The splitting stops on an absolute drift
-    test, which can end it early at small scales or when the two kinks
-    nearly coincide, and it returns silently at dyk_max.  Its iterates
-    keep X = W + P + Q with Q exactly a subgradient of the radial kink and
-    ball at W, so the distance from P to the subdifferential of the
-    shifted kink at W is a first-order residual of the row; the prox
-    objective is 1-strongly convex, so a row whose residual is at most
-    ROW_ATOL lies within ROW_ATOL of the prox.  Every other row is
-    replaced by prox_nonsmooth.
-    """
-    k1 = t * np.asarray(w_shift, dtype=float)
-    D = W - anchors
-    nd = np.sqrt((D * D).sum(axis=1))
-    on = nd <= 64.0 * EPS * (1.0 + np.sqrt((W * W).sum(axis=1)))
-    R = P - (k1 / np.where(on, np.inf, nd))[:, None] * D
-    res = np.sqrt((R * R).sum(axis=1)) - np.where(on, k1, 0.0)
-    for i in np.flatnonzero(res > ROW_ATOL):
-        W[i] = prox_nonsmooth(X[i], t, np.asarray(w_shift)[i], anchors[i],
-                              0.0 if w_zero is None else np.asarray(w_zero)[i],
-                              radius)
-    return W
+
+def _check_rows(Z, X, nx, anchors, A, k0, k1, radius):
+    """_check of every row of a nodal prox, nx and A the row norms of X and
+    the anchors; the NonConvergence names the first row that fails."""
+    V = X - Z
+    nz = np.hypot.reduce(Z, axis=1)
+    floor, budget = 1.0 + nz, 0.0
+    Za = Z - anchors
+    for D, nd, nc, k in ((Z, nz, 0.0, k0),
+                         (Za, np.hypot.reduce(Za, axis=1), A, k1)):
+        off = nd > 64.0 * EPS * (1.0 + nz)
+        c = k * off / np.where(off, nd, 1.0)
+        V -= c[:, None] * D
+        floor += c * (nz + nc)
+        budget += k * ~off
+    if radius is not None:
+        on = nz >= radius * (1.0 - 1e-12)
+        push = np.maximum(0.0, np.einsum("ij,ij->i", V, Z)) * on
+        V -= (push / np.where(on, nz * nz, 1.0))[:, None] * Z
+    res = np.hypot.reduce(V, axis=1) - budget
+    bound = np.maximum(RESIDUAL_RTOL * (1.0 + nx), 64.0 * EPS * floor)
+    if not np.all(res <= bound):  # also catches a nan
+        i = int(np.argmin(res <= bound))
+        raise NonConvergence(f"nodal prox row {i} left first-order residual "
+                             f"{res[i]:.3e} (bound {bound[i]:.3e})")
 
 
 def project_ball(z, radius):

@@ -144,7 +144,7 @@ class QuasistaticSolver:
 
         fp = StepProblem(smooth, grad, self.z_lipschitz, w_shift, anchors,
                          w_zero, radius)
-        res = math.inf
+        trail, res = [], math.inf
         floor = 64.0 * np.finfo(float).eps * self.z_lipschitz
         for sweep in range(MAX_SWEEPS):
             v = self.solve_v(self.forms.Cup @ z + L_u)
@@ -152,10 +152,12 @@ class QuasistaticSolver:
             res = fp.residual(z.reshape(-1, 5))
             if res <= max(tol * scale, floor * (1.0 + np.linalg.norm(z))):
                 return v, z, {"sweeps": sweep, "residual": res}
+            trail.append(res)
             inner_tol = max(0.2 * res, 0.45 * tol * scale)
             z = solve_field(fp, z.reshape(-1, 5), inner_tol).ravel()
         raise NonConvergence(
-            f"step stalled at joint residual {res:.3e} after {MAX_SWEEPS} sweeps")
+            f"step stalled at joint residual {res:.3e} after {MAX_SWEEPS} "
+            f"sweeps; joint residuals {' '.join(f'{r:.2e}' for r in trail)}")
 
 
 def solve_bvp_step(solver: QuasistaticSolver, u_dir, load_u, anchor):

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -292,8 +295,8 @@ def test_newton_cap_raises_with_the_residual_trail(monkeypatch):
 
 
 def test_point_path_runs_no_iterative_loop(monkeypatch):
-    # the point step is exact: neither the prox-gradient loop nor the
-    # Dykstra splitting of the field kernel runs for it
+    # the point step is exact: neither the prox-gradient loop of the field
+    # step nor the field's rowwise prox runs for it
     def forbidden(*args, **kwargs):
         raise AssertionError("iterative field solver on the point path")
 
@@ -307,10 +310,11 @@ def test_point_path_runs_no_iterative_loop(monkeypatch):
             z = st_.z
 
 
-def test_nodal_prox_redoes_rows_the_splitting_leaves_short():
-    # rows on which the Dykstra splitting stops early (small scale, two
-    # kinks 6e-8 apart, slow progress along the sphere): the nodal prox
-    # returns the exact prox on each, alone and stacked with a benign row
+def test_nodal_prox_is_exact_on_rows_the_splitting_leaves_short():
+    # rows on which the Dykstra splitting of the oracle stops early (small
+    # scale, two kinks 6e-8 apart, slow progress along the sphere): the
+    # nodal prox returns the exact prox on each, alone and stacked with a
+    # benign row
     rows = [  # x, anchor, t, w_shift, w_zero, radius
         ([0.0, 0.0, 1e-08, 1e-4, 0.0], [0.0, 0.0, 1e-08, 1e-4, 0.0],
          1.0214037588166038, 1.2963609533099623, 1.2963609533099623, 0.1),
@@ -333,3 +337,113 @@ def test_nodal_prox_redoes_rows_the_splitting_leaves_short():
         assert np.linalg.norm(out[0] - exact) <= 1e-10
         assert np.linalg.norm(out[1] - prox_nonsmooth(benign[0], t, w1, benign[1],
                                                       w0, r)) <= 1e-10
+
+
+@pytest.mark.parametrize("w_zero,radius", [(None, None), (0.3, None),
+                                           (None, 1.0), (0.3, 1.0)])
+def test_field_solve_takes_one_weight_for_all_nodes(w_zero, radius):
+    # StepProblem declares float weights: a float weighs every node alike,
+    # bit for bit as the per-node array of the same value
+    fp = coupled_field_problem(4, np.random.default_rng(43))
+    m = len(fp.anchor)
+    one = replace(fp, w_shift=0.2, w_zero=w_zero, radius=radius)
+    per_node = replace(fp, w_shift=np.full(m, 0.2), radius=radius,
+                       w_zero=None if w_zero is None else np.full(m, w_zero))
+    z_one = solve_field(one, fp.anchor, TOL)
+    z_per_node = solve_field(per_node, fp.anchor, TOL)
+    assert np.array_equal(z_one, z_per_node)
+    assert one.nonsmooth(z_one) == per_node.nonsmooth(z_one)
+
+
+_row = st.tuples(
+    st.sampled_from(("zero", "collinear", "general", "subnormal",
+                     "saturated")),
+    st.lists(st.floats(-3, 3), min_size=5, max_size=5),
+    st.lists(st.floats(-1, 1), min_size=5, max_size=5),
+    st.floats(-1.5, 1.5),           # anchor length (collinear: x's multiple)
+    st.floats(-8.0, 0.0),           # log10 of the row's scale
+    st.floats(-323.0, -308.0),      # log10 of a subnormal anchor's length
+    st.floats(0.0, 2.0),            # w_shift
+    st.just(0.0) | st.floats(0.0, 2.0))  # w_zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_row, min_size=1, max_size=8), t=st.floats(0.01, 3.0),
+       zero_kink=st.booleans(), radius=st.none() | st.floats(0.05, 1.0))
+def test_nodal_prox_matches_the_point_prox_row_by_row(rows, t, zero_kink,
+                                                      radius):
+    # a batch mixes every kind of row, so a mask that leaks from one row
+    # into another shows as a row off its own point prox
+    X, A, W1, W0 = [], [], [], []
+    for kind, x, direction, length, log_scale, log_tiny, w1, w0 in rows:
+        scale = 10.0 ** log_scale
+        x, d = np.array(x) * scale, np.array(direction)
+        d = d / np.linalg.norm(d) if np.linalg.norm(d) > 1e-3 else np.eye(5)[0]
+        a = {"zero": np.zeros(5), "collinear": length * x,
+             "general": length * scale * d, "subnormal": 10.0 ** log_tiny * d,
+             "saturated": (1.0 if radius is None else radius) * d}[kind]
+        X.append(x), A.append(a), W1.append(w1 * scale), W0.append(w0 * scale)
+    X, A = np.array(X), np.array(A)
+    Z = prox_nodal(X, t, np.array(W1), A, np.array(W0) if zero_kink else None,
+                   radius)
+    for x, a, w1, w0, z in zip(X, A, W1, W0, Z):
+        w0 = w0 if zero_kink else 0.0
+        y = prox_nonsmooth(x, t, w1, a, w0, radius)
+        assert np.linalg.norm(z - y) <= 1e-12 * (1.0 + np.linalg.norm(x))
+        # well inside the anchor's stuck region (and off the sphere) the
+        # row is the anchor itself, bit for bit; scaled norms, as anchors
+        # may be subnormal
+        margin = 64.0 * np.finfo(float).eps * (math.hypot(*x) + math.hypot(*a))
+        if (math.hypot(*(x - a)) + t * w0 + margin < 0.5 * t * w1
+                and (radius is None or math.hypot(*a) <= radius * (1 - 1e-9))):
+            assert np.array_equal(z, a)
+
+
+def test_nodal_rows_stuck_at_their_anchors_are_the_anchors():
+    # x within w_shift - w_zero of its anchor, inside the ball: the prox
+    # is the anchor, copied bit for bit (|a| (a / |a|) need not be a)
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((200, 5)) * rng.uniform(1e-3, 1.0, (200, 1))
+    X = A + 1e-3 * rng.standard_normal((200, 5))
+    for radius in (None, 10.0):
+        Z = prox_nodal(X, 1.0, np.full(200, 0.5), A, np.full(200, 0.1), radius)
+        assert np.array_equal(Z, A)
+
+
+def test_field_newton_cap_raises_with_the_residual_trail(monkeypatch):
+    fp = coupled_field_problem(3, np.random.default_rng(31))
+    solve_field(fp, fp.anchor, TOL)
+    monkeypatch.setattr(proxsolve, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NonConvergence,
+                       match=r"stalled after 1 steps; \|g\| trail "
+                             r"\d\.\d\de[+-]\d\d$"):
+        solve_field(fp, fp.anchor, TOL)
+
+
+def test_nodal_row_check_names_the_row_that_fails(monkeypatch):
+    # an interior prox that always answers "stuck at the anchor" is right
+    # on row 0 (x at its anchor, |w_zero| <= w_shift) and wrong on row 1
+    X = np.array([[0.3, 0.1, 0.0, 0.0, 0.0], [2.0, -1.0, 0.5, 0.0, 0.0]])
+    A = np.array([[0.3, 0.1, 0.0, 0.0, 0.0], [0.1, 0.2, 0.0, 0.0, 0.0]])
+    prox_nodal(X, 1.0, [0.5, 0.5], A, [0.2, 0.2])
+    monkeypatch.setattr(proxsolve, "_interior_prox",
+                        lambda xi, alpha, k0, k1, trail: alpha)
+    number = r"\d\.\d{3}e[+-]\d\d"
+    with pytest.raises(NonConvergence,
+                       match=rf"^nodal prox row 1 left first-order residual "
+                             rf"{number} \(bound {number}\)$"):
+        prox_nodal(X, 1.0, [0.5, 0.5], A, [0.2, 0.2])
+
+
+def test_tiny_anchor_at_the_kink_does_not_stall_the_root():
+    # an anchor far below the roundoff of x made the anchor's multiplier
+    # guess so large that the root's Newton steps only halved it; with no
+    # shifted kink the prox is the radial shrinkage of x
+    x = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+    for A in (1e-320, 1e-310, 1e-200, 1e-150):
+        for w1 in (0.0, 1e-20):
+            a = np.array([A, 0.0, 0.0, 0.0, 0.0])
+            y = prox_nonsmooth(x, 1.0, w1, a, 0.5)
+            assert np.linalg.norm(y - 0.5 * x) <= 1e-12
+            y_nodal = prox_nodal(x[None], 1.0, w1, a[None], 0.5)[0]
+            assert np.linalg.norm(y_nodal - y) <= 1e-12

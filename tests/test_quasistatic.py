@@ -259,10 +259,17 @@ def test_dual_norms_without_active_channel_are_zero_without_a_solve(
 
 def test_failing_step_is_named(monkeypatch):
     monkeypatch.setattr(quasistatic, "MAX_SWEEPS", 1)
-    with pytest.raises(NonConvergence, match=r"^step 1 at t = 0\.25: step "
-                                             r"stalled .* after 1 sweeps"):
+    with pytest.raises(NonConvergence,
+                       match=r"^step 1 at t = 0\.25: step stalled .* after 1 "
+                             r"sweeps") as err:
         run_incremental_bvp(space_n(2), P_SMOOTH, TimeGrid.uniform(1.0, 4),
                             pull_program())
+    msg = str(err.value)
+    trail = [float(r) for r in msg.split("joint residuals ")[1].split()]
+    last = float(msg.split("joint residual ")[1].split()[0])
+    # one sweep ran: its residual, to the two printed precisions
+    assert len(trail) == 1 and trail[0] > 0.0
+    assert trail[0] == pytest.approx(last, rel=1e-2)
 
 
 def test_bound_cg_exhaustion_reports_its_residual_trail(monkeypatch):
