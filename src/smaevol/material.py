@@ -81,51 +81,63 @@ class MaterialParams:
         return 2.0 * self.c2 + self.core_curvature
 
 
+def _beyond_ball(p: MaterialParams, r, piece):
+    """piece(s, delta) at s = r - c3 on the entries outside the ball, exact
+    zeros inside it.  A NaN radius counts as outside, so phi and phi' of it
+    stay NaN."""
+    s = np.asarray(r, dtype=float) - p.c3
+    if s.ndim == 0:     # a scalar radius: s is a numpy scalar, no mask
+        return 0.0 if s <= 0 else float(piece(s, p.delta))
+    out = np.zeros(s.shape)
+    outside = ~(s <= 0)
+    if outside.any():
+        out[outside] = piece(s[outside], p.delta)
+    return out
+
+
+def _phi(s, d):
+    return np.where(
+        s <= d, s ** 3 / d ** 2,
+        np.where(s <= 2 * d,
+                 6.0 * s ** 2 / d - s ** 3 / d ** 2 - 6.0 * s + 2.0 * d,
+                 6.0 * s - 6.0 * d))
+
+
+def _phi_d1(s, d):
+    return np.where(
+        s <= d, 3.0 * s ** 2 / d ** 2,
+        np.where(s <= 2 * d, 12.0 * s / d - 3.0 * s ** 2 / d ** 2 - 6.0, 6.0))
+
+
+def _phi_d2(s, d):
+    return np.where(s <= d, 6.0 * s / d ** 2,
+                    np.where(s <= 2 * d, (12.0 * d - 6.0 * s) / d ** 2, 0.0))
+
+
 def penalty(p: MaterialParams, r):
     """Constraint penalty phi: zero on [0, c3], C^{2,1}, phi' bounded by 6.
 
     phi'' is the piecewise-linear hat rising from 0 at c3 to 6/delta at
-    c3 + delta and back to 0 at c3 + 2 delta; phi' = 6 beyond.  A float
+    c3 + delta and back to 0 at c3 + 2 delta; phi' = 6 beyond.  Only the
+    radii beyond c3 are evaluated; the others get exact zeros.  A float
     r inside the ball returns 0.0 at once (the radial cores pass their r
-    through unconverted for this), as np.where would.
+    through unconverted for this).
     """
     if isinstance(r, float) and r <= p.c3:
         return 0.0
-    d = p.delta
-    s = np.asarray(r, dtype=float) - p.c3
-    out = np.where(
-        s <= 0, 0.0,
-        np.where(
-            s <= d, s ** 3 / d ** 2,
-            np.where(s <= 2 * d,
-                     6.0 * s ** 2 / d - s ** 3 / d ** 2 - 6.0 * s + 2.0 * d,
-                     6.0 * s - 6.0 * d)))
-    return out if out.ndim else float(out)
+    return _beyond_ball(p, r, _phi)
 
 
 def penalty_d1(p: MaterialParams, r):
     if isinstance(r, float) and r <= p.c3:
         return 0.0
-    d = p.delta
-    s = np.asarray(r, dtype=float) - p.c3
-    out = np.where(
-        s <= 0, 0.0,
-        np.where(
-            s <= d, 3.0 * s ** 2 / d ** 2,
-            np.where(s <= 2 * d, 12.0 * s / d - 3.0 * s ** 2 / d ** 2 - 6.0, 6.0)))
-    return out if out.ndim else float(out)
+    return _beyond_ball(p, r, _phi_d1)
 
 
 def penalty_d2(p: MaterialParams, r):
     if isinstance(r, float) and r <= p.c3:
         return 0.0
-    d = p.delta
-    s = np.asarray(r, dtype=float) - p.c3
-    out = np.where(
-        s <= 0, 0.0,
-        np.where(s <= d, 6.0 * s / d ** 2,
-                 np.where(s <= 2 * d, (12.0 * d - 6.0 * s) / d ** 2, 0.0)))
-    return out if out.ndim else float(out)
+    return _beyond_ball(p, r, _phi_d2)
 
 
 def transformation_energy_sharp(p: MaterialParams, z) -> float:

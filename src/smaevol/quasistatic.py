@@ -117,22 +117,34 @@ class QuasistaticSolver:
         """Minimize W(v,z) - <L,(v,z)> + R |z - anchor| over the v,z fields,
         starting the alternation from z = anchor."""
         p = self.params
-        z = anchor.copy()
         anchors = anchor.reshape(-1, 5)
+        z = anchors.copy()
         w_shift = self.w * p.R
         w_zero = self.w * p.c1 if p.rho == 0 else None
         radius = p.c3 if p.rho == 0 else None
         scale = 1.0 + np.linalg.norm(L_u) + np.linalg.norm(L_z)
 
+        # smooth and grad share the product A_z z of one iterate through a
+        # one-entry memo keyed on the iterate object: _prox_gradient passes
+        # the array it evaluated smooth on to grad next, each sweep's
+        # residual is taken at the iterate solve_field returned, and neither
+        # ever writes into an iterate (holding the object keeps its id alive)
+        memo = [None, None]
+
+        def a_z(Z):
+            if memo[0] is not Z:
+                memo[0], memo[1] = Z, self.A_z @ Z.ravel()
+            return memo[1]
+
         # one step problem for every sweep: smooth and grad read the current
         # right-hand side b of the z-problem, which each sweep reassigns
         def smooth(Z):
             zf = Z.ravel()
-            val = 0.5 * float(zf @ (self.A_z @ zf)) - float(b @ zf)
+            val = 0.5 * float(zf @ a_z(Z)) - float(b @ zf)
             return val + self.core_energy(zf) if p.rho > 0 else val
 
         def grad(Z):
-            g = (self.A_z @ Z.ravel() - b).reshape(-1, 5)
+            g = (a_z(Z) - b).reshape(-1, 5)
             if p.rho > 0:
                 r = np.linalg.norm(Z, axis=1)
                 fac = np.zeros_like(r)
@@ -147,14 +159,14 @@ class QuasistaticSolver:
         trail, res = [], math.inf
         floor = 64.0 * np.finfo(float).eps * self.z_lipschitz
         for sweep in range(MAX_SWEEPS):
-            v = self.solve_v(self.forms.Cup @ z + L_u)
+            v = self.solve_v(self.forms.Cup @ z.ravel() + L_u)
             b = self.forms.Cup.T @ v + L_z
-            res = fp.residual(z.reshape(-1, 5))
+            res = fp.residual(z)
             if res <= max(tol * scale, floor * (1.0 + np.linalg.norm(z))):
-                return v, z, {"sweeps": sweep, "residual": res}
+                return v, z.ravel(), {"sweeps": sweep, "residual": res}
             trail.append(res)
             inner_tol = max(0.2 * res, 0.45 * tol * scale)
-            z = solve_field(fp, z.reshape(-1, 5), inner_tol).ravel()
+            z = solve_field(fp, z, inner_tol)
         raise NonConvergence(
             f"step stalled at joint residual {res:.3e} after {MAX_SWEEPS} "
             f"sweeps; joint residuals {' '.join(f'{r:.2e}' for r in trail)}")

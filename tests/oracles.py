@@ -8,7 +8,9 @@ dual energy norms of load functionals come from a sparse LU of the whole
 constrained (u, z) energy matrix.  The exact point kernel is checked
 against the iterative solvers it replaced: the Barzilai-Borwein
 prox-gradient loop on a point, and the scalar Dykstra splitting for the
-prox of two kinks and the ball.
+prox of two kinks and the ball.  The constraint penalty and its
+derivatives are checked bit for bit against their whole-array nested
+``np.where`` evaluation, which computes every piece on every entry.
 """
 
 import itertools
@@ -19,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from smaevol.material import radial_core_value
+from smaevol.material import MaterialParams, radial_core_value
 from smaevol.proxsolve import NonConvergence, project_ball
 from smaevol.tensors import dev_split
 
@@ -156,6 +158,50 @@ def joint_lu_dual_norms(solver, L_list):
         Lc = L[free]
         out.append(math.sqrt(max(float(Lc @ lu.solve(Lc)), 0.0)))
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# the whole-array penalty the masked evaluation replaced
+
+
+def penalty(p: MaterialParams, r):
+    if isinstance(r, float) and r <= p.c3:
+        return 0.0
+    d = p.delta
+    s = np.asarray(r, dtype=float) - p.c3
+    out = np.where(
+        s <= 0, 0.0,
+        np.where(
+            s <= d, s ** 3 / d ** 2,
+            np.where(s <= 2 * d,
+                     6.0 * s ** 2 / d - s ** 3 / d ** 2 - 6.0 * s + 2.0 * d,
+                     6.0 * s - 6.0 * d)))
+    return out if out.ndim else float(out)
+
+
+def penalty_d1(p: MaterialParams, r):
+    if isinstance(r, float) and r <= p.c3:
+        return 0.0
+    d = p.delta
+    s = np.asarray(r, dtype=float) - p.c3
+    out = np.where(
+        s <= 0, 0.0,
+        np.where(
+            s <= d, 3.0 * s ** 2 / d ** 2,
+            np.where(s <= 2 * d, 12.0 * s / d - 3.0 * s ** 2 / d ** 2 - 6.0, 6.0)))
+    return out if out.ndim else float(out)
+
+
+def penalty_d2(p: MaterialParams, r):
+    if isinstance(r, float) and r <= p.c3:
+        return 0.0
+    d = p.delta
+    s = np.asarray(r, dtype=float) - p.c3
+    out = np.where(
+        s <= 0, 0.0,
+        np.where(s <= d, 6.0 * s / d ** 2,
+                 np.where(s <= 2 * d, (12.0 * d - 6.0 * s) / d ** 2, 0.0)))
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

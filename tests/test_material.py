@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from smaevol import material
 from smaevol.material import (MaterialParams, penalty, penalty_d1, penalty_d2,
                               stored_energy_density, transformation_energy_grad,
                               transformation_energy_hess,
@@ -67,6 +69,44 @@ def test_penalty_shape():
         h = 1e-7
         assert penalty_d1(p, r0 + h) == pytest.approx(penalty_d1(p, r0 - h), abs=1e-4)
         assert penalty(p, r0 + h) == pytest.approx(penalty(p, r0 - h), abs=5e-6)
+
+
+def _penalty_inputs(p):
+    """Radii that cover every branch, the knots, non-finite values and
+    every accepted input type."""
+    d = p.delta
+    knots = np.array([p.c3, p.c3 + d, p.c3 + 2 * d])
+    grid = np.concatenate([np.linspace(0.0, p.c3 + 3 * d, 601), knots,
+                           np.nextafter(knots, -np.inf),
+                           np.nextafter(knots, np.inf)])
+    assert set(knots) <= set(grid)
+    rng = np.random.default_rng(11)
+    inside = rng.uniform(0.0, p.c3, 1331)
+    outside = p.c3 + rng.uniform(1e-12, 4 * d, 1331)
+    mixed = np.array([0.5, np.nan, p.c3 + 0.5 * d, np.inf, -np.inf, p.c3,
+                      p.c3 + 1.5 * d, np.nan, p.c3 + 5 * d])
+    return [grid, inside, outside, mixed, inside.reshape(-1, 11),
+            np.full(4, np.nan), np.array([np.inf, -np.inf]), np.array([]),
+            np.array(0.5), np.array(p.c3 + 0.5 * d), np.array(np.nan),
+            np.float64(0.5), np.float64(p.c3 + 1.5 * d), np.float64(np.nan),
+            0, 2, 0.5, p.c3, p.c3 + 0.5 * d, p.c3 + 5 * d, math.nan, math.inf,
+            [0.5, p.c3 + 0.5 * d, p.c3 + 1.5 * d, p.c3 + 5 * d]]
+
+
+@pytest.mark.parametrize("name", ["penalty", "penalty_d1", "penalty_d2"])
+@pytest.mark.parametrize("p", [P0, MaterialParams(c3=0.7, delta=0.03)],
+                         ids=["default", "narrow"])
+def test_masked_penalty_matches_the_whole_array_oracle_bit_for_bit(name, p):
+    # the masked evaluation skips the radii inside the ball; every value,
+    # NaN included (a NaN iterate must still fail the residual check), and
+    # every return type must stay as the whole-array evaluation had them
+    new, old = getattr(material, name), getattr(oracles, name)
+    for r in _penalty_inputs(p):
+        with np.errstate(invalid="ignore", over="ignore"):   # inf - inf
+            got, want = new(p, r), old(p, r)
+        assert type(got) is type(want), r
+        assert np.array_equal(got, want, equal_nan=True), r
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), r
 
 
 def test_penalty_derivatives_consistent():

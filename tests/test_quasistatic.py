@@ -9,7 +9,7 @@ from smaevol import quasistatic
 from smaevol.constitutive import TimeGrid, UnstableInitialState
 from smaevol.fem import LoadProgram, assemble_load, box_mesh, build_space
 from smaevol.material import MaterialParams
-from smaevol.proxsolve import NonConvergence
+from smaevol.proxsolve import NonConvergence, StepProblem
 from smaevol.quasistatic import (BvpProblem, QuasistaticSolver,
                                  SingularSystem, _dual_norms, nstep_h_convergence,
                                  run_incremental_bvp, solve_bvp_step,
@@ -86,6 +86,43 @@ def test_step_objective_decreases_and_long_run_consistency():
 
     assert objective(v1, z1) <= objective(np.zeros_like(v1), anchor) + 1e-12
     assert abs(objective(v1, z1) - objective(v2, z2)) < 1e-9
+
+
+class _CountingMatrix:
+    """Stands in for a sparse matrix and counts its matrix-vector products."""
+
+    def __init__(self, A):
+        self.A, self.products = A, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.A @ x
+
+
+@pytest.mark.parametrize("p", [P_SMOOTH, P_SHARP], ids=["smooth", "sharp"])
+def test_step_multiplies_each_iterate_by_the_z_matrix_once(p, monkeypatch):
+    space = space_n(2)
+    L_u = assemble_load(space, pull_program(peak=4.0, unload=False), 1.0)
+    L_z, anchor = np.zeros(space.n_z), np.zeros(space.n_z)
+    smooth_calls = []
+
+    def counting_problem(smooth, *rest):
+        def counted(Z):
+            smooth_calls.append(1)
+            return smooth(Z)
+        return StepProblem(counted, *rest)
+
+    solver = QuasistaticSolver(space, p)
+    solver.A_z = counting = _CountingMatrix(solver.A_z)
+    with monkeypatch.context() as m:
+        m.setattr(quasistatic, "StepProblem", counting_problem)
+        v, z, info = solver.solve_step(L_u, L_z, anchor)
+    assert info["sweeps"] >= 1
+    # smooth and grad share the product of an iterate; without the memo
+    # there is one product per smooth and per grad call
+    assert counting.products <= len(smooth_calls) + info["sweeps"]
+    v0, z0, _ = QuasistaticSolver(space, p).solve_step(L_u, L_z, anchor)
+    assert np.array_equal(v, v0) and np.array_equal(z, z0)
 
 
 def test_single_step_grid_equals_step_call():

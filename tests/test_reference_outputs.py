@@ -3,9 +3,12 @@
 The gate (perfbench/gate.py) compares every artifact with the outputs
 recorded in perfbench/reference, within a column-scaled RTOL; without this
 test a drift would only show up in a benchmark run.  One scenario of each
-point-paths kind (gamma-table, conv-tau, point-test, conv-rho), plus one
-bvp-conv study, runs through ``run_scenario`` here.  The test reads
-perfbench/ and edits nothing there.
+point-paths kind (gamma-table, conv-tau, point-test, conv-rho), one
+bvp-conv study and one bvp-fine run (n = 10) run through ``run_scenario``
+here.  The bvp-fine run is the only case in which field nodes leave the
+transformation ball, so it pins the nodal constraint penalty beyond c3
+(the bvp-conv study's nodes all stay inside).  The test reads perfbench/
+and edits nothing there.
 """
 
 import importlib.util
@@ -37,6 +40,7 @@ CASES = [
     ("point-paths", workloads.point_ops(0)[1]),
     ("point-paths", workloads.point_ops(0)[2]),
     ("bvp-schedule", workloads.pool("bvp-schedule")[0]),
+    ("bvp-fine", workloads.pool("bvp-fine")[0]),
 ]
 
 
