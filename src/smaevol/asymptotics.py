@@ -46,20 +46,24 @@ class LimitSchedule:
     label: str = ""
 
     def __post_init__(self):
-        k = None
         for name in ("rho", "nu", "tau", "n"):
-            arr = np.asarray(getattr(self, name),
-                             dtype=int if name == "n" else float)
-            object.__setattr__(self, name, arr)
-            if k is None:
-                k = len(arr)
-            elif len(arr) != k:
-                raise ValueError("schedule sequences must share one length")
+            object.__setattr__(self, name, np.asarray(
+                getattr(self, name), dtype=int if name == "n" else float))
+        if len({len(self.rho), len(self.nu), len(self.tau), len(self.n)}) != 1 \
+                or not len(self.n):
+            raise ValueError("schedule sequences must share one length >= 1")
+        bad = []
         if np.any(np.diff(self.rho) > 0) or np.any(np.diff(self.nu) > 0) \
                 or np.any(np.diff(self.tau) > 0):
-            raise ValueError("rho, nu, tau sequences must be non-increasing")
+            bad.append("rho, nu, tau sequences must be non-increasing")
+        if np.any(self.rho < 0) or np.any(self.nu < 0):
+            bad.append("rho and nu must be >= 0")
         if np.any(np.diff(self.n) < 0):
-            raise ValueError("mesh subdivisions must be non-decreasing")
+            bad.append("mesh subdivisions must be non-decreasing")
+        if np.any(self.n < 1):
+            bad.append("mesh subdivisions must be >= 1")
+        if bad:
+            raise ValueError("; ".join(bad))
 
     @classmethod
     def of(cls, length: int, rho=0.1, nu=0.0, tau=0.125, n=2, label=""):
@@ -74,21 +78,25 @@ class LimitSchedule:
         return bool(np.ptp(arr) > 0)
 
     def check_study(self, study: str):
-        """Raise ValueError if the schedule varies an entry the study fixes."""
-        for name in _FIXED_ENTRIES.get(study, ()):
-            if self.varies(name):
-                raise ValueError(f"the {study} study fixes {name}")
+        """Raise ValueError if the schedule varies an entry the study fixes,
+        or gives a study that steps in time a step tau <= 0."""
+        bad = [f"the {study} study fixes {name}"
+               for name in _FIXED_ENTRIES.get(study, ()) if self.varies(name)]
+        if study in ("constitutive", "evolution") and np.any(self.tau <= 0):
+            bad.append(f"the {study} study needs tau > 0")
+        if bad:
+            raise ValueError("; ".join(bad))
 
-
-def _reference_values(schedule: LimitSchedule):
-    """Reference parameters: the sharp model for a vanishing rho/nu, a
-    doubled discretization for vanishing tau/h, constants otherwise."""
-    rho = 0.0 if schedule.varies("rho") else float(schedule.rho[-1])
-    nu = 0.0 if schedule.varies("nu") else float(schedule.nu[-1])
-    tau = float(schedule.tau[-1]) / 2.0 if schedule.varies("tau") \
-        else float(schedule.tau[-1])
-    n = 2 * int(schedule.n[-1]) if schedule.varies("n") else int(schedule.n[-1])
-    return rho, nu, tau, n
+    def reference(self):
+        """Reference (rho, nu, tau, n): the sharp model for a vanishing
+        rho/nu, a doubled discretization for vanishing tau/h, constants
+        otherwise."""
+        rho = 0.0 if self.varies("rho") else float(self.rho[-1])
+        nu = 0.0 if self.varies("nu") else float(self.nu[-1])
+        tau = float(self.tau[-1]) / 2.0 if self.varies("tau") \
+            else float(self.tau[-1])
+        n = 2 * int(self.n[-1]) if self.varies("n") else int(self.n[-1])
+        return rho, nu, tau, n
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +114,16 @@ class GammaReport:
                       "(sufficient for Gamma-convergence)")
 
 
+def gamma_rhos(rhos) -> np.ndarray:
+    """The rho sequence of a Gamma-family check as an array; ValueError
+    unless it is nonempty and decreases strictly through positive values."""
+    rhos = np.asarray(rhos, dtype=float)
+    if not rhos.size or np.any(np.diff(rhos) >= 0) or np.any(rhos <= 0):
+        raise ValueError("rhos must be nonempty and decrease strictly "
+                         "through positive values")
+    return rhos
+
+
 def gamma_check_F(p: MaterialParams, rhos, points) -> GammaReport:
     """Check the monotone pointwise convergence of the regularized family.
 
@@ -113,9 +131,7 @@ def gamma_check_F(p: MaterialParams, rhos, points) -> GammaReport:
     to small positive values.  Inside the transformation ball the family
     increases to the sharp energy; outside it diverges.
     """
-    rhos = np.asarray(rhos, dtype=float)
-    if np.any(np.diff(rhos) >= 0) or np.any(rhos <= 0):
-        raise ValueError("need a strictly decreasing positive rho sequence")
+    rhos = gamma_rhos(rhos)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     radii = np.linalg.norm(points, axis=1)
     inside = radii <= p.c3
@@ -151,14 +167,13 @@ def limit_constitutive(p: MaterialParams, path: StressPath,
     """Constitutive-relation limits over a (rho, tau) schedule."""
     schedule.check_study("constitutive")
     T = path.T
-    rho_ref, _, tau_ref, _ = _reference_values(schedule)
+    rho_ref, _, tau_ref, _ = schedule.reference()
     ref = run_constitutive(replace(p, rho=rho_ref), path,
-                           TimeGrid.uniform(T, int(round(T / tau_ref))))
+                           TimeGrid.with_step(T, tau_ref))
 
     def member(k):
         pk = replace(p, rho=float(schedule.rho[k]))
-        traj = run_constitutive(pk, path,
-                                TimeGrid.uniform(T, int(round(T / schedule.tau[k]))))
+        traj = run_constitutive(pk, path, TimeGrid.with_step(T, schedule.tau[k]))
         state, energy, diss = _trajectory_diffs(traj, ref)
         return {"k": k, "rho": float(schedule.rho[k]), "nu": 0.0,
                 "tau": float(schedule.tau[k]), "h": 0.0,
@@ -191,7 +206,7 @@ def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule,
     """Single incremental minimization along a (rho, nu, h) schedule."""
     schedule.check_study("minproblem")
     t = problem.program.T if t is None else t
-    rho_ref, nu_ref, _, n_ref = _reference_values(schedule)
+    rho_ref, nu_ref, _, n_ref = schedule.reference()
 
     def solve_member(rho, nu, n):
         space = problem.space(n)
@@ -229,7 +244,7 @@ def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
     """Space-time evolution limits along a (rho, tau, h) schedule, nu fixed."""
     schedule.check_study("evolution")
     nu = float(schedule.nu[0])
-    rho_ref, _, tau_ref, n_ref = _reference_values(schedule)
+    rho_ref, _, tau_ref, n_ref = schedule.reference()
     ref, _ = spacetime_run(problem, rho_ref, nu, tau_ref, n_ref)
     ref_forms = ref.solver.forms
 

@@ -46,12 +46,6 @@ def write_csv(path, header, rows):
             w.writerow([_fmt(v) for v in row])
 
 
-def _limit_table_rows(rows):
-    header = ["k", "rho", "nu", "tau", "h", "state_diff", "energy_diff",
-              "diss_diff"]
-    return header, [[r[c] for c in header] for r in rows]
-
-
 def _sample_grid(p, inside, outside, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     m = inside + outside
@@ -67,17 +61,16 @@ def run_scenario(s: Scenario, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
-    p = s.params()
+    p, grid, path = s.params, s.grid, s.path
     artifacts = []
+    table = None    # a limit study's table
 
     if s.kind == "point-test":
-        traj = run_constitutive(p, s.path(), s.time_grid())
+        traj = run_constitutive(p, path, grid)
         header, body = traj.rows()
         write_csv(out / "trajectory.csv", header, body)
         artifacts.append("trajectory.csv")
         checks = []
-        grid = s.time_grid()
-        path = s.path()
         idx = sorted({0, grid.steps // 2, grid.steps})
         for i in idx:
             rep = verify_stability(p, path.value(grid.nodes[i]),
@@ -95,7 +88,7 @@ def run_scenario(s: Scenario, out_dir) -> dict:
                  "max_balance_residual": float(traj.residual.max())}
 
     elif s.kind == "conv-tau":
-        study = temporal_error_study(p, s.path(), s.taus,
+        study = temporal_error_study(p, path, s.taus,
                                      reference_tau=s.reference_tau)
         write_csv(out / "rate_table.csv", ["tau", "sup_state_error"],
                   list(zip(study.taus, study.errors)))
@@ -104,14 +97,10 @@ def run_scenario(s: Scenario, out_dir) -> dict:
                  "reference_tau": study.reference_tau}
 
     elif s.kind == "conv-rho":
-        table = limit_constitutive(p, s.path(), s.limit_schedule())
-        header, body = _limit_table_rows(table["rows"])
-        write_csv(out / "limit_table.csv", header, body)
-        artifacts.append("limit_table.csv")
-        extra = {"label": table["label"], "reference": table["reference"]}
+        table = limit_constitutive(p, path, s.schedule)
 
     elif s.kind == "gamma-table":
-        pts = _sample_grid(p, s.grid["inside"], s.grid["outside"], s.seed)
+        pts = _sample_grid(p, *s.samples, s.seed)
         rep = gamma_check_F(p, s.rhos, pts)
         rows = [[k, rho, rep.inside_gaps[k], rep.zero_values[k]]
                 for k, rho in enumerate(rep.rhos)]
@@ -123,9 +112,8 @@ def run_scenario(s: Scenario, out_dir) -> dict:
                  "condition": rep.condition}
 
     elif s.kind == "bvp-run":
-        problem = s.bvp_problem()
-        space = problem.space()
-        rec = run_incremental_bvp(space, p, problem.grid(), problem.program)
+        space = s.problem.space()
+        rec = run_incremental_bvp(space, p, grid, s.problem.program)
         header, body = rec.rows()
         write_csv(out / "ledger.csv", header, body)
         dump_fields(out / "final_state.txt", space,
@@ -138,34 +126,30 @@ def run_scenario(s: Scenario, out_dir) -> dict:
                  "ledger_bound": rec.apriori.total,
                  "max_nodal_z": rec.max_nodal_z_norm()}
 
+    elif s.kind == "bvp-conv" and s.study == "nstep-h":
+        out_nh = nstep_h_convergence(s.problem, list(s.schedule.n),
+                                     steps=s.problem.steps)
+        rows = [[e["n_coarse"], e["n_fine"], i, dv]
+                for e in out_nh["table"] for i, dv in enumerate(e["diffs"])]
+        write_csv(out / "nstep_table.csv",
+                  ["n_coarse", "n_fine", "step", "h1_diff"], rows)
+        artifacts.append("nstep_table.csv")
+        extra = {"study": "nstep-h"}
+
     elif s.kind == "bvp-conv":
-        problem = s.bvp_problem()
-        sched = s.limit_schedule()
-        if s.study == "evolution":
-            table = limit_evolution(problem, sched)
-        elif s.study == "minproblem":
-            table = limit_minproblem(problem, sched)
-        else:
-            out_nh = nstep_h_convergence(problem, list(sched.n),
-                                         steps=s.time["steps"])
-            rows = []
-            for entry in out_nh["table"]:
-                for i, dv in enumerate(entry["diffs"]):
-                    rows.append([entry["n_coarse"], entry["n_fine"], i, dv])
-            write_csv(out / "nstep_table.csv",
-                      ["n_coarse", "n_fine", "step", "h1_diff"], rows)
-            artifacts.append("nstep_table.csv")
-            table = None
-        if table is not None:
-            header, body = _limit_table_rows(table["rows"])
-            write_csv(out / "limit_table.csv", header, body)
-            artifacts.append("limit_table.csv")
-            extra = {"label": table["label"], "reference": table["reference"]}
-        else:
-            extra = {"study": "nstep-h"}
+        study = limit_evolution if s.study == "evolution" else limit_minproblem
+        table = study(s.problem, s.schedule)
 
     else:  # pragma: no cover - parse_scenario guards the kind
         raise ValueError(f"unhandled kind {s.kind}")
+
+    if table is not None:
+        header = ["k", "rho", "nu", "tau", "h", "state_diff", "energy_diff",
+                  "diss_diff"]
+        write_csv(out / "limit_table.csv", header,
+                  [[r[c] for c in header] for r in table["rows"]])
+        artifacts.append("limit_table.csv")
+        extra = {"label": table["label"], "reference": table["reference"]}
 
     manifest = {
         "kind": s.kind,

@@ -44,6 +44,11 @@ class TimeGrid:
     def uniform(cls, T: float, steps: int) -> "TimeGrid":
         return cls(np.linspace(0.0, T, steps + 1))
 
+    @classmethod
+    def with_step(cls, T: float, tau: float) -> "TimeGrid":
+        """The uniform grid on [0, T] with max(1, round(T / tau)) steps."""
+        return cls.uniform(T, max(1, int(round(T / tau))))
+
     @property
     def tau(self) -> float:
         return float(np.diff(self.nodes).max())
@@ -302,6 +307,22 @@ def _sup_state_diff(traj: PointTrajectory, ref: PointTrajectory) -> float:
     return worst
 
 
+def rate_study_steps(p: MaterialParams, taus, reference_tau=None):
+    """Sorted taus and reference step of a rate study (min(taus)/8 unless
+    given); ValueError unless rho, taus > 0 and reference_tau <= min/8."""
+    taus = sorted(float(t) for t in taus)
+    bad = [] if p.rho > 0 else ["temporal rate study requires rho > 0"]
+    if not taus or taus[0] <= 0:
+        bad.append("taus must be positive step sizes")
+    elif reference_tau is None:
+        reference_tau = taus[0] / 8.0
+    elif not 0 < reference_tau <= taus[0] / 8.0 + 1e-15:
+        bad.append("reference tau must be in (0, min(taus)/8]")
+    if bad:
+        raise ValueError("; ".join(bad))
+    return taus, reference_tau
+
+
 def temporal_error_study(p: MaterialParams, path: StressPath,
                          taus, reference_tau=None, init=None) -> RateStudy:
     """Self-convergence study against a fine reference grid.
@@ -310,20 +331,13 @@ def temporal_error_study(p: MaterialParams, path: StressPath,
     a priori bound applies; the fitted order is the least-squares slope of
     the sup-in-time state error against the step size.
     """
-    if p.rho <= 0:
-        raise ValueError("temporal rate study requires rho > 0")
-    taus = sorted(float(t) for t in taus)
-    if reference_tau is None:
-        reference_tau = taus[0] / 8.0
-    if reference_tau > taus[0] / 8.0 + 1e-15:
-        raise ValueError("reference tau must be at most min(taus)/8")
+    taus, reference_tau = rate_study_steps(p, taus, reference_tau)
     T = path.T
-    ref = run_constitutive(p, path, TimeGrid.uniform(T, int(round(T / reference_tau))),
+    ref = run_constitutive(p, path, TimeGrid.with_step(T, reference_tau),
                            init=init)
     errs = []
     for tau in taus:
-        traj = run_constitutive(p, path, TimeGrid.uniform(T, int(round(T / tau))),
-                                init=init)
+        traj = run_constitutive(p, path, TimeGrid.with_step(T, tau), init=init)
         errs.append(_sup_state_diff(traj, ref))
     errs = np.array(errs)
     degenerate = bool(errs.max() < 1e-12)

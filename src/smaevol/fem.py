@@ -56,8 +56,9 @@ class BoxMesh:
 def box_mesh(extents=(1.0, 1.0, 1.0), n=(2, 2, 2)) -> BoxMesh:
     extents = np.asarray(extents, dtype=float)
     n = np.asarray(n, dtype=int)
-    if np.any(n < 1) or np.any(extents <= 0):
-        raise ValueError("need positive extents and at least one cell per axis")
+    if extents.shape != (3,) or n.shape != (3,) or np.any(n < 1) \
+            or np.any(extents <= 0):
+        raise ValueError("need 3 positive extents and n >= 1 cells per axis")
     nx, ny, nz = (int(k) for k in n)
     xs = [np.linspace(0, extents[a], n[a] + 1) for a in range(3)]
     I, J, K = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), np.arange(nz + 1),
@@ -309,6 +310,9 @@ class LoadProgram:
         for pl in self.traction:
             if pl not in PLANES:
                 raise ValueError(f"unknown traction plane {pl!r}")
+        if any(np.shape(v) != (3,) for v in (*self.traction.values(), self.body)
+               if v is not None and not callable(v)):
+            raise ValueError("constant traction and body vectors need 3 entries")
         for name in ("traction_amps", "body_amps", "dirichlet_amps"):
             amps = getattr(self, name)
             if amps is not None:
@@ -435,20 +439,19 @@ def nodal_interp(space: FeSpace, fn, width: int) -> np.ndarray:
     return vals.reshape(space.n_nodes, width).ravel()
 
 
-def galerkin_project(coarse: FeSpace, fine: FeSpace, params: MaterialParams,
-                     u_f, z_f):
-    """Best approximation in the energy inner product on the coarse space.
+def galerkin_project(coarse: FeSpace, forms_f: StepForms, u_f, z_f):
+    """Best approximation in the energy inner product of the fine forms on
+    the coarse space.
 
     Operates on the homogeneous-Dirichlet subspace; the input must vanish
     on the fine Dirichlet dofs.
     """
-    if params.c2 <= 0 and params.nu <= 0:
+    if forms_f.params.c2 <= 0 and forms_f.params.nu <= 0:
         raise SingularFormError("projector needs c2 > 0 or nu > 0")
     if not coarse.dirichlet_nodes.any():
         raise SingularFormError("projector needs a nonempty Dirichlet part")
-    forms_f = assemble_forms(fine, params)
     H = forms_f.matrix()
-    P = inject(coarse, fine)
+    P = inject(coarse, forms_f.space)
     Pu = sp.kron(P, sp.eye(3), format="csr")
     Pz = sp.kron(P, sp.eye(5), format="csr")
     Pfull = sp.block_diag([Pu, Pz], format="csr")

@@ -220,9 +220,11 @@ def _shift_prox(xi, alpha, w, mu):
     nd = math.hypot(d0, d1)
     if nd <= w:
         return alpha, math.hypot(*alpha), 0.0
-    # z = alpha + d c with d = xi - mu alpha and c = (1 - w / |d|) / mu
+    # z = alpha + d c with d = xi - mu alpha and c = (1 - w / |d|) / mu,
+    # formed as alpha w / |d| + xi c (1 - mu c = w / |d|), which does not
+    # cancel when |z| << |alpha|
     c = (1.0 - w / nd) / mu
-    z = (alpha[0] + d0 * c, alpha[1] + d1 * c)
+    z = (alpha[0] * (w / nd) + xi[0] * c, alpha[1] * (w / nd) + xi[1] * c)
     s = math.hypot(*z)
     if s == 0.0:
         return z, s, 0.0

@@ -441,6 +441,13 @@ class BvpProblem:
     _spaces: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
+    def __post_init__(self):
+        bad = [f"traction prescribed on the Dirichlet plane {pl!r}"
+               for pl in self.program.traction if pl in self.dirichlet_planes]
+        bad += [] if self.dirichlet_planes else ["need a nonempty Dirichlet part"]
+        if bad:
+            raise ValueError("; ".join(bad))
+
     def space(self, n: Optional[int] = None) -> FeSpace:
         """The space on the n-cell box mesh, built once per n."""
         k = self.n if n is None else n
@@ -461,10 +468,9 @@ def spacetime_run(problem: BvpProblem, rho: float, nu: float, tau: float,
     nu = 0 is accepted but flagged as outside the joint-limit hypotheses.
     """
     params = replace(problem.params, rho=rho, nu=nu)
-    space = problem.space(n)
-    steps = max(1, int(round(problem.program.T / tau)))
-    grid = TimeGrid.uniform(problem.program.T, steps)
-    record = run_incremental_bvp(space, params, grid, problem.program)
+    record = run_incremental_bvp(problem.space(n), params,
+                                 TimeGrid.with_step(problem.program.T, tau),
+                                 problem.program)
     peak = float((record.stored_v + record.cum_diss).max())
     report = {
         "ledger_peak": peak,

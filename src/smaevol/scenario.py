@@ -1,4 +1,4 @@
-"""Scenario files: parsing, validation and typed access.
+"""Scenario files: parsing into the objects a run uses.
 
 Scenarios are JSON documents.  Top-level schema (defaults in brackets):
 
@@ -26,22 +26,40 @@ Scenarios are JSON documents.  Top-level schema (defaults in brackets):
                      stress-path time (conv-rho)]
     study           evolution | minproblem | nstep-h     (bvp-conv) [evolution]
 
-Unknown keys raise ParseError naming the key; constraint violations are
-collected and reported together in a single ValidationError.
+parse_scenario builds, once, every object the run consumes, the spaces of
+every mesh the run uses included, so a document passes parsing and
+``--dry-run`` exactly when the run can start.  Each value rule has one
+owner: MaterialParams and Elasticity (the signs of the constants), TimeGrid
+(T and steps), StressPath (direction and breakpoints), LoadProgram (program
+times, planes, amplitude lengths, 3-component vectors), BvpProblem (a
+nonempty Dirichlet part without traction), box_mesh and build_space
+(extents, n, plane names), LimitSchedule (lengths, monotonicity, signs,
+n >= 1) and its check_study (the entries a study fixes, tau > 0 for the
+studies that step in time), rate_study_steps (conv-tau) and gamma_rhos
+(gamma-table).  This module keeps only what no object knows: the structure
+(unknown keys and non-object sections raise ParseError), the JSON types (a
+number is an int or a float, a count an int, neither a bool; type errors
+raise a ValidationError before any object sees a value), the defaults, the
+seed, probe and sample counts, and the rules that span sections: an
+explicit time.T is the last program time, a program has times and each of
+its channels its amplitudes, the dirichlet_profile, the study and the kind
+are known, and conv-rho and bvp-conv have a schedule.  All other
+violations are collected into one ValidationError.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .asymptotics import LimitSchedule
-from .constitutive import StressPath, TimeGrid
-from .fem import PLANES, LoadProgram
+from .asymptotics import LimitSchedule, gamma_rhos
+from .constitutive import StressPath, TimeGrid, rate_study_steps
+from .fem import LoadProgram
 from .material import MaterialParams
 from .quasistatic import BvpProblem
-from .tensors import Elasticity, sym_from_matrix
+from .tensors import SQ2, Elasticity
 
 
 class ParseError(Exception):
@@ -56,121 +74,120 @@ class ValidationError(Exception):
 
 KINDS = ("point-test", "conv-tau", "conv-rho", "bvp-run", "bvp-conv",
          "gamma-table")
-
-_TOP_KEYS = {"kind", "seed", "probes", "material", "time", "stress_path",
-             "taus", "reference_tau", "rhos", "grid", "mesh", "program",
-             "schedule", "study", "out"}
-_MATERIAL_KEYS = {"G", "kappa", "c1", "c2", "c3", "rho", "nu", "R", "delta"}
-_TIME_KEYS = {"T", "steps"}
-_PATH_KEYS = {"direction", "amplitudes", "times"}
-_MESH_KEYS = {"extents", "n", "dirichlet"}
-_PROGRAM_KEYS = {"times", "traction", "traction_amps", "body", "body_amps",
-                 "dirichlet_profile", "dirichlet_amps"}
-_SCHEDULE_KEYS = {"rho", "nu", "tau", "n", "label"}
-_GRID_KEYS = {"inside", "outside"}
+STUDIES = ("evolution", "minproblem", "nstep-h")
 
 MATERIAL_DEFAULTS = {"G": 1.0, "kappa": 1.0, "c1": 1.0, "c2": 0.5, "c3": 1.0,
                      "rho": 0.0, "nu": 0.0, "R": 0.5, "delta": 0.1}
 
 # plain components of a unit deviator (xx yy zz yz xz xy order)
-_S = 1.0 / math.sqrt(2.0)
-DEFAULT_DIRECTION = [_S, -_S, 0.0, 0.0, 0.0, 0.0]
+DEFAULT_DIRECTION = [1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0, 0.0,
+                     0.0, 0.0]
 
+# the Dirichlet displacement shape of each profile ("zero": none)
 DIRICHLET_PROFILES = {
-    "zero": lambda x: np.zeros(3),
+    "zero": None,
     "stretch_x": lambda x: np.array([x[0], 0.0, 0.0]),
     "shear_xy": lambda x: np.array([x[1], 0.0, 0.0]),
 }
 
 
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _count(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _list(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+# the JSON type of each kind of value; a section's own keys are checked
+# as a section
+NUMBER, COUNT, NAME, NUMBERS = ("a number", "an integer", "a string",
+                                "a list of numbers")
+NAMES, VALUES, COUNTS, VECTORS = (
+    "a list of strings", "a number or a list of numbers",
+    "an integer or a list of integers", "an object of number lists")
+TYPES = {NUMBER: _number, COUNT: _count, NAME: lambda v: isinstance(v, str),
+         NUMBERS: _list(_number), "a section": lambda v: True,
+         VALUES: lambda v: _number(v) or _list(_number)(v),
+         COUNTS: lambda v: _count(v) or _list(_count)(v),
+         VECTORS: lambda v: isinstance(v, dict)
+         and all(map(_list(_number), v.values()))}
+TYPES[NAMES] = _list(TYPES[NAME])
+
+# section -> key -> kind of value; the keys are the only ones allowed
+SECTIONS = {
+    "material": dict.fromkeys(MATERIAL_DEFAULTS, NUMBER),
+    "time": {"T": NUMBER, "steps": COUNT},
+    "stress_path": dict.fromkeys(("direction", "amplitudes", "times"),
+                                 NUMBERS),
+    "grid": {"inside": COUNT, "outside": COUNT},
+    "mesh": {"extents": NUMBERS, "n": COUNT, "dirichlet": NAMES},
+    "program": {"times": NUMBERS, "traction": VECTORS,
+                "traction_amps": NUMBERS, "body": NUMBERS,
+                "body_amps": NUMBERS, "dirichlet_profile": NAME,
+                "dirichlet_amps": NUMBERS},
+    "schedule": {"rho": VALUES, "nu": VALUES, "tau": VALUES, "n": COUNTS,
+                 "label": NAME},
+}
+SECTIONS["scenario"] = {"kind": NAME, "seed": COUNT, "probes": COUNT,
+                        "taus": NUMBERS, "reference_tau": NUMBER,
+                        "rhos": NUMBERS, "study": NAME, "out": NAME,
+                        **dict.fromkeys(SECTIONS, "a section")}
+
+
 @dataclass
 class Scenario:
+    """A parsed scenario: the objects its run consumes, each built once."""
+
     kind: str
     raw: dict
+    params: MaterialParams
+    grid: TimeGrid                  # bvp kinds: on the program's interval
+    path: StressPath
     seed: int = 0
     probes: int = 200
-    material: dict = field(default_factory=dict)
-    time: dict = field(default_factory=dict)
-    stress_path: dict = field(default_factory=dict)
-    taus: list = None
-    reference_tau: float = None
-    rhos: list = None
-    grid: dict = None
-    mesh: dict = None
-    program: dict = None
-    schedule: dict = None
-    study: str = "evolution"
-
-    # -- typed accessors ---------------------------------------------------
-
-    def params(self) -> MaterialParams:
-        m = self.material
-        return MaterialParams(elastic=Elasticity(m["G"], m["kappa"]),
-                              c1=m["c1"], c2=m["c2"], c3=m["c3"], rho=m["rho"],
-                              nu=m["nu"], R=m["R"], delta=m["delta"])
-
-    def time_grid(self) -> TimeGrid:
-        return TimeGrid.uniform(self.time["T"], self.time["steps"])
-
-    def path(self) -> StressPath:
-        p = self.stress_path
-        m = np.zeros((3, 3))
-        d = p["direction"]
-        m[0, 0], m[1, 1], m[2, 2] = d[0], d[1], d[2]
-        m[1, 2] = m[2, 1] = d[3]
-        m[0, 2] = m[2, 0] = d[4]
-        m[0, 1] = m[1, 0] = d[5]
-        return StressPath.proportional(sym_from_matrix(m), p["amplitudes"],
-                                       p["times"])
-
-    def load_program(self) -> LoadProgram:
-        pr = dict(self.program)
-        profile = pr.pop("dirichlet_profile", None)
-        kwargs = {"times": pr["times"]}
-        if "traction" in pr:
-            kwargs["traction"] = {pl: np.asarray(v, dtype=float)
-                                  for pl, v in pr["traction"].items()}
-            kwargs["traction_amps"] = pr.get("traction_amps")
-        if "body" in pr:
-            kwargs["body"] = np.asarray(pr["body"], dtype=float)
-            kwargs["body_amps"] = pr.get("body_amps")
-        if profile and profile != "zero":
-            kwargs["dirichlet"] = DIRICHLET_PROFILES[profile]
-            kwargs["dirichlet_amps"] = pr.get("dirichlet_amps")
-        return LoadProgram(**kwargs)
-
-    def bvp_problem(self) -> BvpProblem:
-        mesh = self.mesh
-        return BvpProblem(self.params(), self.load_program(),
-                          extents=tuple(mesh["extents"]),
-                          n=mesh["n"], steps=self.time["steps"],
-                          dirichlet_planes=tuple(mesh["dirichlet"]))
-
-    def limit_schedule(self) -> LimitSchedule:
-        s = self.schedule
-        length = max(len(v) if np.ndim(v) else 1
-                     for v in (s["rho"], s["nu"], s["tau"], s["n"]))
-        return LimitSchedule.of(length, rho=s["rho"], nu=s["nu"], tau=s["tau"],
-                                n=s["n"], label=s.get("label", ""))
+    problem: Optional[BvpProblem] = None      # bvp kinds, spaces built
+    schedule: Optional[LimitSchedule] = None  # conv-rho, bvp-conv
+    study: str = "evolution"                  # bvp-conv
+    taus: Optional[list] = None               # conv-tau, sorted
+    reference_tau: Optional[float] = None     # conv-tau
+    rhos: Optional[np.ndarray] = None         # gamma-table
+    samples: Optional[tuple] = None           # gamma-table (inside, outside)
 
 
-def _check_keys(section, data, allowed):
-    """Non-object sections and unknown keys are structural problems: they
-    abort immediately."""
-    if not isinstance(data, dict):
-        raise ParseError(f"{section} must be a JSON object")
-    for key in data:
-        if key not in allowed:
-            raise ParseError(f"unknown key {key!r} in {section}")
+def _type_errors(raw):
+    """ParseError for a non-object section or an unknown key, else the
+    JSON type errors."""
+    errors = []
+    for section in SECTIONS:
+        data = raw if section == "scenario" else raw.get(section, {})
+        if not isinstance(data, dict):
+            raise ParseError(f"{section} must be a JSON object")
+        for key, value in data.items():
+            kind = SECTIONS[section].get(key)
+            if kind is None:
+                raise ParseError(f"unknown key {key!r} in {section}")
+            if not TYPES[kind](value):
+                errors.append(f"{section}.{key} must be {kind}")
+    return errors
+
+
+def _build(errors, section, make, *args, **kwargs):
+    """make(*args, **kwargs), or None with the messages of its ValueError
+    (one per '; '-separated part) appended to errors."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        errors.extend(f"{section}: {msg}" for msg in str(e).split("; "))
+        return None
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and fully validate a scenario document.
-
-    All constraint violations are collected and reported together; only
-    structural problems (bad JSON, unknown keys, wrong kinds of values)
-    abort immediately.
-    """
+    """Parse and fully validate a scenario document into its run's objects."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -178,145 +195,101 @@ def parse_scenario(text: str) -> Scenario:
                          f"{e.msg}") from None
     if not isinstance(raw, dict):
         raise ParseError("scenario must be a JSON object")
-    _check_keys("scenario", raw, _TOP_KEYS)
-
-    errors = []
     kind = raw.get("kind")
+    errors = _type_errors(raw)
     if kind not in KINDS:
         errors.append(f"kind must be one of {', '.join(KINDS)} (got {kind!r})")
-        raise ValidationError(errors)
-
-    _check_keys("material", raw.get("material", {}), _MATERIAL_KEYS)
-    material = {**MATERIAL_DEFAULTS, **raw.get("material", {})}
-    for name in ("c1", "c2", "c3", "R", "delta", "G", "kappa"):
-        if not (isinstance(material[name], (int, float)) and material[name] > 0):
-            errors.append(f"{name} must be > 0")
-    for name in ("rho", "nu"):
-        if not (isinstance(material[name], (int, float)) and material[name] >= 0):
-            errors.append(f"{name} must be >= 0")
-
-    _check_keys("time", raw.get("time", {}), _TIME_KEYS)
-    time = {"T": 1.0, "steps": 16, **raw.get("time", {})}
-    if not time["T"] > 0:
-        errors.append("T must be > 0")
-    if not (isinstance(time["steps"], int) and time["steps"] >= 1):
-        errors.append("steps must be an integer >= 1")
-
-    defaults_path = {"direction": DEFAULT_DIRECTION,
-                     "amplitudes": [0.0, 3.0, 0.0],
-                     "times": [0.0, time["T"] / 2.0, time["T"]]}
-    _check_keys("stress_path", raw.get("stress_path", {}), _PATH_KEYS)
-    stress_path = {**defaults_path, **raw.get("stress_path", {})}
-    if len(stress_path["direction"]) != 6:
-        errors.append("direction needs 6 components (xx yy zz yz xz xy)")
-    if len(stress_path["amplitudes"]) != len(stress_path["times"]):
-        errors.append("amplitudes and times must have equal length")
-    if np.any(np.diff(np.asarray(stress_path["times"], dtype=float)) <= 0):
-        errors.append("stress-path times must be strictly increasing")
-
-    seed = raw.get("seed", 0)
-    if not (isinstance(seed, int) and seed >= 0):
-        errors.append("seed must be a nonnegative integer")
-    probes = raw.get("probes", 200)
-    if not (isinstance(probes, int) and probes >= 1):
-        errors.append("probes must be an integer >= 1")
-
-    scenario = Scenario(kind=kind, raw=raw, seed=seed, probes=probes,
-                        material=material, time=time, stress_path=stress_path)
-
-    if kind == "conv-tau":
-        taus = raw.get("taus", [1 / 16, 1 / 32, 1 / 64, 1 / 128])
-        if not taus or any(t <= 0 for t in taus):
-            errors.append("taus must be positive step sizes")
-        scenario.taus = taus
-        scenario.reference_tau = raw.get("reference_tau", min(taus) / 8.0)
-        if scenario.reference_tau > min(taus) / 8.0 + 1e-15:
-            errors.append("reference_tau must be at most min(taus)/8")
-        if material["rho"] <= 0:
-            errors.append("conv-tau requires rho > 0")
-
-    if kind == "gamma-table":
-        rhos = raw.get("rhos", [10.0 ** (-k) for k in range(0, 8)])
-        if any(r <= 0 for r in rhos) or any(np.diff(rhos) >= 0):
-            errors.append("rhos must decrease strictly through positive values")
-        scenario.rhos = rhos
-        _check_keys("grid", raw.get("grid", {}), _GRID_KEYS)
-        grid = {"inside": 40, "outside": 10, **raw.get("grid", {})}
-        scenario.grid = grid
-
-    if kind in ("bvp-run", "bvp-conv"):
-        _check_keys("mesh", raw.get("mesh", {}), _MESH_KEYS)
-        mesh = {"extents": [1.0, 1.0, 1.0], "n": 2, "dirichlet": ["x0"],
-                **raw.get("mesh", {})}
-        if not (isinstance(mesh["n"], int) and mesh["n"] >= 1):
-            errors.append("mesh n must be an integer >= 1")
-        for pl in mesh["dirichlet"]:
-            if pl not in PLANES:
-                errors.append(f"unknown Dirichlet plane {pl!r}")
-        if not mesh["dirichlet"]:
-            errors.append("the Dirichlet part must be nonempty")
-        scenario.mesh = mesh
-
-        program = raw.get("program")
-        if program is None:
-            program = {"times": [0.0, time["T"] / 2.0, time["T"]],
-                       "traction": {"x1": [1.0, 0.0, 0.0]},
-                       "traction_amps": [0.0, 3.0, 0.0]}
-        _check_keys("program", program, _PROGRAM_KEYS)
-        n_errors = len(errors)
-        if "times" not in program:
-            errors.append("program requires time breakpoints")
-        elif "T" in raw.get("time", {}) and program["times"] \
-                and program["times"][-1] != time["T"]:
-            errors.append("time.T must equal the last program time")
-        prof = program.get("dirichlet_profile")
-        if prof is not None and prof not in DIRICHLET_PROFILES:
-            errors.append(f"unknown dirichlet_profile {prof!r}")
-        for chan, amps in (("traction", "traction_amps"),
-                           ("body", "body_amps"),
-                           ("dirichlet_profile", "dirichlet_amps")):
-            if chan in program and amps not in program:
-                errors.append(f"{chan} requires {amps}")
-            if amps in program and len(program[amps]) != len(program.get("times", [])):
-                errors.append(f"{amps} must match the program times")
-        errors += [f"traction prescribed on the Dirichlet plane {pl!r}"
-                   for pl in program.get("traction", {}) if pl in mesh["dirichlet"]]
-        scenario.program = program
-        if len(errors) == n_errors:
-            try:
-                scenario.load_program()
-            except ValueError as e:
-                errors.append(f"program: {e}")
-
-    if kind in ("conv-rho", "bvp-conv"):
-        sched = raw.get("schedule")
-        if sched is None:
-            errors.append(f"{kind} requires a schedule section")
-        else:
-            _check_keys("schedule", sched, _SCHEDULE_KEYS)
-            # a study runs on the interval of its program or stress path
-            end = time["T"]
-            if kind == "bvp-conv" and scenario.program.get("times"):
-                end = scenario.program["times"][-1]
-            if kind == "conv-rho" and stress_path["times"]:
-                end = stress_path["times"][-1]
-            sched = {"rho": material["rho"], "nu": material["nu"],
-                     "tau": end / time["steps"], "n": 2, **sched}
-            scenario.schedule = sched
-
-    if kind == "bvp-conv":
-        study = raw.get("study", "evolution")
-        if study not in ("evolution", "minproblem", "nstep-h"):
-            errors.append("study must be evolution, minproblem or nstep-h")
-        scenario.study = study
-
-    if scenario.schedule is not None:
-        try:
-            scenario.limit_schedule().check_study(
-                "constitutive" if kind == "conv-rho" else scenario.study)
-        except ValueError as e:
-            errors.append(f"schedule: {e}")
-
     if errors:
         raise ValidationError(errors)
-    return scenario
+
+    m = {**MATERIAL_DEFAULTS, **raw.get("material", {})}
+    elastic = _build(errors, "material", Elasticity, m.pop("G"), m.pop("kappa"))
+    params = _build(errors, "material", MaterialParams,
+                    elastic=elastic or Elasticity(), **m)
+    time = {"T": 1.0, "steps": 16, **raw.get("time", {})}
+    T, steps = time["T"], time["steps"]
+    sp = {"direction": DEFAULT_DIRECTION, "amplitudes": [0.0, 3.0, 0.0],
+          "times": [0.0, T / 2.0, T], **raw.get("stress_path", {})}
+    d = sp["direction"]     # plain shear components to tensor components
+    path = _build(errors, "stress_path", StressPath.proportional,
+                  [*d[:3], *(SQ2 * c for c in d[3:])], sp["amplitudes"],
+                  sp["times"])
+    s = Scenario(kind, raw, params, None, path, seed=raw.get("seed", 0),
+                 probes=raw.get("probes", 200))
+    errors += [msg for msg, bad in (("seed must be >= 0", s.seed < 0),
+                                    ("probes must be >= 1", s.probes < 1))
+               if bad]
+
+    if kind == "conv-tau" and params:
+        s.taus, s.reference_tau = _build(
+            errors, kind, rate_study_steps, params,
+            raw.get("taus", [1 / 16, 1 / 32, 1 / 64, 1 / 128]),
+            raw.get("reference_tau")) or (None, None)
+    if kind == "gamma-table":
+        s.rhos = _build(errors, kind, gamma_rhos,
+                        raw.get("rhos", [10.0 ** (-k) for k in range(0, 8)]))
+        grid = {"inside": 40, "outside": 10, **raw.get("grid", {})}
+        s.samples = (grid["inside"], grid["outside"])
+        if min(s.samples) < 0:
+            errors.append("grid counts must be >= 0")
+
+    end = path.T if path else T     # the interval a conv-rho study runs on
+    if kind in ("bvp-run", "bvp-conv"):
+        program = dict(raw.get("program", {
+            "times": [0.0, T / 2.0, T], "traction": {"x1": [1.0, 0.0, 0.0]},
+            "traction_amps": [0.0, 3.0, 0.0]}))
+        n_errors = len(errors)
+        if not program.get("times"):
+            errors.append("program requires time breakpoints")
+        elif "T" in raw.get("time", {}) and program["times"][-1] != T:
+            errors.append("time.T must equal the last program time")
+        errors += [f"{chan} requires {amps}" for chan, amps in
+                   (("traction", "traction_amps"), ("body", "body_amps"),
+                    ("dirichlet_profile", "dirichlet_amps"))
+                   if chan in program and amps not in program]
+        profile = program.pop("dirichlet_profile", None)
+        if profile is not None and profile not in DIRICHLET_PROFILES:
+            errors.append(f"unknown dirichlet_profile {profile!r}")
+        elif len(errors) == n_errors:
+            load = _build(errors, "program", LoadProgram,
+                          dirichlet=DIRICHLET_PROFILES.get(profile), **program)
+            mesh = {"extents": [1.0, 1.0, 1.0], "n": 2, "dirichlet": ["x0"],
+                    **raw.get("mesh", {})}
+            if load:
+                end = load.T
+                s.problem = _build(errors, "mesh", BvpProblem, params, load,
+                                   extents=tuple(mesh["extents"]),
+                                   n=mesh["n"], steps=steps,
+                                   dirichlet_planes=tuple(mesh["dirichlet"]))
+        if s.problem:
+            s.grid = _build(errors, "time", s.problem.grid)
+    else:
+        s.grid = _build(errors, "time", TimeGrid.uniform, T, steps)
+
+    if kind in ("conv-rho", "bvp-conv"):
+        if kind == "bvp-conv":
+            s.study = raw.get("study", "evolution")
+            if s.study not in STUDIES:
+                errors.append(f"study must be one of {', '.join(STUDIES)}")
+        if "schedule" not in raw:
+            errors.append(f"{kind} requires a schedule section")
+        elif s.grid and params:
+            sched = {"rho": params.rho, "nu": params.nu, "tau": end / steps,
+                     "n": 2, **raw["schedule"]}
+            length = max(np.size(sched[k]) for k in ("rho", "nu", "tau", "n"))
+            s.schedule = _build(errors, "schedule", LimitSchedule.of, length,
+                                **sched)
+        if s.schedule is not None and s.study in STUDIES:
+            _build(errors, "schedule", s.schedule.check_study,
+                   "constitutive" if kind == "conv-rho" else s.study)
+
+    if not errors and s.problem:
+        # the space of every mesh the run uses
+        ns = {s.problem.n} if kind == "bvp-run" else set(s.schedule.n.tolist())
+        if kind == "bvp-conv" and s.study != "nstep-h":
+            ns.add(s.schedule.reference()[3])
+        for n in sorted(ns):
+            _build(errors, "mesh", s.problem.space, n)
+    if errors:
+        raise ValidationError(errors)
+    return s

@@ -88,8 +88,10 @@ class Elasticity:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.G <= 0 or self.kappa <= 0:
-            raise ValueError("shear and bulk moduli must be positive")
+        bad = [f"{name} must be > 0" for name in ("G", "kappa")
+               if getattr(self, name) <= 0]
+        if bad:
+            raise ValueError("; ".join(bad))
 
     def apply(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=float)

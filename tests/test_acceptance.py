@@ -181,7 +181,7 @@ def test_criterion_7_galerkin_projector():
             u_f = rng.standard_normal(fine.n_u)
             u_f[~fine.u_free] = 0.0
             z_f = rng.standard_normal(fine.n_z)
-            uc, zc = galerkin_project(coarse, fine, p, u_f, z_f)
+            uc, zc = galerkin_project(coarse, forms_f, u_f, z_f)
             y = np.concatenate([u_f, z_f])
             yc = np.concatenate([uc, zc])
             resid = (Pfull.T @ (H @ (y - Pfull @ yc)))[free]

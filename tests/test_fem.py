@@ -190,7 +190,7 @@ def test_galerkin_idempotent_on_coarse_members():
     zc = RNG.standard_normal(coarse.n_z)
     u_f = sp.kron(Pmat, sp.eye(3)) @ uc
     z_f = sp.kron(Pmat, sp.eye(5)) @ zc
-    uc2, zc2 = galerkin_project(coarse, fine, P, u_f, z_f)
+    uc2, zc2 = galerkin_project(coarse, assemble_forms(fine, P), u_f, z_f)
     assert np.allclose(uc2, uc, atol=1e-9)
     assert np.allclose(zc2, zc, atol=1e-9)
 
@@ -206,7 +206,7 @@ def test_galerkin_orthogonality_and_energy_inequality():
     for _ in range(5):
         u_f = _zeroed_dirichlet(fine, RNG.standard_normal(fine.n_u))
         z_f = RNG.standard_normal(fine.n_z)
-        uc, zc = galerkin_project(coarse, fine, P, u_f, z_f)
+        uc, zc = galerkin_project(coarse, forms_f, u_f, z_f)
         y = np.concatenate([u_f, z_f])
         yc = np.concatenate([uc, zc])
         resid = Pfull.T @ (H @ (y - Pfull @ yc))
@@ -225,8 +225,8 @@ def test_galerkin_singular_preconditions():
     nodir_c = small_space(2, dirichlet=())
     nodir_f = small_space(4, dirichlet=())
     with pytest.raises(SingularFormError):
-        galerkin_project(nodir_c, nodir_f, P, np.zeros(nodir_f.n_u),
-                         np.zeros(nodir_f.n_z))
+        galerkin_project(nodir_c, assemble_forms(nodir_f, P),
+                         np.zeros(nodir_f.n_u), np.zeros(nodir_f.n_z))
 
 
 def test_interp_constant_preserved():

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import smaevol.proxsolve as proxsolve
 from oracles import (BBPointProblem, bb_solve_point, dykstra_prox,
@@ -207,12 +207,18 @@ def _anchor(b, direction, length, kind, p):
     return length * a
 
 
+# a saturated sharp anchor nearly on b's line (see the test below)
+NEARLY_COLLINEAR = [0.0, 0.0, 0.0, 0.5, 0.001953125]
+
+
 @settings(max_examples=200, deadline=None)
 @given(b=st.lists(st.floats(-4, 4), min_size=5, max_size=5),
        direction=st.lists(st.floats(-1, 1), min_size=5, max_size=5),
        length=st.floats(-1.3, 1.3),
        kind=st.sampled_from(("general", "collinear", "saturated", "zero")),
        rho=st.sampled_from((0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)))
+@example(b=NEARLY_COLLINEAR, direction=[0.0] * 5, length=1.0, kind="general",
+         rho=0.0)
 def test_point_kernel_matches_the_prox_gradient_oracle(b, direction, length,
                                                        kind, rho):
     p = MaterialParams(rho=rho)
@@ -447,3 +453,21 @@ def test_tiny_anchor_at_the_kink_does_not_stall_the_root():
             assert np.linalg.norm(y - 0.5 * x) <= 1e-12
             y_nodal = prox_nodal(x[None], 1.0, w1, a[None], 0.5)[0]
             assert np.linalg.norm(y_nodal - y) <= 1e-12
+
+
+def test_nearly_collinear_saturated_sharp_step_is_exact():
+    # the minimizer (|z| ~ 3.8e-6) lies far inside the anchor's sphere
+    # |alpha| = c3 = 1; forming z(mu) as alpha + d c cancelled there, and the
+    # multiplier root amplified the error past the residual bound
+    p = MaterialParams(rho=0.0)
+    b = np.array(NEARLY_COLLINEAR)
+    pb = reduced_problem(p, dev_to_sym(b), p.c3 * b / np.linalg.norm(b))
+    z = solve_point(pb)
+    t = 1.0 / (2.0 * pb.c2)
+    z_nodal = prox_nodal((pb.b * t)[None], t, pb.w_shift, pb.anchor[None],
+                         pb.w_zero, pb.radius)[0]
+    assert np.linalg.norm(z_nodal - z) <= 1e-15
+    # the prox is the minimizer: its value beats nearby points on the ball
+    J = lambda y: pb.smooth(y) + pb.w_zero * np.linalg.norm(y) \
+        + pb.w_shift * np.linalg.norm(y - pb.anchor)
+    assert all(J(z) <= J(z + 1e-7 * e) for e in np.eye(5))

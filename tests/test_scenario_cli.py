@@ -16,15 +16,13 @@ def minimal(kind, **extra):
 def test_minimal_point_test_fills_defaults():
     s = parse_scenario(minimal("point-test"))
     assert s.kind == "point-test"
-    assert s.material["c3"] == 1.0
-    assert s.material["rho"] == 0.0
-    assert s.time == {"T": 1.0, "steps": 16}
+    assert s.params.c3 == 1.0
+    assert s.params.rho == 0.0
+    assert s.params.c2 == 0.5
+    assert s.params.R == 0.5
+    assert s.grid.steps == 16 and s.grid.nodes[-1] == 1.0
     assert s.seed == 0
-    assert len(s.stress_path["direction"]) == 6
-    # typed accessors build real objects
-    assert s.params().c2 == 0.5
-    assert s.params().R == 0.5
-    assert s.time_grid().steps == 16
+    assert s.path.values.shape == (3, 6)
 
 
 def test_validation_collects_all_errors():
@@ -35,6 +33,27 @@ def test_validation_collects_all_errors():
     assert any("c3 must be > 0" in m for m in msgs)
     assert any("c1 must be > 0" in m for m in msgs)
     assert any("rho must be >= 0" in m for m in msgs)
+
+
+def test_every_object_reports_its_violations_together():
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(minimal("point-test", material={"c3": -1.0, "G": 0},
+                               time={"steps": 0},
+                               stress_path={"direction": [1.0] * 5}))
+    msgs = exc.value.errors
+    for part in ("c3 must be > 0", "G must be > 0", "time:",
+                 "6-component tensor"):
+        assert any(part in m for m in msgs), part
+
+
+def test_type_errors_come_before_any_object():
+    # a bool is not a count, a numeric string not a number
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(minimal("point-test", time={"steps": True},
+                               stress_path={"amplitudes": ["0", "3", "0"]}))
+    assert exc.value.errors == ["time.steps must be an integer",
+                                "stress_path.amplitudes must be a list of "
+                                "numbers"]
 
 
 def test_unknown_key_named():
@@ -178,17 +197,49 @@ BAD_DOCUMENTS = {
     "minproblem-varying-tau": ("bvp-conv", {"study": "minproblem",
                                             "schedule": {"rho": 0.1,
                                                          "tau": [0.5, 0.25]}}),
+    "flat-box": ("bvp-run", {"mesh": {"extents": [0, 1, 1]}}),
+    "two-extents": ("bvp-run", {"mesh": {"extents": [1, 1]}}),
+    "negative-samples": ("gamma-table", {"grid": {"inside": -1}}),
+    "fractional-samples": ("gamma-table", {"grid": {"inside": 2.5}}),
+    "string-taus": ("conv-tau", {"material": {"rho": 0.1}, "taus": "abc"}),
+    "no-rhos": ("gamma-table", {"rhos": []}),
+    "string-amplitudes": ("point-test", {"stress_path": {
+        "amplitudes": ["zero", "three", "zero"]}}),
+    "string-T": ("point-test", {"time": {"T": "x"}}),
+    "short-traction": ("bvp-run", {"program": {
+        "traction": {"x1": [1.0, 0.0]}, **_TRACTION}}),
+    "short-body": ("bvp-run", {"program": {
+        "body": [1.0, 0.0], "body_amps": [0.0, 1.0], "times": [0.0, 1.0]}}),
+    "negative-tau": ("conv-rho", {"schedule": {"rho": [0.1, 0.01],
+                                               "tau": -1}}),
+    "no-cells": ("bvp-conv", {"material": {"rho": 0.1, "nu": 0.01},
+                              "schedule": {"rho": [0.1, 0.05], "n": 0}}),
+    "boolean-steps": ("point-test", {"time": {"steps": True}}),
 }
 
 
 @pytest.mark.parametrize("name", list(BAD_DOCUMENTS))
-def test_parse_rejects_what_the_run_rejects(name, tmp_path):
+def test_parse_rejects_what_the_run_rejects(name, tmp_path, capsys):
     kind, extra = BAD_DOCUMENTS[name]
     with pytest.raises(ValidationError):
         parse_scenario(minimal(kind, **extra))
     path = tmp_path / "s.json"
     path.write_text(minimal(kind, **extra))
     assert main([kind, "--scenario", str(path), "--dry-run"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("conv-rho", {"schedule": {"rho": [0.1, 0.01], "tau": 5}}),
+    ("conv-tau", {"material": {"rho": 0.1}, "taus": [2.0]})])
+def test_a_step_beyond_the_interval_runs_one_step(kind, extra, tmp_path):
+    # like the BVP studies, a constitutive study takes max(1, round(T/tau))
+    # steps, so a step longer than the stress path is one step
+    manifest = run_scenario(parse_scenario(minimal(kind, **extra)), tmp_path)
+    table = (tmp_path / manifest["artifacts"][0]).read_text().splitlines()
+    assert len(table) == (3 if kind == "conv-rho" else 2)
 
 
 def test_bvp_time_T_must_be_the_program_end():
@@ -197,7 +248,7 @@ def test_bvp_time_T_must_be_the_program_end():
         parse_scenario(minimal("bvp-run", time={"T": 2.0}, program=program))
     assert any("time.T" in m for m in exc.value.errors)
     s = parse_scenario(minimal("bvp-run", time={"T": 1.0}, program=program))
-    assert s.bvp_problem().grid().nodes[-1] == 1.0
+    assert s.grid.nodes[-1] == 1.0
 
 
 def test_bvp_conv_default_tau_spans_the_program(tmp_path, monkeypatch):
@@ -207,7 +258,7 @@ def test_bvp_conv_default_tau_spans_the_program(tmp_path, monkeypatch):
                                time={"steps": 8}, mesh={"n": 1},
                                program=program,
                                schedule={"rho": [0.1, 0.05]}))
-    assert s.schedule["tau"] == 0.25
+    assert s.schedule.tau[0] == 0.25
     steps, run = [], quasistatic.run_incremental_bvp
 
     def recording_run(space, params, grid, *args, **kwargs):
@@ -239,7 +290,7 @@ def test_conv_rho_default_tau_spans_the_stress_path(tmp_path, monkeypatch):
     path = {"amplitudes": [0.0, 2.0, 0.0], "times": [0.0, 1.0, 2.0]}
     s = parse_scenario(minimal("conv-rho", time={"steps": 8}, stress_path=path,
                                schedule={"rho": [0.1, 0.05]}))
-    assert s.schedule["tau"] == 0.25
+    assert s.schedule.tau[0] == 0.25
     steps, run = [], constitutive.run_constitutive
 
     def recording_run(p, path, grid, *args, **kwargs):
