@@ -38,13 +38,13 @@ n >= 1) and its check_study (the entries a study fixes, tau > 0 for the
 studies that step in time), rate_study_steps (conv-tau) and gamma_rhos
 (gamma-table).  This module keeps only what no object knows: the structure
 (unknown keys and non-object sections raise ParseError), the JSON types (a
-number is an int or a float, a count an int, neither a bool; type errors
-raise a ValidationError before any object sees a value), the defaults, the
-seed, probe and sample counts, and the rules that span sections: an
-explicit time.T is the last program time, a program has times and each of
-its channels its amplitudes, the dirichlet_profile, the study and the kind
-are known, and conv-rho and bvp-conv have a schedule.  All other
-violations are collected into one ValidationError.
+number is an int or a finite float, a count an int, neither a bool; type
+errors raise a ValidationError before any object sees a value), the
+defaults, the seed, probe and sample counts, and the rules that span
+sections: an explicit time.T is the last program time, a program has times
+and each of its channels its amplitudes, the dirichlet_profile, the study
+and the kind are known, and conv-rho and bvp-conv have a schedule.  All
+other violations are collected into one ValidationError.
 """
 
 import json
@@ -91,32 +91,30 @@ DIRICHLET_PROFILES = {
 }
 
 
-def _number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _count(v):
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v):
+    return _count(v) or isinstance(v, float) and math.isfinite(v)
 
 
 def _list(ok):
     return lambda v: isinstance(v, list) and all(map(ok, v))
 
 
-# the JSON type of each kind of value; a section's own keys are checked
-# as a section
-NUMBER, COUNT, NAME, NUMBERS = ("a number", "an integer", "a string",
-                                "a list of numbers")
-NAMES, VALUES, COUNTS, VECTORS = (
-    "a list of strings", "a number or a list of numbers",
-    "an integer or a list of integers", "an object of number lists")
-TYPES = {NUMBER: _number, COUNT: _count, NAME: lambda v: isinstance(v, str),
-         NUMBERS: _list(_number), "a section": lambda v: True,
-         VALUES: lambda v: _number(v) or _list(_number)(v),
-         COUNTS: lambda v: _count(v) or _list(_count)(v),
-         VECTORS: lambda v: isinstance(v, dict)
-         and all(map(_list(_number), v.values()))}
-TYPES[NAMES] = _list(TYPES[NAME])
+# each kind of JSON value: its check and its name in an error message
+NUMBER, COUNT = (_number, "a number"), (_count, "an integer")
+NAME = (lambda v: isinstance(v, str), "a string")
+NUMBERS, NAMES = ((_list(_number), "a list of numbers"),
+                  (_list(NAME[0]), "a list of strings"))
+VALUES = (lambda v: _number(v) or NUMBERS[0](v),
+          "a number or a list of numbers")
+COUNTS = (lambda v: _count(v) or _list(_count)(v),
+          "an integer or a list of integers")
+VECTORS = (lambda v: isinstance(v, dict) and all(map(NUMBERS[0], v.values())),
+           "an object of number lists")
+SECTION = (lambda v: True, "an object")     # its keys are checked as a section
 
 # section -> key -> kind of value; the keys are the only ones allowed
 SECTIONS = {
@@ -136,7 +134,7 @@ SECTIONS = {
 SECTIONS["scenario"] = {"kind": NAME, "seed": COUNT, "probes": COUNT,
                         "taus": NUMBERS, "reference_tau": NUMBER,
                         "rhos": NUMBERS, "study": NAME, "out": NAME,
-                        **dict.fromkeys(SECTIONS, "a section")}
+                        **dict.fromkeys(SECTIONS, SECTION)}
 
 
 @dataclass
@@ -168,11 +166,11 @@ def _type_errors(raw):
         if not isinstance(data, dict):
             raise ParseError(f"{section} must be a JSON object")
         for key, value in data.items():
-            kind = SECTIONS[section].get(key)
-            if kind is None:
+            if key not in SECTIONS[section]:
                 raise ParseError(f"unknown key {key!r} in {section}")
-            if not TYPES[kind](value):
-                errors.append(f"{section}.{key} must be {kind}")
+            ok, what = SECTIONS[section][key]
+            if not ok(value):
+                errors.append(f"{section}.{key} must be {what}")
     return errors
 
 

@@ -215,6 +215,9 @@ BAD_DOCUMENTS = {
     "no-cells": ("bvp-conv", {"material": {"rho": 0.1, "nu": 0.01},
                               "schedule": {"rho": [0.1, 0.05], "n": 0}}),
     "boolean-steps": ("point-test", {"time": {"steps": True}}),
+    # json reads NaN and Infinity (and 1e400) as floats that no check rejects
+    "nan-constant": ("point-test", {"material": {"c1": float("nan")}}),
+    "infinite-T": ("point-test", {"time": {"T": float("inf")}}),
 }
 
 
@@ -309,3 +312,28 @@ SHIPPED = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.jso
 def test_shipped_scenarios_pass_dry_run(path):
     kind = json.loads(path.read_text())["kind"]
     assert main([kind, "--scenario", str(path), "--dry-run"]) == 0
+
+
+def _key_paths(d, prefix=()):
+    for key, value in d.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
+def test_no_malformed_value_escapes_as_another_error(path):
+    # every key of a shipped scenario, set to a value of a wrong type or
+    # range, parses or raises ParseError/ValidationError, nothing else
+    doc = json.loads(path.read_text())
+    for keys in _key_paths(doc):
+        for bad in (True, "x", None, [], {}, [1.0, "a"], -1, 0, 2.5):
+            d = json.loads(path.read_text())
+            target = d
+            for k in keys[:-1]:
+                target = target[k]
+            target[keys[-1]] = bad
+            try:
+                parse_scenario(json.dumps(d))
+            except (ParseError, ValidationError):
+                pass
