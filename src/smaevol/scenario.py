@@ -38,9 +38,9 @@ n >= 1) and its check_study (the entries a study fixes, tau > 0 for the
 studies that step in time), rate_study_steps (conv-tau) and gamma_rhos
 (gamma-table).  This module keeps only what no object knows: the structure
 (unknown keys and non-object sections raise ParseError), the JSON types (a
-number is an int or a finite float, a count an int, neither a bool; type
-errors raise a ValidationError before any object sees a value), the
-defaults, the seed, probe and sample counts, and the rules that span
+number is a 64-bit int or a finite float, a count a 64-bit int, neither a
+bool; type errors raise a ValidationError before any object sees a value),
+the defaults, the seed, probe and sample counts, and the rules that span
 sections: an explicit time.T is the last program time, a program has times
 and each of its channels its amplitudes, the dirichlet_profile, the study
 and the kind are known, and conv-rho and bvp-conv have a schedule.  All
@@ -92,7 +92,7 @@ DIRICHLET_PROFILES = {
 
 
 def _count(v):
-    return isinstance(v, int) and not isinstance(v, bool)
+    return isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2 ** 63
 
 
 def _number(v):

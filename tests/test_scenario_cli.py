@@ -218,6 +218,8 @@ BAD_DOCUMENTS = {
     # json reads NaN and Infinity (and 1e400) as floats that no check rejects
     "nan-constant": ("point-test", {"material": {"c1": float("nan")}}),
     "infinite-T": ("point-test", {"time": {"T": float("inf")}}),
+    "huge-T": ("point-test", {"time": {"T": 10 ** 400}}),
+    "huge-steps": ("point-test", {"time": {"steps": 10 ** 400}}),
 }
 
 
