@@ -215,7 +215,8 @@ BAD_DOCUMENTS = {
     "no-cells": ("bvp-conv", {"material": {"rho": 0.1, "nu": 0.01},
                               "schedule": {"rho": [0.1, 0.05], "n": 0}}),
     "boolean-steps": ("point-test", {"time": {"steps": True}}),
-    # json reads NaN and Infinity (and 1e400) as floats that no check rejects
+    # json reads NaN and Infinity as floats and 10**400 as an int beyond any
+    # float or count
     "nan-constant": ("point-test", {"material": {"c1": float("nan")}}),
     "infinite-T": ("point-test", {"time": {"T": float("inf")}}),
     "huge-T": ("point-test", {"time": {"T": 10 ** 400}}),
