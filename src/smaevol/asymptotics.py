@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .constitutive import (PointTrajectory, StressPath, TimeGrid,
                            _sup_state_diff, run_constitutive)
@@ -188,16 +187,11 @@ def limit_constitutive(p: MaterialParams, path: StressPath,
 # boundary-value limits
 
 
-def _injections(member_space, ref_space):
-    """Member-to-reference injections of the (v, z) dof vectors."""
-    P = inject(member_space, ref_space)
-    return (sp.kron(P, sp.eye(3), format="csr"),
-            sp.kron(P, sp.eye(5), format="csr"))
-
-
-def _bvp_state_diff(injections, ref_forms, v_m, z_m, v_r, z_r):
-    P3, P5 = injections
-    d = (P3 @ v_m - v_r, P5 @ z_m - z_r)
+def _bvp_state_diff(P, ref_forms, v_m, z_m, v_r, z_r):
+    """Energy norm of the difference of the member state, injected by the
+    scalar member-to-reference matrix P, and the reference state."""
+    d = ((P @ v_m.reshape(-1, 3)).ravel() - v_r,
+         (P @ z_m.reshape(-1, 5)).ravel() - z_r)
     return math.sqrt(max(ref_forms.energy_value(d), 0.0))
 
 
@@ -230,7 +224,7 @@ def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule,
                 "nu": float(schedule.nu[k]), "tau": 0.0,
                 "h": solver.space.mesh.h,
                 "state_diff": _bvp_state_diff(
-                    _injections(solver.space, ref_space), ref_forms,
+                    inject(solver.space, ref_space), ref_forms,
                     v, z, v_r, z_r),
                 "energy_diff": abs(w - w_r),
                 "diss_diff": abs(dd - d_r)}
@@ -251,12 +245,12 @@ def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
     def member(k):
         rec, rep = spacetime_run(problem, float(schedule.rho[k]), nu,
                                  float(schedule.tau[k]), int(schedule.n[k]))
-        injections = _injections(rec.solver.space, ref.solver.space)
+        P = inject(rec.solver.space, ref.solver.space)
         state = 0.0
         energy = 0.0
         for i, t in enumerate(rec.grid.nodes):
             j = ref.grid.node_index(t)
-            state = max(state, _bvp_state_diff(injections, ref_forms,
+            state = max(state, _bvp_state_diff(P, ref_forms,
                                                rec.v[i], rec.z[i],
                                                ref.v[j], ref.z[j]))
             energy = max(energy, abs(rec.stored_v[i] - ref.stored_v[j]))

@@ -5,7 +5,12 @@ main diagonal (Kuhn/Freudenthal pattern), which is conforming and nested
 under dyadic refinement.  Displacements carry three dofs per node
 (node-major, dof = 3*node + comp); the transformation-strain field carries
 five dofs per node in the orthonormal deviatoric basis of tensors.py
-(dof = 5*node + comp), so all nodal norms are plain euclidean.
+(dof = 5*node + comp), so all nodal norms are plain euclidean.  A dof
+vector of width k is thus the row-major ravel of an (n_nodes, k) array, and
+a scalar nodal matrix A acts on it as A (x) I_k, that is as A applied to
+that array.  The space keeps only the scalar matrices (mass M, gradient
+stiffness Gs, surface masses surf); a quadratic form written z . M z sums
+over the k columns.
 
 Quadrature policy: the quadratic energy terms are integrated exactly
 (P1 integrands are polynomials), while the nonsmooth transformation and
@@ -106,9 +111,6 @@ class FeSpace:
     D: np.ndarray = None           # (nt, 6, 12) strain-displacement (Mandel)
     M: sp.csr_matrix = None        # scalar consistent mass
     Gs: sp.csr_matrix = None       # scalar gradient stiffness
-    M5: sp.csr_matrix = None
-    G5: sp.csr_matrix = None
-    M3: sp.csr_matrix = None
     lumped: np.ndarray = None      # nodal quadrature weights
     surf: dict = None              # plane -> scalar surface mass
     dirichlet_nodes: np.ndarray = None   # bool (nn,)
@@ -186,9 +188,6 @@ def build_space(mesh: BoxMesh, dirichlet_planes=("x0",)) -> FeSpace:
     space.M = _scatter(nn, nn, rows, cols, Me)
     space.Gs = _scatter(nn, nn, rows, cols, Ge)
     space.lumped = np.asarray(space.M.sum(axis=1)).ravel()
-    space.M5 = sp.kron(space.M, sp.eye(5), format="csr")
-    space.G5 = sp.kron(space.Gs, sp.eye(5), format="csr")
-    space.M3 = sp.kron(space.M, sp.eye(3), format="csr")
 
     space.surf = {}
     for pl, tris in mesh.boundary.items():
@@ -230,32 +229,31 @@ class StepForms:
         u2, z2 = y2
         G, c2, nu = self.params.elastic.G, self.params.c2, self.params.nu
         spc = self.space
+        Z2 = z2.reshape(-1, 5)
         val = 0.5 * (u1 @ (self.K @ u2)) \
             - 0.5 * (u1 @ (self.Cup @ z2)) - 0.5 * (u2 @ (self.Cup @ z1)) \
-            + (G + c2) * (z1 @ (spc.M5 @ z2))
+            + (G + c2) * (z1 @ (spc.M @ Z2).ravel())
         if nu:
-            val += 0.5 * nu * (z1 @ (spc.G5 @ z2))
+            val += 0.5 * nu * (z1 @ (spc.Gs @ Z2).ravel())
         return float(val)
 
     def energy_value(self, y) -> float:
         return self.energy_product(y, y)
 
-    def z_block(self, nodal=False) -> sp.csr_matrix:
-        """The z-z block (G + c2) M5 + nu/2 G5 of the energy matrix; with
-        nodal=True, the scalar nodal matrix S = (G + c2) M + nu/2 Gs, so
-        that z_block() = S (x) I5."""
+    def z_block(self) -> sp.csr_matrix:
+        """The scalar nodal matrix S = (G + c2) M + nu/2 Gs; the z-z block of
+        the energy matrix is S (x) I5, S applied to the (n_nodes, 5) field."""
         G, c2, nu = self.params.elastic.G, self.params.c2, self.params.nu
-        spc = self.space
-        M, Gs = (spc.M, spc.Gs) if nodal else (spc.M5, spc.G5)
-        Z = (G + c2) * M
+        Z = (G + c2) * self.space.M
         if nu:
-            Z = Z + 0.5 * nu * Gs
+            Z = Z + 0.5 * nu * self.space.Gs
         return Z
 
     def matrix(self) -> sp.csr_matrix:
         """Sparse H with y . H y = energy_value(y) on stacked (u, z) dofs."""
         return sp.bmat([[0.5 * self.K, -0.5 * self.Cup],
-                        [-0.5 * self.Cup.T, self.z_block()]], format="csr")
+                        [-0.5 * self.Cup.T,
+                         sp.kron(self.z_block(), sp.eye(5))]], format="csr")
 
 
 def assemble_forms(space: FeSpace, params: MaterialParams) -> StepForms:
@@ -354,10 +352,9 @@ class LoadProgram:
         found = []
         if self.body is not None:
             found.append((self.body_amps, zero,
-                          space.M3 @ self._nodal(self.body, nodes).ravel()))
+                          (space.M @ self._nodal(self.body, nodes)).ravel()))
         if self.traction:
-            load = sum(sp.kron(space.surf[pl], sp.eye(3), format="csr")
-                       @ self._nodal(shape, nodes).ravel()
+            load = sum((space.surf[pl] @ self._nodal(shape, nodes)).ravel()
                        for pl, shape in self.traction.items())
             found.append((self.traction_amps, zero, load))
         if self.dirichlet is not None:
@@ -378,15 +375,14 @@ def assemble_load(space: FeSpace, program: LoadProgram, t: float) -> np.ndarray:
         amp = program._amp(program.body_amps, t)
         if amp != 0.0:
             f = amp * program._nodal(program.body, space.mesh.nodes)
-            ell += space.M3 @ f.ravel()
+            ell += (space.M @ f).ravel()
     for pl, shape in program.traction.items():
         if pl in space.dirichlet_planes:
             raise ValueError(f"traction prescribed on the Dirichlet plane {pl!r}")
         amp = program._amp(program.traction_amps, t)
         if amp != 0.0:
             g = amp * program._nodal(shape, space.mesh.nodes)
-            S3 = sp.kron(space.surf[pl], sp.eye(3), format="csr")
-            ell += S3 @ g.ravel()
+            ell += (space.surf[pl] @ g).ravel()
     return ell
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .constitutive import TimeGrid, UnstableInitialState
@@ -53,7 +52,7 @@ class SingularSystem(Exception):
 
 
 def _power_lambda_max(A, iters=60):
-    x = np.ones(A.shape[0])
+    x = np.ones((A.shape[0], 5))
     x /= np.linalg.norm(x)
     lam = 1.0
     for _ in range(iters):
@@ -79,7 +78,7 @@ class QuasistaticSolver:
         K = self.forms.K.tocsc()
         self.K_ff = K[free][:, free]
         self.lu = spla.splu(self.K_ff.tocsc())
-        self.A_z = (2.0 * self.forms.z_block()).tocsr()
+        self.A_z = (2.0 * self.forms.z_block()).tocsr()   # acts on (m, 5)
         self.w = space.lumped
         core = params.core_curvature if params.rho > 0 else 0.0
         lam = _power_lambda_max(self.A_z)
@@ -133,7 +132,7 @@ class QuasistaticSolver:
 
         def a_z(Z):
             if memo[0] is not Z:
-                memo[0], memo[1] = Z, self.A_z @ Z.ravel()
+                memo[0], memo[1] = Z, (self.A_z @ Z).ravel()
             return memo[1]
 
         # one step problem for every sweep: smooth and grad read the current
@@ -273,21 +272,23 @@ def _dual_norms(solver: QuasistaticSolver, program: LoadProgram, times):
     solve per channel, preconditioned with the diagonal blocks
     blockdiag(K_ff / 2, S (x) I5) of H, gives it.  The preconditioner
     reuses the solver's K_ff factorization and factors only the scalar
-    nodal matrix S.  With int C eps(u) : z <= sqrt(u K u) sqrt(2 G z M5 z)
-    the preconditioned spectrum lies in 1 +- sqrt(G / (G + c2)), whatever
-    the mesh.
+    nodal matrix S = z_block().  With int C eps(u) : z <= sqrt(u K u)
+    sqrt(2 G z . M z) (z the (n_nodes, 5) field, M the scalar mass) the
+    preconditioned spectrum lies in 1 +- sqrt(G / (G + c2)), whatever the
+    mesh.
     """
     chans = list(program.channels(solver.space, times))
     if not chans:
         return np.zeros(len(times)), np.zeros(len(times) - 1)
     free, nf = solver.free, int(solver.free.sum())
     Cup_f = solver.forms.Cup[free]
-    S_lu = spla.splu(solver.forms.z_block(nodal=True).tocsc())
+    S_lu = spla.splu(solver.forms.z_block().tocsc())
 
     def apply_H(y):
         yu, yz = y[:nf], y[nf:]
         return np.concatenate([0.5 * (solver.K_ff @ yu - Cup_f @ yz),
-                               0.5 * (solver.A_z @ yz - Cup_f.T @ yu)])
+                               0.5 * ((solver.A_z @ yz.reshape(-1, 5)).ravel()
+                                      - Cup_f.T @ yu)])
 
     def apply_P(r):
         return np.concatenate([2.0 * solver.lu.solve(r[:nf]),
@@ -483,7 +484,8 @@ def spacetime_run(problem: BvpProblem, rho: float, nu: float, tau: float,
 
 
 def _h1_norm(space: FeSpace, forms: StepForms, du) -> float:
-    return math.sqrt(float(du @ (forms.K @ du)) + float(du @ (space.M3 @ du)))
+    return math.sqrt(float(du @ (forms.K @ du))
+                     + float(du @ (space.M @ du.reshape(-1, 3)).ravel()))
 
 
 def nstep_h_convergence(problem: BvpProblem, n_list, steps: int):
@@ -499,10 +501,10 @@ def nstep_h_convergence(problem: BvpProblem, n_list, steps: int):
     table = []
     for lev in range(len(runs) - 1):
         coarse, fine = runs[lev].solver.space, runs[lev + 1].solver.space
-        P3 = sp.kron(inject(coarse, fine), sp.eye(3), format="csr")
+        P = inject(coarse, fine)
         diffs = []
         for i in range(steps + 1):
-            du = P3 @ runs[lev].u[i] - runs[lev + 1].u[i]
+            du = (P @ runs[lev].u[i].reshape(-1, 3)).ravel() - runs[lev + 1].u[i]
             diffs.append(_h1_norm(fine, runs[lev + 1].solver.forms, du))
         table.append({"n_coarse": n_list[lev], "n_fine": n_list[lev + 1],
                       "diffs": np.array(diffs)})

@@ -422,11 +422,11 @@ def test_spacetime_run_consistency_and_flag():
 
 @pytest.mark.parametrize("nu", [0.0, 0.01])
 def test_z_step_matrix_is_twice_the_z_block(nu):
-    # A_z = 2 z_block() keeps every bit of the matrix written out directly,
-    # so the z-step iterates do not move
+    # A_z = 2 z_block() keeps every bit of the scalar nodal matrix written
+    # out directly, so the z-step iterates do not move
     space = space_n(2)
     p = MaterialParams(rho=0.1, nu=nu)
     G, c2 = p.elastic.G, p.c2
-    direct = 2.0 * (G + c2) * space.M5 + nu * space.G5
+    direct = 2.0 * (G + c2) * space.M + nu * space.Gs
     assert np.array_equal(QuasistaticSolver(space, p).A_z.toarray(),
                           direct.toarray())
