@@ -18,7 +18,7 @@ import numpy as np
 
 from .constitutive import (PointTrajectory, StressPath, TimeGrid,
                            _sup_state_diff, run_constitutive)
-from .fem import assemble_load, inject
+from .fem import inject
 from .material import (MaterialParams, transformation_energy_sharp,
                        transformation_energy_smooth)
 from .quasistatic import (BvpProblem, QuasistaticSolver, solve_bvp_step,
@@ -205,10 +205,9 @@ def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule,
     def solve_member(rho, nu, n):
         space = problem.space(n)
         solver = QuasistaticSolver(space, replace(problem.params, rho=rho, nu=nu))
-        u_dir = problem.program.dirichlet_vector(space, t)
+        u_dir, ell = problem.program.at(space, t)
         anchor = np.zeros(space.n_z)
-        u, z = solve_bvp_step(solver, u_dir,
-                              assemble_load(space, problem.program, t), anchor)
+        u, z = solve_bvp_step(solver, u_dir, ell, anchor)
         v = u - u_dir
         return solver, v, z, solver.stored_energy(v, z), \
             solver.dissipation_increment(z, anchor)

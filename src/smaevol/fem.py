@@ -323,31 +323,30 @@ class LoadProgram:
     def T(self) -> float:
         return float(self.times[-1])
 
-    def _amp(self, amps, t):
-        if amps is None:
-            return 0.0
-        return float(np.interp(t, self.times, amps))
-
     def _nodal(self, shape, nodes):
         if callable(shape):
             return np.array([shape(x) for x in nodes], dtype=float)
         return np.tile(np.asarray(shape, dtype=float), (len(nodes), 1))
 
-    def dirichlet_vector(self, space: FeSpace, t: float) -> np.ndarray:
-        """Full nodal lifting of the prescribed boundary displacement."""
-        if self.dirichlet is None:
-            return np.zeros(space.n_u)
-        amp = self._amp(self.dirichlet_amps, t)
-        vals = self._nodal(self.dirichlet, space.mesh.nodes)
-        return amp * vals.ravel()
-
     def channels(self, space: FeSpace, times):
-        """The active channels as (amplitudes at times, unit lifting, unit load).
+        """The active channels as arrays (amplitudes, liftings, loads) of
+        shapes (k, len(times)), (k, n_u) and (k, n_u).
 
-        dirichlet_vector(t) and assemble_load(t) are the sums over the
-        channels of amplitude(t) times the unit lifting and the unit load;
-        a channel whose amplitudes all vanish at the given times is left out.
+        Channel c (body, traction, Dirichlet, in that order) has the unit
+        lifting liftings[c] of the boundary displacement and the unit load
+        functional loads[c] over the displacement dofs; at times[i] the
+        lifting is amplitudes[:, i] @ liftings and the load
+        amplitudes[:, i] @ loads.  A channel whose amplitudes all vanish at
+        the given times is left out.  ValueError for a time outside the
+        program interval or a traction on a Dirichlet plane of the space.
         """
+        times = np.asarray(times, dtype=float)
+        if np.any(times < self.times[0] - 1e-12) \
+                or np.any(times > self.times[-1] + 1e-12):
+            raise ValueError("time outside the program interval")
+        for pl in self.traction:
+            if pl in space.dirichlet_planes:
+                raise ValueError(f"traction prescribed on the Dirichlet plane {pl!r}")
         nodes, zero = space.mesh.nodes, np.zeros(space.n_u)
         found = []
         if self.body is not None:
@@ -360,30 +359,21 @@ class LoadProgram:
         if self.dirichlet is not None:
             found.append((self.dirichlet_amps,
                           self._nodal(self.dirichlet, nodes).ravel(), zero))
+        active = []
         for amps, lifting, load in found:
-            a = np.array([self._amp(amps, t) for t in times])
+            a = 0.0 * times if amps is None else np.interp(times, self.times, amps)
             if a.any():
-                yield a, lifting, load
+                active.append((a, lifting, load))
+        return (np.reshape([a for a, _, _ in active], (-1, len(times))),
+                np.reshape([lift for _, lift, _ in active], (-1, space.n_u)),
+                np.reshape([load for _, _, load in active], (-1, space.n_u)))
 
-
-def assemble_load(space: FeSpace, program: LoadProgram, t: float) -> np.ndarray:
-    """Nodal load functional <l(t), u> over the displacement dofs."""
-    if t < program.times[0] - 1e-12 or t > program.times[-1] + 1e-12:
-        raise ValueError("time outside the program interval")
-    ell = np.zeros(space.n_u)
-    if program.body is not None:
-        amp = program._amp(program.body_amps, t)
-        if amp != 0.0:
-            f = amp * program._nodal(program.body, space.mesh.nodes)
-            ell += (space.M @ f).ravel()
-    for pl, shape in program.traction.items():
-        if pl in space.dirichlet_planes:
-            raise ValueError(f"traction prescribed on the Dirichlet plane {pl!r}")
-        amp = program._amp(program.traction_amps, t)
-        if amp != 0.0:
-            g = amp * program._nodal(shape, space.mesh.nodes)
-            ell += (space.surf[pl] @ g).ravel()
-    return ell
+    def at(self, space: FeSpace, t: float):
+        """The lifting u_dir(t) of the boundary displacement and the load
+        functional l(t), both over the displacement dofs: the channels
+        summed at the one time t."""
+        amps, liftings, loads = self.channels(space, [t])
+        return amps[:, 0] @ liftings, amps[:, 0] @ loads
 
 
 # ---------------------------------------------------------------------------

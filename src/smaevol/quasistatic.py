@@ -13,11 +13,17 @@ and the scalar offset q(t) = elastic energy of the lifting minus its load
 pairing.  The step solver alternates an exact sparse elasticity solve for
 v (the stiffness factorization is cached per space) with a nodal-prox
 proximal-gradient solve for z, monitored by a joint first-order residual.
+Dof vectors follow the layout of fem: u is the ravel of an (n_nodes, 3)
+array and z of an (n_nodes, 5) one, and the z-step matrix A_z = 2S (S the
+scalar nodal matrix StepForms.z_block()) acts on the (n_nodes, 5) array.
 
-The a priori ledger bound needs the dual energy norms of the load
-functionals; they come from a Gram matrix of the load program's at most
-three channel functionals, so the joint (u, z) energy matrix is applied
-but never factored.
+A run builds its load data once: the load program's at most three
+channels (body, traction, Dirichlet) each give a unit lifting, a unit load
+and their functional Lambda_c of (v, z), and u_dir(t), l(t) and L(t) are
+the amplitude-weighted sums of these.  The a priori ledger bound needs the
+dual energy norms of the same functionals L(t_i); they come from the Gram
+matrix of the Lambda_c, so the joint (u, z) energy matrix is applied but
+never factored.
 
 The discrete energies reported in the ledger use the same quadrature as
 the minimized functional: exact for all quadratic terms, nodal-lumped for
@@ -33,8 +39,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .constitutive import TimeGrid, UnstableInitialState
-from .fem import (FeSpace, LoadProgram, StepForms, assemble_forms,
-                  assemble_load, box_mesh, build_space, inject)
+from .fem import (FeSpace, LoadProgram, StepForms, assemble_forms, box_mesh,
+                  build_space, inject)
 from .material import MaterialParams, radial_core_d1, radial_core_value
 from .proxsolve import (NonConvergence, StepProblem, project_ball,
                         solve_field)
@@ -102,7 +108,8 @@ class QuasistaticSolver:
         return float(self.params.R * (self.w @ dr))
 
     def lifted_load(self, u_dir, ell):
-        """The functional (L_u, L_z) of the shifted variables v = u - u_dir."""
+        """The functional (L_u, L_z) of the shifted variables v = u - u_dir
+        (column by column for (n_u, k) arrays u_dir and ell)."""
         return ell - self.forms.K @ u_dir, self.forms.Cup.T @ u_dir
 
     def solve_v(self, b_u):
@@ -262,14 +269,15 @@ def _pcg(apply_H, apply_P, b):
         f"residuals {' '.join(f'{t:.2e}' for t in trail)}")
 
 
-def _dual_norms(solver: QuasistaticSolver, program: LoadProgram, times):
+def _dual_norms(solver: QuasistaticSolver, amps, Lam_u, Lam_z):
     """Dual energy norms |L_i| of the load functionals and |L_i - L_{i-1}|
     of their increments.
 
-    L_i is the sum over the program's channels of a_c(t_i) Lambda_c, so
-    |L_i|^2 = a(t_i) . Gamma a(t_i) with the Gram matrix Gamma_kl =
-    Lambda_k . H^-1 Lambda_l of the constrained energy matrix H; one CG
-    solve per channel, preconditioned with the diagonal blocks
+    L_i is the sum over the load program's k channels of amps[c, i]
+    Lambda_c, with the channel functional Lambda_c = (Lam_u[:, c],
+    Lam_z[:, c]); so |L_i|^2 = a_i . Gamma a_i with the Gram matrix
+    Gamma_kl = Lambda_k . H^-1 Lambda_l of the constrained energy matrix H.
+    One CG solve per channel, preconditioned with the diagonal blocks
     blockdiag(K_ff / 2, S (x) I5) of H, gives it.  The preconditioner
     reuses the solver's K_ff factorization and factors only the scalar
     nodal matrix S = z_block().  With int C eps(u) : z <= sqrt(u K u)
@@ -277,9 +285,8 @@ def _dual_norms(solver: QuasistaticSolver, program: LoadProgram, times):
     preconditioned spectrum lies in 1 +- sqrt(G / (G + c2)), whatever the
     mesh.
     """
-    chans = list(program.channels(solver.space, times))
-    if not chans:
-        return np.zeros(len(times)), np.zeros(len(times) - 1)
+    if not len(amps):
+        return np.zeros(amps.shape[1]), np.zeros(amps.shape[1] - 1)
     free, nf = solver.free, int(solver.free.sum())
     Cup_f = solver.forms.Cup[free]
     S_lu = spla.splu(solver.forms.z_block().tocsc())
@@ -294,9 +301,7 @@ def _dual_norms(solver: QuasistaticSolver, program: LoadProgram, times):
         return np.concatenate([2.0 * solver.lu.solve(r[:nf]),
                                S_lu.solve(r[nf:].reshape(-1, 5)).ravel()])
 
-    amps = np.array([a for a, _, _ in chans])
-    Lam = [np.concatenate([L_u[free], L_z]) for L_u, L_z in
-           (solver.lifted_load(lifting, load) for _, lifting, load in chans)]
+    Lam = np.vstack([Lam_u[free], Lam_z]).T
     X = [_pcg(apply_H, apply_P, L) for L in Lam]
     gram = np.array([[Lk @ x for x in X] for Lk in Lam])
     gram = 0.5 * (gram + gram.T)   # H is symmetric; the CG solves are not exact
@@ -314,11 +319,15 @@ def run_incremental_bvp(space: FeSpace, params: MaterialParams, grid: TimeGrid,
     solver = QuasistaticSolver(space, params)
     n = grid.steps
     times = grid.nodes
-    u_dir = np.array([program.dirichlet_vector(space, t) for t in times])
-    ell = np.array([assemble_load(space, program, t) for t in times])
-    L_u, L_z = map(np.array, zip(*map(solver.lifted_load, u_dir, ell)))
-    q = np.array([0.5 * float(u_dir[i] @ (solver.forms.K @ u_dir[i]))
-                  - float(ell[i] @ u_dir[i]) for i in range(n + 1)])
+    # every load datum is an amplitude-weighted sum of the channels' unit
+    # liftings, unit loads and unit functionals (columns of Lam_u, Lam_z)
+    amps, liftings, loads = program.channels(space, times)
+    Lam_u, Lam_z = solver.lifted_load(liftings.T, loads.T)
+    u_dir, ell, L_u, L_z = (amps.T @ X for X in (liftings, loads, Lam_u.T,
+                                                  Lam_z.T))
+    # 0.5 u_dir . K u_dir - ell . u_dir, with K u_dir = ell - L_u; the
+    # factor sits inside the sum so that a zero lifting gives q = +0
+    q = np.einsum("ij,ij->i", u_dir, -0.5 * (ell + L_u))
 
     def step(i, anchor):
         try:
@@ -352,7 +361,7 @@ def run_incremental_bvp(space: FeSpace, params: MaterialParams, grid: TimeGrid,
     E = stored_v - L_pair
     residual = (E + cum) - (E[0] - worksum)
 
-    norms, dnorms = _dual_norms(solver, program, times)
+    norms, dnorms = _dual_norms(solver, amps, Lam_u, Lam_z)
     c0 = stored_v[0] + norms[0] * math.sqrt(max(stored_v[0], 0.0))
     b = float(norms.max() + dnorms.sum())
     S = 0.5 * (b + math.sqrt(b * b + 4.0 * max(c0, 0.0)))

@@ -5,7 +5,9 @@ the incremental step is minimized by exhaustive evaluation on a grid in
 the 2-plane spanned by the driving stress deviator and the anchor, which
 contains the minimizer by rotational symmetry of all radial terms.  The
 dual energy norms of load functionals come from a sparse LU of the whole
-constrained (u, z) energy matrix.  The exact point kernel is checked
+constrained (u, z) energy matrix.  The load data of one time are assembled
+from that time's amplitudes with Kronecker-expanded mass matrices, as the
+solver did before it summed the load program's channels.  The exact point kernel is checked
 against the iterative solvers it replaced: the Barzilai-Borwein
 prox-gradient loop on a point, and the scalar Dykstra splitting for the
 prox of two kinks and the ball.  The constraint penalty and its
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from smaevol.material import MaterialParams, radial_core_value
@@ -158,6 +161,35 @@ def joint_lu_dual_norms(solver, L_list):
         Lc = L[free]
         out.append(math.sqrt(max(float(Lc @ lu.solve(Lc)), 0.0)))
     return np.array(out)
+
+
+def load_at_oracle(space, program, t):
+    """(u_dir, ell) of the load program at time t, assembled per time: each
+    channel's amplitude at t times its nodal shape, integrated with the
+    Kronecker-expanded mass M (x) I3 or surface mass surf (x) I3."""
+    if t < program.times[0] - 1e-12 or t > program.times[-1] + 1e-12:
+        raise ValueError("time outside the program interval")
+
+    def amp(amps):
+        return 0.0 if amps is None else float(np.interp(t, program.times, amps))
+
+    def nodal(shape):
+        if callable(shape):
+            return np.array([shape(x) for x in space.mesh.nodes], dtype=float)
+        return np.tile(np.asarray(shape, dtype=float), (space.n_nodes, 1))
+
+    u_dir, ell = np.zeros(space.n_u), np.zeros(space.n_u)
+    if program.dirichlet is not None:
+        u_dir = amp(program.dirichlet_amps) * nodal(program.dirichlet).ravel()
+    if program.body is not None:
+        M3 = sp.kron(space.M, sp.eye(3), format="csr")
+        ell += M3 @ (amp(program.body_amps) * nodal(program.body)).ravel()
+    for pl, shape in program.traction.items():
+        if pl in space.dirichlet_planes:
+            raise ValueError(f"traction prescribed on the Dirichlet plane {pl!r}")
+        S3 = sp.kron(space.surf[pl], sp.eye(3), format="csr")
+        ell += S3 @ (amp(program.traction_amps) * nodal(shape)).ravel()
+    return u_dir, ell
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,8 @@ from smaevol.constitutive import (PointState, StressPath, TimeGrid,
                                   continuous_dependence_check,
                                   incremental_step, run_constitutive,
                                   temporal_error_study, verify_stability)
-from smaevol.fem import (LoadProgram, assemble_forms, assemble_load, box_mesh,
-                         build_space, galerkin_project, inject,
-                         interp_constrained)
+from smaevol.fem import (LoadProgram, assemble_forms, box_mesh, build_space,
+                         galerkin_project, inject, interp_constrained)
 from smaevol.material import MaterialParams, transformation_energy_grad
 from smaevol.quasistatic import (BvpProblem, QuasistaticSolver,
                                  nstep_h_convergence, run_incremental_bvp,
@@ -265,8 +264,7 @@ def test_criterion_10_bvp_convergence_tables():
         for n in (2, 4, 8):
             space = problem.space(n)
             u, z = solve_bvp_step(QuasistaticSolver(space, p),
-                                  prog.dirichlet_vector(space, t_star),
-                                  assemble_load(space, prog, t_star),
+                                  *prog.at(space, t_star),
                                   np.zeros(space.n_z))
             states.append((u, z))
             spaces2.append(space)

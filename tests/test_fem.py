@@ -3,9 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from smaevol.fem import (LoadProgram, SingularFormError, assemble_forms,
-                         assemble_load, box_mesh, build_space, dump_fields,
-                         galerkin_project, inject, interp_constrained, locate,
-                         nodal_interp)
+                         box_mesh, build_space, dump_fields, galerkin_project,
+                         inject, interp_constrained, locate, nodal_interp)
 from smaevol.material import MaterialParams
 from smaevol.tensors import dev_from_sym, sym_from_matrix
 
@@ -136,14 +135,15 @@ def test_korn_coercivity_smallest_meshes():
 def test_zero_load():
     space = small_space(2)
     prog = LoadProgram(times=[0.0, 1.0])
-    assert np.all(assemble_load(space, prog, 0.5) == 0.0)
+    u_dir, ell = prog.at(space, 0.5)
+    assert np.all(u_dir == 0.0) and np.all(ell == 0.0)
 
 
 def test_constant_body_force_total():
     space = small_space(2)
     prog = LoadProgram(times=[0.0, 1.0], body=[0.0, 0.0, 1.0],
                        body_amps=[1.0, 1.0])
-    ell = assemble_load(space, prog, 0.3)
+    ell = prog.at(space, 0.3)[1]
     u = np.tile([0.0, 0.0, 1.0], space.n_nodes)
     assert float(ell @ u) == pytest.approx(1.0, rel=1e-12)
 
@@ -152,7 +152,7 @@ def test_traction_total_on_face():
     space = small_space(2)
     prog = LoadProgram(times=[0.0, 1.0], traction={"x1": [1.0, 0.0, 0.0]},
                        traction_amps=[0.0, 2.0])
-    ell = assemble_load(space, prog, 1.0)
+    ell = prog.at(space, 1.0)[1]
     u = np.tile([1.0, 0.0, 0.0], space.n_nodes)
     # area of the x1 face is 1, amplitude 2
     assert float(ell @ u) == pytest.approx(2.0, rel=1e-12)
@@ -162,9 +162,9 @@ def test_load_linear_in_time_between_breakpoints():
     space = small_space(2)
     prog = LoadProgram(times=[0.0, 0.5, 1.0], body=[1.0, 0.0, 0.0],
                        body_amps=[0.0, 1.0, -1.0])
-    l1 = assemble_load(space, prog, 0.6)
-    l2 = assemble_load(space, prog, 0.8)
-    mid = assemble_load(space, prog, 0.7)
+    l1 = prog.at(space, 0.6)[1]
+    l2 = prog.at(space, 0.8)[1]
+    mid = prog.at(space, 0.7)[1]
     assert np.allclose(mid, 0.5 * (l1 + l2), atol=1e-14)
 
 
@@ -172,8 +172,19 @@ def test_traction_on_dirichlet_plane_rejected():
     space = small_space(2)
     prog = LoadProgram(times=[0.0, 1.0], traction={"x0": [1.0, 0.0, 0.0]},
                        traction_amps=[1.0, 1.0])
-    with pytest.raises(ValueError):
-        assemble_load(space, prog, 0.5)
+    with pytest.raises(ValueError, match="Dirichlet plane"):
+        prog.at(space, 0.5)
+
+
+@pytest.mark.parametrize("t", [-0.1, 1.0 + 1e-9])
+def test_time_outside_the_program_is_rejected(t):
+    space = small_space(2)
+    prog = LoadProgram(times=[0.0, 1.0], body=[0.0, 0.0, 1.0],
+                       body_amps=[1.0, 1.0])
+    with pytest.raises(ValueError, match="outside the program interval"):
+        prog.at(space, t)
+    with pytest.raises(ValueError, match="outside the program interval"):
+        prog.channels(space, [0.0, t])
 
 
 def _zeroed_dirichlet(space, u):

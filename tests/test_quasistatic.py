@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from oracles import joint_lu_dual_norms
+import scipy.sparse as sp
+
+from oracles import joint_lu_dual_norms, load_at_oracle
 from smaevol import quasistatic
+from smaevol.asymptotics import LimitSchedule, limit_evolution
 from smaevol.constitutive import TimeGrid, UnstableInitialState
-from smaevol.fem import LoadProgram, assemble_load, box_mesh, build_space
+from smaevol.fem import LoadProgram, box_mesh, build_space
 from smaevol.material import MaterialParams
 from smaevol.proxsolve import NonConvergence, StepProblem
 from smaevol.quasistatic import (BvpProblem, QuasistaticSolver,
@@ -56,7 +59,7 @@ def test_elastic_regime_matches_direct_elasticity():
     space = space_n(2)
     solver = QuasistaticSolver(space, P_SHARP)
     prog = stretch_program(gamma=0.02)
-    u_dir = prog.dirichlet_vector(space, 1.0)
+    u_dir = prog.at(space, 1.0)[0]
     u, z = solve_bvp_step(solver, u_dir, np.zeros(space.n_u),
                           np.zeros(space.n_z))
     assert np.linalg.norm(z) < 1e-9
@@ -73,8 +76,7 @@ def test_step_objective_decreases_and_long_run_consistency():
     space = space_n(2)
     solver = QuasistaticSolver(space, P_SMOOTH)
     prog = pull_program(unload=False)
-    ell = assemble_load(space, prog, 1.0)
-    L_u = ell
+    L_u = prog.at(space, 1.0)[1]
     L_z = np.zeros(space.n_z)
     anchor = np.zeros(space.n_z)
     v1, z1, info1 = solver.solve_step(L_u, L_z, anchor, tol=1e-9)
@@ -102,7 +104,7 @@ class _CountingMatrix:
 @pytest.mark.parametrize("p", [P_SMOOTH, P_SHARP], ids=["smooth", "sharp"])
 def test_step_multiplies_each_iterate_by_the_z_matrix_once(p, monkeypatch):
     space = space_n(2)
-    L_u = assemble_load(space, pull_program(peak=4.0, unload=False), 1.0)
+    L_u = pull_program(peak=4.0, unload=False).at(space, 1.0)[1]
     L_z, anchor = np.zeros(space.n_z), np.zeros(space.n_z)
     smooth_calls = []
 
@@ -130,8 +132,7 @@ def test_single_step_grid_equals_step_call():
     prog = pull_program(peak=2.0, unload=False)
     rec = run_incremental_bvp(space, P_SMOOTH, TimeGrid.uniform(1.0, 1), prog)
     solver = QuasistaticSolver(space, P_SMOOTH)
-    u, z = solve_bvp_step(solver, np.zeros(space.n_u),
-                          assemble_load(space, prog, 1.0), np.zeros(space.n_z))
+    u, z = solve_bvp_step(solver, *prog.at(space, 1.0), np.zeros(space.n_z))
     assert np.linalg.norm(rec.u[1] - u) < 1e-7
     assert np.linalg.norm(rec.z[1] - z) < 1e-7
 
@@ -276,22 +277,72 @@ def test_channel_bound_matches_joint_lu(name, rho, nu):
     assert_bound_matches_oracle(rec)
 
 
+@pytest.mark.parametrize("name", sorted(BOUND_PROGRAMS))
+def test_run_load_data_match_the_per_time_assembly(name):
+    # the run sums the channels once; the oracle assembles every time anew
+    prog = LoadProgram(times=[0.0, 0.5, 1.0], **BOUND_PROGRAMS[name])
+    space = space_n(2)
+    rec = run_incremental_bvp(space, P_SMOOTH, TimeGrid.uniform(1.0, 4), prog)
+    want = {"u_dir": [], "L_u": [], "L_z": []}
+    for t in rec.times:
+        u_dir, ell = load_at_oracle(space, prog, t)
+        at_u_dir, at_ell = prog.at(space, t)
+        assert np.linalg.norm(at_u_dir - u_dir) <= 1e-14 * np.linalg.norm(u_dir)
+        assert np.linalg.norm(at_ell - ell) <= 1e-14 * np.linalg.norm(ell)
+        want["u_dir"].append(u_dir)
+        want["L_u"].append(ell - rec.solver.forms.K @ u_dir)
+        want["L_z"].append(rec.solver.forms.Cup.T @ u_dir)
+    for field, rows in want.items():
+        got = getattr(rec, field)
+        assert np.linalg.norm(got - rows) <= 1e-14 * np.linalg.norm(rows), field
+
+
 @pytest.mark.parametrize("program", [
     LoadProgram(times=[0.0, 1.0]),
     LoadProgram(times=[0.0, 1.0], traction=TRACTION, traction_amps=[0.0, 0.0],
                 body=BODY)])
 def test_dual_norms_without_active_channel_are_zero_without_a_solve(
         program, monkeypatch):
-    solver = QuasistaticSolver(space_n(2), P_SMOOTH)
+    space = space_n(2)
+    solver = QuasistaticSolver(space, P_SMOOTH)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("no solve expected")
 
     monkeypatch.setattr(quasistatic, "_pcg", no_solve)
     monkeypatch.setattr(spla, "splu", no_solve)
-    norms, dnorms = _dual_norms(solver, program, np.linspace(0.0, 1.0, 4))
+    amps, liftings, loads = program.channels(space, np.linspace(0.0, 1.0, 4))
+    assert amps.shape == (0, 4) and liftings.shape == loads.shape == (0, space.n_u)
+    Lam_u, Lam_z = solver.lifted_load(liftings.T, loads.T)
+    norms, dnorms = _dual_norms(solver, amps, Lam_u, Lam_z)
     assert np.array_equal(norms, np.zeros(4))
     assert np.array_equal(dnorms, np.zeros(3))
+
+
+def test_runs_and_studies_build_no_kronecker_product(monkeypatch):
+    # every linear object is a scalar nodal matrix applied to (m, k) arrays,
+    # and a run builds its load data from one call of channels
+    krons, channels = [], []
+    kron, chans = sp.kron, LoadProgram.channels
+
+    def counting_kron(*args, **kwargs):
+        krons.append(1)
+        return kron(*args, **kwargs)
+
+    def counting_channels(self, *args, **kwargs):
+        channels.append(1)
+        return chans(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp, "kron", counting_kron)
+    monkeypatch.setattr(LoadProgram, "channels", counting_channels)
+    prog = LoadProgram(times=[0.0, 0.5, 1.0], **BOUND_PROGRAMS["all"])
+    run_incremental_bvp(space_n(2), P_SMOOTH, TimeGrid.uniform(1.0, 4), prog)
+    assert len(channels) == 1
+    problem = BvpProblem(P_SMOOTH, pull_program(peak=2.5))
+    limit_evolution(problem, LimitSchedule.of(2, rho=[0.1, 0.05], nu=0.01,
+                                              tau=0.5, n=2))
+    nstep_h_convergence(problem, [1, 2], steps=2)
+    assert krons == []
 
 
 def test_failing_step_is_named(monkeypatch):
@@ -348,7 +399,7 @@ def test_change_of_variables_consistency():
     space = space_n(2)
     solver = QuasistaticSolver(space, P_SMOOTH)
     prog = stretch_program(gamma=0.35)
-    u_dir = prog.dirichlet_vector(space, 1.0)
+    u_dir = prog.at(space, 1.0)[0]
     anchor = np.zeros(space.n_z)
     u_star, z_star = solve_bvp_step(solver, u_dir, np.zeros(space.n_u), anchor)
 
@@ -382,7 +433,7 @@ def test_step_continuous_dependence_scaling():
     space = space_n(2)
     solver = QuasistaticSolver(space, P_SMOOTH)
     prog = pull_program(peak=2.5, unload=False)
-    base_load = assemble_load(space, prog, 1.0)
+    base_load = prog.at(space, 1.0)[1]
     u0, z0 = solve_bvp_step(solver, np.zeros(space.n_u), base_load,
                             np.zeros(space.n_z))
     rng = np.random.default_rng(8)
