@@ -21,8 +21,7 @@ from .constitutive import (PointTrajectory, StressPath, TimeGrid,
 from .fem import inject
 from .material import (MaterialParams, transformation_energy_sharp,
                        transformation_energy_smooth)
-from .quasistatic import (BvpProblem, QuasistaticSolver, solve_bvp_step,
-                          spacetime_run)
+from .quasistatic import BvpProblem, QuasistaticSolver, spacetime_run
 
 
 # schedule entries that each limit study keeps fixed
@@ -188,8 +187,7 @@ def limit_constitutive(p: MaterialParams, path: StressPath,
 
 
 def _bvp_state_diff(P, ref_forms, v_m, z_m, v_r, z_r):
-    """Energy norm of the difference of the member state, injected by the
-    scalar member-to-reference matrix P, and the reference state."""
+    """Energy norm of the injected member state minus the reference state."""
     d = ((P @ v_m.reshape(-1, 3)).ravel() - v_r,
          (P @ z_m.reshape(-1, 5)).ravel() - z_r)
     return math.sqrt(max(ref_forms.energy_value(d), 0.0))
@@ -205,10 +203,9 @@ def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule,
     def solve_member(rho, nu, n):
         space = problem.space(n)
         solver = QuasistaticSolver(space, replace(problem.params, rho=rho, nu=nu))
-        u_dir, ell = problem.program.at(space, t)
         anchor = np.zeros(space.n_z)
-        u, z = solve_bvp_step(solver, u_dir, ell, anchor)
-        v = u - u_dir
+        v, z, _ = solver.solve_step(
+            *solver.lifted_load(*problem.program.at(space, t)), anchor)
         return solver, v, z, solver.stored_energy(v, z), \
             solver.dissipation_increment(z, anchor)
 
@@ -238,7 +235,7 @@ def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
     schedule.check_study("evolution")
     nu = float(schedule.nu[0])
     rho_ref, _, tau_ref, n_ref = schedule.reference()
-    ref, _ = spacetime_run(problem, rho_ref, nu, tau_ref, n_ref)
+    ref, ref_rep = spacetime_run(problem, rho_ref, nu, tau_ref, n_ref)
     ref_forms = ref.solver.forms
 
     def member(k):
@@ -262,4 +259,6 @@ def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
 
     rows = [member(k) for k in range(len(schedule))]
     return {"label": schedule.label, "rows": rows,
-            "reference": {"rho": rho_ref, "nu": nu, "tau": tau_ref, "n": n_ref}}
+            "reference": {"rho": rho_ref, "nu": nu, "tau": tau_ref, "n": n_ref,
+                          "ledger_bound_ok": ref_rep["bound_ok"],
+                          "nu_in_scope": ref_rep["nu_in_scope"]}}

@@ -149,7 +149,10 @@ def run_scenario(s: Scenario, out_dir) -> dict:
         write_csv(out / "limit_table.csv", header,
                   [[r[c] for c in header] for r in table["rows"]])
         artifacts.append("limit_table.csv")
-        extra = {"label": table["label"], "reference": table["reference"]}
+        # per-member lists of the row entries the table has no column for
+        extra = {"label": table["label"], "reference": table["reference"],
+                 **{c: [r[c] for r in table["rows"]]
+                    for c in table["rows"][0] if c not in header}}
 
     manifest = {
         "kind": s.kind,

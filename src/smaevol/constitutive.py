@@ -242,19 +242,26 @@ def stable_initial_state(p: MaterialParams, sigma0, z0=None) -> PointState:
     return PointState(p.elastic.apply_inverse(sigma0) + dev_to_sym(z), z)
 
 
+def checked_initial_state(p: MaterialParams, sigma0,
+                          init: Optional[PointState] = None) -> PointState:
+    """init, by default the elastic equilibrium at sigma0, after checking
+    that it is stable at sigma0; UnstableInitialState otherwise."""
+    if init is None:
+        init = stable_initial_state(p, sigma0)
+    comp0 = stored_energy_density(p, init.eps, init.z) - float(np.asarray(sigma0) @ init.eps)
+    if stability_residual(p, sigma0, init) > 1e-8 * (1.0 + abs(comp0)):
+        raise UnstableInitialState(
+            "initial state violates the stability condition at t = 0")
+    return init
+
+
 def run_constitutive(p: MaterialParams, path: StressPath,
                      grid: TimeGrid,
                      init: Optional[PointState] = None) -> PointTrajectory:
     """Incremental evolution along the grid, with the exact energy ledger."""
     n = grid.steps
     sig0 = path.value(grid.nodes[0])
-    if init is None:
-        init = stable_initial_state(p, sig0)
-    comp0 = stored_energy_density(p, init.eps, init.z) - float(np.asarray(sig0) @ init.eps)
-    scale = 1.0 + abs(comp0)
-    if stability_residual(p, sig0, init) > 1e-8 * scale:
-        raise UnstableInitialState(
-            "initial state violates the stability condition at t = 0")
+    init = checked_initial_state(p, sig0, init)
 
     eps = np.zeros((n + 1, 6))
     z = np.zeros((n + 1, 5))
@@ -264,7 +271,7 @@ def run_constitutive(p: MaterialParams, path: StressPath,
     work = np.zeros(n + 1)
     eps[0], z[0] = init.eps, init.z
     stored[0] = stored_energy_density(p, init.eps, init.z)
-    comp[0] = comp0
+    comp[0] = stored[0] - float(np.asarray(sig0) @ init.eps)
     sig_prev = sig0
     for i in range(1, n + 1):
         sig = path.value(grid.nodes[i])

@@ -6,11 +6,10 @@ under dyadic refinement.  Displacements carry three dofs per node
 (node-major, dof = 3*node + comp); the transformation-strain field carries
 five dofs per node in the orthonormal deviatoric basis of tensors.py
 (dof = 5*node + comp), so all nodal norms are plain euclidean.  A dof
-vector of width k is thus the row-major ravel of an (n_nodes, k) array, and
-a scalar nodal matrix A acts on it as A (x) I_k, that is as A applied to
-that array.  The space keeps only the scalar matrices (mass M, gradient
-stiffness Gs, surface masses surf); a quadratic form written z . M z sums
-over the k columns.
+vector is the ravel of an (n_nodes, k) array, on which a scalar nodal
+matrix A acts as A (x) I_k does on the vector; so the space keeps only the
+scalar matrices (mass M, gradient stiffness Gs, surface masses surf), and
+a form written z . M z sums over the k columns.
 
 Quadrature policy: the quadratic energy terms are integrated exactly
 (P1 integrands are polynomials), while the nonsmooth transformation and
@@ -329,20 +328,15 @@ class LoadProgram:
         return np.tile(np.asarray(shape, dtype=float), (len(nodes), 1))
 
     def channels(self, space: FeSpace, times):
-        """The active channels as arrays (amplitudes, liftings, loads) of
-        shapes (k, len(times)), (k, n_u) and (k, n_u).
-
-        Channel c (body, traction, Dirichlet, in that order) has the unit
-        lifting liftings[c] of the boundary displacement and the unit load
-        functional loads[c] over the displacement dofs; at times[i] the
-        lifting is amplitudes[:, i] @ liftings and the load
-        amplitudes[:, i] @ loads.  A channel whose amplitudes all vanish at
-        the given times is left out.  ValueError for a time outside the
-        program interval or a traction on a Dirichlet plane of the space.
-        """
+        """The active channels (body, traction, Dirichlet) as arrays: their
+        amplitudes at the times (k, len(times)), unit liftings (k, n_u) and
+        unit loads (k, n_u); the lifting and the load at times[i] are
+        amplitudes[:, i] @ liftings and amplitudes[:, i] @ loads.  A channel
+        whose amplitudes all vanish at the times is left out.  ValueError for
+        a time outside the program interval or a traction on a Dirichlet
+        plane of the space."""
         times = np.asarray(times, dtype=float)
-        if np.any(times < self.times[0] - 1e-12) \
-                or np.any(times > self.times[-1] + 1e-12):
+        if times.min() < self.times[0] - 1e-12 or times.max() > self.T + 1e-12:
             raise ValueError("time outside the program interval")
         for pl in self.traction:
             if pl in space.dirichlet_planes:
@@ -369,9 +363,8 @@ class LoadProgram:
                 np.reshape([load for _, _, load in active], (-1, space.n_u)))
 
     def at(self, space: FeSpace, t: float):
-        """The lifting u_dir(t) of the boundary displacement and the load
-        functional l(t), both over the displacement dofs: the channels
-        summed at the one time t."""
+        """The boundary-displacement lifting u_dir(t) and the load functional
+        l(t) over the displacement dofs: the channels summed at time t."""
         amps, liftings, loads = self.channels(space, [t])
         return amps[:, 0] @ liftings, amps[:, 0] @ loads
 

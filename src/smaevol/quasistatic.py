@@ -13,15 +13,14 @@ and the scalar offset q(t) = elastic energy of the lifting minus its load
 pairing.  The step solver alternates an exact sparse elasticity solve for
 v (the stiffness factorization is cached per space) with a nodal-prox
 proximal-gradient solve for z, monitored by a joint first-order residual.
-Dof vectors follow the layout of fem: u is the ravel of an (n_nodes, 3)
-array and z of an (n_nodes, 5) one, and the z-step matrix A_z = 2S (S the
-scalar nodal matrix StepForms.z_block()) acts on the (n_nodes, 5) array.
+Dof vectors follow fem's layout (raveled (n_nodes, 3) and (n_nodes, 5)
+arrays), and the z-step matrix A_z = 2 z_block() acts on the (n_nodes, 5)
+array.
 
-A run builds its load data once: the load program's at most three
-channels (body, traction, Dirichlet) each give a unit lifting, a unit load
-and their functional Lambda_c of (v, z), and u_dir(t), l(t) and L(t) are
-the amplitude-weighted sums of these.  The a priori ledger bound needs the
-dual energy norms of the same functionals L(t_i); they come from the Gram
+A run builds its load data once: u_dir(t), l(t) and L(t) are amplitude-
+weighted sums of the unit liftings, unit loads and functionals Lambda_c of
+the load program's at most three channels.  The a priori ledger bound
+needs the dual energy norms of the same L(t_i); they come from the Gram
 matrix of the Lambda_c, so the joint (u, z) energy matrix is applied but
 never factored.
 
@@ -108,8 +107,7 @@ class QuasistaticSolver:
         return float(self.params.R * (self.w @ dr))
 
     def lifted_load(self, u_dir, ell):
-        """The functional (L_u, L_z) of the shifted variables v = u - u_dir
-        (column by column for (n_u, k) arrays u_dir and ell)."""
+        """The functional (L_u, L_z) of v = u - u_dir (columnwise for 2-d)."""
         return ell - self.forms.K @ u_dir, self.forms.Cup.T @ u_dir
 
     def solve_v(self, b_u):
@@ -273,15 +271,13 @@ def _dual_norms(solver: QuasistaticSolver, amps, Lam_u, Lam_z):
     """Dual energy norms |L_i| of the load functionals and |L_i - L_{i-1}|
     of their increments.
 
-    L_i is the sum over the load program's k channels of amps[c, i]
-    Lambda_c, with the channel functional Lambda_c = (Lam_u[:, c],
-    Lam_z[:, c]); so |L_i|^2 = a_i . Gamma a_i with the Gram matrix
-    Gamma_kl = Lambda_k . H^-1 Lambda_l of the constrained energy matrix H.
-    One CG solve per channel, preconditioned with the diagonal blocks
-    blockdiag(K_ff / 2, S (x) I5) of H, gives it.  The preconditioner
-    reuses the solver's K_ff factorization and factors only the scalar
-    nodal matrix S = z_block().  With int C eps(u) : z <= sqrt(u K u)
-    sqrt(2 G z . M z) (z the (n_nodes, 5) field, M the scalar mass) the
+    L_i = sum_c amps[c, i] Lambda_c over the channel functionals Lambda_c =
+    (Lam_u[:, c], Lam_z[:, c]), so |L_i|^2 = a_i . Gamma a_i with the Gram
+    matrix Gamma_kl = Lambda_k . H^-1 Lambda_l of the constrained energy
+    matrix H; one CG solve per channel, preconditioned with the diagonal
+    blocks blockdiag(K_ff / 2, S (x) I5) of H, gives it.  The preconditioner
+    reuses the solver's K_ff factorization and factors only S = z_block().
+    With int C eps(u) : z <= sqrt(u K u) sqrt(2 G z . M z) the
     preconditioned spectrum lies in 1 +- sqrt(G / (G + c2)), whatever the
     mesh.
     """
@@ -319,14 +315,12 @@ def run_incremental_bvp(space: FeSpace, params: MaterialParams, grid: TimeGrid,
     solver = QuasistaticSolver(space, params)
     n = grid.steps
     times = grid.nodes
-    # every load datum is an amplitude-weighted sum of the channels' unit
-    # liftings, unit loads and unit functionals (columns of Lam_u, Lam_z)
+    # each load datum: the channels' amplitude-weighted unit data
     amps, liftings, loads = program.channels(space, times)
     Lam_u, Lam_z = solver.lifted_load(liftings.T, loads.T)
     u_dir, ell, L_u, L_z = (amps.T @ X for X in (liftings, loads, Lam_u.T,
                                                   Lam_z.T))
-    # 0.5 u_dir . K u_dir - ell . u_dir, with K u_dir = ell - L_u; the
-    # factor sits inside the sum so that a zero lifting gives q = +0
+    # u_dir.K u_dir / 2 - ell.u_dir by K u_dir = ell - L_u; +0 for no lifting
     q = np.einsum("ij,ij->i", u_dir, -0.5 * (ell + L_u))
 
     def step(i, anchor):

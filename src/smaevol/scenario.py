@@ -35,8 +35,9 @@ times, planes, amplitude lengths, 3-component vectors), BvpProblem (a
 nonempty Dirichlet part without traction), box_mesh and build_space
 (extents, n, plane names), LimitSchedule (lengths, monotonicity, signs,
 n >= 1) and its check_study (the entries a study fixes, tau > 0 for the
-studies that step in time), rate_study_steps (conv-tau) and gamma_rhos
-(gamma-table).  This module keeps only what no object knows: the structure
+studies that step in time), rate_study_steps (conv-tau), gamma_rhos
+(gamma-table) and checked_initial_state (a stable start of the stress path
+for every rho of a point-test, conv-tau or conv-rho run).  This module keeps only what no object knows: the structure
 (unknown keys and non-object sections raise ParseError), the JSON types (a
 number is a 64-bit int or a finite float, a count a 64-bit int, neither a
 bool; type errors raise a ValidationError before any object sees a value),
@@ -49,13 +50,14 @@ other violations are collected into one ValidationError.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .asymptotics import LimitSchedule, gamma_rhos
-from .constitutive import StressPath, TimeGrid, rate_study_steps
+from .constitutive import (StressPath, TimeGrid, UnstableInitialState,
+                           checked_initial_state, rate_study_steps)
 from .fem import LoadProgram
 from .material import MaterialParams
 from .quasistatic import BvpProblem
@@ -176,10 +178,11 @@ def _type_errors(raw):
 
 def _build(errors, section, make, *args, **kwargs):
     """make(*args, **kwargs), or None with the messages of its ValueError
-    (one per '; '-separated part) appended to errors."""
+    or UnstableInitialState (one per '; '-separated part) appended to
+    errors."""
     try:
         return make(*args, **kwargs)
-    except ValueError as e:
+    except (ValueError, UnstableInitialState) as e:
         errors.extend(f"{section}: {msg}" for msg in str(e).split("; "))
         return None
 
@@ -280,6 +283,16 @@ def parse_scenario(text: str) -> Scenario:
         if s.schedule is not None and s.study in STUDIES:
             _build(errors, "schedule", s.schedule.check_study,
                    "constitutive" if kind == "conv-rho" else s.study)
+
+    if kind in ("point-test", "conv-tau", "conv-rho") and params and path:
+        # the initial state of every constitutive run, checked without a solve
+        rhos = {params.rho}
+        if kind == "conv-rho":
+            rhos = {*s.schedule.rho.tolist(), s.schedule.reference()[0]} \
+                if s.schedule else set()
+        for rho in sorted(rhos, reverse=True):
+            _build(errors, f"stress_path (rho = {rho:g})", checked_initial_state,
+                   replace(params, rho=rho), path.value(0.0))
 
     if not errors and s.problem:
         # the space of every mesh the run uses

@@ -221,6 +221,12 @@ BAD_DOCUMENTS = {
     "infinite-T": ("point-test", {"time": {"T": float("inf")}}),
     "huge-T": ("point-test", {"time": {"T": 10 ** 400}}),
     "huge-steps": ("point-test", {"time": {"steps": 10 ** 400}}),
+    # a stress path that starts beyond yield
+    "unstable-start": ("point-test", {"stress_path": {"amplitudes": [3, 2, 1]}}),
+    "unstable-start-tau": ("conv-tau", {"material": {"rho": 0.1},
+                                        "stress_path": {"amplitudes": [3, 2, 1]}}),
+    "unstable-start-rho": ("conv-rho", {"schedule": {"rho": [0.1, 0.01]},
+                                        "stress_path": {"amplitudes": [3, 2, 1]}}),
 }
 
 
@@ -274,6 +280,27 @@ def test_bvp_conv_default_tau_spans_the_program(tmp_path, monkeypatch):
     monkeypatch.setattr(quasistatic, "run_incremental_bvp", recording_run)
     run_scenario(s, tmp_path)
     assert steps and all(st == (8, 2.0) for st in steps)
+
+
+def test_evolution_manifest_keeps_every_ledger_flag(tmp_path, monkeypatch):
+    # a violated ledger bound shows in the manifest, the reference's included
+    run = asymptotics.spacetime_run
+
+    def flagging_run(problem, rho, nu, tau, n):
+        rec, rep = run(problem, rho, nu, tau, n)
+        return rec, {**rep, "bound_ok": rho == 0.1}
+
+    monkeypatch.setattr(asymptotics, "spacetime_run", flagging_run)
+    s = parse_scenario(minimal("bvp-conv", material={"rho": 0.1, "nu": 0.01},
+                               time={"steps": 2}, mesh={"n": 1},
+                               schedule={"rho": [0.1, 0.05], "n": 1}))
+    run_scenario(s, tmp_path)
+    results = json.loads((tmp_path / "manifest.json").read_text())["results"]
+    assert results["ledger_bound_ok"] == [True, False]
+    assert results["nu_in_scope"] == [True, True]
+    assert results["reference"]["rho"] == 0.0
+    assert results["reference"]["ledger_bound_ok"] is False
+    assert results["reference"]["nu_in_scope"] is True
 
 
 @pytest.mark.parametrize("kind,section", [("bvp-run", "program"),
