@@ -356,7 +356,7 @@ def run_incremental_bvp(space: FeSpace, params: MaterialParams, grid: TimeGrid,
     residual = (E + cum) - (E[0] - worksum)
 
     norms, dnorms = _dual_norms(solver, amps, Lam_u, Lam_z)
-    c0 = stored_v[0] + norms[0] * math.sqrt(max(stored_v[0], 0.0))
+    c0 = float(stored_v[0] + norms[0] * math.sqrt(max(stored_v[0], 0.0)))
     b = float(norms.max() + dnorms.sum())
     S = 0.5 * (b + math.sqrt(b * b + 4.0 * max(c0, 0.0)))
     bound = AprioriBound(c0, b, c0 + b * S)

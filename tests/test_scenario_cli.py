@@ -283,12 +283,13 @@ def test_bvp_conv_default_tau_spans_the_program(tmp_path, monkeypatch):
 
 
 def test_evolution_manifest_keeps_every_ledger_flag(tmp_path, monkeypatch):
-    # a violated ledger bound shows in the manifest, the reference's included
+    # a violated ledger bound shows in the manifest as a JSON boolean, the
+    # reference's included
     run = asymptotics.spacetime_run
 
     def flagging_run(problem, rho, nu, tau, n):
         rec, rep = run(problem, rho, nu, tau, n)
-        return rec, {**rep, "bound_ok": rho == 0.1}
+        return rec, {**rep, "bound_ok": rep["bound_ok"] if rho == 0.1 else False}
 
     monkeypatch.setattr(asymptotics, "spacetime_run", flagging_run)
     s = parse_scenario(minimal("bvp-conv", material={"rho": 0.1, "nu": 0.01},
