@@ -204,8 +204,8 @@ def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule,
         space = problem.space(n)
         solver = QuasistaticSolver(space, replace(problem.params, rho=rho, nu=nu))
         anchor = np.zeros(space.n_z)
-        v, z, _ = solver.solve_step(
-            *solver.lifted_load(*problem.program.at(space, t)), anchor)
+        u_dir, ell = problem.program.at(space, t)
+        v, z, _ = solver.solve_step(*solver.lifted_load(u_dir, ell), anchor)
         return solver, v, z, solver.stored_energy(v, z), \
             solver.dissipation_increment(z, anchor)
 
