@@ -322,6 +322,13 @@ class LoadProgram:
     def T(self) -> float:
         return float(self.times[-1])
 
+    def check_dirichlet_planes(self, planes):
+        """ValueError naming every traction plane among the Dirichlet planes."""
+        bad = [f"traction prescribed on the Dirichlet plane {pl!r}"
+               for pl in self.traction if pl in planes]
+        if bad:
+            raise ValueError("; ".join(bad))
+
     def _nodal(self, shape, nodes):
         if callable(shape):
             return np.array([shape(x) for x in nodes], dtype=float)
@@ -338,9 +345,7 @@ class LoadProgram:
         times = np.asarray(times, dtype=float)
         if times.min() < self.times[0] - 1e-12 or times.max() > self.T + 1e-12:
             raise ValueError("time outside the program interval")
-        for pl in self.traction:
-            if pl in space.dirichlet_planes:
-                raise ValueError(f"traction prescribed on the Dirichlet plane {pl!r}")
+        self.check_dirichlet_planes(space.dirichlet_planes)
         nodes, zero = space.mesh.nodes, np.zeros(space.n_u)
         found = []
         if self.body is not None:

@@ -12,7 +12,8 @@ linear functional
 and the scalar offset q(t) = elastic energy of the lifting minus its load
 pairing.  The step solver alternates an exact sparse elasticity solve for
 v (the stiffness factorization is cached per space) with a nodal-prox
-proximal-gradient solve for z, monitored by a joint first-order residual.
+proximal-gradient solve for z, whose first-order residual at its start is
+the joint residual that stops the alternation.
 Dof vectors follow fem's layout (raveled (n_nodes, 3) and (n_nodes, 5)
 arrays), and the z-step matrix A_z = 2 z_block() acts on the (n_nodes, 5)
 array.
@@ -41,8 +42,7 @@ from .constitutive import TimeGrid, UnstableInitialState
 from .fem import (FeSpace, LoadProgram, StepForms, assemble_forms, box_mesh,
                   build_space, inject)
 from .material import MaterialParams, radial_core_d1, radial_core_value
-from .proxsolve import (NonConvergence, StepProblem, project_ball,
-                        solve_field)
+from .proxsolve import NonConvergence, StepProblem, project_ball, solve_field
 
 
 MAX_SWEEPS = 200
@@ -128,29 +128,29 @@ class QuasistaticSolver:
         radius = p.c3 if p.rho == 0 else None
         scale = 1.0 + np.linalg.norm(L_u) + np.linalg.norm(L_z)
 
-        # smooth and grad share the product A_z z of one iterate through a
-        # one-entry memo keyed on the iterate object: _prox_gradient passes
-        # the array it evaluated smooth on to grad next, each sweep's
-        # residual is taken at the iterate solve_field returned, and neither
-        # ever writes into an iterate (holding the object keeps its id alive)
-        memo = [None, None]
+        # smooth and grad share A_z z and the row radii of one iterate through
+        # a one-entry memo keyed on the iterate object: solve_field passes the
+        # array it evaluated smooth on to grad next, starts each sweep from
+        # the iterate it returned last, and never writes into an iterate
+        memo = [None, None, None]
 
-        def a_z(Z):
+        def products(Z):
             if memo[0] is not Z:
-                memo[0], memo[1] = Z, (self.A_z @ Z).ravel()
-            return memo[1]
+                memo[:] = (Z, (self.A_z @ Z).ravel(),
+                           np.linalg.norm(Z, axis=1) if p.rho > 0 else None)
+            return memo[1], memo[2]
 
         # one step problem for every sweep: smooth and grad read the current
         # right-hand side b of the z-problem, which each sweep reassigns
         def smooth(Z):
-            zf = Z.ravel()
-            val = 0.5 * float(zf @ a_z(Z)) - float(b @ zf)
-            return val + self.core_energy(zf) if p.rho > 0 else val
+            zf, (az, r) = Z.ravel(), products(Z)
+            core = float(self.w @ radial_core_value(p, r)) if p.rho > 0 else 0.0
+            return 0.5 * float(zf @ az) - float(b @ zf) + core
 
         def grad(Z):
-            g = (a_z(Z) - b).reshape(-1, 5)
+            az, r = products(Z)
+            g = (az - b).reshape(-1, 5)
             if p.rho > 0:
-                r = np.linalg.norm(Z, axis=1)
                 fac = np.zeros_like(r)
                 pos = r > 0
                 fac[pos] = radial_core_d1(p, r[pos]) / r[pos]
@@ -160,17 +160,22 @@ class QuasistaticSolver:
 
         fp = StepProblem(smooth, grad, self.z_lipschitz, w_shift, anchors,
                          w_zero, radius)
-        trail, res = [], math.inf
-        floor = 64.0 * np.finfo(float).eps * self.z_lipschitz
+        step_tol = tol * scale
+
+        def inner_tol(res):
+            # a start within the step tolerance ends the step; any other
+            # sweep solves the z-problem to a fraction of its start residual
+            return (step_tol if res <= step_tol
+                    else max(0.2 * res, 0.45 * tol * scale))
+
+        trail = []
         for sweep in range(MAX_SWEEPS):
             v = self.solve_v(self.forms.Cup @ z.ravel() + L_u)
             b = self.forms.Cup.T @ v + L_z
-            res = fp.residual(z)
-            if res <= max(tol * scale, floor * (1.0 + np.linalg.norm(z))):
+            z, res = solve_field(fp, z, inner_tol)
+            if res <= step_tol:
                 return v, z.ravel(), {"sweeps": sweep, "residual": res}
             trail.append(res)
-            inner_tol = max(0.2 * res, 0.45 * tol * scale)
-            z = solve_field(fp, z, inner_tol)
         raise NonConvergence(
             f"step stalled at joint residual {res:.3e} after {MAX_SWEEPS} "
             f"sweeps; joint residuals {' '.join(f'{r:.2e}' for r in trail)}")
@@ -446,11 +451,9 @@ class BvpProblem:
                           compare=False)
 
     def __post_init__(self):
-        bad = [f"traction prescribed on the Dirichlet plane {pl!r}"
-               for pl in self.program.traction if pl in self.dirichlet_planes]
-        bad += [] if self.dirichlet_planes else ["need a nonempty Dirichlet part"]
-        if bad:
-            raise ValueError("; ".join(bad))
+        if not self.dirichlet_planes:
+            raise ValueError("need a nonempty Dirichlet part")
+        self.program.check_dirichlet_planes(self.dirichlet_planes)
 
     def space(self, n: Optional[int] = None) -> FeSpace:
         """The space on the n-cell box mesh, built once per n."""

@@ -31,9 +31,9 @@ every mesh the run uses included, so a document passes parsing and
 ``--dry-run`` exactly when the run can start.  Each value rule has one
 owner: MaterialParams and Elasticity (the signs of the constants), TimeGrid
 (T and steps), StressPath (direction and breakpoints), LoadProgram (program
-times, planes, amplitude lengths, 3-component vectors), BvpProblem (a
-nonempty Dirichlet part without traction), box_mesh and build_space
-(extents, n, plane names), LimitSchedule (lengths, monotonicity, signs,
+times, planes, amplitude lengths, 3-component vectors, no traction on a
+Dirichlet plane), BvpProblem (a nonempty Dirichlet part), box_mesh and
+build_space (extents, n, plane names), LimitSchedule (lengths, monotonicity, signs,
 n >= 1) and its check_study (the entries a study fixes, tau > 0 for the
 studies that step in time), rate_study_steps (conv-tau), gamma_rhos
 (gamma-table) and checked_initial_state (a stable start of the stress path

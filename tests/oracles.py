@@ -17,7 +17,7 @@ derivatives are checked bit for bit against their whole-array nested
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -330,7 +330,18 @@ class BBPointProblem:
         return float(np.linalg.norm(z - step) / t0)
 
 
-def bb_solve_point(pb: BBPointProblem, tol, max_iter=20000, info=None):
+@dataclass
+class BBInfo:
+    """What bb_solve_point records: the last iteration, its residual and the
+    objective of every iterate."""
+
+    iterations: int = 0
+    residual: float = float("nan")
+    objective_history: list = field(default_factory=list)
+
+
+def bb_solve_point(pb: BBPointProblem, tol, max_iter=20000,
+                   info: Optional[BBInfo] = None):
     """Minimize a (5,) point problem from its anchor to residual <= tol."""
     return _prox_gradient(pb, pb.anchor, tol, max_iter, info)
 

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import smaevol.proxsolve as proxsolve
-from oracles import (BBPointProblem, bb_solve_point, dykstra_prox,
+from oracles import (BBInfo, BBPointProblem, bb_solve_point, dykstra_prox,
                      planar_step_oracle)
 from smaevol.material import MaterialParams
 from smaevol.constitutive import incremental_step, reduced_problem
-from smaevol.proxsolve import (NonConvergence, PointProblem, SolveInfo,
-                               StepProblem, prox_nodal, prox_nonsmooth,
-                               solve_field, solve_point)
+from smaevol.proxsolve import (NonConvergence, PointProblem, StepProblem,
+                               prox_nodal, prox_nonsmooth, solve_field,
+                               solve_point)
 from smaevol.tensors import dev_to_sym
 
 RNG = np.random.default_rng(23)
@@ -87,19 +87,27 @@ def test_monotone_descent_and_info():
     # point-shaped: the prox-gradient loop the exact point kernel replaced
     p = MaterialParams(rho=0.05)
     pb = reduced_problem(p, RNG.standard_normal(6) * 2, RNG.standard_normal(5) * 0.2)
-    info = SolveInfo()
+    info = BBInfo()
     bb_solve_point(BBPointProblem.of(pb), TOL, info=info)
     hist = np.array(info.objective_history)
     assert np.all(np.diff(hist) <= 1e-12)
     assert info.residual <= TOL
-    # field-shaped: three coupled nodes with the ball and the zero kink
+    # field-shaped: three coupled nodes with the ball and the zero kink; the
+    # solve evaluates grad once at each iterate it accepts
     fp = coupled_field_problem(3, np.random.default_rng(31))
-    info = SolveInfo()
-    X = solve_field(fp, fp.anchor, TOL, info=info)
-    hist = np.array(info.objective_history)
+    iterates = []
+
+    def recording_grad(Z):
+        iterates.append(Z)
+        return fp.grad(Z)
+
+    X, res0 = solve_field(replace(fp, grad=recording_grad), fp.anchor, TOL)
+    assert iterates[-1] is X and res0 > TOL
+    hist = np.array([fp.smooth(Z) + BBPointProblem.nonsmooth(fp, Z)
+                     for Z in iterates])
     assert len(hist) > 2 and np.all(np.diff(hist) <= 1e-12)
-    assert info.residual <= TOL
-    assert hist[-1] == pytest.approx(fp.smooth(X) + fp.nonsmooth(X), abs=1e-12)
+    t0 = 1.0 / fp.lipschitz
+    assert np.linalg.norm(X - fp.prox(X - t0 * fp.grad(X), t0)) / t0 <= TOL
     assert np.all(np.linalg.norm(X, axis=1) <= fp.radius + 1e-12)
 
 
@@ -228,7 +236,7 @@ def test_point_kernel_matches_the_prox_gradient_oracle(b, direction, length,
     z = solve_point(pb)
     oracle = BBPointProblem.of(pb)
     J = lambda y: pb.smooth(y) + oracle.nonsmooth(y)
-    info = SolveInfo()
+    info = BBInfo()
     try:
         z_bb = bb_solve_point(oracle, 1e-13, info=info)
     except NonConvergence:
@@ -306,7 +314,7 @@ def test_point_path_runs_no_iterative_loop(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("iterative field solver on the point path")
 
-    monkeypatch.setattr(proxsolve, "_prox_gradient", forbidden)
+    monkeypatch.setattr(proxsolve, "solve_field", forbidden)
     monkeypatch.setattr(proxsolve, "prox_nodal", forbidden)
     rng = np.random.default_rng(41)
     for p in (MaterialParams(), MaterialParams(rho=0.1)):
@@ -355,10 +363,9 @@ def test_field_solve_takes_one_weight_for_all_nodes(w_zero, radius):
     one = replace(fp, w_shift=0.2, w_zero=w_zero, radius=radius)
     per_node = replace(fp, w_shift=np.full(m, 0.2), radius=radius,
                        w_zero=None if w_zero is None else np.full(m, w_zero))
-    z_one = solve_field(one, fp.anchor, TOL)
-    z_per_node = solve_field(per_node, fp.anchor, TOL)
+    z_one, _ = solve_field(one, fp.anchor, TOL)
+    z_per_node, _ = solve_field(per_node, fp.anchor, TOL)
     assert np.array_equal(z_one, z_per_node)
-    assert one.nonsmooth(z_one) == per_node.nonsmooth(z_one)
 
 
 _row = st.tuples(

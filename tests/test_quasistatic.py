@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 import scipy.sparse as sp
 
 from oracles import joint_lu_dual_norms, load_at_oracle
-from smaevol import quasistatic
+from smaevol import proxsolve, quasistatic
 from smaevol.asymptotics import LimitSchedule, limit_evolution
 from smaevol.constitutive import TimeGrid, UnstableInitialState
 from smaevol.fem import LoadProgram, box_mesh, build_space
@@ -120,11 +120,39 @@ def test_step_multiplies_each_iterate_by_the_z_matrix_once(p, monkeypatch):
         m.setattr(quasistatic, "StepProblem", counting_problem)
         v, z, info = solver.solve_step(L_u, L_z, anchor)
     assert info["sweeps"] >= 1
-    # smooth and grad share the product of an iterate; without the memo
-    # there is one product per smooth and per grad call
-    assert counting.products <= len(smooth_calls) + info["sweeps"]
+    # smooth and grad share the product of an iterate, and each sweep starts
+    # from the iterate the last one ended on; without the memo there is one
+    # product per smooth and per grad call
+    assert counting.products <= len(smooth_calls)
     v0, z0, _ = QuasistaticSolver(space, p).solve_step(L_u, L_z, anchor)
     assert np.array_equal(v, v0) and np.array_equal(z, z0)
+
+
+@pytest.mark.parametrize("p", [P_SMOOTH, P_SHARP], ids=["smooth", "sharp"])
+def test_step_proxes_only_inside_the_field_solve(p, monkeypatch):
+    # each sweep reads its joint residual from the field solve's report on
+    # its start iterate, so the step runs no prox of its own
+    space = space_n(2)
+    L_u = pull_program(peak=4.0, unload=False).at(space, 1.0)[1]
+    depth, calls = [0], []
+    field_solve, nodal_prox = quasistatic.solve_field, proxsolve.prox_nodal
+
+    def traced_solve(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return field_solve(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def traced_prox(*args, **kwargs):
+        calls.append(depth[0])
+        return nodal_prox(*args, **kwargs)
+
+    monkeypatch.setattr(quasistatic, "solve_field", traced_solve)
+    monkeypatch.setattr(proxsolve, "prox_nodal", traced_prox)
+    _, _, info = QuasistaticSolver(space, p).solve_step(
+        L_u, np.zeros(space.n_z), np.zeros(space.n_z))
+    assert info["sweeps"] >= 1 and calls and all(d == 1 for d in calls)
 
 
 def test_single_step_grid_equals_step_call():
