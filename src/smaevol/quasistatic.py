@@ -84,6 +84,7 @@ class QuasistaticSolver:
         self.K_ff = K[free][:, free]
         self.lu = spla.splu(self.K_ff.tocsc())
         self.A_z = (2.0 * self.forms.z_block()).tocsr()   # acts on (m, 5)
+        self.Cup_T = self.forms.Cup.T   # the z-load of a v; transposed once
         self.w = space.lumped
         core = params.core_curvature if params.rho > 0 else 0.0
         lam = _power_lambda_max(self.A_z)
@@ -108,7 +109,7 @@ class QuasistaticSolver:
 
     def lifted_load(self, u_dir, ell):
         """The functional (L_u, L_z) of v = u - u_dir (columnwise for 2-d)."""
-        return ell - self.forms.K @ u_dir, self.forms.Cup.T @ u_dir
+        return ell - self.forms.K @ u_dir, self.Cup_T @ u_dir
 
     def solve_v(self, b_u):
         v = np.zeros(self.space.n_u)
@@ -171,7 +172,7 @@ class QuasistaticSolver:
         trail = []
         for sweep in range(MAX_SWEEPS):
             v = self.solve_v(self.forms.Cup @ z.ravel() + L_u)
-            b = self.forms.Cup.T @ v + L_z
+            b = self.Cup_T @ v + L_z
             z, res = solve_field(fp, z, inner_tol)
             if res <= step_tol:
                 return v, z.ravel(), {"sweeps": sweep, "residual": res}

@@ -10,7 +10,9 @@ from that time's amplitudes with Kronecker-expanded mass matrices, as the
 solver did before it summed the load program's channels.  The exact point kernel is checked
 against the iterative solvers it replaced: the Barzilai-Borwein
 prox-gradient loop on a point, and the scalar Dykstra splitting for the
-prox of two kinks and the ball.  The constraint penalty and its
+prox of two kinks and the ball; its fused multiplier root is checked bit
+for bit against the closure-based root it replaced, which evaluated
+g(mu) through a closure around the plane shrinkage.  The constraint penalty and its
 derivatives are checked bit for bit against their whole-array nested
 ``np.where`` evaluation, which computes every piece on every entry.
 """
@@ -25,7 +27,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from smaevol.material import MaterialParams, radial_core_value
-from smaevol.proxsolve import NonConvergence, project_ball
+from smaevol.proxsolve import (EPS, MU_MAX, NEWTON_STEP_RTOL, NonConvergence,
+                               project_ball)
 from smaevol.tensors import dev_split
 
 
@@ -410,3 +413,95 @@ def _prox_gradient(pb, z0, tol, max_iter, info):
             info.objective_history.append(fs_cand + pb.nonsmooth(cand))
     raise NonConvergence(f"prox-gradient solve stalled at residual {res:.3e} "
                          f"after {max_iter} iterations")
+
+
+# ---------------------------------------------------------------------------
+# the closure-based multiplier root the fused root replaced
+
+
+def shift_prox(xi, alpha, w, mu):
+    """argmin of mu |z|^2 / 2 - xi.z + w |z - alpha| (plane coordinates),
+    its norm s and ds/dmu."""
+    d0, d1 = xi[0] - mu * alpha[0], xi[1] - mu * alpha[1]
+    nd = math.hypot(d0, d1)
+    if nd <= w:
+        return alpha, math.hypot(*alpha), 0.0
+    c = (1.0 - w / nd) / mu
+    z = (alpha[0] * (w / nd) + xi[0] * c, alpha[1] * (w / nd) + xi[1] * c)
+    s = math.hypot(*z)
+    if s == 0.0:
+        return z, s, 0.0
+    dc = -((w / nd) * ((d0 * alpha[0] + d1 * alpha[1]) / nd) / nd + c) / mu
+    dz0, dz1 = d0 * dc - alpha[0] * c, d1 * dc - alpha[1] * c
+    return z, s, (z[0] * dz0 + z[1] * dz1) / s
+
+
+def multiplier_root(g, lo, guess, trail, max_iter):
+    """Point at the root of an increasing g above lo > 0, where g(lo) <= 0;
+    g(mu) returns (value, derivative, point).  None when g stays negative
+    up to MU_MAX."""
+    mu = guess
+    g_mu, dg, z = g(mu)
+    first = (abs(g_mu), mu, g_mu, dg, z)
+    while g_mu < 0.0:
+        if mu > MU_MAX:
+            return None
+        lo, mu = mu, 2.0 * mu
+        g_mu, dg, z = g(mu)
+    hi = mu
+    if first[1] == lo and first[0] < g_mu:
+        _, mu, g_mu, dg, z = first
+    last_step = hi - lo
+    for _ in range(max_iter):
+        trail.append(abs(g_mu))
+        if g_mu == 0.0 or hi - lo <= 4.0 * EPS * hi:
+            return z
+        if g_mu < 0.0:
+            lo = mu
+        else:
+            hi = mu
+        step = g_mu / dg if dg > 0.0 else math.inf
+        if lo < mu - step < hi and abs(step) <= 0.5 * last_step:
+            if abs(step) <= NEWTON_STEP_RTOL * mu:
+                return g(mu - step)[2]
+            new = mu - step
+        else:
+            new = (math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo
+                   else 0.5 * (lo + hi))
+        last_step, mu = abs(new - mu), new
+        g_mu, dg, z = g(mu)
+    raise NonConvergence(f"multiplier root stalled after {max_iter} steps")
+
+
+def sphere_prox(xi, alpha, k0, k1, r, trail, max_iter):
+    """The prox on the sphere |z| = r when the ball is active at it, else
+    None."""
+    def g(mu):
+        z, s, ds = shift_prox(xi, alpha, k1, mu)
+        return r - s, -ds, z
+
+    mu0 = 1.0 + k0 / r
+    if g(mu0)[0] > 0.0:
+        return None
+    z = multiplier_root(g, mu0, max((math.hypot(*xi) + k1) / r, mu0), trail,
+                        max_iter)
+    if z == alpha:
+        return alpha
+    nz = math.hypot(*z)
+    return (z[0] * r / nz, z[1] * r / nz)
+
+
+def plane_root(slopes, modulus, beta, alpha, w, trail, max_iter):
+    """The radial return of F(|x|) - beta.x + w |x - alpha| from the
+    anchor's multiplier, slopes(s) = (F'(s), F''(s))."""
+    def g(mu):
+        x, s, ds = shift_prox(beta, alpha, w, mu)
+        d1, d2 = slopes(s)
+        return mu * s - d1, s + (mu - d2) * ds, x
+
+    A = alpha[0]
+    d1, d2 = slopes(A)
+    guess = min(d1 / A, MU_MAX) if A > EPS * math.hypot(*beta) else d2
+    x = multiplier_root(g, modulus, guess if guess > modulus else 2.0 * modulus,
+                        trail, max_iter)
+    return (0.0, 0.0) if x is None else x

@@ -1,14 +1,16 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 import smaevol.proxsolve as proxsolve
 from oracles import (BBInfo, BBPointProblem, bb_solve_point, dykstra_prox,
                      planar_step_oracle)
-from smaevol.material import MaterialParams
+from smaevol.material import MaterialParams, radial_core_d1, radial_core_d2
 from smaevol.constitutive import incremental_step, reduced_problem
 from smaevol.proxsolve import (NonConvergence, PointProblem, StepProblem,
                                prox_nodal, prox_nonsmooth, solve_field,
@@ -380,13 +382,8 @@ _row = st.tuples(
     st.just(0.0) | st.floats(0.0, 2.0))  # w_zero
 
 
-@settings(max_examples=200, deadline=None)
-@given(rows=st.lists(_row, min_size=1, max_size=8), t=st.floats(0.01, 3.0),
-       zero_kink=st.booleans(), radius=st.none() | st.floats(0.05, 1.0))
-def test_nodal_prox_matches_the_point_prox_row_by_row(rows, t, zero_kink,
-                                                      radius):
-    # a batch mixes every kind of row, so a mask that leaks from one row
-    # into another shows as a row off its own point prox
+def _nodal_rows(rows, radius):
+    """(X, anchors, w_shift, w_zero) of drawn _row tuples."""
     X, A, W1, W0 = [], [], [], []
     for kind, x, direction, length, log_scale, log_tiny, w1, w0 in rows:
         scale = 10.0 ** log_scale
@@ -396,9 +393,18 @@ def test_nodal_prox_matches_the_point_prox_row_by_row(rows, t, zero_kink,
              "general": length * scale * d, "subnormal": 10.0 ** log_tiny * d,
              "saturated": (1.0 if radius is None else radius) * d}[kind]
         X.append(x), A.append(a), W1.append(w1 * scale), W0.append(w0 * scale)
-    X, A = np.array(X), np.array(A)
-    Z = prox_nodal(X, t, np.array(W1), A, np.array(W0) if zero_kink else None,
-                   radius)
+    return np.array(X), np.array(A), np.array(W1), np.array(W0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_row, min_size=1, max_size=8), t=st.floats(0.01, 3.0),
+       zero_kink=st.booleans(), radius=st.none() | st.floats(0.05, 1.0))
+def test_nodal_prox_matches_the_point_prox_row_by_row(rows, t, zero_kink,
+                                                      radius):
+    # a batch mixes every kind of row, so a mask that leaks from one row
+    # into another shows as a row off its own point prox
+    X, A, W1, W0 = _nodal_rows(rows, radius)
+    Z = prox_nodal(X, t, W1, A, W0 if zero_kink else None, radius)
     for x, a, w1, w0, z in zip(X, A, W1, W0, Z):
         w0 = w0 if zero_kink else 0.0
         y = prox_nonsmooth(x, t, w1, a, w0, radius)
@@ -429,8 +435,11 @@ def test_field_newton_cap_raises_with_the_residual_trail(monkeypatch):
     monkeypatch.setattr(proxsolve, "NEWTON_MAX_ITER", 1)
     with pytest.raises(NonConvergence,
                        match=r"stalled after 1 steps; \|g\| trail "
-                             r"\d\.\d\de[+-]\d\d$"):
+                             r"\d\.\d\de[+-]\d\d$") as err:
         solve_field(fp, fp.anchor, TOL)
+    # the row's root names its row
+    assert re.match(r"nodal prox row \d+: multiplier root stalled",
+                    str(err.value))
 
 
 def test_nodal_row_check_names_the_row_that_fails(monkeypatch):
@@ -440,12 +449,74 @@ def test_nodal_row_check_names_the_row_that_fails(monkeypatch):
     A = np.array([[0.3, 0.1, 0.0, 0.0, 0.0], [0.1, 0.2, 0.0, 0.0, 0.0]])
     prox_nodal(X, 1.0, [0.5, 0.5], A, [0.2, 0.2])
     monkeypatch.setattr(proxsolve, "_interior_prox",
-                        lambda xi, alpha, k0, k1, trail: alpha)
+                        lambda xi, alpha, k0, k1, s0, trail: alpha)
     number = r"\d\.\d{3}e[+-]\d\d"
     with pytest.raises(NonConvergence,
                        match=rf"^nodal prox row 1 left first-order residual "
                              rf"{number} \(bound {number}\)$"):
         prox_nodal(X, 1.0, [0.5, 0.5], A, [0.2, 0.2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(xi=st.tuples(st.floats(-4, 4), st.floats(0, 4)),
+       kind=st.sampled_from(("general", "tiny", "subnormal", "zero")),
+       length=st.floats(0.0, 1.5), log_tiny=st.floats(-200.0, -20.0),
+       log_subnormal=st.floats(-323.0, -308.0), k0=st.floats(0.0, 2.0),
+       k1=st.floats(0.0, 2.0), r=st.floats(0.05, 2.0),
+       rho=st.sampled_from((1e-4, 1e-2, 0.1, 1.0)))
+def test_fused_root_is_the_closure_root_bit_for_bit(xi, kind, length, log_tiny,
+                                                    log_subnormal, k0, k1, r,
+                                                    rho):
+    # the fused root evaluates z(mu) and g(mu) inline with the expressions of
+    # the closures it replaced, so every root it finds, started where the
+    # closure root started, is the same float pair after the same steps
+    A = {"general": length, "tiny": 10.0 ** log_tiny,
+         "subnormal": 10.0 ** log_subnormal, "zero": 0.0}[kind]
+    alpha, cap = (A, 0.0), proxsolve.NEWTON_MAX_ITER
+    p = MaterialParams(rho=rho)
+
+    def core(s):
+        return (2.0 * p.c2 * s + radial_core_d1(p, s),
+                2.0 * p.c2 + radial_core_d2(p, s))
+
+    def quadratic(s):
+        return s + k0, 1.0
+
+    cases = [  # (fused, closure-based), each taking the |g| trail
+        (lambda tr: proxsolve._sphere_prox(xi, alpha, k0, k1, r, tr),
+         lambda tr: oracles.sphere_prox(xi, alpha, k0, k1, r, tr, cap)),
+        (lambda tr: proxsolve._plane_root(quadratic, 1.0, xi, alpha, k1, A, tr),
+         lambda tr: oracles.plane_root(quadratic, 1.0, xi, alpha, k1, tr, cap)),
+        (lambda tr: proxsolve._plane_root(core, 2.0 * p.c2, xi, alpha, p.R, A,
+                                          tr),
+         lambda tr: oracles.plane_root(core, 2.0 * p.c2, xi, alpha, p.R, tr,
+                                       cap))]
+    for fused, closure in cases:
+        out = []
+        for root in (fused, closure):
+            trail = []
+            try:
+                out.append((root(trail), trail))
+            except NonConvergence:
+                out.append(("stalled", trail))
+        assert repr(out[0]) == repr(out[1])  # repr tells -0.0 and nan apart
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_row, min_size=1, max_size=8), t=st.floats(0.01, 3.0),
+       zero_kink=st.booleans(), radius=st.none() | st.floats(0.05, 1.0),
+       start_scale=st.floats(0.0, 2.0))
+def test_nodal_prox_started_at_a_field_agrees_with_the_anchor_start(
+        rows, t, zero_kink, radius, start_scale):
+    # a start field moves only where each row's radial return starts: the
+    # prox is the same to roundoff, whatever the start, zero rows included
+    X, A, W1, W0 = _nodal_rows(rows, radius)
+    W0 = W0 if zero_kink else None
+    Z = prox_nodal(X, t, W1, A, W0, radius)
+    for start in (start_scale * Z, start_scale * X[::-1], np.zeros_like(X)):
+        Z_start = prox_nodal(X, t, W1, A, W0, radius, start)
+        bound = 1e-12 * (1.0 + np.linalg.norm(X, axis=1))
+        assert np.all(np.linalg.norm(Z_start - Z, axis=1) <= bound)
 
 
 def test_tiny_anchor_at_the_kink_does_not_stall_the_root():

@@ -106,13 +106,15 @@ def test_step_multiplies_each_iterate_by_the_z_matrix_once(p, monkeypatch):
     space = space_n(2)
     L_u = pull_program(peak=4.0, unload=False).at(space, 1.0)[1]
     L_z, anchor = np.zeros(space.n_z), np.zeros(space.n_z)
-    smooth_calls = []
+    iterates = {}   # id -> iterate; holding each keeps its id unique
 
-    def counting_problem(smooth, *rest):
-        def counted(Z):
-            smooth_calls.append(1)
-            return smooth(Z)
-        return StepProblem(counted, *rest)
+    def counting_problem(smooth, grad, *rest):
+        def counted(f):
+            def evaluate(Z):
+                iterates[id(Z)] = Z
+                return f(Z)
+            return evaluate
+        return StepProblem(counted(smooth), counted(grad), *rest)
 
     solver = QuasistaticSolver(space, p)
     solver.A_z = counting = _CountingMatrix(solver.A_z)
@@ -123,7 +125,7 @@ def test_step_multiplies_each_iterate_by_the_z_matrix_once(p, monkeypatch):
     # smooth and grad share the product of an iterate, and each sweep starts
     # from the iterate the last one ended on; without the memo there is one
     # product per smooth and per grad call
-    assert counting.products <= len(smooth_calls)
+    assert counting.products == len(iterates)
     v0, z0, _ = QuasistaticSolver(space, p).solve_step(L_u, L_z, anchor)
     assert np.array_equal(v, v0) and np.array_equal(z, z0)
 
