@@ -75,16 +75,14 @@ class MaterialParams:
             raise ValueError("curvature bound requires rho > 0")
         return (self.c1 + 6.0 / self.delta) / self.rho
 
-    @property
-    def curvature_bound(self) -> float:
-        """Upper bound for the Hessian of the smooth transformation energy."""
-        return 2.0 * self.c2 + self.core_curvature
-
 
 def _beyond_ball(p: MaterialParams, r, piece):
     """piece(s, delta) at s = r - c3 on the entries outside the ball, exact
-    zeros inside it.  A NaN radius counts as outside, so phi and phi' of it
-    stay NaN."""
+    zeros inside it; a float r inside the ball returns 0.0 at once (the
+    radial cores pass their r through unconverted for this).  A NaN radius
+    counts as outside, so phi and phi' of it stay NaN."""
+    if isinstance(r, float) and r <= p.c3:
+        return 0.0
     s = np.asarray(r, dtype=float) - p.c3
     if s.ndim == 0:     # a scalar radius: s is a numpy scalar, no mask
         return 0.0 if s <= 0 else float(piece(s, p.delta))
@@ -119,24 +117,16 @@ def penalty(p: MaterialParams, r):
 
     phi'' is the piecewise-linear hat rising from 0 at c3 to 6/delta at
     c3 + delta and back to 0 at c3 + 2 delta; phi' = 6 beyond.  Only the
-    radii beyond c3 are evaluated; the others get exact zeros.  A float
-    r inside the ball returns 0.0 at once (the radial cores pass their r
-    through unconverted for this).
+    radii beyond c3 are evaluated; the others get exact zeros.
     """
-    if isinstance(r, float) and r <= p.c3:
-        return 0.0
     return _beyond_ball(p, r, _phi)
 
 
 def penalty_d1(p: MaterialParams, r):
-    if isinstance(r, float) and r <= p.c3:
-        return 0.0
     return _beyond_ball(p, r, _phi_d1)
 
 
 def penalty_d2(p: MaterialParams, r):
-    if isinstance(r, float) and r <= p.c3:
-        return 0.0
     return _beyond_ball(p, r, _phi_d2)
 
 

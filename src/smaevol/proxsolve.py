@@ -49,7 +49,7 @@ x86 host a numpy op on 27 rows costs about 1 us, and a masked numpy root took
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -476,17 +476,16 @@ def project_ball(z, radius):
 class StepProblem:
     """One incremental minimization on an (m, 5) field.
 
-    smooth/grad evaluate the strongly convex differentiable part and
-    lipschitz is an estimate of its gradient's Lipschitz constant; the
-    fallback step 1/lipschitz descends only if the estimate bounds the
-    constant.  The nonsmooth structure is w_zero |z| + w_shift |z - anchor|
-    plus an optional ball constraint of the given radius (active in the
-    sharp case only); the norms are nodal and the weights per node (already
-    including quadrature weights).
+    smooth_grad(Z) returns the value and the gradient of the strongly
+    convex differentiable part, and lipschitz is an estimate of the
+    gradient's Lipschitz constant; the fallback step 1/lipschitz descends
+    only if the estimate bounds the constant.  The nonsmooth structure is
+    w_zero |z| + w_shift |z - anchor| plus an optional ball constraint of
+    the given radius (active in the sharp case only); the norms are nodal
+    and the weights per node (already including quadrature weights).
     """
 
-    smooth: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
+    smooth_grad: Callable[[np.ndarray], Tuple[float, np.ndarray]]
     lipschitz: float
     w_shift: Union[float, np.ndarray]
     anchor: np.ndarray
@@ -507,22 +506,24 @@ def solve_field(pb: StepProblem, X0, tol, max_iter=20000):
     any; X0 is not written to) by safeguarded BB proximal gradient; returns
     the last iterate and the start's residual.
 
-    An iterate's residual is |z - p| L for the fallback step p = prox(z -
-    grad/L); it reads 0 within its roundoff floor 64 eps L (1 + |z|).  The
-    solve stops at the first residual <= tol, a number or a function of the
-    start's residual.  A BB trial step is kept only where the quadratic
-    majorization of the smooth part holds, else the fallback step is taken,
-    which descends when L bounds the gradient's Lipschitz constant.
-    Identical inputs give bit-identical iterates.
+    smooth_grad is called once on the start and once on each candidate; the
+    accepted candidate's value and gradient are carried to the next
+    iteration.  An iterate's residual is |z - p| L for the fallback step
+    p = prox(z - grad/L); it reads 0 within its roundoff floor
+    64 eps L (1 + |z|).  The solve stops at the first residual <= tol, a
+    number or a function of the start's residual.  A BB trial step is kept
+    only where the quadratic majorization of the smooth part holds, else
+    the fallback step is taken, which descends when L bounds the gradient's
+    Lipschitz constant.  Identical inputs give bit-identical iterates.
     """
     t0 = 1.0 / pb.lipschitz
     eps_floor = 64.0 * np.finfo(float).eps * pb.lipschitz
     z = np.asarray(X0, dtype=float)
     if pb.radius is not None:
         z = project_ball(z, pb.radius)
+    f, g = pb.smooth_grad(z)
     z_prev = g_prev = None
     for it in range(max_iter):
-        g = pb.grad(z)
         # z starts each row's radial return: near the solution it is the prox
         fallback = pb.prox(z - t0 * g, t0, z)
         res = float(np.linalg.norm(z - fallback) / t0)
@@ -546,16 +547,12 @@ def solve_field(pb: StepProblem, X0, tol, max_iter=20000):
         while True:
             cand = fallback if t == t0 else pb.prox(z - t * g, t, z)
             dz = cand - z
-            fs_cand = pb.smooth(cand)
-            if t <= t0:
-                break
-            if fs_cand <= f_smooth + _dot(g, dz) \
-                    + _dot(dz, dz) / (2.0 * t) \
-                    + 1e-14 * (1.0 + abs(f_smooth)):
+            f_cand, g_cand = pb.smooth_grad(cand)
+            if t <= t0 or f_cand <= f + _dot(g, dz) \
+                    + _dot(dz, dz) / (2.0 * t) + 1e-14 * (1.0 + abs(f)):
                 break
             t = max(t / 4.0, t0)
         z_prev, g_prev = z, g
-        z = cand
-        f_smooth = fs_cand
+        z, f, g = cand, f_cand, g_cand
     raise NonConvergence(f"prox-gradient solve stalled at residual {res:.3e} "
                          f"after {max_iter} iterations")

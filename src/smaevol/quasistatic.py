@@ -13,7 +13,8 @@ and the scalar offset q(t) = elastic energy of the lifting minus its load
 pairing.  The step solver alternates an exact sparse elasticity solve for
 v (the stiffness factorization is cached per space) with a nodal-prox
 proximal-gradient solve for z, whose first-order residual at its start is
-the joint residual that stops the alternation.
+the joint residual that stops the alternation.  The z-problem reaches that
+solve as one callback giving the value and gradient of its smooth part.
 Dof vectors follow fem's layout (raveled (n_nodes, 3) and (n_nodes, 5)
 arrays), and the z-step matrix A_z = 2 z_block() acts on the (n_nodes, 5)
 array.
@@ -129,37 +130,23 @@ class QuasistaticSolver:
         radius = p.c3 if p.rho == 0 else None
         scale = 1.0 + np.linalg.norm(L_u) + np.linalg.norm(L_z)
 
-        # smooth and grad share A_z z and the row radii of one iterate through
-        # a one-entry memo keyed on the iterate object: solve_field passes the
-        # array it evaluated smooth on to grad next, starts each sweep from
-        # the iterate it returned last, and never writes into an iterate
-        memo = [None, None, None]
-
-        def products(Z):
-            if memo[0] is not Z:
-                memo[:] = (Z, (self.A_z @ Z).ravel(),
-                           np.linalg.norm(Z, axis=1) if p.rho > 0 else None)
-            return memo[1], memo[2]
-
-        # one step problem for every sweep: smooth and grad read the current
+        # one step problem for every sweep: smooth_grad reads the current
         # right-hand side b of the z-problem, which each sweep reassigns
-        def smooth(Z):
-            zf, (az, r) = Z.ravel(), products(Z)
-            core = float(self.w @ radial_core_value(p, r)) if p.rho > 0 else 0.0
-            return 0.5 * float(zf @ az) - float(b @ zf) + core
-
-        def grad(Z):
-            az, r = products(Z)
+        def smooth_grad(Z):
+            zf, az = Z.ravel(), (self.A_z @ Z).ravel()
+            value = 0.5 * float(zf @ az) - float(b @ zf)
             g = (az - b).reshape(-1, 5)
             if p.rho > 0:
+                r = np.linalg.norm(Z, axis=1)
+                value += float(self.w @ radial_core_value(p, r))
                 fac = np.zeros_like(r)
                 pos = r > 0
                 fac[pos] = radial_core_d1(p, r[pos]) / r[pos]
                 fac[~pos] = p.c1 / p.rho
                 g = g + (self.w * fac)[:, None] * Z
-            return g
+            return value, g
 
-        fp = StepProblem(smooth, grad, self.z_lipschitz, w_shift, anchors,
+        fp = StepProblem(smooth_grad, self.z_lipschitz, w_shift, anchors,
                          w_zero, radius)
         step_tol = tol * scale
 
@@ -473,7 +460,8 @@ def spacetime_run(problem: BvpProblem, rho: float, nu: float, tau: float,
     """One (rho, nu, tau, h) member of the space-time approximation family.
 
     Returns the record plus a report with the explicit ledger-bound check;
-    nu = 0 is accepted but flagged as outside the joint-limit hypotheses.
+    nu = 0 is accepted, and the report's nu_in_scope marks it as outside
+    the joint-limit hypotheses.
     """
     params = replace(problem.params, rho=rho, nu=nu)
     record = run_incremental_bvp(problem.space(n), params,
@@ -485,7 +473,6 @@ def spacetime_run(problem: BvpProblem, rho: float, nu: float, tau: float,
         "ledger_bound": record.apriori.total,
         "bound_ok": peak <= record.apriori.total + 1e-6 * (1 + record.apriori.total),
         "nu_in_scope": nu > 0,
-        "flag": None if nu > 0 else "outside joint-limit hypotheses (nu = 0)",
     }
     return record, report
 

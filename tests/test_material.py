@@ -182,7 +182,7 @@ def test_hessian_bound_and_symmetry():
             assert np.allclose(H, H.T, atol=1e-12)
             w = np.linalg.eigvalsh(H)
             assert w.min() >= 2 * p.c2 - 1e-9
-            assert w.max() <= p.curvature_bound + 1e-9
+            assert w.max() <= 2 * p.c2 + p.core_curvature + 1e-9
 
 
 def test_hessian_matches_grad_differences():

@@ -34,17 +34,15 @@ def coupled_field_problem(m, rng):
     A = Q @ np.diag(np.logspace(0, 2, 5 * m)) @ Q.T
     b = rng.standard_normal(5 * m) * 3
 
-    def smooth(Z):
+    def smooth_grad(Z):
         zf = Z.ravel()
-        return 0.5 * float(zf @ (A @ zf)) - float(b @ zf)
-
-    def grad(Z):
-        return (A @ Z.ravel() - b).reshape(-1, 5)
+        az = A @ zf
+        return 0.5 * float(zf @ az) - float(b @ zf), (az - b).reshape(-1, 5)
 
     anchors = rng.standard_normal((m, 5))
     anchors *= rng.uniform(0.2, 0.9, (m, 1)) / np.linalg.norm(anchors, axis=1,
                                                              keepdims=True)
-    return StepProblem(smooth, grad, 101.0,  # > the top eigenvalue 100
+    return StepProblem(smooth_grad, 101.0,  # > the top eigenvalue 100
                        rng.uniform(0.1, 0.5, m), anchors,
                        w_zero=rng.uniform(0.1, 0.5, m), radius=1.0)
 
@@ -94,22 +92,25 @@ def test_monotone_descent_and_info():
     hist = np.array(info.objective_history)
     assert np.all(np.diff(hist) <= 1e-12)
     assert info.residual <= TOL
-    # field-shaped: three coupled nodes with the ball and the zero kink; the
-    # solve evaluates grad once at each iterate it accepts
+    # field-shaped: three coupled nodes with the ball and the zero kink; every
+    # prox call of the solve starts at the iterate it has accepted last
     fp = coupled_field_problem(3, np.random.default_rng(31))
     iterates = []
 
-    def recording_grad(Z):
-        iterates.append(Z)
-        return fp.grad(Z)
+    class RecordingProblem(StepProblem):
+        def prox(self, x, t, start=None):
+            if not iterates or iterates[-1] is not start:
+                iterates.append(start)
+            return super().prox(x, t, start)
 
-    X, res0 = solve_field(replace(fp, grad=recording_grad), fp.anchor, TOL)
+    X, res0 = solve_field(RecordingProblem(**vars(fp)), fp.anchor, TOL)
     assert iterates[-1] is X and res0 > TOL
-    hist = np.array([fp.smooth(Z) + BBPointProblem.nonsmooth(fp, Z)
+    hist = np.array([fp.smooth_grad(Z)[0] + BBPointProblem.nonsmooth(fp, Z)
                      for Z in iterates])
     assert len(hist) > 2 and np.all(np.diff(hist) <= 1e-12)
     t0 = 1.0 / fp.lipschitz
-    assert np.linalg.norm(X - fp.prox(X - t0 * fp.grad(X), t0)) / t0 <= TOL
+    g = fp.smooth_grad(X)[1]
+    assert np.linalg.norm(X - fp.prox(X - t0 * g, t0)) / t0 <= TOL
     assert np.all(np.linalg.norm(X, axis=1) <= fp.radius + 1e-12)
 
 
