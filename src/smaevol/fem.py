@@ -229,8 +229,9 @@ class StepForms:
         G, c2, nu = self.params.elastic.G, self.params.c2, self.params.nu
         spc = self.space
         Z2 = z2.reshape(-1, 5)
-        val = 0.5 * (u1 @ (self.K @ u2)) \
-            - 0.5 * (u1 @ (self.Cup @ z2)) - 0.5 * (u2 @ (self.Cup @ z1)) \
+        cross = 0.5 * (u1 @ (self.Cup @ z2))   # once for energy_value's y, y
+        val = 0.5 * (u1 @ (self.K @ u2)) - cross \
+            - (cross if y2 is y1 else 0.5 * (u2 @ (self.Cup @ z1))) \
             + (G + c2) * (z1 @ (spc.M @ Z2).ravel())
         if nu:
             val += 0.5 * nu * (z1 @ (spc.Gs @ Z2).ravel())
@@ -255,25 +256,32 @@ class StepForms:
                          sp.kron(self.z_block(), sp.eye(5))]], format="csr")
 
 
+def _triple(w, L, C, R):
+    """Bit for bit the einsum "t,tia,ij,tjb->tab" (R's leading axis may be 1):
+    same products, same (i, j) order of the sums; a term with C[i, j] = 0
+    would add a signed zero to a sum started at +0, so it is skipped."""
+    out = np.zeros((len(L), L.shape[2], R.shape[2]))
+    for i, j in zip(*np.nonzero(C)):
+        out += ((w[:, None] * L[:, i, :]) * C[i, j])[:, :, None] * R[:, j, None, :]
+    return out
+
+
 def assemble_forms(space: FeSpace, params: MaterialParams) -> StepForms:
     nn = space.n_nodes
     C6 = params.elastic.matrix6()
     vols, D, tets = space.vols, space.D, space.mesh.tets
 
-    Ke = np.einsum("t,tia,ij,tjb->tab", vols, D, C6, D)
+    # the element arrays are arguments only, freed before the next scatter
     udofs = (3 * tets[:, :, None] + np.arange(3)[None, None, :]).reshape(-1, 12)
-    rows = np.repeat(udofs, 12, axis=1)
-    cols = np.tile(udofs, (1, 12))
-    K = _scatter(3 * nn, 3 * nn, rows, cols, Ke)
+    K = _scatter(3 * nn, 3 * nn, np.repeat(udofs, 12, axis=1),
+                 np.tile(udofs, (1, 12)), _triple(vols, D, C6, D))
 
     # coupling with the nodal deviatoric field: int C eps(u) : zeta; the
-    # per-z-node block repeats because int of each P1 hat is vol/4
-    blk = np.einsum("t,tia,ij,jk->tak", vols / 4.0, D, C6, DEV_BASIS)  # (nt,12,5)
+    # per-z-node block (nt, 12, 5) repeats because int of each P1 hat is vol/4
+    blk = _triple(vols / 4.0, D, C6, DEV_BASIS[None])
     zdofs = (5 * tets[:, :, None] + np.arange(5)[None, None, :]).reshape(-1, 20)
-    Cup_e = np.tile(blk, (1, 1, 4))
-    r = np.repeat(udofs, 20, axis=1)
-    c = np.tile(zdofs, (1, 12))
-    Cup = _scatter(3 * nn, 5 * nn, r, c, Cup_e)
+    Cup = _scatter(3 * nn, 5 * nn, np.repeat(udofs, 20, axis=1),
+                   np.tile(zdofs, (1, 12)), np.tile(blk, (1, 1, 4)))
     return StepForms(space, params, K, Cup)
 
 

@@ -160,6 +160,23 @@ def radial_core_d1(p: MaterialParams, r):
     return out if out.ndim else float(out)
 
 
+def radial_core_value_d1(p: MaterialParams, r):
+    """radial_core_value and radial_core_d1 of an array of radii r >= 0, bit
+    for bit, in one pass: one sqrt(rho^2 + r^2), one ball test, the penalty
+    pieces only outside the ball (where a NaN radius counts)."""
+    if p.rho <= 0:
+        raise ValueError("smooth transformation energy requires rho > 0")
+    r = np.asarray(r, dtype=float)
+    q = np.sqrt(p.rho ** 2 + r ** 2)
+    value, d1 = p.c1 * (q - p.rho), p.c1 * r / q
+    outside = ~(r - p.c3 <= 0)
+    if outside.any():
+        s = r[outside] - p.c3
+        value[outside] += _phi(s, p.delta) / p.rho
+        d1[outside] += _phi_d1(s, p.delta) / p.rho
+    return value, d1
+
+
 def radial_core_d2(p: MaterialParams, r):
     if p.rho <= 0:
         raise ValueError("smooth transformation energy requires rho > 0")

@@ -392,7 +392,7 @@ def prox_nodal(X, t, w_shift, anchors, w_zero=None, radius=None, start=None):
     k1 = t * np.asarray(w_shift, dtype=float)
     if w_zero is None and radius is None:
         U = X - anchors
-        n = np.linalg.norm(U, axis=1, keepdims=True)
+        n = np.sqrt(np.add.reduce(U * U, axis=1, keepdims=True))  # = norm(U, axis=1)
         scale = np.maximum(1.0 - k1[..., None] / np.maximum(n, 1e-300), 0.0)
         return anchors + U * scale
     zero = np.zeros(len(X))  # adding it gives a single weight to every row
@@ -526,8 +526,10 @@ def solve_field(pb: StepProblem, X0, tol, max_iter=20000):
     for it in range(max_iter):
         # z starts each row's radial return: near the solution it is the prox
         fallback = pb.prox(z - t0 * g, t0, z)
-        res = float(np.linalg.norm(z - fallback) / t0)
-        if res <= eps_floor * (1.0 + np.linalg.norm(z)):
+        # np.linalg.norm's own sums, without its dispatch
+        d, zf = (z - fallback).ravel(), z.ravel(order="K")
+        res = math.sqrt(d @ d) / t0
+        if res <= eps_floor * (1.0 + math.sqrt(zf @ zf)):
             res = 0.0
         if it == 0:
             res0, tol = res, tol(res) if callable(tol) else tol

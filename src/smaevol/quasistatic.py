@@ -42,7 +42,7 @@ import scipy.sparse.linalg as spla
 from .constitutive import TimeGrid, UnstableInitialState
 from .fem import (FeSpace, LoadProgram, StepForms, assemble_forms, box_mesh,
                   build_space, inject)
-from .material import MaterialParams, radial_core_d1, radial_core_value
+from .material import MaterialParams, radial_core_value, radial_core_value_d1
 from .proxsolve import NonConvergence, StepProblem, project_ball, solve_field
 
 
@@ -85,7 +85,7 @@ class QuasistaticSolver:
         self.K_ff = K[free][:, free]
         self.lu = spla.splu(self.K_ff.tocsc())
         self.A_z = (2.0 * self.forms.z_block()).tocsr()   # acts on (m, 5)
-        self.Cup_T = self.forms.Cup.T   # the z-load of a v; transposed once
+        self.Cup_T = self.forms.Cup.T.tocsr()   # the z-load of a v (CSR: same sums)
         self.w = space.lumped
         core = params.core_curvature if params.rho > 0 else 0.0
         lam = _power_lambda_max(self.A_z)
@@ -137,12 +137,11 @@ class QuasistaticSolver:
             value = 0.5 * float(zf @ az) - float(b @ zf)
             g = (az - b).reshape(-1, 5)
             if p.rho > 0:
-                r = np.linalg.norm(Z, axis=1)
-                value += float(self.w @ radial_core_value(p, r))
-                fac = np.zeros_like(r)
+                r = np.sqrt(np.add.reduce(Z * Z, axis=1))  # = norm(Z, axis=1)
+                core, d1 = radial_core_value_d1(p, r)
+                value += float(self.w @ core)
                 pos = r > 0
-                fac[pos] = radial_core_d1(p, r[pos]) / r[pos]
-                fac[~pos] = p.c1 / p.rho
+                fac = np.where(pos, d1 / np.where(pos, r, 1.0), p.c1 / p.rho)
                 g = g + (self.w * fac)[:, None] * Z
             return value, g
 
@@ -278,13 +277,14 @@ def _dual_norms(solver: QuasistaticSolver, amps, Lam_u, Lam_z):
         return np.zeros(amps.shape[1]), np.zeros(amps.shape[1] - 1)
     free, nf = solver.free, int(solver.free.sum())
     Cup_f = solver.forms.Cup[free]
+    Cup_fT = Cup_f.T.tocsr()
     S_lu = spla.splu(solver.forms.z_block().tocsc())
 
     def apply_H(y):
         yu, yz = y[:nf], y[nf:]
         return np.concatenate([0.5 * (solver.K_ff @ yu - Cup_f @ yz),
                                0.5 * ((solver.A_z @ yz.reshape(-1, 5)).ravel()
-                                      - Cup_f.T @ yu)])
+                                      - Cup_fT @ yu)])
 
     def apply_P(r):
         return np.concatenate([2.0 * solver.lu.solve(r[:nf]),

@@ -14,7 +14,11 @@ prox of two kinks and the ball; its fused multiplier root is checked bit
 for bit against the closure-based root it replaced, which evaluated
 g(mu) through a closure around the plane shrinkage.  The constraint penalty and its
 derivatives are checked bit for bit against their whole-array nested
-``np.where`` evaluation, which computes every piece on every entry.
+``np.where`` evaluation, which computes every piece on every entry.  The
+element kernel of the assembly is checked bit for bit against the two
+four-operand einsums it replaced, and the step's one-pass value and
+gradient of the z-problem against the closure that called the radial
+core's value and derivative one after the other.
 """
 
 import itertools
@@ -26,10 +30,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from smaevol.material import MaterialParams, radial_core_value
+from smaevol.fem import _scatter
+from smaevol.material import MaterialParams, radial_core_d1, radial_core_value
 from smaevol.proxsolve import (EPS, MU_MAX, NEWTON_STEP_RTOL, NonConvergence,
                                project_ball)
-from smaevol.tensors import dev_split
+from smaevol.tensors import DEV_BASIS, dev_split
 
 
 def plane_basis(b, anchor):
@@ -505,3 +510,42 @@ def plane_root(slopes, modulus, beta, alpha, w, trail, max_iter):
     x = multiplier_root(g, modulus, guess if guess > modulus else 2.0 * modulus,
                         trail, max_iter)
     return (0.0, 0.0) if x is None else x
+
+
+# ---------------------------------------------------------------------------
+# the einsum assembly and the two-pass z-problem the kernels replaced
+
+
+def assemble_forms_einsum(space, params):
+    """The element stiffness Ke (nt, 12, 12), the coupling block (nt, 12, 5)
+    and the scattered K and Cup, the blocks formed by the plain einsums."""
+    nn, tets = space.n_nodes, space.mesh.tets
+    C6 = params.elastic.matrix6()
+    Ke = np.einsum("t,tia,ij,tjb->tab", space.vols, space.D, C6, space.D)
+    blk = np.einsum("t,tia,ij,jk->tak", space.vols / 4.0, space.D, C6,
+                    DEV_BASIS)
+    udofs = (3 * tets[:, :, None] + np.arange(3)[None, None, :]).reshape(-1, 12)
+    zdofs = (5 * tets[:, :, None] + np.arange(5)[None, None, :]).reshape(-1, 20)
+    K = _scatter(3 * nn, 3 * nn, np.repeat(udofs, 12, axis=1),
+                 np.tile(udofs, (1, 12)), Ke)
+    Cup = _scatter(3 * nn, 5 * nn, np.repeat(udofs, 20, axis=1),
+                   np.tile(zdofs, (1, 12)), np.tile(blk, (1, 1, 4)))
+    return Ke, blk, K, Cup
+
+
+def step_smooth_grad(A_z, w, b, p, Z):
+    """Value and gradient of a step's smooth z-problem at the (m, 5) field Z:
+    0.5 z.A_z z - b.z plus the lumped radial core, the core's value and
+    derivative each from its own function."""
+    zf, az = Z.ravel(), (A_z @ Z).ravel()
+    value = 0.5 * float(zf @ az) - float(b @ zf)
+    g = (az - b).reshape(-1, 5)
+    if p.rho > 0:
+        r = np.linalg.norm(Z, axis=1)
+        value += float(w @ radial_core_value(p, r))
+        fac = np.zeros_like(r)
+        pos = r > 0
+        fac[pos] = radial_core_d1(p, r[pos]) / r[pos]
+        fac[~pos] = p.c1 / p.rho
+        g = g + (w * fac)[:, None] * Z
+    return value, g

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from smaevol.fem import (LoadProgram, SingularFormError, assemble_forms,
-                         box_mesh, build_space, dump_fields, galerkin_project,
-                         inject, interp_constrained, locate, nodal_interp)
+from smaevol.fem import (LoadProgram, SingularFormError, _triple,
+                         assemble_forms, box_mesh, build_space, dump_fields,
+                         galerkin_project, inject, interp_constrained, locate,
+                         nodal_interp)
 from smaevol.material import MaterialParams
-from smaevol.tensors import dev_from_sym, sym_from_matrix
+from smaevol.tensors import (DEV_BASIS, Elasticity, dev_from_sym,
+                             sym_from_matrix)
 
-from oracles import box_mesh_loops
+from oracles import assemble_forms_einsum, box_mesh_loops
 
 RNG = np.random.default_rng(41)
 
@@ -73,6 +75,36 @@ def test_locate_reproduces_nodal_interpolation():
         assert found
 
 
+# kappa = 2G/3 makes C6 diagonal: the kernel then adds 6 terms, not 12
+ELASTICITIES = [Elasticity(), Elasticity(G=0.37, kappa=2.9),
+                Elasticity(G=1.3, kappa=0.4), Elasticity(G=1.5, kappa=1.0)]
+KERNEL_CASES = ([((1.0, 1.0, 1.0), (10, 10, 10), Elasticity())]
+                + [(ext, n, el) for ext, n in (((1.0, 1.0, 1.0), (2, 2, 2)),
+                                               ((1.0, 1.0, 1.0), (4, 4, 4)),
+                                               ((2.0, 0.7, 1.3), (5, 3, 4)),
+                                               ((3.0, 1.0, 1.0), (7, 2, 3)))
+                   for el in ELASTICITIES])
+
+
+@pytest.mark.parametrize("extents, n, elastic", KERNEL_CASES,
+                         ids=[f"{n}-G{el.G}-kappa{el.kappa}"
+                              for _, n, el in KERNEL_CASES])
+def test_element_kernel_matches_the_einsum_bit_for_bit(extents, n, elastic):
+    space = build_space(box_mesh(extents, n))
+    params = MaterialParams(elastic=elastic)
+    C6 = elastic.matrix6()
+    assert np.count_nonzero(C6) == (6 if 3 * elastic.kappa == 2 * elastic.G
+                                    else 12)
+    Ke, blk, K, Cup = assemble_forms_einsum(space, params)
+    assert np.array_equal(_triple(space.vols, space.D, C6, space.D), Ke)
+    assert np.array_equal(_triple(space.vols / 4.0, space.D, C6,
+                                  DEV_BASIS[None]), blk)
+    forms = assemble_forms(space, params)
+    for new, old in ((forms.K, K), (forms.Cup, Cup)):
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(new, attr), getattr(old, attr)), attr
+
+
 def test_rigid_translation_has_zero_energy():
     space = small_space(2)
     forms = assemble_forms(space, P)
@@ -98,6 +130,9 @@ def test_bilinear_symmetry():
         b12 = forms.energy_product(y1, y2)
         b21 = forms.energy_product(y2, y1)
         assert b12 == pytest.approx(b21, rel=1e-12, abs=1e-12)
+        # energy_value's shared cross term leaves every bit
+        copy = tuple(a.copy() for a in y1)
+        assert forms.energy_value(y1) == forms.energy_product(y1, copy)
         # matrix() realizes the same quadratic form
         H = forms.matrix()
         y = np.concatenate(y1)

@@ -123,6 +123,37 @@ def test_penalty_derivatives_consistent():
     assert np.max(np.abs(fd2 - penalty_d2(p, r))) < 1e-4
 
 
+def _core_radii(p, size):
+    """size radii: 0, tiny ones, radii inside the ball, c3, each penalty
+    branch with the knots c3 + delta and c3 + 2 delta and their float
+    neighbours, a NaN, then random radii over every branch."""
+    d = p.delta
+    knots = np.array([p.c3, p.c3 + d, p.c3 + 2 * d])
+    special = np.concatenate([
+        [0.0, 5e-324, 1e-300, 1e-8, 0.3 * p.c3, p.c3 + 0.5 * d,
+         p.c3 + 1.5 * d, p.c3 + 5 * d, np.nan],
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+    rng = np.random.default_rng(size)
+    return np.concatenate([special, rng.uniform(0.0, p.c3 + 4 * d,
+                                                size - len(special))])
+
+
+@pytest.mark.parametrize("size", [27, 1331])
+@pytest.mark.parametrize("p", [PS_SMALL,
+                               MaterialParams(rho=0.01, c3=0.7, delta=0.03)],
+                         ids=["default", "narrow"])
+def test_one_pass_core_matches_the_two_functions_bit_for_bit(p, size):
+    r = _core_radii(p, size)
+    value, d1 = material.radial_core_value_d1(p, r)
+    for got, want in ((value, material.radial_core_value(p, r)),
+                      (d1, material.radial_core_d1(p, r))):
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got.tobytes() == want.tobytes()
+    assert np.isnan(value[8]) and np.isnan(d1[8])
+    with pytest.raises(ValueError):
+        material.radial_core_value_d1(P0, r)
+
+
 def test_sharp_energy_examples():
     assert transformation_energy_sharp(P0, np.zeros(5)) == 0.0
     e = unit5()

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 
 import scipy.sparse as sp
 
-from oracles import joint_lu_dual_norms, load_at_oracle
+from oracles import joint_lu_dual_norms, load_at_oracle, step_smooth_grad
 from smaevol import proxsolve, quasistatic
 from smaevol.asymptotics import LimitSchedule, limit_evolution
 from smaevol.constitutive import TimeGrid, UnstableInitialState
@@ -124,6 +124,35 @@ def test_one_z_matrix_product_per_smooth_grad_call(p, monkeypatch):
     assert counting.products == calls[0] > 0
     v0, z0, _ = QuasistaticSolver(space, p).solve_step(L_u, L_z, anchor)
     assert np.array_equal(v, v0) and np.array_equal(z, z0)
+
+
+@pytest.mark.parametrize("p", [P_SMOOTH, P_SHARP], ids=["smooth", "sharp"])
+def test_smooth_grad_matches_the_two_pass_closure_bit_for_bit(p, monkeypatch):
+    space = space_n(2)
+    L_u = pull_program(peak=4.0, unload=False).at(space, 1.0)[1]
+    L_z, anchor = np.zeros(space.n_z), np.zeros(space.n_z)
+    closures = []
+
+    def capturing_problem(smooth_grad, *rest):
+        closures.append(smooth_grad)
+        return StepProblem(smooth_grad, *rest)
+
+    solver = QuasistaticSolver(space, p)
+    monkeypatch.setattr(quasistatic, "StepProblem", capturing_problem)
+    v, z, _ = solver.solve_step(L_u, L_z, anchor)
+    # the closure reads the last sweep's right-hand side, the one of v
+    b = solver.Cup_T @ v + L_z
+    rng = np.random.default_rng(5)
+    fields = [z.reshape(-1, 5), np.zeros((space.n_nodes, 5))]
+    for scale in (0.1, 0.5, 1.2):
+        Z = scale * rng.standard_normal((space.n_nodes, 5))
+        Z[::4] = 0.0    # zero rows take the gradient's limit at r = 0
+        fields.append(Z)
+    for Z in fields:
+        got, want = closures[0](Z), step_smooth_grad(solver.A_z, solver.w,
+                                                      b, p, Z)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("p", [P_SMOOTH, P_SHARP], ids=["smooth", "sharp"])
