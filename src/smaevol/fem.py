@@ -100,6 +100,26 @@ def box_mesh(extents=(1.0, 1.0, 1.0), n=(2, 2, 2)) -> BoxMesh:
     return BoxMesh(extents, n, nodes, tets, h, boundary)
 
 
+def nested_dissection(mesh: BoxMesh, nodes=None) -> np.ndarray:
+    """Nested-dissection order of the masked nodes (all by default): a set
+    is split at the middle grid plane of its longest extent, the two sides
+    ordered recursively, the plane last (every tet edge joins adjacent grid
+    planes); a set spanning under 3 planes on each axis keeps id order."""
+    ids = np.arange(mesh.n_nodes) if nodes is None else np.flatnonzero(nodes)
+    ijk = np.stack(np.unravel_index(ids, tuple(mesh.n[::-1] + 1))[::-1], axis=1)
+
+    def order(sel):
+        lo, hi = ijk[sel].min(axis=0), ijk[sel].max(axis=0)
+        a = int(np.argmax(hi - lo))
+        if hi[a] - lo[a] < 2:
+            return sel
+        g, mid = ijk[sel, a], (lo[a] + hi[a]) // 2
+        return np.concatenate([order(sel[g < mid]), order(sel[g > mid]),
+                               sel[g == mid]])
+
+    return ids[order(np.arange(len(ids)))] if len(ids) else ids
+
+
 @dataclass
 class FeSpace:
     mesh: BoxMesh

@@ -37,7 +37,7 @@ by proximal gradient with a Barzilai-Borwein step, safeguarded by the
 fallback step 1/L.  The objective is non-increasing when L bounds the
 gradient's Lipschitz constant; the BVP step's L is a power-iteration
 estimate with a 1.01 margin, which measured 0.9989 lambda_max at n = 12,
-rho = 0; a certified bound is ROADMAP item 3.  Its rowwise prox, prox_nodal,
+rho = 0; a certified bound is ROADMAP item 2.  Its rowwise prox, prox_nodal,
 is a shrinkage about each anchor without the zero kink and the ball;
 otherwise every row runs the plane prox of prox_nonsmooth, its change of
 coordinates and residual check vectorized over the rows; the radial return

@@ -11,13 +11,14 @@ linear functional
 
 and the scalar offset q(t) = elastic energy of the lifting minus its load
 pairing.  The step solver alternates an exact sparse elasticity solve for
-v (the stiffness factorization is cached per space) with a nodal-prox
-proximal-gradient solve for z, whose first-order residual at its start is
-the joint residual that stops the alternation.  The z-problem reaches that
-solve as one callback giving the value and gradient of its smooth part.
-Dof vectors follow fem's layout (raveled (n_nodes, 3) and (n_nodes, 5)
-arrays), and the z-step matrix A_z = 2 z_block() acts on the (n_nodes, 5)
-array.
+v with a nodal-prox proximal-gradient solve for z, whose first-order
+residual at its start is the joint residual that stops the alternation.
+The z-problem reaches that solve as one callback giving the value and
+gradient of its smooth part.  Dof vectors follow fem's layout (raveled
+(n_nodes, 3) and (n_nodes, 5) arrays), and the z-step matrix
+A_z = 2 z_block() acts on the (n_nodes, 5) array.  The free u-dofs are
+one index array in nested-dissection order, in which the SPD stiffness
+K_ff = K[dofs][:, dofs] is factored once per solver, without pivoting.
 
 A run builds its load data once: u_dir(t), l(t) and L(t) are amplitude-
 weighted sums of the unit liftings, unit loads and functionals Lambda_c of
@@ -41,7 +42,7 @@ import scipy.sparse.linalg as spla
 
 from .constitutive import TimeGrid, UnstableInitialState
 from .fem import (FeSpace, LoadProgram, StepForms, assemble_forms, box_mesh,
-                  build_space, inject)
+                  build_space, inject, nested_dissection)
 from .material import MaterialParams, radial_core_value, radial_core_value_d1
 from .proxsolve import NonConvergence, StepProblem, project_ball, solve_field
 
@@ -71,6 +72,12 @@ def _power_lambda_max(A, iters=60):
     return float(lam)
 
 
+def _splu_spd(A):
+    """SuperLU factors of an SPD A in its given (fill-reducing) order."""
+    return spla.splu(A.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
 class QuasistaticSolver:
     """Per-(space, material) engine with cached factorizations."""
 
@@ -80,10 +87,10 @@ class QuasistaticSolver:
         self.forms = assemble_forms(space, params)
         if not space.dirichlet_nodes.any():
             raise SingularSystem("need a Dirichlet part with positive area")
-        self.free = free = space.u_free
-        K = self.forms.K.tocsc()
-        self.K_ff = K[free][:, free]
-        self.lu = spla.splu(self.K_ff.tocsc())
+        order = nested_dissection(space.mesh, ~space.dirichlet_nodes)
+        self.dofs = dofs = (3 * order[:, None] + np.arange(3)).ravel()
+        self.K_ff = self.forms.K[dofs][:, dofs]
+        self.lu = _splu_spd(self.K_ff)
         self.A_z = (2.0 * self.forms.z_block()).tocsr()   # acts on (m, 5)
         self.Cup_T = self.forms.Cup.T.tocsr()   # the z-load of a v (CSR: same sums)
         self.w = space.lumped
@@ -114,7 +121,7 @@ class QuasistaticSolver:
 
     def solve_v(self, b_u):
         v = np.zeros(self.space.n_u)
-        v[self.free] = self.lu.solve(b_u[self.free])
+        v[self.dofs] = self.lu.solve(b_u[self.dofs])
         return v
 
     # -- one incremental minimization --------------------------------------
@@ -267,18 +274,20 @@ def _dual_norms(solver: QuasistaticSolver, amps, Lam_u, Lam_z):
     (Lam_u[:, c], Lam_z[:, c]), so |L_i|^2 = a_i . Gamma a_i with the Gram
     matrix Gamma_kl = Lambda_k . H^-1 Lambda_l of the constrained energy
     matrix H; one CG solve per channel, preconditioned with the diagonal
-    blocks blockdiag(K_ff / 2, S (x) I5) of H, gives it.  The preconditioner
-    reuses the solver's K_ff factorization and factors only S = z_block().
+    blocks blockdiag(K_ff / 2, S (x) I5) of H, gives it.  The u-part runs
+    on the solver's dofs, so the preconditioner reuses its K_ff factors; it
+    factors only S = z_block(), in the nested-dissection order of all nodes.
     With int C eps(u) : z <= sqrt(u K u) sqrt(2 G z . M z) the
     preconditioned spectrum lies in 1 +- sqrt(G / (G + c2)), whatever the
     mesh.
     """
     if not len(amps):
         return np.zeros(amps.shape[1]), np.zeros(amps.shape[1] - 1)
-    free, nf = solver.free, int(solver.free.sum())
-    Cup_f = solver.forms.Cup[free]
+    dofs, nf = solver.dofs, len(solver.dofs)
+    Cup_f = solver.forms.Cup[dofs]
     Cup_fT = Cup_f.T.tocsr()
-    S_lu = spla.splu(solver.forms.z_block().tocsc())
+    nodes = nested_dissection(solver.space.mesh)
+    S_lu = _splu_spd(solver.forms.z_block()[nodes][:, nodes])
 
     def apply_H(y):
         yu, yz = y[:nf], y[nf:]
@@ -287,10 +296,11 @@ def _dual_norms(solver: QuasistaticSolver, amps, Lam_u, Lam_z):
                                       - Cup_fT @ yu)])
 
     def apply_P(r):
-        return np.concatenate([2.0 * solver.lu.solve(r[:nf]),
-                               S_lu.solve(r[nf:].reshape(-1, 5)).ravel()])
+        R, Y = r[nf:].reshape(-1, 5), np.empty((len(nodes), 5))
+        Y[nodes] = S_lu.solve(R[nodes])
+        return np.concatenate([2.0 * solver.lu.solve(r[:nf]), Y.ravel()])
 
-    Lam = np.vstack([Lam_u[free], Lam_z]).T
+    Lam = np.vstack([Lam_u[dofs], Lam_z]).T
     X = [_pcg(apply_H, apply_P, L) for L in Lam]
     gram = np.array([[Lk @ x for x in X] for Lk in Lam])
     gram = 0.5 * (gram + gram.T)   # H is symmetric; the CG solves are not exact

@@ -171,6 +171,17 @@ def joint_lu_dual_norms(solver, L_list):
     return np.array(out)
 
 
+def colamd_solve_v(solver, b_u):
+    """solve_v by scipy's default splu (COLAMD column order, partial
+    pivoting) of K[u_free][:, u_free] in dof order; returns the solution
+    and the factors."""
+    free = solver.space.u_free
+    lu = spla.splu(solver.forms.K.tocsc()[free][:, free])
+    v = np.zeros(solver.space.n_u)
+    v[free] = lu.solve(b_u[free])
+    return v, lu
+
+
 def load_at_oracle(space, program, t):
     """(u_dir, ell) of the load program at time t, assembled per time: each
     channel's amplitude at t times its nodal shape, integrated with the

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from smaevol.fem import (LoadProgram, SingularFormError, _triple,
                          assemble_forms, box_mesh, build_space, dump_fields,
                          galerkin_project, inject, interp_constrained, locate,
-                         nodal_interp)
+                         nested_dissection, nodal_interp)
 from smaevol.material import MaterialParams
 from smaevol.tensors import (DEV_BASIS, Elasticity, dev_from_sym,
                              sym_from_matrix)
@@ -103,6 +103,51 @@ def test_element_kernel_matches_the_einsum_bit_for_bit(extents, n, elastic):
     for new, old in ((forms.K, K), (forms.Cup, Cup)):
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(new, attr), getattr(old, attr)), attr
+
+
+def _check_dissection(seg, ijk, K, S):
+    """seg is the order of one node set: its two sides first, then the
+    middle plane of the set's longest extent; no K or S entry couples the
+    sides.  A set spanning fewer than 3 planes on every axis is in id order."""
+    g = ijk[seg]
+    span = g.max(axis=0) - g.min(axis=0)
+    a = int(np.argmax(span))
+    if span[a] < 2:
+        assert np.array_equal(seg, np.sort(seg))
+        return 1
+    mid = (g[:, a].min() + g[:, a].max()) // 2
+    lo, hi = np.sort(seg[g[:, a] < mid]), np.sort(seg[g[:, a] > mid])
+    left, right, sep = np.split(seg, [len(lo), len(lo) + len(hi)])
+    assert np.array_equal(np.sort(left), lo)
+    assert np.array_equal(np.sort(right), hi)
+    assert np.all(ijk[sep, a] == mid) and len(sep) > 0
+    u_lo, u_hi = ((3 * x[:, None] + np.arange(3)).ravel() for x in (lo, hi))
+    assert K[u_lo][:, u_hi].nnz == 0 and S[lo][:, hi].nnz == 0
+    return 1 + _check_dissection(left, ijk, K, S) + _check_dissection(
+        right, ijk, K, S)
+
+
+@pytest.mark.parametrize("extents, n", [((1.0, 1.0, 1.0), (3, 3, 3)),
+                                        ((1.0, 1.0, 1.0), (4, 4, 4)),
+                                        ((2.0, 0.7, 1.3), (5, 3, 4))])
+@pytest.mark.parametrize("dirichlet", [(), ("x0",), ("x0", "z1")])
+def test_nested_dissection_separators_decouple_their_sides(extents, n,
+                                                           dirichlet):
+    mesh = box_mesh(extents, n)
+    space = build_space(mesh, dirichlet)
+    forms = assemble_forms(space, P)
+    ijk = np.rint(mesh.nodes / mesh.extents * mesh.n).astype(int)
+    # the free nodes, or all nodes as for the z-block S
+    mask = ~space.dirichlet_nodes if dirichlet else None
+    order = nested_dissection(mesh, mask)
+    assert order.dtype.kind == "i"
+    want = np.arange(mesh.n_nodes) if mask is None else np.flatnonzero(mask)
+    assert np.array_equal(np.sort(order), want)
+    sets = _check_dissection(order, ijk, forms.K.tocsr(),
+                             forms.z_block().tocsr())
+    assert sets > 3
+    assert np.array_equal(nested_dissection(mesh, np.zeros(mesh.n_nodes, bool)),
+                          np.arange(0))
 
 
 def test_rigid_translation_has_zero_energy():

@@ -6,17 +6,19 @@ import scipy.sparse.linalg as spla
 
 import scipy.sparse as sp
 
-from oracles import joint_lu_dual_norms, load_at_oracle, step_smooth_grad
+from oracles import (colamd_solve_v, joint_lu_dual_norms, load_at_oracle,
+                     step_smooth_grad)
 from smaevol import proxsolve, quasistatic
 from smaevol.asymptotics import LimitSchedule, limit_evolution
 from smaevol.constitutive import TimeGrid, UnstableInitialState
-from smaevol.fem import LoadProgram, box_mesh, build_space
+from smaevol.fem import LoadProgram, box_mesh, build_space, nested_dissection
 from smaevol.material import MaterialParams
 from smaevol.proxsolve import NonConvergence, StepProblem
 from smaevol.quasistatic import (BvpProblem, QuasistaticSolver,
                                  SingularSystem, _dual_norms, nstep_h_convergence,
                                  run_incremental_bvp, solve_bvp_step,
                                  spacetime_run, verify_energetic)
+from smaevol.tensors import Elasticity
 
 RNG = np.random.default_rng(53)
 
@@ -70,6 +72,33 @@ def test_elastic_regime_matches_direct_elasticity():
     u_oracle = u_dir.copy()
     u_oracle[free] += spla.spsolve(K[free][:, free], rhs)
     assert np.linalg.norm(u - u_oracle) <= 1e-8 * (1 + np.linalg.norm(u_oracle))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("elastic", [Elasticity(), Elasticity(G=1.3, kappa=0.4)],
+                         ids=["default", "G1.3-kappa0.4"])
+def test_nested_dissection_factor_matches_the_colamd_solve(n, elastic):
+    space = space_n(n)
+    solver = QuasistaticSolver(space, MaterialParams(elastic=elastic))
+    order = nested_dissection(space.mesh, ~space.dirichlet_nodes)
+    assert np.array_equal(solver.dofs,
+                          (3 * order[:, None] + np.arange(3)).ravel())
+    for b_u in np.random.default_rng(n).standard_normal((3, space.n_u)):
+        v, v_ref = solver.solve_v(b_u), colamd_solve_v(solver, b_u)[0]
+        assert np.linalg.norm(v - v_ref) <= 1e-12 * np.linalg.norm(v_ref)
+    # the factors are in the given order, without an off-diagonal pivot, and
+    # positive pivots of an unpivoted LU certify the symmetric K_ff is SPD
+    lu = solver.lu
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert np.array_equal(lu.perm_c, np.arange(len(solver.dofs)))
+    assert np.all(lu.U.diagonal() > 0)
+
+
+def test_nested_dissection_factor_has_less_fill_than_colamd():
+    solver = QuasistaticSolver(space_n(10), P_SMOOTH)
+    colamd = colamd_solve_v(solver, np.zeros(solver.space.n_u))[1]
+    nd_fill = solver.lu.L.nnz + solver.lu.U.nnz
+    assert nd_fill <= 0.85 * (colamd.L.nnz + colamd.U.nnz)
 
 
 def test_step_objective_decreases_and_long_run_consistency():
