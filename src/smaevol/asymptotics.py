@@ -12,7 +12,6 @@ refined discretization for vanishing step size or mesh size.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -193,18 +192,16 @@ def _bvp_state_diff(P, ref_forms, v_m, z_m, v_r, z_r):
     return math.sqrt(max(ref_forms.energy_value(d), 0.0))
 
 
-def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule,
-                     t: Optional[float] = None):
-    """Single incremental minimization along a (rho, nu, h) schedule."""
+def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule):
+    """Single incremental minimization at t = T along a (rho, nu, h) schedule."""
     schedule.check_study("minproblem")
-    t = problem.program.T if t is None else t
     rho_ref, nu_ref, _, n_ref = schedule.reference()
 
     def solve_member(rho, nu, n):
         space = problem.space(n)
         solver = QuasistaticSolver(space, replace(problem.params, rho=rho, nu=nu))
         anchor = np.zeros(space.n_z)
-        u_dir, ell = problem.program.at(space, t)
+        u_dir, ell = problem.program.at(space, problem.program.T)
         v, z, _ = solver.solve_step(*solver.lifted_load(u_dir, ell), anchor)
         return solver, v, z, solver.stored_energy(v, z), \
             solver.dissipation_increment(z, anchor)

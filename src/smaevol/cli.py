@@ -122,7 +122,7 @@ def run_scenario(s: Scenario, out_dir) -> dict:
         rep = verify_energetic(rec, n_probes=max(1, s.probes // 10),
                                seed=s.seed)
         extra = {"stability_passed": bool(rep.passed),
-                 "ledger_peak": float((rec.stored_v + rec.cum_diss).max()),
+                 "ledger_peak": rec.ledger_peak,
                  "ledger_bound": rec.apriori.total,
                  "max_nodal_z": rec.max_nodal_z_norm()}
 

@@ -446,11 +446,6 @@ def inject(coarse: FeSpace, fine: FeSpace) -> sp.csr_matrix:
                          shape=(fine.n_nodes, coarse.n_nodes)).tocsr()
 
 
-def nodal_interp(space: FeSpace, fn, width: int) -> np.ndarray:
-    vals = np.array([fn(x) for x in space.mesh.nodes], dtype=float)
-    return vals.reshape(space.n_nodes, width).ravel()
-
-
 def galerkin_project(coarse: FeSpace, forms_f: StepForms, u_f, z_f):
     """Best approximation in the energy inner product of the fine forms on
     the coarse space.

@@ -11,6 +11,10 @@ The inelastic (transformation) energy comes in two flavours:
 where ``phi`` is a C^{2,1} penalty that vanishes exactly on ``[0, c3]``.
 Infinity is represented by the ordinary float ``inf``; comparisons against
 it are total, so no sentinel magic numbers appear anywhere.
+
+The radial core ``c1 (sqrt(rho^2 + r^2) - rho) + phi(r)/rho`` has one
+evaluator for an array of radii (``radial_core``, the field step) and one
+for a float radius (``radial_core_at``, the point step and the densities).
 """
 
 import math
@@ -76,24 +80,9 @@ class MaterialParams:
         return (self.c1 + 6.0 / self.delta) / self.rho
 
 
-def _beyond_ball(p: MaterialParams, r, piece):
-    """piece(s, delta) at s = r - c3 on the entries outside the ball, exact
-    zeros inside it; a float r inside the ball returns 0.0 at once (the
-    radial cores pass their r through unconverted for this).  A NaN radius
-    counts as outside, so phi and phi' of it stay NaN."""
-    if isinstance(r, float) and r <= p.c3:
-        return 0.0
-    s = np.asarray(r, dtype=float) - p.c3
-    if s.ndim == 0:     # a scalar radius: s is a numpy scalar, no mask
-        return 0.0 if s <= 0 else float(piece(s, p.delta))
-    out = np.zeros(s.shape)
-    outside = ~(s <= 0)
-    if outside.any():
-        out[outside] = piece(s[outside], p.delta)
-    return out
-
-
 def _phi(s, d):
+    """phi at s = |z| - c3 > 0 (it vanishes on the ball): phi'' is the hat
+    rising from 0 at s = 0 to 6/d at s = d and back to 0 at 2d; phi' = 6 beyond."""
     return np.where(
         s <= d, s ** 3 / d ** 2,
         np.where(s <= 2 * d,
@@ -112,24 +101,6 @@ def _phi_d2(s, d):
                     np.where(s <= 2 * d, (12.0 * d - 6.0 * s) / d ** 2, 0.0))
 
 
-def penalty(p: MaterialParams, r):
-    """Constraint penalty phi: zero on [0, c3], C^{2,1}, phi' bounded by 6.
-
-    phi'' is the piecewise-linear hat rising from 0 at c3 to 6/delta at
-    c3 + delta and back to 0 at c3 + 2 delta; phi' = 6 beyond.  Only the
-    radii beyond c3 are evaluated; the others get exact zeros.
-    """
-    return _beyond_ball(p, r, _phi)
-
-
-def penalty_d1(p: MaterialParams, r):
-    return _beyond_ball(p, r, _phi_d1)
-
-
-def penalty_d2(p: MaterialParams, r):
-    return _beyond_ball(p, r, _phi_d2)
-
-
 def transformation_energy_sharp(p: MaterialParams, z) -> float:
     """Sharp inelastic density; inf outside the transformation ball.
 
@@ -143,27 +114,11 @@ def transformation_energy_sharp(p: MaterialParams, z) -> float:
     return p.c1 * r + p.c2 * r * r
 
 
-def radial_core_value(p: MaterialParams, r):
-    """Non-quadratic radial core of the smooth density (all but c2 r^2)."""
-    if p.rho <= 0:
-        raise ValueError("smooth transformation energy requires rho > 0")
-    x = np.asarray(r, dtype=float)
-    out = p.c1 * (np.sqrt(p.rho ** 2 + x ** 2) - p.rho) + penalty(p, r) / p.rho
-    return out if out.ndim else float(out)
-
-
-def radial_core_d1(p: MaterialParams, r):
-    if p.rho <= 0:
-        raise ValueError("smooth transformation energy requires rho > 0")
-    x = np.asarray(r, dtype=float)
-    out = p.c1 * x / np.sqrt(p.rho ** 2 + x ** 2) + penalty_d1(p, r) / p.rho
-    return out if out.ndim else float(out)
-
-
-def radial_core_value_d1(p: MaterialParams, r):
-    """radial_core_value and radial_core_d1 of an array of radii r >= 0, bit
-    for bit, in one pass: one sqrt(rho^2 + r^2), one ball test, the penalty
-    pieces only outside the ball (where a NaN radius counts)."""
+def radial_core(p: MaterialParams, r):
+    """Value and derivative of the non-quadratic radial core of the smooth
+    density (all but c2 r^2) on an array of radii r >= 0, in one pass: one
+    sqrt(rho^2 + r^2), one ball test, the penalty pieces only outside the
+    ball (where a NaN radius counts)."""
     if p.rho <= 0:
         raise ValueError("smooth transformation energy requires rho > 0")
     r = np.asarray(r, dtype=float)
@@ -177,30 +132,35 @@ def radial_core_value_d1(p: MaterialParams, r):
     return value, d1
 
 
-def radial_core_d2(p: MaterialParams, r):
+def radial_core_at(p: MaterialParams, r: float):
+    """Value, first and second derivative of the radial core at one float
+    radius r >= 0; value and d1 are the bits radial_core gives r.  The
+    penalty pieces are evaluated only outside the ball (a NaN radius
+    counts), on a 0-d array: numpy's array power need not round like the
+    C pow of a scalar."""
     if p.rho <= 0:
         raise ValueError("smooth transformation energy requires rho > 0")
-    x = np.asarray(r, dtype=float)
-    q = np.sqrt(p.rho ** 2 + x ** 2)
-    out = p.c1 * p.rho ** 2 / q ** 3 + penalty_d2(p, r) / p.rho
-    return out if out.ndim else float(out)
+    q = math.sqrt(p.rho ** 2 + r * r)
+    value, d1, d2 = p.c1 * (q - p.rho), p.c1 * r / q, p.c1 * p.rho ** 2 / q ** 3
+    if not r - p.c3 <= 0:
+        s = np.asarray(r - p.c3)
+        value += float(_phi(s, p.delta)) / p.rho
+        d1 += float(_phi_d1(s, p.delta)) / p.rho
+        d2 += float(_phi_d2(s, p.delta)) / p.rho
+    return value, d1, d2
 
 
 def transformation_energy_smooth(p: MaterialParams, z) -> float:
     r = float(np.linalg.norm(z))
-    return radial_core_value(p, r) + p.c2 * r * r
+    return radial_core_at(p, r)[0] + p.c2 * r * r
 
 
 def transformation_energy_grad(p: MaterialParams, z) -> np.ndarray:
     """Gradient of the smooth density; exactly zero at z = 0."""
-    if p.rho <= 0:
-        raise ValueError("smooth transformation energy requires rho > 0")
     z = np.asarray(z, dtype=float)
     r = float(np.linalg.norm(z))
-    fac = p.c1 / math.sqrt(p.rho ** 2 + r * r) + 2.0 * p.c2
-    if r > 0:
-        fac += penalty_d1(p, r) / (p.rho * r)
-    return fac * z
+    d1 = radial_core_at(p, r)[1]
+    return ((d1 / r if r > 0 else 0.0) + 2.0 * p.c2) * z
 
 
 def transformation_energy_hess(p: MaterialParams, z) -> np.ndarray:
@@ -210,17 +170,14 @@ def transformation_energy_hess(p: MaterialParams, z) -> np.ndarray:
     and f'/r on its orthogonal complement; both stay >= 0 here, so the
     total is bounded below by the hardening curvature 2 c2.
     """
-    if p.rho <= 0:
-        raise ValueError("smooth transformation energy requires rho > 0")
     z = np.asarray(z, dtype=float)
     r = float(np.linalg.norm(z))
+    _, d1, d2 = radial_core_at(p, r)
     eye = np.eye(5)
     if r == 0.0:
         return (p.c1 / p.rho + 2.0 * p.c2) * eye
-    radial = radial_core_d2(p, r)
-    tangential = radial_core_d1(p, r) / r
     proj = np.outer(z, z) / (r * r)
-    return radial * proj + tangential * (eye - proj) + 2.0 * p.c2 * eye
+    return d2 * proj + (d1 / r) * (eye - proj) + 2.0 * p.c2 * eye
 
 
 def transformation_energy(p: MaterialParams, z) -> float:

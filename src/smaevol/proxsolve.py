@@ -53,8 +53,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .material import (MaterialParams, radial_core_d1, radial_core_d2,
-                       radial_core_value)
+from .material import MaterialParams, radial_core_at
 
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
@@ -125,14 +124,14 @@ class PointProblem:
         r = _norm(z)
         val = self.c2 * r * r - float(self.b @ z)
         if self.core is not None:
-            val += radial_core_value(self.core, r)
+            val += radial_core_at(self.core, r)[0]
         return val
 
     def grad(self, z) -> np.ndarray:
         g = 2.0 * self.c2 * z - self.b
         r = _norm(z)
         if self.core is not None and r > 0:
-            g = g + (radial_core_d1(self.core, r) / r) * z
+            g = g + (radial_core_at(self.core, r)[1] / r) * z
         return g
 
 
@@ -146,8 +145,8 @@ def solve_point(pb: PointProblem) -> np.ndarray:
 
     def slopes(s):
         # F'(s) and F''(s) for F(s) = c2 s^2 + core(s)
-        return (2.0 * pb.c2 * s + radial_core_d1(p, s),
-                2.0 * pb.c2 + radial_core_d2(p, s))
+        _, d1, d2 = radial_core_at(p, s)
+        return 2.0 * pb.c2 * s + d1, 2.0 * pb.c2 + d2
 
     e1, e2, beta, A = _plane(pb.b, pb.anchor)
     trail = []

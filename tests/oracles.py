@@ -12,12 +12,13 @@ against the iterative solvers it replaced: the Barzilai-Borwein
 prox-gradient loop on a point, and the scalar Dykstra splitting for the
 prox of two kinks and the ball; its fused multiplier root is checked bit
 for bit against the closure-based root it replaced, which evaluated
-g(mu) through a closure around the plane shrinkage.  The constraint penalty and its
-derivatives are checked bit for bit against their whole-array nested
-``np.where`` evaluation, which computes every piece on every entry.  The
+g(mu) through a closure around the plane shrinkage.  The smooth radial core,
+its derivatives and its constraint penalty are checked bit for bit against
+their whole-array nested ``np.where`` evaluation, which computes every
+penalty piece on every entry.  The
 element kernel of the assembly is checked bit for bit against the two
 four-operand einsums it replaced, and the step's one-pass value and
-gradient of the z-problem against the closure that called the radial
+gradient of the z-problem against the closure that called the whole-array
 core's value and derivative one after the other.
 """
 
@@ -31,7 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from smaevol.fem import _scatter
-from smaevol.material import MaterialParams, radial_core_d1, radial_core_value
+from smaevol.material import MaterialParams
 from smaevol.proxsolve import (EPS, MU_MAX, NEWTON_STEP_RTOL, NonConvergence,
                                project_ball)
 from smaevol.tensors import DEV_BASIS, dev_split
@@ -212,7 +213,7 @@ def load_at_oracle(space, program, t):
 
 
 # ---------------------------------------------------------------------------
-# the whole-array penalty the masked evaluation replaced
+# the whole-array penalty and core the masked evaluators replaced
 
 
 def penalty(p: MaterialParams, r):
@@ -253,6 +254,23 @@ def penalty_d2(p: MaterialParams, r):
         np.where(s <= d, 6.0 * s / d ** 2,
                  np.where(s <= 2 * d, (12.0 * d - 6.0 * s) / d ** 2, 0.0)))
     return out if out.ndim else float(out)
+
+
+def radial_core_value(p: MaterialParams, r):
+    """The smooth core c1 (sqrt(rho^2 + r^2) - rho) + phi(r)/rho."""
+    x = np.asarray(r, dtype=float)
+    return p.c1 * (np.sqrt(p.rho ** 2 + x ** 2) - p.rho) + penalty(p, x) / p.rho
+
+
+def radial_core_d1(p: MaterialParams, r):
+    x = np.asarray(r, dtype=float)
+    return p.c1 * x / np.sqrt(p.rho ** 2 + x ** 2) + penalty_d1(p, x) / p.rho
+
+
+def radial_core_d2(p: MaterialParams, r):
+    x = np.asarray(r, dtype=float)
+    q = np.sqrt(p.rho ** 2 + x ** 2)
+    return p.c1 * p.rho ** 2 / q ** 3 + penalty_d2(p, x) / p.rho
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from smaevol.constitutive import (PointState, StressPath, TimeGrid,
                                   incremental_step, run_constitutive,
                                   stable_initial_state, temporal_error_study,
                                   verify_stability)
-from smaevol.material import MaterialParams, radial_core_value
+from smaevol.material import MaterialParams, radial_core
 from smaevol.tensors import dev_split, dev_to_sym
 
 RNG = np.random.default_rng(31)
@@ -59,7 +59,7 @@ def test_step_inelastic_proportional_matches_1d_brute_force():
     sigma = dev_to_sym(2.0 * UNIT_DEV)
     st = incremental_step(PS, sigma, np.zeros(5))
     ts = np.arange(0.0, PS.c3 + 2 * PS.delta, 1e-5)
-    vals = radial_core_value(PS, ts) + PS.c2 * ts ** 2 - 2.0 * ts + PS.R * ts
+    vals = radial_core(PS, ts)[0] + PS.c2 * ts ** 2 - 2.0 * ts + PS.R * ts
     t_star = ts[np.argmin(vals)]
     assert np.linalg.norm(st.z - t_star * UNIT_DEV) <= 2e-5
     # minimizer stays on the loading ray

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from smaevol.fem import (LoadProgram, SingularFormError, _triple,
                          assemble_forms, box_mesh, build_space, dump_fields,
                          galerkin_project, inject, interp_constrained, locate,
-                         nested_dissection, nodal_interp)
+                         nested_dissection)
 from smaevol.material import MaterialParams
 from smaevol.tensors import (DEV_BASIS, Elasticity, dev_from_sym,
                              sym_from_matrix)
@@ -374,10 +374,3 @@ def test_dump_fields_round_trip(tmp_path):
     parsed = np.array([[float(v) for v in ln.split()] for ln in node_lines])
     assert np.allclose(parsed[:, :3], space.mesh.nodes)
     assert np.allclose(parsed[:, 3:].ravel(), z)
-
-
-def test_nodal_interp_shapes():
-    space = small_space(2)
-    u = nodal_interp(space, lambda x: [x[0], 0.0, 0.0], 3)
-    assert u.shape == (space.n_u,)
-    assert u[0::3] == pytest.approx(space.mesh.nodes[:, 0])

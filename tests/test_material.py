@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from smaevol import material
-from smaevol.material import (MaterialParams, penalty, penalty_d1, penalty_d2,
+from smaevol.material import (MaterialParams, radial_core, radial_core_at,
                               stored_energy_density, transformation_energy_grad,
                               transformation_energy_hess,
                               transformation_energy_sharp,
@@ -54,26 +53,44 @@ def test_alpha_is_the_midpoint_convexity_constant():
         assert wm <= 0.5 * w1 + 0.5 * w2 - (a / 4.0) * gap * (1 - 1e-9) + 1e-12
 
 
+def _penalty_at(p, r):
+    """phi, phi' and phi'' at the float radius r, read off radial_core_at as
+    the core less its sqrt term (exact zeros where the core has no penalty)."""
+    q = math.sqrt(p.rho ** 2 + r * r)
+    value, d1, d2 = radial_core_at(p, r)
+    return ((value - p.c1 * (q - p.rho)) * p.rho, (d1 - p.c1 * r / q) * p.rho,
+            (d2 - p.c1 * p.rho ** 2 / q ** 3) * p.rho)
+
+
 def test_penalty_shape():
-    p = P0
+    p = PS
     r = np.linspace(0, 2.0, 400)
-    ph = penalty(p, r)
-    assert np.all(ph[r <= p.c3] == 0.0)
-    assert np.all(ph[r > p.c3] > 0.0)
+    q = np.sqrt(p.rho ** 2 + r ** 2)
+    value, d1 = radial_core(p, r)
+    ph = (value - p.c1 * (q - p.rho)) * p.rho
+    inside = r <= p.c3
+    assert np.all(ph[inside] == 0.0)
+    assert np.all(d1[inside] == (p.c1 * r / q)[inside])
+    assert np.all(ph[~inside] > 0.0)
+    at = np.array([_penalty_at(p, float(x)) for x in r])
+    assert np.all(at[inside] == 0.0)
+    assert at[~inside, 0] == pytest.approx(ph[~inside])
     # second derivative peak 6/delta at c3 + delta, derivative saturates at 6
-    assert penalty_d2(p, p.c3 + p.delta) == pytest.approx(6.0 / p.delta)
-    assert penalty_d1(p, p.c3 + 2 * p.delta) == pytest.approx(6.0)
-    assert penalty_d1(p, p.c3 + 5 * p.delta) == pytest.approx(6.0)
+    assert _penalty_at(p, p.c3 + p.delta)[2] == pytest.approx(6.0 / p.delta)
+    assert _penalty_at(p, p.c3 + 2 * p.delta)[1] == pytest.approx(6.0)
+    assert _penalty_at(p, p.c3 + 5 * p.delta)[1] == pytest.approx(6.0)
+    assert _penalty_at(p, p.c3 + 5 * p.delta)[2] == pytest.approx(0.0, abs=1e-12)
     # C^1 continuity across the knots
     for r0 in (p.c3, p.c3 + p.delta, p.c3 + 2 * p.delta):
         h = 1e-7
-        assert penalty_d1(p, r0 + h) == pytest.approx(penalty_d1(p, r0 - h), abs=1e-4)
-        assert penalty(p, r0 + h) == pytest.approx(penalty(p, r0 - h), abs=5e-6)
+        above, below = _penalty_at(p, r0 + h), _penalty_at(p, r0 - h)
+        assert above[1] == pytest.approx(below[1], abs=1e-4)
+        assert above[0] == pytest.approx(below[0], abs=5e-6)
 
 
 def _penalty_inputs(p):
-    """Radii that cover every branch, the knots, non-finite values and
-    every accepted input type."""
+    """Arrays of radii that cover every branch, the knots and their float
+    neighbours, 0, subnormal radii and non-finite values."""
     d = p.delta
     knots = np.array([p.c3, p.c3 + d, p.c3 + 2 * d])
     grid = np.concatenate([np.linspace(0.0, p.c3 + 3 * d, 601), knots,
@@ -84,43 +101,48 @@ def _penalty_inputs(p):
     inside = rng.uniform(0.0, p.c3, 1331)
     outside = p.c3 + rng.uniform(1e-12, 4 * d, 1331)
     mixed = np.array([0.5, np.nan, p.c3 + 0.5 * d, np.inf, -np.inf, p.c3,
-                      p.c3 + 1.5 * d, np.nan, p.c3 + 5 * d])
+                      p.c3 + 1.5 * d, np.nan, p.c3 + 5 * d, 0.0, 5e-324,
+                      1e-310])
     return [grid, inside, outside, mixed, inside.reshape(-1, 11),
             np.full(4, np.nan), np.array([np.inf, -np.inf]), np.array([]),
-            np.array(0.5), np.array(p.c3 + 0.5 * d), np.array(np.nan),
-            np.float64(0.5), np.float64(p.c3 + 1.5 * d), np.float64(np.nan),
-            0, 2, 0.5, p.c3, p.c3 + 0.5 * d, p.c3 + 5 * d, math.nan, math.inf,
-            [0.5, p.c3 + 0.5 * d, p.c3 + 1.5 * d, p.c3 + 5 * d]]
+            np.array([0.5]), np.array([p.c3 + 0.5 * d])]
 
 
 @pytest.mark.parametrize("name", ["penalty", "penalty_d1", "penalty_d2"])
-@pytest.mark.parametrize("p", [P0, MaterialParams(c3=0.7, delta=0.03)],
+@pytest.mark.parametrize("p", [PS_SMALL,
+                               MaterialParams(rho=0.01, c3=0.7, delta=0.03)],
                          ids=["default", "narrow"])
 def test_masked_penalty_matches_the_whole_array_oracle_bit_for_bit(name, p):
-    # the masked evaluation skips the radii inside the ball; every value,
-    # NaN included (a NaN iterate must still fail the residual check), and
-    # every return type must stay as the whole-array evaluation had them
-    new, old = getattr(material, name), getattr(oracles, name)
+    # both evaluators skip the penalty on the radii inside the ball; every
+    # value, NaN included (a NaN iterate must still fail the residual
+    # check), must stay as the whole-array evaluation of every piece had it
+    k = ["penalty", "penalty_d1", "penalty_d2"].index(name)
+    old = (oracles.radial_core_value, oracles.radial_core_d1,
+           oracles.radial_core_d2)[k]
     for r in _penalty_inputs(p):
         with np.errstate(invalid="ignore", over="ignore"):   # inf - inf
-            got, want = new(p, r), old(p, r)
-        assert type(got) is type(want), r
-        assert np.array_equal(got, want, equal_nan=True), r
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), r
+            got = np.array([radial_core_at(p, float(x))[k] for x in r.ravel()])
+            if k < 2:   # the float evaluator gives the array evaluator's bits
+                want = old(p, r)
+                assert radial_core(p, r)[k].tobytes() == want.tobytes(), r
+            else:       # phi'' has only the float evaluator: scalar powers
+                want = np.array([old(p, x) for x in r.ravel().tolist()])
+        assert got.tobytes() == want.ravel().tobytes(), r
 
 
 def test_penalty_derivatives_consistent():
     # keep sample points away from the curvature kinks, where central
     # differences of the C^{1,1} pieces pick up O(h * jump) error
-    p = P0
+    p = PS
     r = np.linspace(0.5, 1.5, 201)
     knots = np.array([p.c3, p.c3 + p.delta, p.c3 + 2 * p.delta])
     r = r[np.min(np.abs(r[:, None] - knots[None, :]), axis=1) > 1e-3]
     h = 1e-6
-    fd1 = (penalty(p, r + h) - penalty(p, r - h)) / (2 * h)
-    assert np.max(np.abs(fd1 - penalty_d1(p, r))) < 1e-5
-    fd2 = (penalty_d1(p, r + h) - penalty_d1(p, r - h)) / (2 * h)
-    assert np.max(np.abs(fd2 - penalty_d2(p, r))) < 1e-4
+    fd1 = (radial_core(p, r + h)[0] - radial_core(p, r - h)[0]) / (2 * h)
+    assert np.max(np.abs(fd1 - radial_core(p, r)[1])) < 1e-5
+    fd2 = (radial_core(p, r + h)[1] - radial_core(p, r - h)[1]) / (2 * h)
+    d2 = np.array([radial_core_at(p, float(x))[2] for x in r])
+    assert np.max(np.abs(fd2 - d2)) < 1e-4
 
 
 def _core_radii(p, size):
@@ -142,16 +164,17 @@ def _core_radii(p, size):
 @pytest.mark.parametrize("p", [PS_SMALL,
                                MaterialParams(rho=0.01, c3=0.7, delta=0.03)],
                          ids=["default", "narrow"])
-def test_one_pass_core_matches_the_two_functions_bit_for_bit(p, size):
+def test_float_core_matches_the_array_core_bit_for_bit(p, size):
     r = _core_radii(p, size)
-    value, d1 = material.radial_core_value_d1(p, r)
-    for got, want in ((value, material.radial_core_value(p, r)),
-                      (d1, material.radial_core_d1(p, r))):
-        assert np.array_equal(got, want, equal_nan=True)
-        assert got.tobytes() == want.tobytes()
+    value, d1 = radial_core(p, r)
+    at = np.array([radial_core_at(p, float(x))[:2] for x in r])
+    assert at[:, 0].tobytes() == value.tobytes()
+    assert at[:, 1].tobytes() == d1.tobytes()
     assert np.isnan(value[8]) and np.isnan(d1[8])
     with pytest.raises(ValueError):
-        material.radial_core_value_d1(P0, r)
+        radial_core(P0, r)
+    with pytest.raises(ValueError):
+        radial_core_at(P0, 0.5)
 
 
 def test_sharp_energy_examples():

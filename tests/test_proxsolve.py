@@ -10,7 +10,7 @@ import oracles
 import smaevol.proxsolve as proxsolve
 from oracles import (BBInfo, BBPointProblem, bb_solve_point, dykstra_prox,
                      planar_step_oracle)
-from smaevol.material import MaterialParams, radial_core_d1, radial_core_d2
+from smaevol.material import MaterialParams, radial_core_at
 from smaevol.constitutive import incremental_step, reduced_problem
 from smaevol.proxsolve import (NonConvergence, PointProblem, StepProblem,
                                prox_nodal, prox_nonsmooth, solve_field,
@@ -477,8 +477,8 @@ def test_fused_root_is_the_closure_root_bit_for_bit(xi, kind, length, log_tiny,
     p = MaterialParams(rho=rho)
 
     def core(s):
-        return (2.0 * p.c2 * s + radial_core_d1(p, s),
-                2.0 * p.c2 + radial_core_d2(p, s))
+        _, d1, d2 = radial_core_at(p, s)
+        return 2.0 * p.c2 * s + d1, 2.0 * p.c2 + d2
 
     def quadratic(s):
         return s + k0, 1.0
