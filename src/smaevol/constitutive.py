@@ -23,7 +23,7 @@ import numpy as np
 from .material import (MaterialParams, stored_energy_density,
                        transformation_energy_grad)
 from .proxsolve import PointProblem, solve_point
-from .tensors import dev_split, dev_to_sym
+from .tensors import dev_split, dev_to_sym, norm
 
 
 class UnstableInitialState(Exception):
@@ -151,7 +151,7 @@ def reduced_problem(p: MaterialParams, sigma, z_prev) -> PointProblem:
     anchor = np.asarray(z_prev, dtype=float)
     if p.rho > 0:
         return PointProblem(b, p.c2, p.R, anchor, core=p)
-    if np.linalg.norm(anchor) > p.c3 * (1.0 + 1e-12):
+    if norm(anchor) > p.c3 * (1.0 + 1e-12):
         raise ValueError("anchor must satisfy |z_prev| <= c3 when rho = 0")
     return PointProblem(b, p.c2, p.R, anchor, w_zero=p.c1, radius=p.c3)
 
@@ -172,20 +172,20 @@ def stability_residual(p: MaterialParams, sigma, state) -> float:
     """
     eps = np.asarray(state.eps, dtype=float)
     z = np.asarray(state.z, dtype=float)
-    r_eps = np.linalg.norm(p.elastic.apply(eps - dev_to_sym(z)) - np.asarray(sigma, dtype=float))
+    r_eps = norm(p.elastic.apply(eps - dev_to_sym(z)) - np.asarray(sigma, dtype=float))
     b = dev_split(sigma)[0]
-    nz = np.linalg.norm(z)
+    nz = norm(z)
     if p.rho > 0:
         v = b - transformation_energy_grad(p, z)
-        r_z = max(0.0, np.linalg.norm(v) - p.R)
+        r_z = max(0.0, norm(v) - p.R)
     elif nz == 0.0:
-        r_z = max(0.0, np.linalg.norm(b) - p.c1 - p.R)
+        r_z = max(0.0, norm(b) - p.c1 - p.R)
     else:
         zhat = z / nz
         v = b - 2.0 * p.c2 * z - p.c1 * zhat
         if nz >= p.c3 * (1.0 - 1e-12):
             v = v - max(0.0, float(v @ zhat)) * zhat
-        r_z = max(0.0, np.linalg.norm(v) - p.R)
+        r_z = max(0.0, norm(v) - p.R)
     return float(r_eps + r_z)
 
 
@@ -204,7 +204,7 @@ class StabilityReport:
 
 def _ball(rng, dim, radius):
     u = rng.standard_normal(dim)
-    u /= np.linalg.norm(u)
+    u /= norm(u)
     return u * radius * rng.uniform() ** (1.0 / dim)
 
 
@@ -226,11 +226,11 @@ def verify_stability(p: MaterialParams, sigma, state,
         eps_c = state.eps + _ball(rng, 6, 2.0 * p.c3)
         z_c = state.z + _ball(rng, 5, 2.0 * p.c3)
         if p.rho == 0:
-            n = np.linalg.norm(z_c)
+            n = norm(z_c)
             if n > p.c3:
                 z_c = z_c * (p.c3 / n)
         comp = (stored_energy_density(p, eps_c, z_c) - float(sigma @ eps_c)
-                + p.R * float(np.linalg.norm(z_c - state.z)))
+                + p.R * norm(z_c - state.z))
         worst = max(worst, base - comp)
     return StabilityReport(worst, stability_residual(p, sigma, state),
                            n_probes, seed, tol)
@@ -279,7 +279,7 @@ def run_constitutive(p: MaterialParams, path: StressPath,
         eps[i], z[i] = st.eps, st.z
         stored[i] = stored_energy_density(p, st.eps, st.z)
         comp[i] = stored[i] - float(sig @ st.eps)
-        diss_inc[i] = p.R * float(np.linalg.norm(z[i] - z[i - 1]))
+        diss_inc[i] = p.R * norm(z[i] - z[i - 1])
         # exact for piecewise-linear sigma against the piecewise-constant
         # right-continuous strain interpolant
         work[i] = work[i - 1] + float((sig - sig_prev) @ eps[i - 1])
@@ -381,8 +381,8 @@ def continuous_dependence_check(p: MaterialParams, pairs,
         st2 = incremental_step(p, s2, zb2)
         lhs = float(np.sum((st1.eps - st2.eps) ** 2) + np.sum((st1.z - st2.z) ** 2))
         rhs = (float(np.sum((np.asarray(s1) - np.asarray(s2)) ** 2)) / a ** 2
-               + 4.0 / a * (p.R * float(np.linalg.norm(np.asarray(zb1)
-                                                       - np.asarray(zb2))))
+               + 4.0 / a * (p.R * norm(np.asarray(zb1, dtype=float)
+                                        - np.asarray(zb2, dtype=float)))
                + slack)
         rows.append({"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs})
     traj_report = None
@@ -395,7 +395,7 @@ def continuous_dependence_check(p: MaterialParams, pairs,
                    for i in range(len(grid.nodes)))
         init_gap = (float(np.sum((t1.eps[0] - t2.eps[0]) ** 2)
                           + np.sum((t1.z[0] - t2.z[0]) ** 2)))
-        dsig = [float(np.linalg.norm(path1.value(t) - path2.value(t)))
+        dsig = [norm(path1.value(t) - path2.value(t))
                 for t in grid.nodes]
         data_gap = init_gap + max(dsig) ** 2
         traj_report = {"sup_state_diff_sq": sup2, "data_gap": data_gap,

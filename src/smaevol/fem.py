@@ -11,6 +11,12 @@ matrix A acts as A (x) I_k does on the vector; so the space keeps only the
 scalar matrices (mass M, gradient stiffness Gs, surface masses surf), and
 a form written z . M z sums over the k columns.
 
+Assembly: a space has one CSR pattern, the sorted node pairs of its tets,
+with the data slot of every element entry (a boundary plane has its own,
+from its triangles).  Every form, with p dofs per row node and q per
+column node, is summed from its element blocks straight into the data
+array of that pattern, each entry's terms in element order.
+
 Quadrature policy: the quadratic energy terms are integrated exactly
 (P1 integrands are polynomials), while the nonsmooth transformation and
 dissipation densities are imposed nodally with lumped weights.  Loads are
@@ -25,7 +31,7 @@ tetrahedron with its four node indices.
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -120,6 +126,16 @@ def nested_dissection(mesh: BoxMesh, nodes=None) -> np.ndarray:
     return ids[order(np.arange(len(ids)))] if len(ids) else ids
 
 
+class Pattern(NamedTuple):
+    """CSR pattern of a scalar nodal form over elements of k nodes: the
+    sorted node pairs of the elements, and the data slot of each element
+    entry (a, b)."""
+
+    indptr: np.ndarray           # (nn + 1,)
+    indices: np.ndarray          # (nnz,)
+    slots: np.ndarray            # (ne, k, k)
+
+
 @dataclass
 class FeSpace:
     mesh: BoxMesh
@@ -132,6 +148,7 @@ class FeSpace:
     Gs: sp.csr_matrix = None       # scalar gradient stiffness
     lumped: np.ndarray = None      # nodal quadrature weights
     surf: dict = None              # plane -> scalar surface mass
+    pattern: Pattern = None        # CSR pattern of the tets' node pairs
     dirichlet_nodes: np.ndarray = None   # bool (nn,)
 
     @property
@@ -182,9 +199,50 @@ def _strain_displacement(grads):
     return D
 
 
-def _scatter(nn_row, nn_col, rows, cols, vals):
-    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(nn_row, nn_col)).tocsr()
+def _pattern(nn, elems) -> Pattern:
+    """The pattern of the elements (ne, k) over nn nodes."""
+    k = elems.shape[1]
+    keys = (elems[:, :, None] * nn + elems[:, None, :]).ravel()
+    pairs, slots = np.unique(keys, return_inverse=True)
+    rows = pairs // nn
+    indptr = np.zeros(nn + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nn), out=indptr[1:])
+    return Pattern(indptr, pairs - rows * nn, slots.reshape(-1, k, k))
+
+
+_CHUNK = 256    # elements per np.add.at call
+
+
+def _assemble(pat: Pattern, p, q, blocks) -> sp.csr_matrix:
+    """The (p nn, q nn) CSR matrix with p dofs per row node and q per column
+    node (dof = p*node + comp) summed from the element blocks (ne, k p,
+    k q); a block (ne, k p, q) stands for the same block at every column
+    node.  Each entry sums its element terms in element order, starting at
+    +0; the index arrays are formed for a chunk of elements at a time."""
+    ne, k = pat.slots.shape[:2]
+    nn, nnz = len(pat.indptr) - 1, len(pat.indices)
+    start, deg = pat.indptr[:-1], np.diff(pat.indptr)
+    c, d = np.arange(p), np.arange(q)
+    # the data index where[s, c, d] of scalar slot s in row i, row component
+    # c, column component d: row (i, c) starts at q (p start_i + c deg_i)
+    # and holds q deg_i entries, q per slot in slot order
+    row = np.repeat(np.arange(nn), deg)
+    first, count = start[row][:, None, None], deg[row][:, None, None]
+    offset = np.arange(nnz)[:, None, None] - first
+    where = q * (p * first + c[:, None] * count + offset) + d
+    indices = np.empty(p * q * nnz, dtype=pat.indices.dtype)
+    indices[where] = q * pat.indices[:, None, None] + d
+    indptr = np.append(q * (p * start[:, None] + deg[:, None] * c).ravel(),
+                       p * q * nnz)
+    data = np.zeros(p * q * nnz)
+    blocks = blocks.reshape(ne, k, p, blocks.shape[2] // q, q)
+    for e in range(0, ne, _CHUNK):
+        blk = blocks[e:e + _CHUNK]
+        shape = (len(blk), k, p, k, q)
+        # flat index and values: numpy's fast path of ufunc.at
+        idx = where[pat.slots[e:e + _CHUNK]].transpose(0, 1, 3, 2, 4)
+        np.add.at(data, idx.ravel(), np.broadcast_to(blk, shape).ravel())
+    return sp.csr_matrix((data, indices, indptr), shape=(p * nn, q * nn))
 
 
 def build_space(mesh: BoxMesh, dirichlet_planes=("x0",)) -> FeSpace:
@@ -196,31 +254,24 @@ def build_space(mesh: BoxMesh, dirichlet_planes=("x0",)) -> FeSpace:
     vols, grads = _element_geometry(mesh)
     space.vols, space.grads = vols, grads
     space.D = _strain_displacement(grads)
+    space.pattern = _pattern(nn, mesh.tets)
 
-    tets = mesh.tets
     # scalar mass: vol/20 * (1 + delta_ab); scalar stiffness: vol grad.grad
     ones4 = np.ones((4, 4))
     Me = (vols[:, None, None] / 20.0) * (ones4 + np.eye(4))[None, :, :]
     Ge = np.einsum("t,tad,tbd->tab", vols, grads, grads)
-    rows = np.repeat(tets, 4, axis=1)
-    cols = np.tile(tets, (1, 4))
-    space.M = _scatter(nn, nn, rows, cols, Me)
-    space.Gs = _scatter(nn, nn, rows, cols, Ge)
+    space.M = _assemble(space.pattern, 1, 1, Me)
+    space.Gs = _assemble(space.pattern, 1, 1, Ge)
     space.lumped = np.asarray(space.M.sum(axis=1)).ravel()
 
     space.surf = {}
     for pl, tris in mesh.boundary.items():
-        if len(tris) == 0:
-            space.surf[pl] = sp.csr_matrix((nn, nn))
-            continue
         pts = mesh.nodes[tris]
         areas = 0.5 * np.linalg.norm(
             np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]), axis=1)
         ones3 = np.ones((3, 3))
         Se = (areas[:, None, None] / 12.0) * (ones3 + np.eye(3))[None, :, :]
-        r = np.repeat(tris, 3, axis=1)
-        c = np.tile(tris, (1, 3))
-        space.surf[pl] = _scatter(nn, nn, r, c, Se)
+        space.surf[pl] = _assemble(_pattern(nn, tris), 1, 1, Se)
 
     mask = np.zeros(nn, dtype=bool)
     for pl in dirichlet_planes:
@@ -287,21 +338,14 @@ def _triple(w, L, C, R):
 
 
 def assemble_forms(space: FeSpace, params: MaterialParams) -> StepForms:
-    nn = space.n_nodes
     C6 = params.elastic.matrix6()
-    vols, D, tets = space.vols, space.D, space.mesh.tets
-
-    # the element arrays are arguments only, freed before the next scatter
-    udofs = (3 * tets[:, :, None] + np.arange(3)[None, None, :]).reshape(-1, 12)
-    K = _scatter(3 * nn, 3 * nn, np.repeat(udofs, 12, axis=1),
-                 np.tile(udofs, (1, 12)), _triple(vols, D, C6, D))
-
-    # coupling with the nodal deviatoric field: int C eps(u) : zeta; the
-    # per-z-node block (nt, 12, 5) repeats because int of each P1 hat is vol/4
-    blk = _triple(vols / 4.0, D, C6, DEV_BASIS[None])
-    zdofs = (5 * tets[:, :, None] + np.arange(5)[None, None, :]).reshape(-1, 20)
-    Cup = _scatter(3 * nn, 5 * nn, np.repeat(udofs, 20, axis=1),
-                   np.tile(zdofs, (1, 12)), np.tile(blk, (1, 1, 4)))
+    vols, D = space.vols, space.D
+    # the element arrays are arguments only, freed before the next assembly
+    K = _assemble(space.pattern, 3, 3, _triple(vols, D, C6, D))
+    # coupling with the nodal deviatoric field: int C eps(u) : zeta; one
+    # block (nt, 12, 5) for all four z-nodes, as int of each P1 hat is vol/4
+    Cup = _assemble(space.pattern, 3, 5,
+                    _triple(vols / 4.0, D, C6, DEV_BASIS[None]))
     return StepForms(space, params, K, Cup)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import Elasticity, dev_split
+from .tensors import Elasticity, dev_split, norm
 
 
 @dataclass(frozen=True)
@@ -80,25 +80,28 @@ class MaterialParams:
         return (self.c1 + 6.0 / self.delta) / self.rho
 
 
-def _phi(s, d):
-    """phi at s = |z| - c3 > 0 (it vanishes on the ball): phi'' is the hat
-    rising from 0 at s = 0 to 6/d at s = d and back to 0 at 2d; phi' = 6 beyond."""
-    return np.where(
-        s <= d, s ** 3 / d ** 2,
-        np.where(s <= 2 * d,
-                 6.0 * s ** 2 / d - s ** 3 / d ** 2 - 6.0 * s + 2.0 * d,
-                 6.0 * s - 6.0 * d))
+# the penalty phi of s = |z| - c3 > 0 (it vanishes on the ball): phi'' is
+# the hat rising from 0 at s = 0 to 6/d at s = d and back to 0 at 2d, and
+# phi' = 6 beyond; _PIECES[k][j] is the k-th derivative on piece j, s in
+# (0, d], (d, 2d] or beyond
+_PIECES = (
+    (lambda s, d: s ** 3 / d ** 2,
+     lambda s, d: 6.0 * s ** 2 / d - s ** 3 / d ** 2 - 6.0 * s + 2.0 * d,
+     lambda s, d: 6.0 * s - 6.0 * d),
+    (lambda s, d: 3.0 * s ** 2 / d ** 2,
+     lambda s, d: 12.0 * s / d - 3.0 * s ** 2 / d ** 2 - 6.0,
+     lambda s, d: 6.0),
+    (lambda s, d: 6.0 * s / d ** 2,
+     lambda s, d: (12.0 * d - 6.0 * s) / d ** 2,
+     lambda s, d: 0.0),
+)
 
 
-def _phi_d1(s, d):
-    return np.where(
-        s <= d, 3.0 * s ** 2 / d ** 2,
-        np.where(s <= 2 * d, 12.0 * s / d - 3.0 * s ** 2 / d ** 2 - 6.0, 6.0))
-
-
-def _phi_d2(s, d):
-    return np.where(s <= d, 6.0 * s / d ** 2,
-                    np.where(s <= 2 * d, (12.0 * d - 6.0 * s) / d ** 2, 0.0))
+def _penalty(k, s, d):
+    """The k-th derivative of phi on an array s, every piece on every entry."""
+    f = _PIECES[k]
+    return np.where(s <= d, f[0](s, d),
+                    np.where(s <= 2 * d, f[1](s, d), f[2](s, d)))
 
 
 def transformation_energy_sharp(p: MaterialParams, z) -> float:
@@ -108,7 +111,7 @@ def transformation_energy_sharp(p: MaterialParams, z) -> float:
     exact radial projection leaves within one ulp of the boundary still
     evaluate finitely.
     """
-    r = float(np.linalg.norm(z))
+    r = norm(np.asarray(z, dtype=float))
     if r > p.c3 * (1.0 + 1e-12):
         return math.inf
     return p.c1 * r + p.c2 * r * r
@@ -127,8 +130,8 @@ def radial_core(p: MaterialParams, r):
     outside = ~(r - p.c3 <= 0)
     if outside.any():
         s = r[outside] - p.c3
-        value[outside] += _phi(s, p.delta) / p.rho
-        d1[outside] += _phi_d1(s, p.delta) / p.rho
+        value[outside] += _penalty(0, s, p.delta) / p.rho
+        d1[outside] += _penalty(1, s, p.delta) / p.rho
     return value, d1
 
 
@@ -136,29 +139,31 @@ def radial_core_at(p: MaterialParams, r: float):
     """Value, first and second derivative of the radial core at one float
     radius r >= 0; value and d1 are the bits radial_core gives r.  The
     penalty pieces are evaluated only outside the ball (a NaN radius
-    counts), on a 0-d array: numpy's array power need not round like the
-    C pow of a scalar."""
+    counts), the piece of r - c3 only, on a 0-d array: numpy's array power
+    need not round like the C pow of a scalar."""
     if p.rho <= 0:
         raise ValueError("smooth transformation energy requires rho > 0")
     q = math.sqrt(p.rho ** 2 + r * r)
     value, d1, d2 = p.c1 * (q - p.rho), p.c1 * r / q, p.c1 * p.rho ** 2 / q ** 3
     if not r - p.c3 <= 0:
-        s = np.asarray(r - p.c3)
-        value += float(_phi(s, p.delta)) / p.rho
-        d1 += float(_phi_d1(s, p.delta)) / p.rho
-        d2 += float(_phi_d2(s, p.delta)) / p.rho
+        s, d = r - p.c3, p.delta
+        j = 0 if s <= d else 1 if s <= 2 * d else 2    # a NaN: the last
+        s = np.asarray(s)
+        value += float(_PIECES[0][j](s, d)) / p.rho
+        d1 += float(_PIECES[1][j](s, d)) / p.rho
+        d2 += float(_PIECES[2][j](s, d)) / p.rho
     return value, d1, d2
 
 
 def transformation_energy_smooth(p: MaterialParams, z) -> float:
-    r = float(np.linalg.norm(z))
+    r = norm(np.asarray(z, dtype=float))
     return radial_core_at(p, r)[0] + p.c2 * r * r
 
 
 def transformation_energy_grad(p: MaterialParams, z) -> np.ndarray:
     """Gradient of the smooth density; exactly zero at z = 0."""
     z = np.asarray(z, dtype=float)
-    r = float(np.linalg.norm(z))
+    r = norm(z)
     d1 = radial_core_at(p, r)[1]
     return ((d1 / r if r > 0 else 0.0) + 2.0 * p.c2) * z
 
@@ -171,7 +176,7 @@ def transformation_energy_hess(p: MaterialParams, z) -> np.ndarray:
     total is bounded below by the hardening curvature 2 c2.
     """
     z = np.asarray(z, dtype=float)
-    r = float(np.linalg.norm(z))
+    r = norm(z)
     _, d1, d2 = radial_core_at(p, r)
     eye = np.eye(5)
     if r == 0.0:

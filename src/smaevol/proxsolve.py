@@ -81,7 +81,7 @@ class NonConvergence(Exception):
 
 def _norm(v) -> float:
     # scaled: no underflow for tiny vectors
-    return math.hypot(*v)
+    return math.hypot(*v.tolist())
 
 
 def _trail(values) -> str:

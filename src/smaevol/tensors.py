@@ -18,6 +18,7 @@ plain euclidean dot of the stored components, so norms need no correction
 factors and there are no Voigt factor-of-2 pitfalls.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,12 @@ def sym_to_matrix(a) -> np.ndarray:
         [a[5] / SQ2, a[1], a[3] / SQ2],
         [a[4] / SQ2, a[3] / SQ2, a[2]],
     ])
+
+
+def norm(a) -> float:
+    """Euclidean norm of a 1-d float array: np.linalg.norm's own
+    sqrt(a.dot(a)), without its dispatch."""
+    return math.sqrt(a.dot(a))
 
 
 def trace(a) -> float:

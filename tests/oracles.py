@@ -17,7 +17,8 @@ its derivatives and its constraint penalty are checked bit for bit against
 their whole-array nested ``np.where`` evaluation, which computes every
 penalty piece on every entry.  The
 element kernel of the assembly is checked bit for bit against the two
-four-operand einsums it replaced, and the step's one-pass value and
+four-operand einsums it replaced, scattered with every entry summed in
+element order, and the step's one-pass value and
 gradient of the z-problem against the closure that called the whole-array
 core's value and derivative one after the other.
 """
@@ -31,7 +32,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from smaevol.fem import _scatter
 from smaevol.material import MaterialParams
 from smaevol.proxsolve import (EPS, MU_MAX, NEWTON_STEP_RTOL, NonConvergence,
                                project_ball)
@@ -545,6 +545,18 @@ def plane_root(slopes, modulus, beta, alpha, w, trail, max_iter):
 # the einsum assembly and the two-pass z-problem the kernels replaced
 
 
+def element_scatter(n_rows, n_cols, rows, cols, vals):
+    """CSR of the element entries vals at (rows, cols), each entry's terms
+    summed in element order (np.add.at over the unique keys)."""
+    keys = (rows * n_cols + cols).ravel()
+    pairs, slot = np.unique(keys, return_inverse=True)
+    data = np.zeros(len(pairs))
+    np.add.at(data, slot.ravel(), vals.ravel())
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(pairs // n_cols, minlength=n_rows))])
+    return sp.csr_matrix((data, pairs % n_cols, indptr), shape=(n_rows, n_cols))
+
+
 def assemble_forms_einsum(space, params):
     """The element stiffness Ke (nt, 12, 12), the coupling block (nt, 12, 5)
     and the scattered K and Cup, the blocks formed by the plain einsums."""
@@ -555,10 +567,10 @@ def assemble_forms_einsum(space, params):
                     DEV_BASIS)
     udofs = (3 * tets[:, :, None] + np.arange(3)[None, None, :]).reshape(-1, 12)
     zdofs = (5 * tets[:, :, None] + np.arange(5)[None, None, :]).reshape(-1, 20)
-    K = _scatter(3 * nn, 3 * nn, np.repeat(udofs, 12, axis=1),
-                 np.tile(udofs, (1, 12)), Ke)
-    Cup = _scatter(3 * nn, 5 * nn, np.repeat(udofs, 20, axis=1),
-                   np.tile(zdofs, (1, 12)), np.tile(blk, (1, 1, 4)))
+    K = element_scatter(3 * nn, 3 * nn, np.repeat(udofs, 12, axis=1),
+                        np.tile(udofs, (1, 12)), Ke)
+    Cup = element_scatter(3 * nn, 5 * nn, np.repeat(udofs, 20, axis=1),
+                          np.tile(zdofs, (1, 12)), np.tile(blk, (1, 1, 4)))
     return Ke, blk, K, Cup
 
 

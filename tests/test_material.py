@@ -160,10 +160,13 @@ def _core_radii(p, size):
                                                 size - len(special))])
 
 
+# c3 = 2^-6 makes c3 + delta and c3 + 2 delta exact: s hits both knots,
+# where the pieces on either side round differently
 @pytest.mark.parametrize("size", [27, 1331])
 @pytest.mark.parametrize("p", [PS_SMALL,
-                               MaterialParams(rho=0.01, c3=0.7, delta=0.03)],
-                         ids=["default", "narrow"])
+                               MaterialParams(rho=0.01, c3=0.7, delta=0.03),
+                               MaterialParams(rho=0.1, c3=2.0 ** -6)],
+                         ids=["default", "narrow", "exact-knots"])
 def test_float_core_matches_the_array_core_bit_for_bit(p, size):
     r = _core_radii(p, size)
     value, d1 = radial_core(p, r)
