@@ -8,9 +8,22 @@ discrete solutions along non-increasing parameter schedules and tabulate
 state, energy and dissipation differences against a reference run:
 the sharp model for a vanishing regularization parameter, a once-more
 refined discretization for vanishing step size or mesh size.
+
+An evolution study runs its reference in the calling process and its
+members beside it, in forked children on the other CPUs of
+os.sched_getaffinity (round-robin, at most one child per spare CPU, no
+setting).  The children send back their records without the solver; the
+table is formed in the caller, from the same arithmetic as a serial run.
+With one CPU, no fork start method or a live thread, every member runs in
+the caller after the reference.  The minimization and constitutive
+studies stay serial: a minimization member is one step, and a
+constitutive member takes milliseconds, less than a fork costs.
 """
 
 import math
+import multiprocessing as mp
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -227,18 +240,90 @@ def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule):
             "reference": {"rho": rho_ref, "nu": nu_ref, "n": n_ref}}
 
 
+def _send_share(conn, task, share):
+    """A child's body: task over its share, or the exception that stopped it."""
+    try:
+        out = (True, [task(a) for a in share])
+    except Exception as e:
+        out = (False, e)
+    conn.send(out)
+    conn.close()
+
+
+def _beside(main, task, args):
+    """(main(), [task(a) for a in args]) with the tasks in forked children.
+
+    The caller runs main while at most cpus - 1 children run the args
+    round-robin, so at most cpus processes compute at once.  A forked
+    child inherits the caller's state (a parsed problem, its cached
+    spaces) and pickles its results back.  multiprocessing flushes stdout
+    and stderr before each fork and ends each child with os._exit, so no
+    buffered line is written twice.  With one CPU, no fork start method or
+    a live thread (fork is unsafe then), everything runs here, main first.
+    Every child is reaped before this returns or raises.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(args), (len(affinity(0)) if affinity else 1) - 1)
+    if (workers < 1 or "fork" not in mp.get_all_start_methods()
+            or threading.active_count() > 1):
+        first = main()
+        return first, [task(a) for a in args]
+    ctx = mp.get_context("fork")
+    children, done = [], False
+    try:
+        for j in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_share,
+                                args=(send, task, args[j::workers]),
+                                daemon=True)
+            with send:   # the child holds its own end
+                child.start()
+            children.append((child, recv))
+        first = main()
+        results = [None] * len(args)
+        for j, (child, recv) in enumerate(children):
+            try:
+                ok, out = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a member process exited with code "
+                                   f"{child.exitcode} and sent no result")
+            if not ok:
+                raise out
+            results[j::workers] = out
+        done = True
+        return first, results
+    finally:
+        for child, recv in children:
+            if not done:
+                child.kill()
+            child.join()
+            recv.close()
+
+
 def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
-    """Space-time evolution limits along a (rho, tau, h) schedule, nu fixed."""
+    """Space-time evolution limits along a (rho, tau, h) schedule, nu fixed.
+
+    The reference runs in the calling process, the members beside it (see
+    _beside); each row and the reference carry their run's total sweeps.
+    """
     schedule.check_study("evolution")
     nu = float(schedule.nu[0])
     rho_ref, _, tau_ref, n_ref = schedule.reference()
-    ref, ref_rep = spacetime_run(problem, rho_ref, nu, tau_ref, n_ref)
-    ref_forms = ref.solver.forms
 
-    def member(k):
+    def member_run(k):
         rec, rep = spacetime_run(problem, float(schedule.rho[k]), nu,
                                  float(schedule.tau[k]), int(schedule.n[k]))
-        P = inject(rec.solver.space, ref.solver.space)
+        return replace(rec, solver=None), rep   # SuperLU factors do not pickle
+
+    (ref, ref_rep), runs = _beside(
+        lambda: spacetime_run(problem, rho_ref, nu, tau_ref, n_ref),
+        member_run, range(len(schedule)))
+    ref_forms = ref.solver.forms
+
+    def row(k, rec, rep):
+        space = problem.space(int(schedule.n[k]))
+        P = inject(space, ref.solver.space)
         state = 0.0
         energy = 0.0
         for i, t in enumerate(rec.grid.nodes):
@@ -248,14 +333,16 @@ def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
                                                ref.v[j], ref.z[j]))
             energy = max(energy, abs(rec.stored_v[i] - ref.stored_v[j]))
         return {"k": k, "rho": float(schedule.rho[k]), "nu": nu,
-                "tau": float(schedule.tau[k]), "h": rec.solver.space.mesh.h,
+                "tau": float(schedule.tau[k]), "h": space.mesh.h,
                 "state_diff": state, "energy_diff": energy,
                 "diss_diff": abs(rec.cum_diss[-1] - ref.cum_diss[-1]),
                 "ledger_bound_ok": rep["bound_ok"],
-                "nu_in_scope": rep["nu_in_scope"]}
+                "nu_in_scope": rep["nu_in_scope"],
+                "sweeps": int(rec.sweeps.sum())}
 
-    rows = [member(k) for k in range(len(schedule))]
+    rows = [row(k, *run) for k, run in enumerate(runs)]
     return {"label": schedule.label, "rows": rows,
             "reference": {"rho": rho_ref, "nu": nu, "tau": tau_ref, "n": n_ref,
                           "ledger_bound_ok": ref_rep["bound_ok"],
-                          "nu_in_scope": ref_rep["nu_in_scope"]}}
+                          "nu_in_scope": ref_rep["nu_in_scope"],
+                          "sweeps": int(ref.sweeps.sum())}}

@@ -218,6 +218,7 @@ class EvolutionRecord:
     worksum: np.ndarray          # sum_{j<=i} <L_j - L_{j-1}, y_{j-1}>
     residual: np.ndarray         # discrete one-sided inequality defect
     apriori: AprioriBound
+    sweeps: np.ndarray           # solve_step's sweep count per step (0: start check)
 
     @property
     def u(self) -> np.ndarray:
@@ -286,6 +287,8 @@ def _dual_norms(solver: QuasistaticSolver, amps, Lam_u, Lam_z):
     blocks blockdiag(K_ff / 2, S (x) I5) of H, gives it.  The u-part runs
     on the solver's dofs, so the preconditioner reuses its K_ff factors; it
     factors only S = z_block(), in the nested-dissection order of all nodes.
+    The coupling applies the solver's Cup and Cup_T through a full-length
+    u vector, so no free-row copy of Cup is made.
     With int C eps(u) : z <= sqrt(u K u) sqrt(2 G z . M z) the
     preconditioned spectrum lies in 1 +- sqrt(G / (G + c2)), whatever the
     mesh.
@@ -293,16 +296,17 @@ def _dual_norms(solver: QuasistaticSolver, amps, Lam_u, Lam_z):
     if not len(amps):
         return np.zeros(amps.shape[1]), np.zeros(amps.shape[1] - 1)
     dofs, nf = solver.dofs, len(solver.dofs)
-    Cup_f = solver.forms.Cup[dofs]
-    Cup_fT = Cup_f.T.tocsr()
     nodes = nested_dissection(solver.space.mesh)
     S_lu = _splu_spd(solver.forms.z_block()[nodes][:, nodes])
+    u = np.zeros(solver.space.n_u)   # zero off dofs for good
 
     def apply_H(y):
         yu, yz = y[:nf], y[nf:]
-        return np.concatenate([0.5 * (solver.K_ff @ yu - Cup_f @ yz),
+        u[dofs] = yu
+        return np.concatenate([0.5 * (solver.K_ff @ yu
+                                      - (solver.forms.Cup @ yz)[dofs]),
                                0.5 * ((solver.A_z @ yz.reshape(-1, 5)).ravel()
-                                      - Cup_fT @ yu)])
+                                      - solver.Cup_T @ u)])
 
     def apply_P(r):
         R, Y = r[nf:].reshape(-1, 5), np.empty((len(nodes), 5))
@@ -335,11 +339,15 @@ def run_incremental_bvp(space: FeSpace, params: MaterialParams, grid: TimeGrid,
     # u_dir.K u_dir / 2 - ell.u_dir by K u_dir = ell - L_u; +0 for no lifting
     q = np.einsum("ij,ij->i", u_dir, -0.5 * (ell + L_u))
 
+    sweeps = np.zeros(n + 1, dtype=int)
+
     def step(i, anchor):
         try:
-            return solver.solve_step(L_u[i], L_z[i], anchor)[:2]
+            v_i, z_i, info = solver.solve_step(L_u[i], L_z[i], anchor)
         except NonConvergence as e:
             raise NonConvergence(f"step {i} at t = {times[i]:.6g}: {e}") from e
+        sweeps[i] = info["sweeps"]
+        return v_i, z_i
 
     z = np.zeros((n + 1, space.n_z))
     v = np.zeros((n + 1, space.n_u))
@@ -378,7 +386,7 @@ def run_incremental_bvp(space: FeSpace, params: MaterialParams, grid: TimeGrid,
     load_pair = np.array([float(ell[i] @ (v[i] + u_dir[i])) for i in range(n + 1)])
     return EvolutionRecord(grid, solver, v, z, u_dir, L_u, L_z, q,
                            stored_v, stored_u, load_pair, L_pair, diss_inc,
-                           cum, worksum, residual, bound)
+                           cum, worksum, residual, bound, sweeps)
 
 
 @dataclass

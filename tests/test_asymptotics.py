@@ -1,13 +1,17 @@
+import multiprocessing as mp
+import os
+
 import numpy as np
 import pytest
 
-from smaevol.asymptotics import (LimitSchedule, gamma_check_F,
+from smaevol.asymptotics import (LimitSchedule, _beside, gamma_check_F,
                                  limit_constitutive, limit_evolution,
                                  limit_minproblem)
 from smaevol.constitutive import StressPath
 from smaevol.fem import LoadProgram
 from smaevol.material import MaterialParams
-from smaevol.quasistatic import BvpProblem
+from smaevol.proxsolve import NonConvergence
+from smaevol.quasistatic import BvpProblem, QuasistaticSolver
 from smaevol.tensors import dev_to_sym
 
 RNG = np.random.default_rng(61)
@@ -171,3 +175,67 @@ def test_limit_evolution_rejects_varying_nu():
     sched = LimitSchedule.of(2, rho=0.1, nu=[0.02, 0.01], tau=1 / 8, n=2)
     with pytest.raises(ValueError):
         limit_evolution(problem, sched)
+
+
+def spare_cpus():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else 1
+    return cpus - 1
+
+
+def counted_forks(monkeypatch):
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def test_limit_evolution_members_beside_the_reference_are_bit_identical(
+        monkeypatch):
+    # as shipped, the members run in forked children on a multi-CPU host;
+    # with one CPU they run in the caller
+    problem = pull_problem()
+    sched = LimitSchedule.of(3, rho=[0.1, 0.05, 0.025], nu=0.01, tau=1 / 4,
+                             n=1, label="fork")
+    forks = counted_forks(monkeypatch)
+    shipped = limit_evolution(problem, sched)
+    assert len(forks) == min(3, spare_cpus())
+    forks.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = limit_evolution(problem, sched)
+    assert forks == []
+    assert shipped["rows"] == serial["rows"]
+    assert shipped["reference"] == serial["reference"]
+    assert all(r["sweeps"] > 0 for r in shipped["rows"])
+
+
+@pytest.mark.parametrize("failing", ["member", "reference"])
+def test_limit_evolution_failure_names_the_step(monkeypatch, failing):
+    # a NonConvergence in a member's child, or in the caller's reference run,
+    # reaches the caller with its step and time; no child is left behind
+    solve_step = QuasistaticSolver.solve_step
+
+    def stalling(self, *args, **kwargs):
+        if (self.params.rho == 0.0) == (failing == "reference"):
+            raise NonConvergence("stalled on purpose")
+        return solve_step(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuasistaticSolver, "solve_step", stalling)
+    forks = counted_forks(monkeypatch)
+    sched = LimitSchedule.of(2, rho=[0.1, 0.05], nu=0.01, tau=1 / 4, n=1)
+    with pytest.raises(NonConvergence,
+                       match=r"^step 0 at t = 0: stalled on purpose$"):
+        limit_evolution(pull_problem(), sched)
+    assert len(forks) == min(2, spare_cpus())
+    assert mp.active_children() == []
+
+
+@pytest.mark.skipif(spare_cpus() < 1, reason="the task would end this process")
+def test_a_child_that_dies_without_a_result_is_reported():
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        _beside(lambda: None, lambda a: os._exit(3), [0])
+    assert mp.active_children() == []

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -419,6 +420,8 @@ def test_runs_and_studies_build_no_kronecker_product(monkeypatch):
 
     monkeypatch.setattr(sp, "kron", counting_kron)
     monkeypatch.setattr(LoadProgram, "channels", counting_channels)
+    # one CPU: the limit study's members run here, where the counts see them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     prog = LoadProgram(times=[0.0, 0.5, 1.0], **BOUND_PROGRAMS["all"])
     run_incremental_bvp(space_n(2), P_SMOOTH, TimeGrid.uniform(1.0, 4), prog)
     assert len(channels) == 1
@@ -427,6 +430,20 @@ def test_runs_and_studies_build_no_kronecker_product(monkeypatch):
                                               tau=0.5, n=2))
     nstep_h_convergence(problem, [1, 2], steps=2)
     assert krons == []
+
+
+def test_record_keeps_each_steps_sweeps(monkeypatch):
+    infos, solve_step = [], QuasistaticSolver.solve_step
+
+    def recording(self, *args, **kwargs):
+        out = solve_step(self, *args, **kwargs)
+        infos.append(out[2]["sweeps"])
+        return out
+
+    monkeypatch.setattr(QuasistaticSolver, "solve_step", recording)
+    rec = run_incremental_bvp(space_n(1), P_SMOOTH, TimeGrid.uniform(1.0, 4),
+                              pull_program())
+    assert rec.sweeps.tolist() == infos and len(infos) == 5 and sum(infos) > 0
 
 
 def test_failing_step_is_named(monkeypatch):

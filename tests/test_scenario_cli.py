@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -278,8 +279,10 @@ def test_bvp_conv_default_tau_spans_the_program(tmp_path, monkeypatch):
         return run(space, params, grid, *args, **kwargs)
 
     monkeypatch.setattr(quasistatic, "run_incremental_bvp", recording_run)
+    # one CPU: the members run here, where the recording sees them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     run_scenario(s, tmp_path)
-    assert steps and all(st == (8, 2.0) for st in steps)
+    assert len(steps) == 3 and all(st == (8, 2.0) for st in steps)
 
 
 def test_evolution_manifest_keeps_every_ledger_flag(tmp_path, monkeypatch):
@@ -302,6 +305,9 @@ def test_evolution_manifest_keeps_every_ledger_flag(tmp_path, monkeypatch):
     assert results["reference"]["rho"] == 0.0
     assert results["reference"]["ledger_bound_ok"] is False
     assert results["reference"]["nu_in_scope"] is True
+    # each run's total solve_step sweeps, counted in whichever process ran it
+    assert [type(c) for c in results["sweeps"]] == [int, int]
+    assert results["reference"]["sweeps"] > 0
 
 
 @pytest.mark.parametrize("kind,section", [("bvp-run", "program"),
