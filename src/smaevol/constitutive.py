@@ -21,8 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .material import (MaterialParams, stored_energy_density,
-                       transformation_energy_grad)
-from .proxsolve import PointProblem, solve_point
+                       transformation_energy_sharp)
+from .proxsolve import (PointProblem, first_order_residual, project_ball,
+                        solve_point)
 from .tensors import dev_split, dev_to_sym, norm
 
 
@@ -58,12 +59,11 @@ class TimeGrid:
         return len(self.nodes) - 1
 
     def node_index(self, t: float) -> int:
-        """Index of the node at t (to a relative 1e-9), else of the last
-        node before t."""
+        """Index of the node at t (to a relative 1e-9); ValueError if no
+        node is there, so a table never compares states at two times."""
         j = int(np.argmin(np.abs(self.nodes - t)))
         if abs(self.nodes[j] - t) > 1e-9 * max(1.0, self.nodes[-1]):
-            j = min(int(np.searchsorted(self.nodes, t, side="right")) - 1,
-                    len(self.nodes) - 1)
+            raise ValueError(f"t = {t:g} is not a node of the grid")
         return j
 
 
@@ -130,10 +130,6 @@ class PointTrajectory:
     def state(self, i: int) -> PointState:
         return PointState(self.eps[i].copy(), self.z[i].copy())
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.nodes
-
     def rows(self):
         header = (["t"] + [f"eps{k}" for k in range(6)] + [f"z{k}" for k in range(5)]
                   + ["stored_energy", "cum_dissipation", "work_integral",
@@ -151,7 +147,7 @@ def reduced_problem(p: MaterialParams, sigma, z_prev) -> PointProblem:
     anchor = np.asarray(z_prev, dtype=float)
     if p.rho > 0:
         return PointProblem(b, p.c2, p.R, anchor, core=p)
-    if norm(anchor) > p.c3 * (1.0 + 1e-12):
+    if math.isinf(transformation_energy_sharp(p, anchor)):
         raise ValueError("anchor must satisfy |z_prev| <= c3 when rho = 0")
     return PointProblem(b, p.c2, p.R, anchor, w_zero=p.c1, radius=p.c3)
 
@@ -164,29 +160,19 @@ def incremental_step(p: MaterialParams, sigma, z_prev) -> PointState:
 
 
 def stability_residual(p: MaterialParams, sigma, state) -> float:
-    """First-order stability defect of (eps, z) at the given stress.
-
-    Combines the strain optimality C(eps - z) = sigma with the inclusion
-    0 in grad F(z) - sigma_dev + R * unit-ball (+ normal cone of the
-    transformation ball in the sharp case).
-    """
+    """Stability defect of (eps, z) at the given stress: the strain residual
+    |C(eps - z) - sigma| plus the positive part of the first-order residual
+    of the step anchored at z itself (z is stable exactly when it solves
+    that step); inf for a sharp z outside the transformation ball."""
     eps = np.asarray(state.eps, dtype=float)
     z = np.asarray(state.z, dtype=float)
+    if p.rho == 0 and math.isinf(transformation_energy_sharp(p, z)):
+        return math.inf
     r_eps = norm(p.elastic.apply(eps - dev_to_sym(z)) - np.asarray(sigma, dtype=float))
-    b = dev_split(sigma)[0]
-    nz = norm(z)
-    if p.rho > 0:
-        v = b - transformation_energy_grad(p, z)
-        r_z = max(0.0, norm(v) - p.R)
-    elif nz == 0.0:
-        r_z = max(0.0, norm(b) - p.c1 - p.R)
-    else:
-        zhat = z / nz
-        v = b - 2.0 * p.c2 * z - p.c1 * zhat
-        if nz >= p.c3 * (1.0 - 1e-12):
-            v = v - max(0.0, float(v @ zhat)) * zhat
-        r_z = max(0.0, norm(v) - p.R)
-    return float(r_eps + r_z)
+    pb = reduced_problem(p, sigma, z)
+    r_z = first_order_residual(z, pb.grad(z), ((np.zeros(5), pb.w_zero),
+                                               (z, pb.w_shift)), pb.radius)[0]
+    return float(r_eps + max(0.0, r_z))
 
 
 @dataclass
@@ -226,9 +212,7 @@ def verify_stability(p: MaterialParams, sigma, state,
         eps_c = state.eps + _ball(rng, 6, 2.0 * p.c3)
         z_c = state.z + _ball(rng, 5, 2.0 * p.c3)
         if p.rho == 0:
-            n = norm(z_c)
-            if n > p.c3:
-                z_c = z_c * (p.c3 / n)
+            z_c = project_ball(z_c, p.c3)
         comp = (stored_energy_density(p, eps_c, z_c) - float(sigma @ eps_c)
                 + p.R * norm(z_c - state.z))
         worst = max(worst, base - comp)
@@ -236,9 +220,10 @@ def verify_stability(p: MaterialParams, sigma, state,
                            n_probes, seed, tol)
 
 
-def stable_initial_state(p: MaterialParams, sigma0, z0=None) -> PointState:
-    """State with the strain in elastic equilibrium: eps0 = C^-1 sigma0 + z0."""
-    z = np.zeros(5) if z0 is None else np.asarray(z0, dtype=float)
+def stable_initial_state(p: MaterialParams, sigma0) -> PointState:
+    """State with the strain in elastic equilibrium at z = 0: eps0 =
+    C^-1 sigma0 (+ 0, which turns a -0 strain component into 0)."""
+    z = np.zeros(5)
     return PointState(p.elastic.apply_inverse(sigma0) + dev_to_sym(z), z)
 
 
@@ -330,8 +315,20 @@ def rate_study_steps(p: MaterialParams, taus, reference_tau=None):
     return taus, reference_tau
 
 
+def check_nested(T, taus, reference_tau):
+    """ValueError naming the first tau whose grid on [0, T] has a node the
+    reference tau's grid lacks (a table compares states at shared nodes)."""
+    ref = TimeGrid.with_step(T, reference_tau)
+    for tau in taus:
+        try:
+            [ref.node_index(t) for t in TimeGrid.with_step(T, tau).nodes]
+        except ValueError:
+            raise ValueError(f"the tau {tau:g} grid does not nest in the "
+                             f"reference tau {reference_tau:g} grid") from None
+
+
 def temporal_error_study(p: MaterialParams, path: StressPath,
-                         taus, reference_tau=None, init=None) -> RateStudy:
+                         taus, reference_tau=None) -> RateStudy:
     """Self-convergence study against a fine reference grid.
 
     Restricted to the smooth regularization (rho > 0), where the order-1/2
@@ -340,11 +337,10 @@ def temporal_error_study(p: MaterialParams, path: StressPath,
     """
     taus, reference_tau = rate_study_steps(p, taus, reference_tau)
     T = path.T
-    ref = run_constitutive(p, path, TimeGrid.with_step(T, reference_tau),
-                           init=init)
+    ref = run_constitutive(p, path, TimeGrid.with_step(T, reference_tau))
     errs = []
     for tau in taus:
-        traj = run_constitutive(p, path, TimeGrid.with_step(T, tau), init=init)
+        traj = run_constitutive(p, path, TimeGrid.with_step(T, tau))
         errs.append(_sup_state_diff(traj, ref))
     errs = np.array(errs)
     degenerate = bool(errs.max() < 1e-12)

@@ -28,8 +28,8 @@ exactly, with no iterative outer loop:
   the kinks and the ball, prox_nonsmooth.
 
 Every scalar solve runs to roundoff and is capped at NEWTON_MAX_ITER, and
-every result must pass a first-order residual check; a miss raises
-NonConvergence with the residual trail.
+every result's first_order_residual (also the stability residual of a point
+state) must be at roundoff; a miss raises NonConvergence with the trail.
 
 A field step minimizes the same structure nodewise on an (m, 5) field with
 per-node weights and a coupled strongly convex smooth part.  It is solved
@@ -340,35 +340,33 @@ def _plane_root(slopes, modulus, beta, alpha, w, s0, trail):
                             trail, slopes)
 
 
-def _check(z, g, kinks, radius, curvature, scale, trail):
-    """Raise NonConvergence unless z is first-order optimal to roundoff.
+def first_order_residual(z, g, kinks, radius):
+    """(residual, |z|, the kinks' share of the residual's roundoff floor).
 
-    g is the gradient of the smooth part at z, kinks the (center, weight)
-    pairs of the norm terms; the residual is the distance from 0 to the
-    subdifferential of the whole objective (with the normal cone of the
-    ball when |z| = radius), where a kink within roundoff of its center
-    counts as sitting on it.  The residual's roundoff floor is the
-    curvature bound times |z|, plus, per kink off its center, the weight
-    times the relative rounding of the direction (z - center)/|z - center|.
-    """
-    v = -g
-    budget = 0.0
-    nz = _norm(z)
-    floor = curvature * (1.0 + nz)
+    The residual is the distance from 0 to the subdifferential at z (g the
+    smooth part's gradient, kinks the (center, weight) pairs of the norm
+    terms, the ball's normal cone when |z| = radius), less the weight of
+    each kink within roundoff of its center: <= 0 inside it.  A kink off
+    its center shares its weight times the rounding of its direction."""
+    v, nz, budget, share = -g, _norm(z), 0.0, 0.0
     for center, weight in kinks:
-        if weight == 0.0:
-            continue
         d = z - center
         nd = _norm(d)
         if nd > 64.0 * EPS * (1.0 + nz):
             v = v - (weight / nd) * d
-            floor += weight * (nz + _norm(center)) / nd
+            share += weight * (nz + _norm(center)) / nd
         else:
             budget += weight
     if radius is not None and nz >= radius * (1.0 - 1e-12):
         v = v - (max(0.0, float(v @ z)) / (nz * nz)) * z
-    res = _norm(v) - budget
-    bound = max(RESIDUAL_RTOL * scale, 64.0 * EPS * floor)
+    return _norm(v) - budget, nz, share
+
+
+def _check(z, g, kinks, radius, curvature, scale, trail):
+    """NonConvergence unless z's first_order_residual is at most RESIDUAL_RTOL
+    scale or 64 eps (curvature (1 + |z|) + the kinks' share)."""
+    res, nz, share = first_order_residual(z, g, kinks, radius)
+    bound = max(RESIDUAL_RTOL * scale, 64.0 * EPS * (curvature * (1.0 + nz) + share))
     if not res <= bound:  # also catches a nan
         raise NonConvergence(f"point solve left first-order residual {res:.3e} "
                              f"(bound {bound:.3e}); Newton trail {_trail(trail)}")

@@ -58,11 +58,11 @@ class SingularSystem(Exception):
     """The constrained elasticity system is singular (no Dirichlet part)."""
 
 
-def _power_lambda_max(A, iters=60):
+def _power_lambda_max(A):
     x = np.ones((A.shape[0], 5))
     x /= np.linalg.norm(x)
     lam = 1.0
-    for _ in range(iters):
+    for _ in range(60):
         y = A @ x
         n = np.linalg.norm(y)
         if n == 0:
@@ -325,8 +325,7 @@ def _dual_norms(solver: QuasistaticSolver, amps, Lam_u, Lam_z):
 
 
 def run_incremental_bvp(space: FeSpace, params: MaterialParams, grid: TimeGrid,
-                        program: LoadProgram,
-                        z0: Optional[np.ndarray] = None) -> EvolutionRecord:
+                        program: LoadProgram) -> EvolutionRecord:
     """Incremental evolution with the discrete energetic ledger."""
     solver = QuasistaticSolver(space, params)
     n = grid.steps
@@ -351,8 +350,7 @@ def run_incremental_bvp(space: FeSpace, params: MaterialParams, grid: TimeGrid,
 
     z = np.zeros((n + 1, space.n_z))
     v = np.zeros((n + 1, space.n_u))
-    z[0] = np.zeros(space.n_z) if z0 is None else np.asarray(z0, dtype=float)
-    # initial state: elastic equilibrium at t0, then fixed-point consistency
+    # initial state z = 0, elastic at t0; stable when it solves its own step
     v[0] = solver.solve_v(solver.forms.Cup @ z[0] + L_u[0])
     v_chk, z_chk = step(0, z[0])
     scale0 = 1.0 + math.sqrt(max(solver.stored_energy(v[0], z[0]), 0.0))

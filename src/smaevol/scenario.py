@@ -26,26 +26,27 @@ Scenarios are JSON documents.  Top-level schema (defaults in brackets):
                      stress-path time (conv-rho)]
     study           evolution | minproblem | nstep-h     (bvp-conv) [evolution]
 
-parse_scenario builds, once, every object the run consumes, the spaces of
-every mesh the run uses included, so a document passes parsing and
-``--dry-run`` exactly when the run can start.  Each value rule has one
-owner: MaterialParams and Elasticity (the signs of the constants), TimeGrid
-(T and steps), StressPath (direction and breakpoints), LoadProgram (program
-times, planes, amplitude lengths, 3-component vectors, no traction on a
-Dirichlet plane), BvpProblem (a nonempty Dirichlet part), box_mesh and
-build_space (extents, n, plane names), LimitSchedule (lengths, monotonicity, signs,
-n >= 1) and its check_study (the entries a study fixes, tau > 0 for the
-studies that step in time), rate_study_steps (conv-tau), gamma_rhos
-(gamma-table) and checked_initial_state (a stable start of the stress path
-for every rho of a point-test, conv-tau or conv-rho run).  This module keeps only what no object knows: the structure
-(unknown keys and non-object sections raise ParseError), the JSON types (a
-number is a 64-bit int or a finite float, a count a 64-bit int, neither a
-bool; type errors raise a ValidationError before any object sees a value),
-the defaults, the seed, probe and sample counts, and the rules that span
-sections: an explicit time.T is the last program time, a program has times
-and each of its channels its amplitudes, the dirichlet_profile, the study
-and the kind are known, and conv-rho and bvp-conv have a schedule.  All
-other violations are collected into one ValidationError.
+parse_scenario builds, once, every object the run consumes, the spaces of every
+mesh the run uses included, so a document passes parsing and ``--dry-run``
+exactly when the run can start.  Each value rule has one owner: MaterialParams
+and Elasticity (the signs of the constants), TimeGrid (T and steps), StressPath
+(direction and breakpoints), LoadProgram (program times, planes, amplitude
+lengths, 3-component vectors, no traction on a Dirichlet plane), BvpProblem (a
+nonempty Dirichlet part), box_mesh and build_space (extents, n, plane names),
+LimitSchedule (lengths, monotonicity, signs, n >= 1) and its check_study (the
+entries a study fixes, tau > 0 for the studies that step in time),
+rate_study_steps (conv-tau), check_nested (every tau's grid nests in its
+reference's), gamma_rhos (gamma-table) and checked_initial_state (a stable
+start of the stress path for every rho of a point-test, conv-tau or conv-rho
+run).  This module keeps only what no object knows: the structure (unknown keys
+and non-object sections raise ParseError), the JSON types (a number is a 64-bit
+int or a finite float, a count a 64-bit int, neither a bool; type errors raise
+a ValidationError before any object sees a value), the defaults, the seed,
+probe and sample counts, and the rules that span sections: an explicit
+time.T is the last program time, a program has times and each of its channels
+its amplitudes, the dirichlet_profile, the study and the kind are known, and
+conv-rho and bvp-conv have a schedule.  All other violations are collected into
+one ValidationError.
 """
 
 import json
@@ -57,7 +58,8 @@ import numpy as np
 
 from .asymptotics import LimitSchedule, gamma_rhos
 from .constitutive import (StressPath, TimeGrid, UnstableInitialState,
-                           checked_initial_state, rate_study_steps)
+                           check_nested, checked_initial_state,
+                           rate_study_steps)
 from .fem import LoadProgram
 from .material import MaterialParams
 from .quasistatic import BvpProblem
@@ -226,6 +228,8 @@ def parse_scenario(text: str) -> Scenario:
             errors, kind, rate_study_steps, params,
             raw.get("taus", [1 / 16, 1 / 32, 1 / 64, 1 / 128]),
             raw.get("reference_tau")) or (None, None)
+        if s.taus and path:
+            _build(errors, kind, check_nested, path.T, s.taus, s.reference_tau)
     if kind == "gamma-table":
         s.rhos = _build(errors, kind, gamma_rhos,
                         raw.get("rhos", [10.0 ** (-k) for k in range(0, 8)]))
@@ -281,8 +285,11 @@ def parse_scenario(text: str) -> Scenario:
             s.schedule = _build(errors, "schedule", LimitSchedule.of, length,
                                 **sched)
         if s.schedule is not None and s.study in STUDIES:
-            _build(errors, "schedule", s.schedule.check_study,
-                   "constitutive" if kind == "conv-rho" else s.study)
+            study = "constitutive" if kind == "conv-rho" else s.study
+            _build(errors, "schedule", s.schedule.check_study, study)
+            if study in ("constitutive", "evolution") and min(s.schedule.tau) > 0:
+                _build(errors, "schedule", check_nested, end, s.schedule.tau,
+                       s.schedule.reference()[2])
 
     if kind in ("point-test", "conv-tau", "conv-rho") and params and path:
         # the initial state of every constitutive run, checked without a solve

@@ -20,7 +20,10 @@ element kernel of the assembly is checked bit for bit against the two
 four-operand einsums it replaced, scattered with every entry summed in
 element order, and the step's one-pass value and
 gradient of the z-problem against the closure that called the whole-array
-core's value and derivative one after the other.
+core's value and derivative one after the other.  The stability residual
+of a point state, now the first-order residual of the step anchored at the
+state, is checked against the hand-written sharp/smooth closed form it
+replaced.
 """
 
 import itertools
@@ -32,10 +35,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from smaevol.material import MaterialParams
+from smaevol.material import MaterialParams, transformation_energy_grad
 from smaevol.proxsolve import (EPS, MU_MAX, NEWTON_STEP_RTOL, NonConvergence,
                                project_ball)
-from smaevol.tensors import DEV_BASIS, dev_split
+from smaevol.tensors import DEV_BASIS, dev_split, dev_to_sym, norm
 
 
 def plane_basis(b, anchor):
@@ -590,3 +593,27 @@ def step_smooth_grad(A_z, w, b, p, Z):
         fac[~pos] = p.c1 / p.rho
         g = g + (w * fac)[:, None] * Z
     return value, g
+
+
+def closed_form_stability_residual(p: MaterialParams, sigma, state):
+    """|C(eps - z) - sigma| plus the distance from 0 to the subdifferential
+    of the point law at z, less R: 0 in grad F(z) - sigma_dev + R * unit
+    ball (+ the transformation ball's normal cone in the sharp case), one
+    hand-written branch per case."""
+    eps = np.asarray(state.eps, dtype=float)
+    z = np.asarray(state.z, dtype=float)
+    r_eps = norm(p.elastic.apply(eps - dev_to_sym(z)) - np.asarray(sigma, dtype=float))
+    b = dev_split(sigma)[0]
+    nz = norm(z)
+    if p.rho > 0:
+        v = b - transformation_energy_grad(p, z)
+        r_z = max(0.0, norm(v) - p.R)
+    elif nz == 0.0:
+        r_z = max(0.0, norm(b) - p.c1 - p.R)
+    else:
+        zhat = z / nz
+        v = b - 2.0 * p.c2 * z - p.c1 * zhat
+        if nz >= p.c3 * (1.0 - 1e-12):
+            v = v - max(0.0, float(v @ zhat)) * zhat
+        r_z = max(0.0, norm(v) - p.R)
+    return float(r_eps + r_z)

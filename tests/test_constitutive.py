@@ -1,15 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import path_dissipation, planar_step_oracle
+from oracles import (closed_form_stability_residual, path_dissipation,
+                     planar_step_oracle)
 from smaevol.constitutive import (PointState, StressPath, TimeGrid,
                                   UnstableInitialState,
                                   continuous_dependence_check,
                                   incremental_step, run_constitutive,
-                                  stable_initial_state, temporal_error_study,
-                                  verify_stability)
+                                  stability_residual, stable_initial_state,
+                                  temporal_error_study, verify_stability)
 from smaevol.material import MaterialParams, radial_core
-from smaevol.tensors import dev_split, dev_to_sym
+from smaevol.proxsolve import EPS, RESIDUAL_RTOL
+from smaevol.tensors import dev_split, dev_to_sym, norm
 
 RNG = np.random.default_rng(31)
 
@@ -154,6 +159,82 @@ def test_stability_at_global_minimum():
                            n_probes=100, tol=1e-12, seed=1)
     assert rep.worst_violation <= 0.0
     assert rep.analytic_residual == 0.0
+
+
+VECTOR5 = st.lists(st.floats(-1, 1), min_size=5, max_size=5)
+STRESS = st.lists(st.floats(-4, 4), min_size=6, max_size=6)
+RHOS = st.sampled_from((1e-4, 1e-3, 1e-2, 1e-1, 1.0))
+
+
+def _unit(v):
+    v = np.array(v)
+    return v / norm(v) if norm(v) > 1e-3 else UNIT_DEV
+
+
+def _state(p, sigma, z, strain_offset):
+    """The state (C^-1 sigma + z + strain_offset, z)."""
+    return PointState(p.elastic.apply_inverse(sigma) + dev_to_sym(z)
+                      + strain_offset * np.ones(6), z)
+
+
+def _assert_matches_closed_form(p, sigma, state):
+    new = stability_residual(p, sigma, state)
+    old = closed_form_stability_residual(p, sigma, state)
+    assert abs(new - old) <= 1e-12 * (1.0 + norm(sigma) + old), (new, old)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sigma=STRESS, z=st.lists(st.floats(-2, 2), min_size=5, max_size=5),
+       rho=RHOS, offset=st.sampled_from((0.0, 1e-3, -0.2)))
+def test_stability_residual_matches_closed_form_smooth(sigma, z, rho, offset):
+    # any z is feasible in the smooth model, inside the ball or beyond it
+    p, sigma = MaterialParams(rho=rho), np.array(sigma)
+    _assert_matches_closed_form(p, sigma, _state(p, sigma, np.array(z), offset))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sigma=STRESS, direction=VECTOR5,
+       where=st.sampled_from(("origin", "inside", "sphere")),
+       length=st.floats(1e-3, 1.0 - 1e-9), offset=st.sampled_from((0.0, -0.2)))
+def test_stability_residual_matches_closed_form_sharp(sigma, direction, where,
+                                                      length, offset):
+    # the inside states keep |z| >= 1e-3 c3: within roundoff of the origin
+    # the new residual, like the point kernel, counts z as the origin
+    sigma = np.array(sigma)
+    z = {"origin": 0.0, "inside": length, "sphere": P0.c3}[where] \
+        * _unit(direction)
+    _assert_matches_closed_form(P0, sigma, _state(P0, sigma, z, offset))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sigma=STRESS, direction=VECTOR5, excess=st.floats(1e-9, 2.0))
+def test_sharp_state_outside_the_ball_is_infinitely_unstable(sigma, direction,
+                                                              excess):
+    sigma = np.array(sigma)
+    z = P0.c3 * (1.0 + excess) * _unit(direction)
+    assert stability_residual(P0, sigma, _state(P0, sigma, z, 0.0)) == math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(sigma=STRESS, direction=VECTOR5, length=st.floats(0.0, 1.0),
+       rho=st.sampled_from((0.0, 1e-4, 1e-2, 1.0)))
+def test_every_incremental_step_is_stable(sigma, direction, length, rho):
+    # a step's minimizer solves its own step (triangle inequality), so its
+    # residual is at the point kernel's roundoff floor: RESIDUAL_RTOL of
+    # 1 + |sigma| or 64 eps times the profile's curvature bound
+    p, sigma = MaterialParams(rho=rho), np.array(sigma)
+    state = incremental_step(p, sigma, length * _unit(direction))
+    curvature = 2.0 * p.c2 + (p.core_curvature if rho > 0 else 0.0)
+    tol = (RESIDUAL_RTOL * (1.0 + norm(sigma))
+           + 64.0 * EPS * curvature * (1.0 + norm(state.z)))
+    assert stability_residual(p, sigma, state) <= tol
+
+
+def test_node_index_finds_nodes_and_rejects_other_times():
+    grid = TimeGrid.with_step(1.0, 0.1)
+    assert grid.node_index(0.7) == 7 and grid.node_index(1.0) == 10
+    with pytest.raises(ValueError, match="not a node"):
+        grid.node_index(0.75)
 
 
 def test_balance_residual_one_sided_and_shrinking():

@@ -228,6 +228,15 @@ BAD_DOCUMENTS = {
                                         "stress_path": {"amplitudes": [3, 2, 1]}}),
     "unstable-start-rho": ("conv-rho", {"schedule": {"rho": [0.1, 0.01]},
                                         "stress_path": {"amplitudes": [3, 2, 1]}}),
+    # a member grid that does not nest in the reference grid: no table
+    # compares its states with the reference's at other times
+    "non-nesting-rho": ("conv-rho", {"schedule": {"rho": [0.1, 0.01],
+                                                  "tau": [0.25, 0.2]}}),
+    "non-nesting-tau": ("conv-tau", {"material": {"rho": 0.1}, "taus": [0.25],
+                                     "reference_tau": 0.03}),
+    "non-nesting-evolution": ("bvp-conv", {"material": {"rho": 0.1, "nu": 0.01},
+                                           "schedule": {"rho": 0.1,
+                                                        "tau": [0.25, 0.2]}}),
 }
 
 
@@ -242,6 +251,27 @@ def test_parse_rejects_what_the_run_rejects(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["non-nesting-rho", "non-nesting-tau",
+                                  "non-nesting-evolution"])
+def test_dry_run_names_the_tau_that_does_not_nest(name, tmp_path, capsys):
+    kind, extra = BAD_DOCUMENTS[name]
+    path = tmp_path / "s.json"
+    path.write_text(minimal(kind, **extra))
+    assert main([kind, "--scenario", str(path), "--dry-run"]) == 1
+    assert "tau 0.25 grid does not nest" in capsys.readouterr().err
+
+
+def test_run_rejects_a_member_grid_that_does_not_nest():
+    # past the parser, the table's node lookup raises: conv-rho tau 0.25
+    # against reference tau 0.1 would compare t = 0.25 with t = 0.2
+    s = parse_scenario(minimal("conv-rho", schedule={"rho": [0.1, 0.01],
+                                                     "tau": 0.1}))
+    schedule = asymptotics.LimitSchedule.of(2, rho=[0.1, 0.01],
+                                            tau=[0.25, 0.2])
+    with pytest.raises(ValueError, match="not a node"):
+        asymptotics.limit_constitutive(s.params, s.path, schedule)
 
 
 @pytest.mark.parametrize("kind,extra", [
