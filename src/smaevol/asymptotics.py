@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constitutive import (PointTrajectory, StressPath, TimeGrid,
-                           _sup_state_diff, run_constitutive)
+                           _sup_state_diff, check_nested, run_constitutive)
 from .fem import inject
 from .material import (MaterialParams, transformation_energy_sharp,
                        transformation_energy_smooth)
@@ -178,6 +178,7 @@ def limit_constitutive(p: MaterialParams, path: StressPath,
     schedule.check_study("constitutive")
     T = path.T
     rho_ref, _, tau_ref, _ = schedule.reference()
+    check_nested(T, schedule.tau, tau_ref)
     ref = run_constitutive(replace(p, rho=rho_ref), path,
                            TimeGrid.with_step(T, tau_ref))
 
@@ -310,6 +311,7 @@ def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
     schedule.check_study("evolution")
     nu = float(schedule.nu[0])
     rho_ref, _, tau_ref, n_ref = schedule.reference()
+    check_nested(problem.program.T, schedule.tau, tau_ref)
 
     def member_run(k):
         rec, rep = spacetime_run(problem, float(schedule.rho[k]), nu,

@@ -119,8 +119,7 @@ def run_scenario(s: Scenario, out_dir) -> dict:
         dump_fields(out / "final_state.txt", space,
                     {"u": rec.u[-1], "z": rec.z[-1]})
         artifacts += ["ledger.csv", "final_state.txt"]
-        rep = verify_energetic(rec, n_probes=max(1, s.probes // 10),
-                               seed=s.seed)
+        rep = verify_energetic(rec)
         extra = {"stability_passed": bool(rep.passed),
                  "ledger_peak": rec.ledger_peak,
                  "ledger_bound": rec.apriori.total,

@@ -25,6 +25,11 @@ import numpy as np
 from .tensors import Elasticity, dev_split, norm
 
 
+# relative slack of the sharp ball |z| <= c3: a radius above c3 (1 - slack)
+# is on the sphere, one up to c3 (1 + slack) inside the ball
+BALL_SLACK = 1e-12
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """Constitutive constants.
@@ -105,14 +110,10 @@ def _penalty(k, s, d):
 
 
 def transformation_energy_sharp(p: MaterialParams, z) -> float:
-    """Sharp inelastic density; inf outside the transformation ball.
-
-    The feasibility test carries a 1e-12 relative slack so states that an
-    exact radial projection leaves within one ulp of the boundary still
-    evaluate finitely.
-    """
+    """Sharp inelastic density; inf outside the transformation ball (with
+    the slack BALL_SLACK, so an exact radial projection's last ulp is in)."""
     r = norm(np.asarray(z, dtype=float))
-    if r > p.c3 * (1.0 + 1e-12):
+    if r > p.c3 * (1.0 + BALL_SLACK):
         return math.inf
     return p.c1 * r + p.c2 * r * r
 

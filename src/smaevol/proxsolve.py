@@ -53,7 +53,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .material import MaterialParams, radial_core_at
+from .material import BALL_SLACK, MaterialParams, radial_core_at
 
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
@@ -86,6 +86,24 @@ def _norm(v) -> float:
 
 def _trail(values) -> str:
     return " ".join(f"{v:.2e}" for v in values)
+
+
+def row_norms(V):
+    """np.linalg.norm(V, axis=1) of an (m, k >= 2) array, bit for bit (it
+    sums a short row in order), without a strided reduction per row."""
+    Q = V * V
+    s = Q[:, 0] + Q[:, 1]
+    for j in range(2, Q.shape[1]):
+        s += Q[:, j]
+    return np.sqrt(s)
+
+
+def row_hypot(V):
+    """np.hypot.reduce(V, axis=1) of an (m, k >= 2) array, bit for bit."""
+    h = np.hypot(V[:, 0], V[:, 1])
+    for j in range(2, V.shape[1]):
+        np.hypot(h, V[:, j], out=h)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +375,7 @@ def first_order_residual(z, g, kinks, radius):
             share += weight * (nz + _norm(center)) / nd
         else:
             budget += weight
-    if radius is not None and nz >= radius * (1.0 - 1e-12):
+    if radius is not None and nz >= radius * (1.0 - BALL_SLACK):
         v = v - (max(0.0, float(v @ z)) / (nz * nz)) * z
     return _norm(v) - budget, nz, share
 
@@ -389,7 +407,7 @@ def prox_nodal(X, t, w_shift, anchors, w_zero=None, radius=None, start=None):
     k1 = t * np.asarray(w_shift, dtype=float)
     if w_zero is None and radius is None:
         U = X - anchors
-        n = np.sqrt(np.add.reduce(U * U, axis=1, keepdims=True))  # = norm(U, axis=1)
+        n = row_norms(U)[:, None]
         scale = np.maximum(1.0 - k1[..., None] / np.maximum(n, 1e-300), 0.0)
         return anchors + U * scale
     zero = np.zeros(len(X))  # adding it gives a single weight to every row
@@ -397,14 +415,14 @@ def prox_nodal(X, t, w_shift, anchors, w_zero=None, radius=None, start=None):
     k0 = zero if w_zero is None else zero + t * np.asarray(w_zero, dtype=float)
     # _plane of every row; where x = anchor = 0 the plane coordinates are
     # zero and so is the prox
-    A, nx = np.hypot.reduce(anchors, axis=1), np.hypot.reduce(X, axis=1)
+    A, nx = row_hypot(anchors), row_hypot(X)
     E1 = _unit_rows(np.where((A > 0.0)[:, None], anchors, X),
                     np.where(A > 0.0, A, nx))
     xi0 = np.einsum("ij,ij->i", X, E1)
     perp = X - xi0[:, None] * E1
-    xi1 = np.hypot.reduce(perp, axis=1)
+    xi1 = row_hypot(perp)
     E2 = _unit_rows(perp, xi1)
-    S = A if start is None else np.hypot.reduce(start, axis=1)
+    S = A if start is None else row_hypot(start)
     rows = zip(*(v.tolist() for v in (xi0, xi1, A, k0, k1,
                                       np.where(S > 0.0, S, A))))
     Y = []
@@ -426,7 +444,7 @@ def _unit_rows(V, n):
     U = V / np.where(n > 0.0, n, 1.0)[:, None]
     sub = (n > 0.0) & (n < TINY)
     if sub.any():
-        U[sub] /= np.hypot.reduce(U[sub], axis=1)[:, None]
+        U[sub] /= row_hypot(U[sub])[:, None]
     return U
 
 
@@ -434,21 +452,21 @@ def _check_rows(Z, X, nx, anchors, A, k0, k1, radius):
     """_check of every row of a nodal prox, nx and A the row norms of X and
     the anchors; the NonConvergence names the first row that fails."""
     V = X - Z
-    nz = np.hypot.reduce(Z, axis=1)
+    nz = row_hypot(Z)
     floor, budget = 1.0 + nz, 0.0
     Za = Z - anchors
     for D, nd, nc, k in ((Z, nz, 0.0, k0),
-                         (Za, np.hypot.reduce(Za, axis=1), A, k1)):
+                         (Za, row_hypot(Za), A, k1)):
         off = nd > 64.0 * EPS * (1.0 + nz)
         c = k * off / np.where(off, nd, 1.0)
         V -= c[:, None] * D
         floor += c * (nz + nc)
         budget += k * ~off
     if radius is not None:
-        on = nz >= radius * (1.0 - 1e-12)
+        on = nz >= radius * (1.0 - BALL_SLACK)
         push = np.maximum(0.0, np.einsum("ij,ij->i", V, Z)) * on
         V -= (push / np.where(on, nz * nz, 1.0))[:, None] * Z
-    res = np.hypot.reduce(V, axis=1) - budget
+    res = row_hypot(V) - budget
     bound = np.maximum(RESIDUAL_RTOL * (1.0 + nx), 64.0 * EPS * floor)
     if not np.all(res <= bound):  # also catches a nan
         i = int(np.argmin(res <= bound))

@@ -4,8 +4,9 @@ Scenarios are JSON documents.  Top-level schema (defaults in brackets):
 
     kind            one of point-test | conv-tau | conv-rho | bvp-run |
                     bvp-conv | gamma-table                       (required)
-    seed            unsigned integer RNG seed                    [0]
-    probes          stability probes per check                   [200]
+    seed            unsigned RNG seed (point-test, gamma-table)  [0]
+    probes          stability probes per point-test check        [200]
+                    (bvp-run certifies its states; it reads neither)
     material        {G [1], kappa [1], c1 [1], c2 [0.5], c3 [1],
                      rho [0], nu [0], R [0.5], delta [0.1]}
     time            {T [1], steps [16]}  (bvp kinds: T is the program end)

@@ -47,16 +47,6 @@ def sym_from_matrix(m) -> np.ndarray:
                      SQ2 * m[1, 2], SQ2 * m[0, 2], SQ2 * m[0, 1]])
 
 
-def sym_to_matrix(a) -> np.ndarray:
-    """Full 3x3 matrix of a 6-component symmetric tensor."""
-    a = np.asarray(a, dtype=float)
-    return np.array([
-        [a[0], a[5] / SQ2, a[4] / SQ2],
-        [a[5] / SQ2, a[1], a[3] / SQ2],
-        [a[4] / SQ2, a[3] / SQ2, a[2]],
-    ])
-
-
 def norm(a) -> float:
     """Euclidean norm of a 1-d float array: np.linalg.norm's own
     sqrt(a.dot(a)), without its dispatch."""
@@ -72,19 +62,10 @@ def dev_to_sym(d) -> np.ndarray:
     return DEV_BASIS @ np.asarray(d, dtype=float)
 
 
-def dev_from_sym(a) -> np.ndarray:
-    """Orthogonal projection of a symmetric tensor onto the deviators."""
-    return DEV_BASIS.T @ np.asarray(a, dtype=float)
-
-
 def dev_split(a):
     """Split a into (deviatoric part, trace); a = dev + (tr/3)*identity."""
     a = np.asarray(a, dtype=float)
     return DEV_BASIS.T @ a, trace(a)
-
-
-def sym_from_diag(d1, d2, d3) -> np.ndarray:
-    return np.array([d1, d2, d3, 0.0, 0.0, 0.0], dtype=float)
 
 
 @dataclass(frozen=True)

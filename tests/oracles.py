@@ -23,7 +23,8 @@ gradient of the z-problem against the closure that called the whole-array
 core's value and derivative one after the other.  The stability residual
 of a point state, now the first-order residual of the step anchored at the
 state, is checked against the hand-written sharp/smooth closed form it
-replaced.
+replaced.  The tensor constructors and the path reparametrization at the
+end are used by tests only.
 """
 
 import itertools
@@ -35,10 +36,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from smaevol.material import MaterialParams, transformation_energy_grad
+from smaevol.material import (MaterialParams, radial_core_at,
+                              transformation_energy_grad)
 from smaevol.proxsolve import (EPS, MU_MAX, NEWTON_STEP_RTOL, NonConvergence,
                                project_ball)
-from smaevol.tensors import DEV_BASIS, dev_split, dev_to_sym, norm
+from smaevol.constitutive import StressPath
+from smaevol.tensors import DEV_BASIS, SQ2, dev_split, dev_to_sym, norm
 
 
 def plane_basis(b, anchor):
@@ -173,6 +176,41 @@ def joint_lu_dual_norms(solver, L_list):
         Lc = L[free]
         out.append(math.sqrt(max(float(Lc @ lu.solve(Lc)), 0.0)))
     return np.array(out)
+
+
+def stability_bound_oracle(solver, L_u, L_z, v, z):
+    """The certified stability bound of one state, node by node in floats:
+    the gradient 2 H y - L of the joint energy matrix H on the free dofs,
+    each node's z-part with its core or kink term, the normal cone and the
+    shrinkage written out, and |s|^2 in a dense P^-1, P = blockdiag(K_ff /
+    2, S (x) I5) in dof order."""
+    p, space = solver.params, solver.space
+    free = space.u_free
+    grad = 2.0 * (solver.forms.matrix() @ np.concatenate([v, z]))
+    g_v = (grad[:space.n_u] - L_u)[free]
+    g_z = (grad[space.n_u:] - L_z).reshape(-1, 5)
+    s_z = np.zeros_like(g_z)
+    for k, (g, zk, wk) in enumerate(zip(g_z, z.reshape(-1, 5), space.lumped)):
+        r, kink = norm(zk), p.R * wk
+        if p.rho > 0:
+            g = g + (wk * radial_core_at(p, r)[1] / r) * zk if r > 0 else g
+        elif r > p.c3 * (1.0 + 1e-12):
+            return math.inf
+        elif r == 0.0:
+            kink += p.c1 * wk
+        else:
+            e = zk / r
+            g = g + p.c1 * wk * e
+            if r >= p.c3 * (1.0 - 1e-12) and g @ e < 0.0:
+                g = g - (g @ e) * e
+        ng = norm(g)
+        s_z[k] = g * max(0.0, 1.0 - kink / ng) if ng > 0.0 else 0.0
+    K_ff = solver.forms.K.toarray()[free][:, free]
+    S = solver.forms.z_block().toarray()
+    q = (2.0 * g_v @ np.linalg.solve(K_ff, g_v)
+         + float((s_z * np.linalg.solve(S, s_z)).sum()))
+    G = p.elastic.G
+    return q / (4.0 * (1.0 - math.sqrt(G / (G + p.c2))))
 
 
 def colamd_solve_v(solver, b_u):
@@ -617,3 +655,32 @@ def closed_form_stability_residual(p: MaterialParams, sigma, state):
             v = v - max(0.0, float(v @ zhat)) * zhat
         r_z = max(0.0, norm(v) - p.R)
     return float(r_eps + r_z)
+
+
+# ---------------------------------------------------------------------------
+# tensor constructors and path reparametrization used by tests only
+
+
+def sym_to_matrix(a) -> np.ndarray:
+    """Full 3x3 matrix of a 6-component symmetric tensor."""
+    a = np.asarray(a, dtype=float)
+    return np.array([
+        [a[0], a[5] / SQ2, a[4] / SQ2],
+        [a[5] / SQ2, a[1], a[3] / SQ2],
+        [a[4] / SQ2, a[3] / SQ2, a[2]],
+    ])
+
+
+def dev_from_sym(a) -> np.ndarray:
+    """Orthogonal projection of a symmetric tensor onto the deviators."""
+    return DEV_BASIS.T @ np.asarray(a, dtype=float)
+
+
+def sym_from_diag(d1, d2, d3) -> np.ndarray:
+    return np.array([d1, d2, d3, 0.0, 0.0, 0.0], dtype=float)
+
+
+def reparametrized(path: StressPath, fn, new_times) -> StressPath:
+    """The path's trace run through an increasing bijection fn."""
+    new_times = np.asarray(new_times, dtype=float)
+    return StressPath(new_times, np.array([path.value(fn(t)) for t in new_times]))

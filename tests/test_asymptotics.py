@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from smaevol import asymptotics, constitutive
 from smaevol.asymptotics import (LimitSchedule, _beside, gamma_check_F,
                                  limit_constitutive, limit_evolution,
                                  limit_minproblem)
-from smaevol.constitutive import StressPath
+from smaevol.constitutive import StressPath, temporal_error_study
 from smaevol.fem import LoadProgram
 from smaevol.material import MaterialParams
 from smaevol.proxsolve import NonConvergence
@@ -239,3 +240,32 @@ def test_a_child_that_dies_without_a_result_is_reported():
     with pytest.raises(RuntimeError, match="exited with code 3"):
         _beside(lambda: None, lambda a: os._exit(3), [0])
     assert mp.active_children() == []
+
+
+@pytest.mark.parametrize("study", ["evolution", "constitutive", "rate"])
+def test_a_grid_that_does_not_nest_fails_before_any_run(study, monkeypatch):
+    runs = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def run(*args, **kwargs):
+            runs.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, run)
+
+    counted(asymptotics, "spacetime_run")
+    counted(asymptotics, "run_constitutive")
+    counted(constitutive, "run_constitutive")
+    # tau 0.25 puts a node at t = 0.25, which the reference grid lacks: tau
+    # 0.1 for the schedule, 1/33 for the rate study's reference tau 0.03
+    schedule = LimitSchedule.of(2, rho=[0.1, 0.05], tau=[0.25, 0.2])
+    with pytest.raises(ValueError, match="the tau 0.25 grid does not nest"):
+        if study == "evolution":
+            limit_evolution(pull_problem(), schedule)
+        elif study == "constitutive":
+            limit_constitutive(P, ramp_path(), schedule)
+        else:
+            temporal_error_study(MaterialParams(rho=0.1), ramp_path(),
+                                 [0.5, 0.25], reference_tau=0.03)
+    assert runs == []

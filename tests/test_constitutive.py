@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (closed_form_stability_residual, path_dissipation,
-                     planar_step_oracle)
+                     planar_step_oracle, reparametrized)
 from smaevol.constitutive import (PointState, StressPath, TimeGrid,
                                   UnstableInitialState,
                                   continuous_dependence_check,
@@ -329,7 +329,7 @@ def test_rate_independence_under_reparametrization():
     traj = run_constitutive(P0, path, grid)
     phi = lambda s: s ** 2  # increasing bijection of [0, 1]
     new_nodes = np.sqrt(grid.nodes)
-    slow_path = path.reparametrized(phi, np.sort(np.unique(np.concatenate(
+    slow_path = reparametrized(path, phi, np.sort(np.unique(np.concatenate(
         [new_nodes, np.sqrt(path.times)]))))
     traj2 = run_constitutive(P0, slow_path, TimeGrid(new_nodes))
     assert np.allclose(traj.z, traj2.z, atol=1e-9)

@@ -9,10 +9,10 @@ from smaevol.fem import (LoadProgram, SingularFormError, _triple,
                          galerkin_project, inject, interp_constrained, locate,
                          nested_dissection)
 from smaevol.material import MaterialParams
-from smaevol.tensors import (DEV_BASIS, Elasticity, dev_from_sym,
-                             sym_from_matrix)
+from smaevol.tensors import DEV_BASIS, Elasticity, sym_from_matrix
 
-from oracles import assemble_forms_einsum, box_mesh_loops, element_scatter
+from oracles import (assemble_forms_einsum, box_mesh_loops, dev_from_sym,
+                     element_scatter)
 
 RNG = np.random.default_rng(41)
 

@@ -550,3 +550,23 @@ def test_nearly_collinear_saturated_sharp_step_is_exact():
     J = lambda y: pb.smooth(y) + pb.w_zero * np.linalg.norm(y) \
         + pb.w_shift * np.linalg.norm(y - pb.anchor)
     assert all(J(z) <= J(z + 1e-7 * e) for e in np.eye(5))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 27, 1331])
+def test_row_norms_are_the_numpy_reductions_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    V = rng.standard_normal((m, 5)) * np.exp(rng.uniform(-690.0, 690.0, (m, 5)))
+    special = np.array([[0.0] * 5, [-0.0, 0.0, 0.0, 0.0, -0.0],
+                        [5e-324, -5e-324, 1e-310, 0.0, 2e-308],
+                        [1e300, -1e300, 1e300, 1e300, 1e300],
+                        [np.inf, 1.0, 0.0, 0.0, 0.0], [1.0, 0.0, -np.inf, 2.0, 0.0],
+                        [np.nan, 1.0, 0.0, 0.0, 0.0], [np.inf, np.nan, 0.0, 0.0, 0.0],
+                        [0.0, 0.0, 0.0, 0.0, np.nan]])
+    V[:len(special)] = special[:m]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = ((proxsolve.row_norms(V), np.linalg.norm(V, axis=1)),
+                 (proxsolve.row_hypot(V), np.hypot.reduce(V, axis=1)))
+    for got, want in pairs:
+        assert got.shape == (m,)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

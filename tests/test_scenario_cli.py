@@ -264,13 +264,13 @@ def test_dry_run_names_the_tau_that_does_not_nest(name, tmp_path, capsys):
 
 
 def test_run_rejects_a_member_grid_that_does_not_nest():
-    # past the parser, the table's node lookup raises: conv-rho tau 0.25
-    # against reference tau 0.1 would compare t = 0.25 with t = 0.2
+    # past the parser, the study checks nesting before it runs: conv-rho
+    # tau 0.25 against reference tau 0.1 would compare t = 0.25 with t = 0.2
     s = parse_scenario(minimal("conv-rho", schedule={"rho": [0.1, 0.01],
                                                      "tau": 0.1}))
     schedule = asymptotics.LimitSchedule.of(2, rho=[0.1, 0.01],
                                             tau=[0.25, 0.2])
-    with pytest.raises(ValueError, match="not a node"):
+    with pytest.raises(ValueError, match="tau 0.25 grid does not nest"):
         asymptotics.limit_constitutive(s.params, s.path, schedule)
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import sym_from_diag, sym_to_matrix
 from smaevol.tensors import (DEV_BASIS, IDENTITY6, Elasticity, dev_split,
-                             dev_to_sym, sym_from_diag, sym_from_matrix,
-                             sym_to_matrix, trace)
+                             dev_to_sym, sym_from_matrix, trace)
 
 RNG = np.random.default_rng(20240901)
 
