@@ -2,11 +2,11 @@
 
 __version__ = "0.1.0"
 
+from .asymptotics import temporal_error_study
 from .constitutive import (PointState, PointTrajectory, StressPath, TimeGrid,
                            UnstableInitialState, continuous_dependence_check,
                            incremental_step, run_constitutive,
-                           stable_initial_state, temporal_error_study,
-                           verify_stability)
+                           stable_initial_state, verify_stability)
 from .material import (MaterialParams, stored_energy_density,
                        transformation_energy, transformation_energy_grad,
                        transformation_energy_hess, transformation_energy_sharp,

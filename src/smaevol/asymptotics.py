@@ -3,21 +3,25 @@
 The variational-convergence certificates work through the monotone
 pointwise convergence of the regularized transformation energies (the
 standard sufficient condition for Gamma-convergence of convex functions),
-checked exactly on sample grids.  The limit experiments run families of
-discrete solutions along non-increasing parameter schedules and tabulate
-state, energy and dissipation differences against a reference run:
-the sharp model for a vanishing regularization parameter, a once-more
-refined discretization for vanishing step size or mesh size.
+checked exactly on sample grids.
 
-An evolution study runs its reference in the calling process and its
-members beside it, in forked children on the other CPUs of
-os.sched_getaffinity (round-robin, at most one child per spare CPU, no
-setting).  The children send back their records without the solver; the
-table is formed in the caller, from the same arithmetic as a serial run.
-With one CPU, no fork start method or a live thread, every member runs in
-the caller after the reference.  The minimization and constitutive
-studies stay serial: a minimization member is one step, and a
-constitutive member takes milliseconds, less than a fork costs.
+Five studies tabulate discrete solutions against a reference run: the
+sharp model for a vanishing regularization parameter, a once-more refined
+discretization for a vanishing step or mesh size.  conv-tau runs
+temporal_error_study, conv-rho limit_constitutive, and bvp-conv
+limit_minproblem, limit_evolution or nstep_h_convergence (whose reference
+is its finest level).  Each checks its schedule first
+(LimitSchedule.check_study), runs its reference in the calling process and
+builds one row per member.  The BVP members run beside the reference
+through _beside, in forked children on the spare CPUs of
+os.sched_getaffinity, and send back their records without the solver; the
+rows are those of a serial run, bit for bit.  The constitutive members run
+after the reference in the caller.  On a 2-CPU host, forking made the BVP
+studies faster (the study documents of tests/pool_artifacts.py, 44, 24 and
+24 alternating pairs, medians serial -> forked: minproblem over rho 261 ->
+210 ms, over h 149 -> 109 ms, nstep-h 344 -> 245 ms) and the constitutive
+studies slower (8 point directions x 3 repeats: conv-tau 142.9 -> 154.5 ms,
+conv-rho 8.2 -> 17.7 ms).
 """
 
 import math
@@ -25,11 +29,12 @@ import multiprocessing as mp
 import os
 import threading
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
 from .constitutive import (PointTrajectory, StressPath, TimeGrid,
-                           _sup_state_diff, check_nested, run_constitutive)
+                           check_nested, rate_study_steps, run_constitutive)
 from .fem import inject
 from .material import (MaterialParams, transformation_energy_sharp,
                        transformation_energy_smooth)
@@ -38,7 +43,7 @@ from .quasistatic import BvpProblem, QuasistaticSolver, spacetime_run
 
 # schedule entries that each limit study keeps fixed
 _FIXED_ENTRIES = {"constitutive": ("nu", "n"), "minproblem": ("tau",),
-                  "evolution": ("nu",)}
+                  "evolution": ("nu",), "nstep-h": ("rho", "nu", "tau")}
 
 
 @dataclass(frozen=True)
@@ -80,22 +85,31 @@ class LimitSchedule:
         bcast = lambda v: np.full(length, v) if np.ndim(v) == 0 else np.asarray(v)
         return cls(bcast(rho), bcast(nu), bcast(tau), bcast(n), label)
 
-    def __len__(self):
-        return len(self.rho)
-
     def varies(self, name: str) -> bool:
         arr = getattr(self, name)
         return bool(np.ptp(arr) > 0)
 
-    def check_study(self, study: str):
-        """Raise ValueError if the schedule varies an entry the study fixes,
-        or gives a study that steps in time a step tau <= 0."""
+    def check_study(self, study: str, T: float):
+        """Raise ValueError if the schedule varies an entry the study fixes
+        or, for a study that steps in time on [0, T] (all but minproblem),
+        has a tau <= 0 or a member grid that does not nest in the
+        reference grid."""
         bad = [f"the {study} study fixes {name}"
-               for name in _FIXED_ENTRIES.get(study, ()) if self.varies(name)]
-        if study in ("constitutive", "evolution") and np.any(self.tau <= 0):
+               for name in _FIXED_ENTRIES[study] if self.varies(name)]
+        if study != "minproblem" and np.any(self.tau <= 0):
             bad.append(f"the {study} study needs tau > 0")
+        elif study != "minproblem":
+            try:
+                check_nested(T, self.tau, self.reference()[2])
+            except ValueError as e:
+                bad.append(str(e))
         if bad:
             raise ValueError("; ".join(bad))
+
+    def members(self):
+        """(rho, nu, tau, n) of each member, as Python numbers."""
+        return list(zip(self.rho.tolist(), self.nu.tolist(),
+                        self.tau.tolist(), self.n.tolist()))
 
     def reference(self):
         """Reference (rho, nu, tau, n): the sharp model for a vanishing
@@ -161,84 +175,7 @@ def gamma_check_F(p: MaterialParams, rhos, points) -> GammaReport:
 
 
 # ---------------------------------------------------------------------------
-# constitutive-relation limits
-
-
-def _trajectory_diffs(traj: PointTrajectory, ref: PointTrajectory):
-    """(state, energy, dissipation) differences at the member's own nodes."""
-    energy = max(abs(traj.stored[i] - ref.stored[ref.grid.node_index(t)])
-                 for i, t in enumerate(traj.grid.nodes))
-    diss = abs(traj.cum_diss[-1] - ref.cum_diss[-1])
-    return _sup_state_diff(traj, ref), energy, diss
-
-
-def limit_constitutive(p: MaterialParams, path: StressPath,
-                       schedule: LimitSchedule):
-    """Constitutive-relation limits over a (rho, tau) schedule."""
-    schedule.check_study("constitutive")
-    T = path.T
-    rho_ref, _, tau_ref, _ = schedule.reference()
-    check_nested(T, schedule.tau, tau_ref)
-    ref = run_constitutive(replace(p, rho=rho_ref), path,
-                           TimeGrid.with_step(T, tau_ref))
-
-    def member(k):
-        pk = replace(p, rho=float(schedule.rho[k]))
-        traj = run_constitutive(pk, path, TimeGrid.with_step(T, schedule.tau[k]))
-        state, energy, diss = _trajectory_diffs(traj, ref)
-        return {"k": k, "rho": float(schedule.rho[k]), "nu": 0.0,
-                "tau": float(schedule.tau[k]), "h": 0.0,
-                "state_diff": state, "energy_diff": energy, "diss_diff": diss}
-
-    rows = [member(k) for k in range(len(schedule))]
-    return {"label": schedule.label, "rows": rows,
-            "reference": {"rho": rho_ref, "tau": tau_ref}}
-
-
-# ---------------------------------------------------------------------------
-# boundary-value limits
-
-
-def _bvp_state_diff(P, ref_forms, v_m, z_m, v_r, z_r):
-    """Energy norm of the injected member state minus the reference state."""
-    d = ((P @ v_m.reshape(-1, 3)).ravel() - v_r,
-         (P @ z_m.reshape(-1, 5)).ravel() - z_r)
-    return math.sqrt(max(ref_forms.energy_value(d), 0.0))
-
-
-def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule):
-    """Single incremental minimization at t = T along a (rho, nu, h) schedule."""
-    schedule.check_study("minproblem")
-    rho_ref, nu_ref, _, n_ref = schedule.reference()
-
-    def solve_member(rho, nu, n):
-        space = problem.space(n)
-        solver = QuasistaticSolver(space, replace(problem.params, rho=rho, nu=nu))
-        anchor = np.zeros(space.n_z)
-        u_dir, ell = problem.program.at(space, problem.program.T)
-        v, z, _ = solver.solve_step(*solver.lifted_load(u_dir, ell), anchor)
-        return solver, v, z, solver.stored_energy(v, z), \
-            solver.dissipation_increment(z, anchor)
-
-    ref_solver, v_r, z_r, w_r, d_r = solve_member(rho_ref, nu_ref, n_ref)
-    ref_space, ref_forms = ref_solver.space, ref_solver.forms
-
-    def member(k):
-        solver, v, z, w, dd = solve_member(float(schedule.rho[k]),
-                                           float(schedule.nu[k]),
-                                           int(schedule.n[k]))
-        return {"k": k, "rho": float(schedule.rho[k]),
-                "nu": float(schedule.nu[k]), "tau": 0.0,
-                "h": solver.space.mesh.h,
-                "state_diff": _bvp_state_diff(
-                    inject(solver.space, ref_space), ref_forms,
-                    v, z, v_r, z_r),
-                "energy_diff": abs(w - w_r),
-                "diss_diff": abs(dd - d_r)}
-
-    rows = [member(k) for k in range(len(schedule))]
-    return {"label": schedule.label, "rows": rows,
-            "reference": {"rho": rho_ref, "nu": nu_ref, "n": n_ref}}
+# the run path: a reference, members beside it, a row per member
 
 
 def _send_share(conn, task, share):
@@ -259,9 +196,9 @@ def _beside(main, task, args):
     child inherits the caller's state (a parsed problem, its cached
     spaces) and pickles its results back.  multiprocessing flushes stdout
     and stderr before each fork and ends each child with os._exit, so no
-    buffered line is written twice.  With one CPU, no fork start method or
-    a live thread (fork is unsafe then), everything runs here, main first.
-    Every child is reaped before this returns or raises.
+    buffered line is written twice.  With one CPU, no fork start method
+    or a live thread (fork is unsafe then), everything runs here, main
+    first.  Every child is reaped before this returns or raises.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(len(args), (len(affinity(0)) if affinity else 1) - 1)
@@ -302,49 +239,196 @@ def _beside(main, task, args):
             recv.close()
 
 
-def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
-    """Space-time evolution limits along a (rho, tau, h) schedule, nu fixed.
+def _rows(compare, runs):
+    """One table row per member run: compare(k, run) after the index k."""
+    return [{"k": k, **compare(k, run)} for k, run in enumerate(runs)]
 
-    The reference runs in the calling process, the members beside it (see
-    _beside); each row and the reference carry their run's total sweeps.
+
+# ---------------------------------------------------------------------------
+# constitutive studies
+
+
+@dataclass
+class RateStudy:
+    taus: np.ndarray
+    errors: np.ndarray
+    order: Optional[float]
+    degenerate: bool
+    reference_tau: float
+
+
+def _point_run(p: MaterialParams, path: StressPath, tau) -> PointTrajectory:
+    return run_constitutive(p, path, TimeGrid.with_step(path.T, tau))
+
+
+def _sup_state_diff(traj: PointTrajectory, ref: PointTrajectory) -> float:
+    """Sup over the coarse grid nodes of the state difference.
+
+    Comparing at shared nodes (the reference grid refines the coarse one)
+    measures the discrete solution error itself; comparing the interpolants
+    between nodes would add the O(tau) interpolation offset even for runs
+    that are exact at the nodes.
     """
-    schedule.check_study("evolution")
-    nu = float(schedule.nu[0])
-    rho_ref, _, tau_ref, n_ref = schedule.reference()
-    check_nested(problem.program.T, schedule.tau, tau_ref)
+    worst = 0.0
+    for i, t in enumerate(traj.grid.nodes):
+        j = ref.grid.node_index(t)
+        worst = max(worst, math.sqrt(float(np.sum((traj.eps[i] - ref.eps[j]) ** 2))
+                                     + float(np.sum((traj.z[i] - ref.z[j]) ** 2))))
+    return worst
 
-    def member_run(k):
-        rec, rep = spacetime_run(problem, float(schedule.rho[k]), nu,
-                                 float(schedule.tau[k]), int(schedule.n[k]))
-        return replace(rec, solver=None), rep   # SuperLU factors do not pickle
+
+def temporal_error_study(p: MaterialParams, path: StressPath,
+                         taus, reference_tau=None) -> RateStudy:
+    """Self-convergence study against a fine reference grid.
+
+    Restricted to the smooth regularization (rho > 0), where the order-1/2
+    a priori bound applies; the fitted order is the least-squares slope of
+    the sup-in-time state error against the step size.
+    """
+    taus, reference_tau = rate_study_steps(p, path.T, taus, reference_tau)
+    ref = _point_run(p, path, reference_tau)
+    trajs = [_point_run(p, path, tau) for tau in taus]
+    errs = np.array([_sup_state_diff(traj, ref) for traj in trajs])
+    degenerate = bool(errs.max() < 1e-12)
+    order = None
+    if len(taus) >= 2 and not degenerate:
+        order = float(np.polyfit(np.log(taus), np.log(np.maximum(errs, 1e-300)), 1)[0])
+    return RateStudy(np.array(taus), errs, order, degenerate, reference_tau)
+
+
+def limit_constitutive(p: MaterialParams, path: StressPath,
+                       schedule: LimitSchedule):
+    """Constitutive-relation limits over a (rho, tau) schedule."""
+    schedule.check_study("constitutive", path.T)
+    rho_ref, _, tau_ref, _ = schedule.reference()
+    members = schedule.members()
+    ref = _point_run(replace(p, rho=rho_ref), path, tau_ref)
+    trajs = [_point_run(replace(p, rho=m[0]), path, m[2]) for m in members]
+
+    def compare(k, traj):
+        energy = max(abs(traj.stored[i] - ref.stored[ref.grid.node_index(t)])
+                     for i, t in enumerate(traj.grid.nodes))
+        return {"rho": members[k][0], "nu": 0.0, "tau": members[k][2],
+                "h": 0.0, "state_diff": _sup_state_diff(traj, ref),
+                "energy_diff": energy,
+                "diss_diff": abs(traj.cum_diss[-1] - ref.cum_diss[-1])}
+
+    return {"label": schedule.label, "rows": _rows(compare, trajs),
+            "reference": {"rho": rho_ref, "tau": tau_ref}}
+
+
+# ---------------------------------------------------------------------------
+# boundary-value studies
+
+
+def _bvp_state_diff(P, ref_forms, v_m, z_m, v_r, z_r):
+    """Energy norm of the injected member state minus the reference state."""
+    d = ((P @ v_m.reshape(-1, 3)).ravel() - v_r,
+         (P @ z_m.reshape(-1, 5)).ravel() - z_r)
+    return math.sqrt(max(ref_forms.energy_value(d), 0.0))
+
+
+def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule):
+    """Single incremental minimization at t = T along a (rho, nu, h) schedule."""
+    T = problem.program.T
+    schedule.check_study("minproblem", T)
+    rho_ref, nu_ref, _, n_ref = schedule.reference()
+    members = schedule.members()
+
+    def solve(rho, nu, n):
+        space = problem.space(n)
+        solver = QuasistaticSolver(space, replace(problem.params, rho=rho, nu=nu))
+        anchor = np.zeros(space.n_z)
+        u_dir, ell = problem.program.at(space, T)
+        v, z, _ = solver.solve_step(*solver.lifted_load(u_dir, ell), anchor)
+        return solver.forms, v, z, solver.stored_energy(v, z), \
+            solver.dissipation_increment(z, anchor)
+
+    (ref_forms, v_r, z_r, w_r, d_r), runs = _beside(
+        lambda: solve(rho_ref, nu_ref, n_ref),
+        lambda m: solve(m[0], m[1], m[3])[1:], members)
+
+    def compare(k, run):
+        (v, z, w, dd), (rho, nu, _, n) = run, members[k]
+        space = problem.space(n)
+        return {"rho": rho, "nu": nu, "tau": 0.0, "h": space.mesh.h,
+                "state_diff": _bvp_state_diff(inject(space, ref_forms.space),
+                                              ref_forms, v, z, v_r, z_r),
+                "energy_diff": abs(w - w_r), "diss_diff": abs(dd - d_r)}
+
+    return {"label": schedule.label, "rows": _rows(compare, runs),
+            "reference": {"rho": rho_ref, "nu": nu_ref, "n": n_ref}}
+
+
+def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
+    """Space-time evolution limits along a (rho, tau, h) schedule, nu fixed;
+    each row and the reference carry their run's total sweeps."""
+    schedule.check_study("evolution", problem.program.T)
+    rho_ref, nu, tau_ref, n_ref = schedule.reference()
+    members = schedule.members()
+
+    def member(m):   # without the solver: SuperLU factors do not pickle
+        rec, rep = spacetime_run(problem, *m)
+        return replace(rec, solver=None), rep
 
     (ref, ref_rep), runs = _beside(
         lambda: spacetime_run(problem, rho_ref, nu, tau_ref, n_ref),
-        member_run, range(len(schedule)))
+        member, members)
     ref_forms = ref.solver.forms
 
-    def row(k, rec, rep):
-        space = problem.space(int(schedule.n[k]))
-        P = inject(space, ref.solver.space)
-        state = 0.0
-        energy = 0.0
+    def compare(k, run):
+        (rec, rep), (rho, _, tau, n) = run, members[k]
+        space = problem.space(n)
+        P = inject(space, ref_forms.space)
+        state = energy = 0.0
         for i, t in enumerate(rec.grid.nodes):
             j = ref.grid.node_index(t)
             state = max(state, _bvp_state_diff(P, ref_forms,
                                                rec.v[i], rec.z[i],
                                                ref.v[j], ref.z[j]))
             energy = max(energy, abs(rec.stored_v[i] - ref.stored_v[j]))
-        return {"k": k, "rho": float(schedule.rho[k]), "nu": nu,
-                "tau": float(schedule.tau[k]), "h": space.mesh.h,
+        return {"rho": rho, "nu": nu, "tau": tau, "h": space.mesh.h,
                 "state_diff": state, "energy_diff": energy,
                 "diss_diff": abs(rec.cum_diss[-1] - ref.cum_diss[-1]),
                 "ledger_bound_ok": rep["bound_ok"],
                 "nu_in_scope": rep["nu_in_scope"],
                 "sweeps": int(rec.sweeps.sum())}
 
-    rows = [row(k, *run) for k, run in enumerate(runs)]
-    return {"label": schedule.label, "rows": rows,
+    return {"label": schedule.label, "rows": _rows(compare, runs),
             "reference": {"rho": rho_ref, "nu": nu, "tau": tau_ref, "n": n_ref,
                           "ledger_bound_ok": ref_rep["bound_ok"],
                           "nu_in_scope": ref_rep["nu_in_scope"],
                           "sweeps": int(ref.sweeps.sum())}}
+
+
+def nstep_h_convergence(problem: BvpProblem, schedule: LimitSchedule):
+    """Inter-level displacement differences under mesh refinement.
+
+    Runs every mesh level n of the schedule at its fixed (rho, nu, tau) and
+    reports, per time step, the H1-type norm of the difference between
+    consecutive levels (coarse states injected into the finer space), with
+    the finer level's K.  The finest level is the reference, and the only
+    record in "runs" (coarsest first) that keeps its solver.
+    """
+    schedule.check_study("nstep-h", problem.program.T)
+    levels = schedule.members()
+
+    def level(m):   # without the solver: SuperLU factors do not pickle
+        rec, _ = spacetime_run(problem, *m)
+        return replace(rec, solver=None), rec.solver.forms.K
+
+    ref, runs = _beside(lambda: spacetime_run(problem, *levels[-1])[0],
+                        level, levels[:-1])
+    recs, Ks = map(list, zip(*runs, (ref, ref.solver.forms.K)))
+
+    def entry(k):
+        n_c, n_f = levels[k][3], levels[k + 1][3]
+        fine = problem.space(n_f)
+        P, K = inject(problem.space(n_c), fine), Ks[k + 1]
+        dus = [(P @ u_c.reshape(-1, 3)).ravel() - u_f
+               for u_c, u_f in zip(recs[k].u, recs[k + 1].u)]
+        return {"n_coarse": n_c, "n_fine": n_f, "diffs": np.array(
+            [math.sqrt(float(du @ (K @ du)) + float(
+                du @ (fine.M @ du.reshape(-1, 3)).ravel())) for du in dus])}
+
+    return {"runs": recs, "table": [entry(k) for k in range(len(runs))]}

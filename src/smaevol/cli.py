@@ -19,12 +19,11 @@ import scipy
 
 from . import __version__
 from .asymptotics import (gamma_check_F, limit_constitutive, limit_evolution,
-                          limit_minproblem)
-from .constitutive import (run_constitutive, temporal_error_study,
-                           verify_stability)
+                          limit_minproblem, nstep_h_convergence,
+                          temporal_error_study)
+from .constitutive import run_constitutive, verify_stability
 from .fem import dump_fields
-from .quasistatic import (nstep_h_convergence, run_incremental_bvp,
-                          verify_energetic)
+from .quasistatic import run_incremental_bvp, verify_energetic
 from .scenario import KINDS, ParseError, Scenario, ValidationError, parse_scenario
 
 
@@ -126,8 +125,7 @@ def run_scenario(s: Scenario, out_dir) -> dict:
                  "max_nodal_z": rec.max_nodal_z_norm()}
 
     elif s.kind == "bvp-conv" and s.study == "nstep-h":
-        out_nh = nstep_h_convergence(s.problem, list(s.schedule.n),
-                                     steps=s.problem.steps)
+        out_nh = nstep_h_convergence(s.problem, s.schedule)
         rows = [[e["n_coarse"], e["n_fine"], i, dv]
                 for e in out_nh["table"] for i, dv in enumerate(e["diffs"])]
         write_csv(out / "nstep_table.csv",

@@ -51,10 +51,6 @@ class TimeGrid:
         return cls.uniform(T, max(1, int(round(T / tau))))
 
     @property
-    def tau(self) -> float:
-        return float(np.diff(self.nodes).max())
-
-    @property
     def steps(self) -> int:
         return len(self.nodes) - 1
 
@@ -268,34 +264,10 @@ def run_constitutive(p: MaterialParams, path: StressPath,
     return PointTrajectory(grid, eps, z, stored, comp, diss_inc, cum, work, residual)
 
 
-@dataclass
-class RateStudy:
-    taus: np.ndarray
-    errors: np.ndarray
-    order: Optional[float]
-    degenerate: bool
-    reference_tau: float
-
-
-def _sup_state_diff(traj: PointTrajectory, ref: PointTrajectory) -> float:
-    """Sup over the coarse grid nodes of the state difference.
-
-    Comparing at shared nodes (the reference grid refines the coarse one)
-    measures the discrete solution error itself; comparing the interpolants
-    between nodes would add the O(tau) interpolation offset even for runs
-    that are exact at the nodes.
-    """
-    worst = 0.0
-    for i, t in enumerate(traj.grid.nodes):
-        j = ref.grid.node_index(t)
-        worst = max(worst, math.sqrt(float(np.sum((traj.eps[i] - ref.eps[j]) ** 2))
-                                     + float(np.sum((traj.z[i] - ref.z[j]) ** 2))))
-    return worst
-
-
-def rate_study_steps(p: MaterialParams, taus, reference_tau=None):
-    """Sorted taus and reference step of a rate study (min(taus)/8 unless
-    given); ValueError unless rho, taus > 0 and reference_tau <= min/8."""
+def rate_study_steps(p: MaterialParams, T, taus, reference_tau=None):
+    """Sorted taus and reference step of a rate study on [0, T] (min(taus)/8
+    unless given); ValueError unless rho, taus > 0, reference_tau <= min/8
+    and every tau's grid nests in the reference grid (check_nested)."""
     taus = sorted(float(t) for t in taus)
     bad = [] if p.rho > 0 else ["temporal rate study requires rho > 0"]
     if not taus or taus[0] <= 0:
@@ -306,6 +278,7 @@ def rate_study_steps(p: MaterialParams, taus, reference_tau=None):
         bad.append("reference tau must be in (0, min(taus)/8]")
     if bad:
         raise ValueError("; ".join(bad))
+    check_nested(T, taus, reference_tau)
     return taus, reference_tau
 
 
@@ -318,30 +291,6 @@ def check_nested(T, taus, reference_tau):
         if steps % TimeGrid.with_step(T, tau).steps:
             raise ValueError(f"the tau {tau:g} grid does not nest in the "
                              f"reference tau {reference_tau:g} grid")
-
-
-def temporal_error_study(p: MaterialParams, path: StressPath,
-                         taus, reference_tau=None) -> RateStudy:
-    """Self-convergence study against a fine reference grid.
-
-    Restricted to the smooth regularization (rho > 0), where the order-1/2
-    a priori bound applies; the fitted order is the least-squares slope of
-    the sup-in-time state error against the step size.
-    """
-    taus, reference_tau = rate_study_steps(p, taus, reference_tau)
-    T = path.T
-    check_nested(T, taus, reference_tau)
-    ref = run_constitutive(p, path, TimeGrid.with_step(T, reference_tau))
-    errs = []
-    for tau in taus:
-        traj = run_constitutive(p, path, TimeGrid.with_step(T, tau))
-        errs.append(_sup_state_diff(traj, ref))
-    errs = np.array(errs)
-    degenerate = bool(errs.max() < 1e-12)
-    order = None
-    if len(taus) >= 2 and not degenerate:
-        order = float(np.polyfit(np.log(taus), np.log(np.maximum(errs, 1e-300)), 1)[0])
-    return RateStudy(np.array(taus), errs, order, degenerate, reference_tau)
 
 
 @dataclass

@@ -47,8 +47,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .constitutive import TimeGrid, UnstableInitialState
-from .fem import (FeSpace, LoadProgram, StepForms, assemble_forms, box_mesh,
-                  build_space, inject, nested_dissection)
+from .fem import (FeSpace, LoadProgram, assemble_forms, box_mesh, build_space,
+                  nested_dissection)
 from .material import BALL_SLACK, MaterialParams, radial_core
 from .proxsolve import NonConvergence, StepProblem, row_norms, solve_field
 
@@ -273,10 +273,6 @@ class EvolutionRecord:
         return self.v + self.u_dir
 
     @property
-    def times(self) -> np.ndarray:
-        return self.grid.nodes
-
-    @property
     def ledger_peak(self) -> float:
         """Largest stored energy plus accumulated dissipation over the steps."""
         return float((self.stored_v + self.cum_diss).max())
@@ -450,7 +446,7 @@ def verify_energetic(record: EvolutionRecord, tol=1e-8) -> EnergeticReport:
 
 
 # ---------------------------------------------------------------------------
-# problem bundles and studies
+# problem bundles and space-time runs
 
 
 @dataclass
@@ -461,7 +457,6 @@ class BvpProblem:
     program: LoadProgram
     extents: tuple = (1.0, 1.0, 1.0)
     n: int = 2
-    steps: int = 8
     dirichlet_planes: tuple = ("x0",)
     _spaces: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
@@ -478,9 +473,6 @@ class BvpProblem:
             self._spaces[k] = build_space(box_mesh(self.extents, (k, k, k)),
                                           self.dirichlet_planes)
         return self._spaces[k]
-
-    def grid(self, steps: Optional[int] = None) -> TimeGrid:
-        return TimeGrid.uniform(self.program.T, self.steps if steps is None else steps)
 
 
 def spacetime_run(problem: BvpProblem, rho: float, nu: float, tau: float,
@@ -503,31 +495,3 @@ def spacetime_run(problem: BvpProblem, rho: float, nu: float, tau: float,
         "nu_in_scope": nu > 0,
     }
     return record, report
-
-
-def _h1_norm(space: FeSpace, forms: StepForms, du) -> float:
-    return math.sqrt(float(du @ (forms.K @ du))
-                     + float(du @ (space.M @ du.reshape(-1, 3)).ravel()))
-
-
-def nstep_h_convergence(problem: BvpProblem, n_list, steps: int):
-    """Inter-level displacement differences under mesh refinement.
-
-    Runs the N-step incremental problem on each mesh and reports, per time
-    step, the H1-type norm of the difference between consecutive levels
-    (coarse states injected into the finer space).
-    """
-    runs = [run_incremental_bvp(problem.space(n), problem.params,
-                                problem.grid(steps), problem.program)
-            for n in n_list]
-    table = []
-    for lev in range(len(runs) - 1):
-        coarse, fine = runs[lev].solver.space, runs[lev + 1].solver.space
-        P = inject(coarse, fine)
-        diffs = []
-        for i in range(steps + 1):
-            du = (P @ runs[lev].u[i].reshape(-1, 3)).ravel() - runs[lev + 1].u[i]
-            diffs.append(_h1_norm(fine, runs[lev + 1].solver.forms, du))
-        table.append({"n_coarse": n_list[lev], "n_fine": n_list[lev + 1],
-                      "diffs": np.array(diffs)})
-    return {"runs": runs, "table": table}

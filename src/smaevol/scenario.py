@@ -35,19 +35,19 @@ and Elasticity (the signs of the constants), TimeGrid (T and steps), StressPath
 lengths, 3-component vectors, no traction on a Dirichlet plane), BvpProblem (a
 nonempty Dirichlet part), box_mesh and build_space (extents, n, plane names),
 LimitSchedule (lengths, monotonicity, signs, n >= 1) and its check_study (the
-entries a study fixes, tau > 0 for the studies that step in time),
-rate_study_steps (conv-tau), check_nested (every tau's grid nests in its
-reference's), gamma_rhos (gamma-table) and checked_initial_state (a stable
-start of the stress path for every rho of a point-test, conv-tau or conv-rho
-run).  This module keeps only what no object knows: the structure (unknown keys
-and non-object sections raise ParseError), the JSON types (a number is a 64-bit
-int or a finite float, a count a 64-bit int, neither a bool; type errors raise
-a ValidationError before any object sees a value), the defaults, the seed,
-probe and sample counts, and the rules that span sections: an explicit
-time.T is the last program time, a program has times and each of its channels
-its amplitudes, the dirichlet_profile, the study and the kind are known, and
-conv-rho and bvp-conv have a schedule.  All other violations are collected into
-one ValidationError.
+entries a study fixes and, for the studies that step in time, tau > 0 and every
+tau's grid nesting in its reference's), rate_study_steps (conv-tau, nesting
+included), gamma_rhos (gamma-table) and checked_initial_state (a stable start
+of the stress path for every rho of a point-test, conv-tau or conv-rho run).
+This module keeps only what no object knows: the structure (unknown keys and
+non-object sections raise ParseError), the JSON types (a number is a 64-bit int
+or a finite float, a count a 64-bit int, neither a bool; type errors raise a
+ValidationError before any object sees a value), the defaults, the seed, probe
+and sample counts, and the rules that span sections: an explicit time.T is the
+last program time, a program has times and each of its channels its amplitudes,
+the dirichlet_profile, the study and the kind are known, and conv-rho and
+bvp-conv have a schedule.  All other violations are collected into one
+ValidationError.
 """
 
 import json
@@ -59,8 +59,7 @@ import numpy as np
 
 from .asymptotics import LimitSchedule, gamma_rhos
 from .constitutive import (StressPath, TimeGrid, UnstableInitialState,
-                           check_nested, checked_initial_state,
-                           rate_study_steps)
+                           checked_initial_state, rate_study_steps)
 from .fem import LoadProgram
 from .material import MaterialParams
 from .quasistatic import BvpProblem
@@ -224,13 +223,11 @@ def parse_scenario(text: str) -> Scenario:
                                     ("probes must be >= 1", s.probes < 1))
                if bad]
 
-    if kind == "conv-tau" and params:
+    if kind == "conv-tau" and params and path:
         s.taus, s.reference_tau = _build(
-            errors, kind, rate_study_steps, params,
+            errors, kind, rate_study_steps, params, path.T,
             raw.get("taus", [1 / 16, 1 / 32, 1 / 64, 1 / 128]),
             raw.get("reference_tau")) or (None, None)
-        if s.taus and path:
-            _build(errors, kind, check_nested, path.T, s.taus, s.reference_tau)
     if kind == "gamma-table":
         s.rhos = _build(errors, kind, gamma_rhos,
                         raw.get("rhos", [10.0 ** (-k) for k in range(0, 8)]))
@@ -264,11 +261,10 @@ def parse_scenario(text: str) -> Scenario:
             if load:
                 end = load.T
                 s.problem = _build(errors, "mesh", BvpProblem, params, load,
-                                   extents=tuple(mesh["extents"]),
-                                   n=mesh["n"], steps=steps,
+                                   extents=tuple(mesh["extents"]), n=mesh["n"],
                                    dirichlet_planes=tuple(mesh["dirichlet"]))
         if s.problem:
-            s.grid = _build(errors, "time", s.problem.grid)
+            s.grid = _build(errors, "time", TimeGrid.uniform, load.T, steps)
     else:
         s.grid = _build(errors, "time", TimeGrid.uniform, T, steps)
 
@@ -287,10 +283,7 @@ def parse_scenario(text: str) -> Scenario:
                                 **sched)
         if s.schedule is not None and s.study in STUDIES:
             study = "constitutive" if kind == "conv-rho" else s.study
-            _build(errors, "schedule", s.schedule.check_study, study)
-            if study in ("constitutive", "evolution") and min(s.schedule.tau) > 0:
-                _build(errors, "schedule", check_nested, end, s.schedule.tau,
-                       s.schedule.reference()[2])
+            _build(errors, "schedule", s.schedule.check_study, study, end)
 
     if kind in ("point-test", "conv-tau", "conv-rho") and params and path:
         # the initial state of every constitutive run, checked without a solve

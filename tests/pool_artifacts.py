@@ -1,15 +1,20 @@
-"""Write the artifacts of every benchmark pool scenario, for a byte-level diff.
+"""Write the artifacts of every benchmark pool scenario, every shipped
+scenario and one document per study kind no pool covers, for a byte-level
+diff.
 
     python3 tests/pool_artifacts.py OUT
 
 runs each scenario of ``workloads.pool(w)`` for the three workloads of
 perfbench/workloads.py through ``run_scenario`` and leaves its artifacts,
 without the timing-bearing ``manifest.json``, in ``OUT/<workload>/<key>/``
-(``key`` is the workload module's scenario key).  Running it in two
-checkouts and comparing with ``diff -r`` shows whether a change keeps every
-pool output byte for byte.  It imports smaevol from the ``src/`` next to
-this file, reads perfbench/ and edits nothing there; pytest does not
-collect it.
+(``key`` is the workload module's scenario key).  It does the same for
+``scenarios/<name>.json`` in ``OUT/scenarios/<name>/`` and for the
+documents of ``STUDIES`` in ``OUT/studies/<name>/``, so that every study
+kind runs: a minimization over rho and over h, an nstep-h study and a
+(tau, h) evolution study.  Running it in two checkouts and comparing with
+``diff -r`` shows whether a change keeps every output byte for byte.  It
+imports smaevol from the ``src/`` next to this file, reads perfbench/ and
+scenarios/ and edits nothing there; pytest does not collect it.
 """
 
 import importlib.util
@@ -23,6 +28,29 @@ sys.path.insert(0, str(_ROOT / "src"))
 from smaevol.cli import run_scenario  # noqa: E402
 from smaevol.scenario import parse_scenario  # noqa: E402
 
+_MATERIAL = {"rho": 0.1, "nu": 0.01}
+_PULL = {"times": [0.0, 1.0], "traction": {"x1": [1.0, 0.0, 0.0]},
+         "traction_amps": [0.0, 3.0]}
+_PULL_UNLOAD = {"times": [0.0, 0.5, 1.0], "traction": {"x1": [1.0, 0.0, 0.0]},
+                "traction_amps": [0.0, 3.0, 0.0]}
+
+
+def _study(study, program, schedule, steps=4):
+    return {"kind": "bvp-conv", "study": study, "material": _MATERIAL,
+            "time": {"T": 1.0, "steps": steps}, "program": program,
+            "schedule": schedule}
+
+
+# the bvp-conv study kinds that neither a pool nor a shipped scenario runs
+STUDIES = {
+    "minproblem-rho": _study("minproblem", _PULL,
+                             {"rho": [0.1, 0.05, 0.025], "n": 2}),
+    "minproblem-h": _study("minproblem", _PULL, {"n": [1, 2]}),
+    "nstep-h": _study("nstep-h", _PULL_UNLOAD, {"n": [1, 2, 4]}),
+    "evolution-tau-h": _study("evolution", _PULL_UNLOAD,
+                              {"tau": [0.25, 0.125], "n": [1, 2]}),
+}
+
 
 def _workloads():
     spec = importlib.util.spec_from_file_location(
@@ -32,16 +60,24 @@ def _workloads():
     return module
 
 
+def _write(scenario, out):
+    run_scenario(parse_scenario(json.dumps(scenario)), out)
+    (out / "manifest.json").unlink()
+    print(out.parent.name, out.name, flush=True)
+
+
 def main(argv):
     if len(argv) != 1:
         sys.exit("usage: python3 tests/pool_artifacts.py OUT")
+    out = Path(argv[0])
     workloads = _workloads()
     for workload in workloads.WORKLOADS:
         for scenario in workloads.pool(workload):
-            out = Path(argv[0]) / workload / workloads.key(scenario)
-            run_scenario(parse_scenario(json.dumps(scenario)), out)
-            (out / "manifest.json").unlink()
-            print(workload, out.name, flush=True)
+            _write(scenario, out / workload / workloads.key(scenario))
+    for path in sorted((_ROOT / "scenarios").glob("*.json")):
+        _write(json.loads(path.read_text()), out / "scenarios" / path.stem)
+    for name, scenario in STUDIES.items():
+        _write(scenario, out / "studies" / name)
 
 
 if __name__ == "__main__":

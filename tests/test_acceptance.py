@@ -10,17 +10,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from oracles import planar_step_oracle
-from smaevol.asymptotics import gamma_check_F
+from smaevol.asymptotics import (LimitSchedule, gamma_check_F,
+                                 nstep_h_convergence, temporal_error_study)
 from smaevol.constitutive import (PointState, StressPath, TimeGrid,
                                   continuous_dependence_check,
                                   incremental_step, run_constitutive,
-                                  temporal_error_study, verify_stability)
+                                  verify_stability)
 from smaevol.fem import (LoadProgram, assemble_forms, box_mesh, build_space,
                          galerkin_project, inject, interp_constrained)
 from smaevol.material import MaterialParams, transformation_energy_grad
 from smaevol.quasistatic import (BvpProblem, QuasistaticSolver,
-                                 nstep_h_convergence, run_incremental_bvp,
-                                 solve_bvp_step, spacetime_run)
+                                 run_incremental_bvp, solve_bvp_step,
+                                 spacetime_run)
 from smaevol.tensors import dev_to_sym
 
 P0 = MaterialParams()                      # defaults, sharp (rho = 0)
@@ -302,7 +303,8 @@ def test_criterion_10_bvp_convergence_tables():
         assert rho_diffs[1] < rho_diffs[0], rho_diffs
 
         # Figure-3 h arrow: meshes n in {2, 4, 8} at fixed N
-        out = nstep_h_convergence(problem, [2, 4, 8], steps=8)
+        out = nstep_h_convergence(problem, LimitSchedule.of(
+            3, rho=p.rho, nu=p.nu, tau=1 / 8, n=[2, 4, 8]))
         for rec in out["runs"]:
             check_bound(rec)
         d01 = out["table"][0]["diffs"]

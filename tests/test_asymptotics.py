@@ -7,8 +7,9 @@ import pytest
 from smaevol import asymptotics, constitutive
 from smaevol.asymptotics import (LimitSchedule, _beside, gamma_check_F,
                                  limit_constitutive, limit_evolution,
-                                 limit_minproblem)
-from smaevol.constitutive import StressPath, temporal_error_study
+                                 limit_minproblem, nstep_h_convergence,
+                                 temporal_error_study)
+from smaevol.constitutive import StressPath
 from smaevol.fem import LoadProgram
 from smaevol.material import MaterialParams
 from smaevol.proxsolve import NonConvergence
@@ -195,23 +196,61 @@ def counted_forks(monkeypatch):
     return forks
 
 
-def test_limit_evolution_members_beside_the_reference_are_bit_identical(
-        monkeypatch):
+# each BVP study with its problem and three members beside its reference
+BVP_STUDIES = {
+    "evolution": (limit_evolution, pull_problem, LimitSchedule.of(
+        3, rho=[0.1, 0.05, 0.025], nu=0.01, tau=1 / 4, n=1, label="fork")),
+    "minproblem": (limit_minproblem, monotone_pull_problem, LimitSchedule.of(
+        3, rho=[0.1, 0.05, 0.025], nu=0.01, tau=0.0, n=[1, 1, 2])),
+    "nstep-h": (nstep_h_convergence, pull_problem, LimitSchedule.of(
+        4, rho=0.1, nu=0.01, tau=1 / 2, n=[1, 2, 3, 4])),
+}
+
+
+def plain(table):
+    """A study's rows or table with its arrays as lists, for ==."""
+    return [{k: v.tolist() if isinstance(v, np.ndarray) else v
+             for k, v in row.items()} for row in table]
+
+
+@pytest.mark.parametrize("study", list(BVP_STUDIES))
+def test_members_beside_the_reference_are_bit_identical(study, monkeypatch):
     # as shipped, the members run in forked children on a multi-CPU host;
     # with one CPU they run in the caller
-    problem = pull_problem()
-    sched = LimitSchedule.of(3, rho=[0.1, 0.05, 0.025], nu=0.01, tau=1 / 4,
-                             n=1, label="fork")
+    run, make_problem, sched = BVP_STUDIES[study]
+    problem = make_problem()
     forks = counted_forks(monkeypatch)
-    shipped = limit_evolution(problem, sched)
+    shipped = run(problem, sched)
     assert len(forks) == min(3, spare_cpus())
     forks.clear()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    serial = limit_evolution(problem, sched)
+    serial = run(problem, sched)
     assert forks == []
-    assert shipped["rows"] == serial["rows"]
-    assert shipped["reference"] == serial["reference"]
-    assert all(r["sweeps"] > 0 for r in shipped["rows"])
+    rows = "table" if study == "nstep-h" else "rows"
+    assert len(shipped[rows]) == 3
+    assert plain(shipped[rows]) == plain(serial[rows])
+    if study == "nstep-h":
+        assert all(r["diffs"].max() > 0 for r in shipped["table"])
+    else:
+        assert shipped["reference"] == serial["reference"]
+        assert all(r["state_diff"] > 0 for r in shipped["rows"])
+    if study == "evolution":
+        assert all(r["sweeps"] > 0 for r in shipped["rows"])
+
+
+@pytest.mark.parametrize("kind", ["conv-tau", "conv-rho"])
+def test_constitutive_studies_never_fork(kind, monkeypatch):
+    # a constitutive member takes milliseconds, less than a fork costs
+    forks = counted_forks(monkeypatch)
+    if kind == "conv-tau":
+        study = temporal_error_study(MaterialParams(rho=0.1), ramp_path(),
+                                     [1 / 8, 1 / 16])
+        assert len(study.errors) == 2
+    else:
+        out = limit_constitutive(P, ramp_path(), LimitSchedule.of(
+            3, rho=[0.1, 0.01, 0.001], tau=1 / 8))
+        assert len(out["rows"]) == 3
+    assert forks == []
 
 
 @pytest.mark.parametrize("failing", ["member", "reference"])
@@ -242,7 +281,8 @@ def test_a_child_that_dies_without_a_result_is_reported():
     assert mp.active_children() == []
 
 
-@pytest.mark.parametrize("study", ["evolution", "constitutive", "rate"])
+@pytest.mark.parametrize("study", ["evolution", "constitutive", "rate",
+                                   "minproblem", "nstep-h"])
 def test_a_grid_that_does_not_nest_fails_before_any_run(study, monkeypatch):
     runs = []
 
@@ -257,14 +297,26 @@ def test_a_grid_that_does_not_nest_fails_before_any_run(study, monkeypatch):
     counted(asymptotics, "spacetime_run")
     counted(asymptotics, "run_constitutive")
     counted(constitutive, "run_constitutive")
+    counted(QuasistaticSolver, "__init__")
     # tau 0.25 puts a node at t = 0.25, which the reference grid lacks: tau
     # 0.1 for the schedule, 1/33 for the rate study's reference tau 0.03
     schedule = LimitSchedule.of(2, rho=[0.1, 0.05], tau=[0.25, 0.2])
-    with pytest.raises(ValueError, match="the tau 0.25 grid does not nest"):
+    # the studies that do not step in time, or fix tau, reject the schedule
+    # for what it varies: a minimization varies no tau, nstep-h no rho
+    match = {"minproblem": "the minproblem study fixes tau",
+             "nstep-h": "the nstep-h study fixes rho"}.get(
+                 study, "the tau 0.25 grid does not nest")
+    with pytest.raises(ValueError, match=match):
         if study == "evolution":
             limit_evolution(pull_problem(), schedule)
         elif study == "constitutive":
             limit_constitutive(P, ramp_path(), schedule)
+        elif study == "minproblem":
+            limit_minproblem(pull_problem(), LimitSchedule.of(
+                2, rho=0.1, nu=0.01, tau=[0.25, 0.2], n=2))
+        elif study == "nstep-h":
+            nstep_h_convergence(pull_problem(), LimitSchedule.of(
+                2, rho=[0.1, 0.05], nu=0.01, tau=0.25, n=[1, 2]))
         else:
             temporal_error_study(MaterialParams(rho=0.1), ramp_path(),
                                  [0.5, 0.25], reference_tau=0.03)

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (closed_form_stability_residual, path_dissipation,
                      planar_step_oracle, reparametrized)
+from smaevol.asymptotics import temporal_error_study
 from smaevol.constitutive import (PointState, StressPath, TimeGrid,
                                   UnstableInitialState,
                                   continuous_dependence_check,
                                   incremental_step, run_constitutive,
                                   stability_residual, stable_initial_state,
-                                  temporal_error_study, verify_stability)
+                                  verify_stability)
 from smaevol.material import MaterialParams, radial_core
 from smaevol.proxsolve import EPS, RESIDUAL_RTOL
 from smaevol.tensors import dev_split, dev_to_sym, norm

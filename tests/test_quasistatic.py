@@ -11,13 +11,14 @@ import scipy.sparse as sp
 from oracles import (colamd_solve_v, joint_lu_dual_norms, load_at_oracle,
                      stability_bound_oracle, step_smooth_grad)
 from smaevol import proxsolve, quasistatic
-from smaevol.asymptotics import LimitSchedule, limit_evolution
+from smaevol.asymptotics import (LimitSchedule, limit_evolution,
+                                 nstep_h_convergence)
 from smaevol.constitutive import TimeGrid, UnstableInitialState
 from smaevol.fem import LoadProgram, box_mesh, build_space, nested_dissection
 from smaevol.material import MaterialParams
 from smaevol.proxsolve import NonConvergence, StepProblem
 from smaevol.quasistatic import (BvpProblem, QuasistaticSolver,
-                                 SingularSystem, _dual_norms, nstep_h_convergence,
+                                 SingularSystem, _dual_norms,
                                  run_incremental_bvp, solve_bvp_step,
                                  spacetime_run, verify_energetic)
 from smaevol.tensors import Elasticity
@@ -442,7 +443,7 @@ def test_run_load_data_match_the_per_time_assembly(name):
     space = space_n(2)
     rec = run_incremental_bvp(space, P_SMOOTH, TimeGrid.uniform(1.0, 4), prog)
     want = {"u_dir": [], "L_u": [], "L_z": []}
-    for t in rec.times:
+    for t in rec.grid.nodes:
         u_dir, ell = load_at_oracle(space, prog, t)
         at_u_dir, at_ell = prog.at(space, t)
         assert np.linalg.norm(at_u_dir - u_dir) <= 1e-14 * np.linalg.norm(u_dir)
@@ -501,7 +502,8 @@ def test_runs_and_studies_build_no_kronecker_product(monkeypatch):
     problem = BvpProblem(P_SMOOTH, pull_program(peak=2.5))
     limit_evolution(problem, LimitSchedule.of(2, rho=[0.1, 0.05], nu=0.01,
                                               tau=0.5, n=2))
-    nstep_h_convergence(problem, [1, 2], steps=2)
+    nstep_h_convergence(problem, LimitSchedule.of(2, rho=0.1, nu=0.01,
+                                                  tau=0.5, n=[1, 2]))
     assert krons == []
 
 
@@ -624,7 +626,8 @@ def test_step_continuous_dependence_scaling():
 
 def test_nstep_h_convergence_decreasing():
     problem = BvpProblem(P_SMOOTH, pull_program(peak=2.5, unload=False))
-    out = nstep_h_convergence(problem, [1, 2, 4], steps=3)
+    out = nstep_h_convergence(problem, LimitSchedule.of(
+        3, rho=0.1, nu=0.01, tau=1 / 3, n=[1, 2, 4]))
     t = out["table"]
     assert len(t) == 2
     for i in range(4):

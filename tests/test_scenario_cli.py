@@ -237,6 +237,9 @@ BAD_DOCUMENTS = {
     "non-nesting-evolution": ("bvp-conv", {"material": {"rho": 0.1, "nu": 0.01},
                                            "schedule": {"rho": 0.1,
                                                         "tau": [0.25, 0.2]}}),
+    # the levels of an nstep-h study share one (rho, nu, tau)
+    "nstep-h-varying-schedule": ("bvp-conv", {"study": "nstep-h", "schedule": {
+        "rho": [0.1, 0.001], "nu": [0.5, 0], "tau": [0.5, 0.01], "n": [1, 2]}}),
 }
 
 
@@ -313,6 +316,31 @@ def test_bvp_conv_default_tau_spans_the_program(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     run_scenario(s, tmp_path)
     assert len(steps) == 3 and all(st == (8, 2.0) for st in steps)
+
+
+def test_nstep_h_levels_run_at_the_schedule(tmp_path, monkeypatch, capsys):
+    # every level runs at the schedule's one (rho, nu, tau); a schedule that
+    # varies them fails the dry run instead of being ignored
+    kind, extra = BAD_DOCUMENTS["nstep-h-varying-schedule"]
+    path = tmp_path / "s.json"
+    path.write_text(minimal(kind, **extra))
+    assert main([kind, "--scenario", str(path), "--dry-run"]) == 1
+    assert "the nstep-h study fixes rho" in capsys.readouterr().err
+    seen, run = [], quasistatic.run_incremental_bvp
+
+    def recording_run(space, params, grid, *args, **kwargs):
+        seen.append((params.rho, params.nu, grid.steps))
+        return run(space, params, grid, *args, **kwargs)
+
+    monkeypatch.setattr(quasistatic, "run_incremental_bvp", recording_run)
+    # one CPU: the levels run here, where the recording sees them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    s = parse_scenario(minimal("bvp-conv", study="nstep-h",
+                               material={"rho": 0.1, "nu": 0.01},
+                               schedule={"rho": 0.05, "nu": 0.02, "tau": 0.5,
+                                         "n": [1, 2]}))
+    run_scenario(s, tmp_path / "out")
+    assert seen == [(0.05, 0.02, 2)] * 2
 
 
 def test_evolution_manifest_keeps_every_ledger_flag(tmp_path, monkeypatch):
