@@ -6,11 +6,10 @@ from .asymptotics import temporal_error_study
 from .constitutive import (PointState, PointTrajectory, StressPath, TimeGrid,
                            UnstableInitialState, continuous_dependence_check,
                            incremental_step, run_constitutive,
-                           stable_initial_state, verify_stability)
+                           verify_stability)
 from .material import (MaterialParams, stored_energy_density,
                        transformation_energy, transformation_energy_grad,
-                       transformation_energy_hess, transformation_energy_sharp,
-                       transformation_energy_smooth)
+                       transformation_energy_sharp, transformation_energy_smooth)
 from .proxsolve import NonConvergence, PointProblem, StepProblem, solve_point
 from .tensors import Elasticity, dev_split, dev_to_sym, sym_from_matrix
 
@@ -19,9 +18,9 @@ __all__ = [
     "PointState", "PointTrajectory", "StepProblem", "StressPath", "TimeGrid",
     "UnstableInitialState", "continuous_dependence_check", "dev_split",
     "dev_to_sym", "incremental_step", "run_constitutive", "solve_point",
-    "stable_initial_state", "stored_energy_density", "sym_from_matrix",
+    "stored_energy_density", "sym_from_matrix",
     "temporal_error_study",
     "transformation_energy", "transformation_energy_grad",
-    "transformation_energy_hess", "transformation_energy_sharp",
-    "transformation_energy_smooth", "verify_stability",
+    "transformation_energy_sharp", "transformation_energy_smooth",
+    "verify_stability",
 ]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .constitutive import (PointTrajectory, StressPath, TimeGrid,
                            check_nested, rate_study_steps, run_constitutive)
-from .fem import inject
+from .fem import LoadProgram, inject
 from .material import (MaterialParams, transformation_energy_sharp,
                        transformation_energy_smooth)
 from .quasistatic import BvpProblem, QuasistaticSolver, spacetime_run
@@ -328,10 +328,22 @@ def _bvp_state_diff(P, ref_forms, v_m, z_m, v_r, z_r):
     return math.sqrt(max(ref_forms.energy_value(d), 0.0))
 
 
+def minproblem_time(program: LoadProgram) -> float:
+    """The program's end T, where a minproblem study solves; ValueError if
+    every load vanishes there (each run would solve for the zero state)."""
+    if not any(on and amps is not None and amps[-1] != 0 for on, amps in (
+            (program.body is not None, program.body_amps),
+            (bool(program.traction), program.traction_amps),
+            (program.dirichlet is not None, program.dirichlet_amps))):
+        raise ValueError(f"the loads vanish at t = T = {program.T:g}, "
+                         f"where the minproblem study solves")
+    return program.T
+
+
 def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule):
     """Single incremental minimization at t = T along a (rho, nu, h) schedule."""
-    T = problem.program.T
-    schedule.check_study("minproblem", T)
+    schedule.check_study("minproblem", problem.program.T)
+    T = minproblem_time(problem.program)
     rho_ref, nu_ref, _, n_ref = schedule.reference()
     members = schedule.members()
 
@@ -368,16 +380,14 @@ def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
     members = schedule.members()
 
     def member(m):   # without the solver: SuperLU factors do not pickle
-        rec, rep = spacetime_run(problem, *m)
-        return replace(rec, solver=None), rep
+        return replace(spacetime_run(problem, *m), solver=None)
 
-    (ref, ref_rep), runs = _beside(
-        lambda: spacetime_run(problem, rho_ref, nu, tau_ref, n_ref),
-        member, members)
+    ref, runs = _beside(lambda: spacetime_run(problem, rho_ref, nu, tau_ref,
+                                              n_ref), member, members)
     ref_forms = ref.solver.forms
 
-    def compare(k, run):
-        (rec, rep), (rho, _, tau, n) = run, members[k]
+    def compare(k, rec):
+        rho, _, tau, n = members[k]
         space = problem.space(n)
         P = inject(space, ref_forms.space)
         state = energy = 0.0
@@ -390,14 +400,13 @@ def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
         return {"rho": rho, "nu": nu, "tau": tau, "h": space.mesh.h,
                 "state_diff": state, "energy_diff": energy,
                 "diss_diff": abs(rec.cum_diss[-1] - ref.cum_diss[-1]),
-                "ledger_bound_ok": rep["bound_ok"],
-                "nu_in_scope": rep["nu_in_scope"],
+                "ledger_bound_ok": rec.bound_ok, "nu_in_scope": nu > 0,
                 "sweeps": int(rec.sweeps.sum())}
 
     return {"label": schedule.label, "rows": _rows(compare, runs),
             "reference": {"rho": rho_ref, "nu": nu, "tau": tau_ref, "n": n_ref,
-                          "ledger_bound_ok": ref_rep["bound_ok"],
-                          "nu_in_scope": ref_rep["nu_in_scope"],
+                          "ledger_bound_ok": ref.bound_ok,
+                          "nu_in_scope": nu > 0,
                           "sweeps": int(ref.sweeps.sum())}}
 
 
@@ -414,10 +423,10 @@ def nstep_h_convergence(problem: BvpProblem, schedule: LimitSchedule):
     levels = schedule.members()
 
     def level(m):   # without the solver: SuperLU factors do not pickle
-        rec, _ = spacetime_run(problem, *m)
+        rec = spacetime_run(problem, *m)
         return replace(rec, solver=None), rec.solver.forms.K
 
-    ref, runs = _beside(lambda: spacetime_run(problem, *levels[-1])[0],
+    ref, runs = _beside(lambda: spacetime_run(problem, *levels[-1]),
                         level, levels[:-1])
     recs, Ks = map(list, zip(*runs, (ref, ref.solver.forms.K)))
 

@@ -16,7 +16,6 @@ approximation.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -111,8 +110,6 @@ class PointTrajectory:
     eps: np.ndarray          # (N+1, 6)
     z: np.ndarray            # (N+1, 5)
     stored: np.ndarray       # W(eps_i, z_i)
-    comp: np.ndarray         # W(eps_i, z_i) - sigma_i : eps_i
-    diss_inc: np.ndarray
     cum_diss: np.ndarray
     work: np.ndarray         # integral of sigma_dot : eps up to t_i (exact)
     residual: np.ndarray     # one-sided energy balance residual per node
@@ -210,19 +207,12 @@ def verify_stability(p: MaterialParams, sigma, state,
                            n_probes, seed, tol)
 
 
-def stable_initial_state(p: MaterialParams, sigma0) -> PointState:
-    """State with the strain in elastic equilibrium at z = 0: eps0 =
-    C^-1 sigma0 (+ 0, which turns a -0 strain component into 0)."""
+def checked_initial_state(p: MaterialParams, sigma0) -> PointState:
+    """The elastic equilibrium at sigma0, eps0 = C^-1 sigma0 at z = 0 (+ 0,
+    which turns a -0 strain component into 0), after checking that it is
+    stable at sigma0; UnstableInitialState otherwise."""
     z = np.zeros(5)
-    return PointState(p.elastic.apply_inverse(sigma0) + dev_to_sym(z), z)
-
-
-def checked_initial_state(p: MaterialParams, sigma0,
-                          init: Optional[PointState] = None) -> PointState:
-    """init, by default the elastic equilibrium at sigma0, after checking
-    that it is stable at sigma0; UnstableInitialState otherwise."""
-    if init is None:
-        init = stable_initial_state(p, sigma0)
+    init = PointState(p.elastic.apply_inverse(sigma0) + dev_to_sym(z), z)
     comp0 = stored_energy_density(p, init.eps, init.z) - float(np.asarray(sigma0) @ init.eps)
     if stability_residual(p, sigma0, init) > 1e-8 * (1.0 + abs(comp0)):
         raise UnstableInitialState(
@@ -231,12 +221,11 @@ def checked_initial_state(p: MaterialParams, sigma0,
 
 
 def run_constitutive(p: MaterialParams, path: StressPath,
-                     grid: TimeGrid,
-                     init: Optional[PointState] = None) -> PointTrajectory:
+                     grid: TimeGrid) -> PointTrajectory:
     """Incremental evolution along the grid, with the exact energy ledger."""
     n = grid.steps
     sig0 = path.value(grid.nodes[0])
-    init = checked_initial_state(p, sig0, init)
+    init = checked_initial_state(p, sig0)
 
     eps = np.zeros((n + 1, 6))
     z = np.zeros((n + 1, 5))
@@ -261,7 +250,7 @@ def run_constitutive(p: MaterialParams, path: StressPath,
         sig_prev = sig
     cum = np.cumsum(diss_inc)
     residual = (comp + cum) - (comp[0] - work)
-    return PointTrajectory(grid, eps, z, stored, comp, diss_inc, cum, work, residual)
+    return PointTrajectory(grid, eps, z, stored, cum, work, residual)
 
 
 def rate_study_steps(p: MaterialParams, T, taus, reference_tau=None):
@@ -296,8 +285,6 @@ def check_nested(T, taus, reference_tau):
 @dataclass
 class DependenceReport:
     rows: list
-    slack: float
-    trajectory: Optional[dict] = None
 
     @property
     def all_ok(self) -> bool:
@@ -305,7 +292,7 @@ class DependenceReport:
 
 
 def continuous_dependence_check(p: MaterialParams, pairs,
-                                slack=1e-8, trajectory_data=None) -> DependenceReport:
+                                slack=1e-8) -> DependenceReport:
     """Check the single-step continuous dependence estimate on data pairs.
 
     Each pair is ((sigma1, z_prev1), (sigma2, z_prev2)); the asserted bound
@@ -324,19 +311,4 @@ def continuous_dependence_check(p: MaterialParams, pairs,
                                         - np.asarray(zb2, dtype=float)))
                + slack)
         rows.append({"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs})
-    traj_report = None
-    if trajectory_data is not None:
-        path1, path2, grid, init1, init2 = trajectory_data
-        t1 = run_constitutive(p, path1, grid, init=init1)
-        t2 = run_constitutive(p, path2, grid, init=init2)
-        sup2 = max(float(np.sum((t1.eps[i] - t2.eps[i]) ** 2)
-                         + np.sum((t1.z[i] - t2.z[i]) ** 2))
-                   for i in range(len(grid.nodes)))
-        init_gap = (float(np.sum((t1.eps[0] - t2.eps[0]) ** 2)
-                          + np.sum((t1.z[0] - t2.z[0]) ** 2)))
-        dsig = [norm(path1.value(t) - path2.value(t))
-                for t in grid.nodes]
-        data_gap = init_gap + max(dsig) ** 2
-        traj_report = {"sup_state_diff_sq": sup2, "data_gap": data_gap,
-                       "monitored_constant": sup2 / data_gap if data_gap > 0 else 0.0}
-    return DependenceReport(rows, slack, traj_report)
+    return DependenceReport(rows)

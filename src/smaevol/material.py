@@ -169,23 +169,6 @@ def transformation_energy_grad(p: MaterialParams, z) -> np.ndarray:
     return ((d1 / r if r > 0 else 0.0) + 2.0 * p.c2) * z
 
 
-def transformation_energy_hess(p: MaterialParams, z) -> np.ndarray:
-    """5x5 Hessian of the smooth density in the deviatoric basis.
-
-    For a radial profile f(|z|) the Hessian is f'' on the radial direction
-    and f'/r on its orthogonal complement; both stay >= 0 here, so the
-    total is bounded below by the hardening curvature 2 c2.
-    """
-    z = np.asarray(z, dtype=float)
-    r = norm(z)
-    _, d1, d2 = radial_core_at(p, r)
-    eye = np.eye(5)
-    if r == 0.0:
-        return (p.c1 / p.rho + 2.0 * p.c2) * eye
-    proj = np.outer(z, z) / (r * r)
-    return d2 * proj + (d1 / r) * (eye - proj) + 2.0 * p.c2 * eye
-
-
 def transformation_energy(p: MaterialParams, z) -> float:
     """Inelastic density at the parameter set's own rho (sharp when 0)."""
     if p.rho > 0:

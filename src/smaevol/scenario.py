@@ -28,15 +28,18 @@ Scenarios are JSON documents.  Top-level schema (defaults in brackets):
     study           evolution | minproblem | nstep-h     (bvp-conv) [evolution]
 
 parse_scenario builds, once, every object the run consumes, the spaces of every
-mesh the run uses included, so a document passes parsing and ``--dry-run``
-exactly when the run can start.  Each value rule has one owner: MaterialParams
+mesh the run uses included, so parsing and ``--dry-run`` reject what the run
+would reject before it starts, but for a bvp-run or bvp-conv load that starts
+beyond yield: the BVP start check needs the assembled solver, so the run stops
+with UnstableInitialState.  Each value rule has one owner: MaterialParams
 and Elasticity (the signs of the constants), TimeGrid (T and steps), StressPath
 (direction and breakpoints), LoadProgram (program times, planes, amplitude
 lengths, 3-component vectors, no traction on a Dirichlet plane), BvpProblem (a
 nonempty Dirichlet part), box_mesh and build_space (extents, n, plane names),
 LimitSchedule (lengths, monotonicity, signs, n >= 1) and its check_study (the
 entries a study fixes and, for the studies that step in time, tau > 0 and every
-tau's grid nesting in its reference's), rate_study_steps (conv-tau, nesting
+tau's grid nesting in its reference's), minproblem_time (a minproblem
+study's loads not all 0 at T), rate_study_steps (conv-tau, nesting
 included), gamma_rhos (gamma-table) and checked_initial_state (a stable start
 of the stress path for every rho of a point-test, conv-tau or conv-rho run).
 This module keeps only what no object knows: the structure (unknown keys and
@@ -57,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .asymptotics import LimitSchedule, gamma_rhos
+from .asymptotics import LimitSchedule, gamma_rhos, minproblem_time
 from .constitutive import (StressPath, TimeGrid, UnstableInitialState,
                            checked_initial_state, rate_study_steps)
 from .fem import LoadProgram
@@ -284,6 +287,8 @@ def parse_scenario(text: str) -> Scenario:
         if s.schedule is not None and s.study in STUDIES:
             study = "constitutive" if kind == "conv-rho" else s.study
             _build(errors, "schedule", s.schedule.check_study, study, end)
+        if s.problem and kind == "bvp-conv" and s.study == "minproblem":
+            _build(errors, "program", minproblem_time, s.problem.program)
 
     if kind in ("point-test", "conv-tau", "conv-rho") and params and path:
         # the initial state of every constitutive run, checked without a solve

@@ -11,10 +11,13 @@ without the timing-bearing ``manifest.json``, in ``OUT/<workload>/<key>/``
 ``scenarios/<name>.json`` in ``OUT/scenarios/<name>/`` and for the
 documents of ``STUDIES`` in ``OUT/studies/<name>/``, so that every study
 kind runs: a minimization over rho and over h, an nstep-h study and a
-(tau, h) evolution study.  Running it in two checkouts and comparing with
-``diff -r`` shows whether a change keeps every output byte for byte.  It
-imports smaevol from the ``src/`` next to this file, reads perfbench/ and
-scenarios/ and edits nothing there; pytest does not collect it.
+(tau, h) evolution study, and for ``LOADED_START`` in ``OUT/loaded-start/``,
+a bvp-run whose body, traction and Dirichlet loads are all nonzero at t0, so
+its start check is not the zero-load one.  Running it in two checkouts and
+comparing with ``diff -r`` shows whether a change keeps every output byte
+for byte.  It imports smaevol from the ``src/`` next to this file, reads
+perfbench/ and scenarios/ and edits nothing there; pytest does not collect
+it, but tests/test_scenario_cli.py checks that its documents parse.
 """
 
 import importlib.util
@@ -51,6 +54,17 @@ STUDIES = {
                               {"tau": [0.25, 0.125], "n": [1, 2]}),
 }
 
+# a bvp-run already loaded at t0 through all three channels (the Dirichlet
+# lifting of stretch_x vanishes on x0, so its load is the lifting's pairing)
+LOADED_START = {
+    "kind": "bvp-run", "material": _MATERIAL, "time": {"T": 1.0, "steps": 4},
+    "program": {"times": [0.0, 0.5, 1.0],
+                "body": [0.0, 0.0, -1.0], "body_amps": [0.2, 1.0, 0.4],
+                "traction": {"x1": [1.0, 0.0, 0.0]},
+                "traction_amps": [0.3, 1.5, 0.0],
+                "dirichlet_profile": "stretch_x",
+                "dirichlet_amps": [0.02, 0.05, 0.02]}}
+
 
 def _workloads():
     spec = importlib.util.spec_from_file_location(
@@ -78,6 +92,7 @@ def main(argv):
         _write(json.loads(path.read_text()), out / "scenarios" / path.stem)
     for name, scenario in STUDIES.items():
         _write(scenario, out / "studies" / name)
+    _write(LOADED_START, out / "loaded-start")
 
 
 if __name__ == "__main__":

@@ -282,9 +282,9 @@ def test_criterion_10_bvp_convergence_tables():
         # Figure-3 tau arrow: N in {8, 16, 32} on the n = 2 mesh
         recs_tau = []
         for steps in (8, 16, 32):
-            rec, rep = spacetime_run(problem, rho=0.1, nu=0.01,
-                                     tau=1.0 / steps, n=2)
-            assert rep["bound_ok"]
+            rec = spacetime_run(problem, rho=0.1, nu=0.01,
+                                tau=1.0 / steps, n=2)
+            assert rec.bound_ok
             check_bound(rec)
             recs_tau.append(rec)
         tau_diffs = _consecutive_bvp_diffs(recs_tau,
@@ -294,8 +294,8 @@ def test_criterion_10_bvp_convergence_tables():
         # Figure-3 rho arrow at fixed tau, h
         recs_rho = []
         for rho in (0.1, 0.05, 0.025):
-            rec, rep = spacetime_run(problem, rho=rho, nu=0.01, tau=1 / 8, n=2)
-            assert rep["bound_ok"]
+            rec = spacetime_run(problem, rho=rho, nu=0.01, tau=1 / 8, n=2)
+            assert rec.bound_ok
             check_bound(rec)
             recs_rho.append(rec)
         rho_diffs = _consecutive_bvp_diffs(recs_rho,

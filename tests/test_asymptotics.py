@@ -129,6 +129,21 @@ def test_limit_minproblem_rho_arrow():
     assert all(np.diff(diffs) < 0)
 
 
+def test_limit_minproblem_rejects_loads_that_vanish_at_T(monkeypatch):
+    # the pull-unload program is back to 0 at T = 1, where the study solves
+    inits, init = [], QuasistaticSolver.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuasistaticSolver, "__init__", counted)
+    sched = LimitSchedule.of(2, rho=[0.1, 0.05], nu=0.01, tau=0.0, n=2)
+    with pytest.raises(ValueError, match="the loads vanish at t = T = 1,"):
+        limit_minproblem(pull_problem(), sched)
+    assert inits == []
+
+
 def test_limit_minproblem_constant_is_zero():
     problem = monotone_pull_problem()
     sched = LimitSchedule.of(2, rho=0.1, nu=0.01, tau=0.0, n=2, label="const")
@@ -268,7 +283,7 @@ def test_limit_evolution_failure_names_the_step(monkeypatch, failing):
     forks = counted_forks(monkeypatch)
     sched = LimitSchedule.of(2, rho=[0.1, 0.05], nu=0.01, tau=1 / 4, n=1)
     with pytest.raises(NonConvergence,
-                       match=r"^step 0 at t = 0: stalled on purpose$"):
+                       match=r"^step 1 at t = 0\.25: stalled on purpose$"):
         limit_evolution(pull_problem(), sched)
     assert len(forks) == min(2, spare_cpus())
     assert mp.active_children() == []

@@ -1,10 +1,12 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pool_artifacts
 from smaevol import asymptotics, constitutive, quasistatic
 from smaevol.cli import main, run_scenario
 from smaevol.scenario import (ParseError, ValidationError, parse_scenario)
@@ -240,6 +242,12 @@ BAD_DOCUMENTS = {
     # the levels of an nstep-h study share one (rho, nu, tau)
     "nstep-h-varying-schedule": ("bvp-conv", {"study": "nstep-h", "schedule": {
         "rho": [0.1, 0.001], "nu": [0.5, 0], "tau": [0.5, 0.01], "n": [1, 2]}}),
+    # a minimization at the end of the default program, whose loads are back
+    # to 0 there: every member and the reference would be the zero state
+    "minproblem-unloaded": ("bvp-conv", {"study": "minproblem",
+                                         "material": {"rho": 0.1, "nu": 0.01},
+                                         "schedule": {"rho": [0.1, 0.05],
+                                                      "n": 2}}),
 }
 
 
@@ -264,6 +272,21 @@ def test_dry_run_names_the_tau_that_does_not_nest(name, tmp_path, capsys):
     path.write_text(minimal(kind, **extra))
     assert main([kind, "--scenario", str(path), "--dry-run"]) == 1
     assert "tau 0.25 grid does not nest" in capsys.readouterr().err
+
+
+def test_dry_run_says_the_minproblem_loads_vanish(tmp_path, capsys):
+    kind, extra = BAD_DOCUMENTS["minproblem-unloaded"]
+    path = tmp_path / "s.json"
+    path.write_text(minimal(kind, **extra))
+    assert main([kind, "--scenario", str(path), "--dry-run"]) == 1
+    assert "the loads vanish at t = T = 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [*pool_artifacts.STUDIES, "loaded-start"])
+def test_pool_artifact_documents_parse(name):
+    # a document that stopped parsing would drop out of the byte diff
+    doc = pool_artifacts.STUDIES.get(name, pool_artifacts.LOADED_START)
+    assert parse_scenario(json.dumps(doc)).kind == doc["kind"]
 
 
 def test_run_rejects_a_member_grid_that_does_not_nest():
@@ -349,8 +372,12 @@ def test_evolution_manifest_keeps_every_ledger_flag(tmp_path, monkeypatch):
     run = asymptotics.spacetime_run
 
     def flagging_run(problem, rho, nu, tau, n):
-        rec, rep = run(problem, rho, nu, tau, n)
-        return rec, {**rep, "bound_ok": rep["bound_ok"] if rho == 0.1 else False}
+        rec = run(problem, rho, nu, tau, n)
+        if rho == 0.1:
+            return rec
+        # a bound under the ledger peak: the record's bound_ok is False
+        low = replace(rec.apriori, total=0.5 * rec.ledger_peak)
+        return replace(rec, apriori=low)
 
     monkeypatch.setattr(asymptotics, "spacetime_run", flagging_run)
     s = parse_scenario(minimal("bvp-conv", material={"rho": 0.1, "nu": 0.01},
