@@ -35,7 +35,7 @@ import numpy as np
 
 from .constitutive import (PointTrajectory, StressPath, TimeGrid,
                            check_nested, rate_study_steps, run_constitutive)
-from .fem import LoadProgram, inject
+from .fem import inject
 from .material import (MaterialParams, transformation_energy_sharp,
                        transformation_energy_smooth)
 from .quasistatic import BvpProblem, QuasistaticSolver, spacetime_run
@@ -328,23 +328,23 @@ def _bvp_state_diff(P, ref_forms, v_m, z_m, v_r, z_r):
     return math.sqrt(max(ref_forms.energy_value(d), 0.0))
 
 
-def minproblem_time(program: LoadProgram) -> float:
+def minproblem_time(problem: BvpProblem, n: int) -> float:
     """The program's end T, where a minproblem study solves; ValueError if
-    every load vanishes there (each run would solve for the zero state)."""
-    if not any(on and amps is not None and amps[-1] != 0 for on, amps in (
-            (program.body is not None, program.body_amps),
-            (bool(program.traction), program.traction_amps),
-            (program.dirichlet is not None, program.dirichlet_amps))):
-        raise ValueError(f"the loads vanish at t = T = {program.T:g}, "
-                         f"where the minproblem study solves")
-    return program.T
+    its load data vanish there on the n-cell space, the load and the lifting
+    on the Dirichlet dofs (each run would solve for the zero state)."""
+    space, T = problem.space(n), problem.program.T
+    u_dir, ell = problem.program.at(space, T)
+    if not (ell.any() or u_dir[~space.u_free].any()):
+        raise ValueError(f"the loads vanish at t = T = {T:g}, where the "
+                         f"minproblem study solves")
+    return T
 
 
 def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule):
     """Single incremental minimization at t = T along a (rho, nu, h) schedule."""
     schedule.check_study("minproblem", problem.program.T)
-    T = minproblem_time(problem.program)
     rho_ref, nu_ref, _, n_ref = schedule.reference()
+    T = minproblem_time(problem, n_ref)
     members = schedule.members()
 
     def solve(rho, nu, n):

@@ -74,7 +74,7 @@ def run_scenario(s: Scenario, out_dir) -> dict:
         for i in idx:
             rep = verify_stability(p, path.value(grid.nodes[i]),
                                    traj.state(i), n_probes=s.probes,
-                                   tol=1e-8, seed=s.seed)
+                                   seed=s.seed)
             checks.append([grid.nodes[i], rep.worst_violation,
                            rep.analytic_residual, rep.n_probes, rep.seed,
                            rep.passed])

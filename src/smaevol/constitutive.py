@@ -21,8 +21,8 @@ import numpy as np
 
 from .material import (MaterialParams, stored_energy_density,
                        transformation_energy_sharp)
-from .proxsolve import (PointProblem, first_order_residual, project_ball,
-                        solve_point)
+from .proxsolve import (STABILITY_TOL, PointProblem, first_order_residual,
+                        project_ball, solve_point)
 from .tensors import dev_split, dev_to_sym, norm
 
 
@@ -168,11 +168,10 @@ class StabilityReport:
     analytic_residual: float
     n_probes: int
     seed: int
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return max(self.worst_violation, self.analytic_residual) <= self.tol
+        return max(self.worst_violation, self.analytic_residual) <= STABILITY_TOL
 
 
 def _ball(rng, dim, radius):
@@ -182,7 +181,7 @@ def _ball(rng, dim, radius):
 
 
 def verify_stability(p: MaterialParams, sigma, state,
-                     n_probes=200, tol=1e-8, seed=0) -> StabilityReport:
+                     n_probes=200, seed=0) -> StabilityReport:
     """Probe the global stability inequality with random competitors.
 
     Competitors are drawn within radius 2 c3 of the state; in the sharp
@@ -204,7 +203,7 @@ def verify_stability(p: MaterialParams, sigma, state,
                 + p.R * norm(z_c - state.z))
         worst = max(worst, base - comp)
     return StabilityReport(worst, stability_residual(p, sigma, state),
-                           n_probes, seed, tol)
+                           n_probes, seed)
 
 
 def checked_initial_state(p: MaterialParams, sigma0) -> PointState:
@@ -214,7 +213,7 @@ def checked_initial_state(p: MaterialParams, sigma0) -> PointState:
     z = np.zeros(5)
     init = PointState(p.elastic.apply_inverse(sigma0) + dev_to_sym(z), z)
     comp0 = stored_energy_density(p, init.eps, init.z) - float(np.asarray(sigma0) @ init.eps)
-    if stability_residual(p, sigma0, init) > 1e-8 * (1.0 + abs(comp0)):
+    if stability_residual(p, sigma0, init) > STABILITY_TOL * (1.0 + abs(comp0)):
         raise UnstableInitialState(
             "initial state violates the stability condition at t = 0")
     return init

@@ -285,8 +285,7 @@ class StepForms:
     """Assembled quadratic forms for one (space, material) pair.
 
     energy_value is the quadratic part of the stored energy (elastic term
-    plus hardening mass plus gradient term); energy_product is the
-    associated symmetric bilinear form.
+    plus hardening mass plus gradient term).
     """
 
     space: FeSpace
@@ -294,22 +293,16 @@ class StepForms:
     K: sp.csr_matrix
     Cup: sp.csr_matrix
 
-    def energy_product(self, y1, y2) -> float:
-        u1, z1 = y1
-        u2, z2 = y2
-        G, c2, nu = self.params.elastic.G, self.params.c2, self.params.nu
-        spc = self.space
-        Z2 = z2.reshape(-1, 5)
-        cross = 0.5 * (u1 @ (self.Cup @ z2))   # once for energy_value's y, y
-        val = 0.5 * (u1 @ (self.K @ u2)) - cross \
-            - (cross if y2 is y1 else 0.5 * (u2 @ (self.Cup @ z1))) \
-            + (G + c2) * (z1 @ (spc.M @ Z2).ravel())
-        if nu:
-            val += 0.5 * nu * (z1 @ (spc.Gs @ Z2).ravel())
-        return float(val)
-
     def energy_value(self, y) -> float:
-        return self.energy_product(y, y)
+        u, z = y
+        G, c2, nu = self.params.elastic.G, self.params.c2, self.params.nu
+        Z = z.reshape(-1, 5)
+        cross = 0.5 * (u @ (self.Cup @ z))
+        val = 0.5 * (u @ (self.K @ u)) - cross - cross \
+            + (G + c2) * (z @ (self.space.M @ Z).ravel())
+        if nu:
+            val += 0.5 * nu * (z @ (self.space.Gs @ Z).ravel())
+        return float(val)
 
     def z_block(self) -> sp.csr_matrix:
         """The scalar nodal matrix S = (G + c2) M + nu/2 Gs; the z-z block of

@@ -40,7 +40,8 @@ estimate with a 1.01 margin, which measured 0.9989 lambda_max at n = 12,
 rho = 0; a certified bound is ROADMAP item 2.  Its rowwise prox, prox_nodal,
 is a shrinkage about each anchor without the zero kink and the ball;
 otherwise every row runs the plane prox of prox_nonsmooth, its change of
-coordinates and residual check vectorized over the rows; the radial return
+coordinates and residual check (first_order_rows, which the BVP stability
+certificate shares) vectorized over the rows; the radial return
 starts at the iterate's row radius (on a bvp-schedule study 2.7 Newton steps
 a root, 5.7 from the anchor's).  The row loop stays scalar: on a shared 2-core
 x86 host a numpy op on 27 rows costs about 1 us, and a masked numpy root took
@@ -73,6 +74,10 @@ NEWTON_STEP_RTOL = 1e-12
 # a point solution must be first-order optimal to this fraction of
 # 1 + |b| (or to the roundoff floor of the residual, if that is larger)
 RESIDUAL_RTOL = 1e-12
+
+# the most a stable state's stability measure may be: a point state's
+# probed violation and residual, a field state's certified bound
+STABILITY_TOL = 1e-8
 
 
 class NonConvergence(Exception):
@@ -435,7 +440,14 @@ def prox_nodal(X, t, w_shift, anchors, w_zero=None, radius=None, start=None):
     # a row stuck at its anchor is the anchor itself
     stuck = (Y[:, 0] == A) & (Y[:, 1] == 0.0)
     Z = np.where(stuck[:, None], anchors, Y[:, :1] * E1 + Y[:, 1:] * E2)
-    _check_rows(Z, X, nx, anchors, A, k0, k1, radius)
+    # _check of every row; the NonConvergence names the first row that fails
+    res, floor = first_order_rows(Z, X - Z, ((None, 0.0, k0), (anchors, A, k1)),
+                                  radius)
+    bound = np.maximum(RESIDUAL_RTOL * (1.0 + nx), 64.0 * EPS * floor)
+    if not np.all(res <= bound):  # also catches a nan
+        i = int(np.argmin(res <= bound))
+        raise NonConvergence(f"nodal prox row {i} left first-order residual "
+                             f"{res[i]:.3e} (bound {bound[i]:.3e})")
     return Z
 
 
@@ -448,15 +460,19 @@ def _unit_rows(V, n):
     return U
 
 
-def _check_rows(Z, X, nx, anchors, A, k0, k1, radius):
-    """_check of every row of a nodal prox, nx and A the row norms of X and
-    the anchors; the NonConvergence names the first row that fails."""
-    V = X - Z
+def first_order_rows(Z, V, kinks, radius):
+    """first_order_residual of each row of an (m, 5) field Z: V the rows of
+    -g, kinks the (centers or None for the origin, their row norms, per-row
+    weights or None for no kink) of the norm terms.  V ends, in place, as
+    minus a subgradient of norm the residual's positive part.  Returns (the
+    residual rows, their roundoff floor (1 + |z|) + the kinks' share)."""
     nz = row_hypot(Z)
     floor, budget = 1.0 + nz, 0.0
-    Za = Z - anchors
-    for D, nd, nc, k in ((Z, nz, 0.0, k0),
-                         (Za, row_hypot(Za), A, k1)):
+    for C, nc, k in kinks:
+        if k is None:
+            continue
+        D = Z if C is None else Z - C
+        nd = nz if C is None else row_hypot(D)
         off = nd > 64.0 * EPS * (1.0 + nz)
         c = k * off / np.where(off, nd, 1.0)
         V -= c[:, None] * D
@@ -466,12 +482,10 @@ def _check_rows(Z, X, nx, anchors, A, k0, k1, radius):
         on = nz >= radius * (1.0 - BALL_SLACK)
         push = np.maximum(0.0, np.einsum("ij,ij->i", V, Z)) * on
         V -= (push / np.where(on, nz * nz, 1.0))[:, None] * Z
-    res = row_hypot(V) - budget
-    bound = np.maximum(RESIDUAL_RTOL * (1.0 + nx), 64.0 * EPS * floor)
-    if not np.all(res <= bound):  # also catches a nan
-        i = int(np.argmin(res <= bound))
-        raise NonConvergence(f"nodal prox row {i} left first-order residual "
-                             f"{res[i]:.3e} (bound {bound[i]:.3e})")
+    nv = row_hypot(V)
+    res = nv - budget
+    V *= (np.maximum(res, 0.0) / np.where(nv > 0.0, nv, 1.0))[:, None]
+    return res, floor
 
 
 def project_ball(z, radius):

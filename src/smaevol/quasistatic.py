@@ -13,11 +13,11 @@ and the scalar offset q(t) = elastic energy of the lifting minus its load
 pairing.  The step solver alternates an exact sparse elasticity solve for
 v with a nodal-prox proximal-gradient solve for z, whose first-order
 residual at its start is the joint residual that stops the alternation.
-The z-problem reaches that solve as one callback giving the value and
-gradient of its smooth part.  Dof vectors follow fem's layout (raveled
-(n_nodes, 3) and (n_nodes, 5) arrays), and the z-step matrix
-A_z = 2 z_block() acts on the (n_nodes, 5) array.  The free u-dofs are
-one index array in nested-dissection order, in which the SPD stiffness
+The z-problem reaches that solve as smooth_part (its smooth part's value
+and gradient) at each sweep's right-hand side.  Dof vectors follow fem's
+layout (raveled (n_nodes, 3) and (n_nodes, 5) arrays), and A_z =
+2 z_block() acts on the (n_nodes, 5) array.  The free u-dofs are one index
+array in nested-dissection order, in which the SPD stiffness
 K_ff = K[dofs][:, dofs] is factored once per solver, without pivoting.
 
 A run builds its load data once: u_dir(t), l(t) and L(t) are amplitude-
@@ -26,14 +26,17 @@ the load program's at most three channels.  The a priori ledger bound
 needs the dual energy norms of the same L(t_i); they come from the Gram
 matrix of the Lambda_c, so the joint (u, z) energy matrix H is applied but
 never factored: its CG solves are preconditioned by its diagonal blocks
-P = blockdiag(K_ff / 2, S (x) I5), S = z_block().  As int C eps(u) : z <=
-sqrt(u K u) sqrt(2 G z . M z), H lies within (1 -+ theta) P, theta =
-sqrt(G / (G + c2)), on every mesh, so a step is 2 lam-strongly convex in
-the P-norm, lam = 1 - theta.  A state is stable when it solves its own
-step (its load, anchored at it), and any subgradient s there certifies
-that it is at most |s|^2_{P^-1} / (4 lam) above the step's minimum.  A
-run checks its start state, verify_energetic every state, by this bound
-against the one tolerance STABILITY_TOL.
+P = blockdiag(K_ff / 2, S (x) I5), S = z_block(), through solve_P.  As
+int C eps(u) : z <= sqrt(u K u) sqrt(2 G z . M z), H lies within
+(1 -+ theta) P, theta = sqrt(G / (G + c2)), on every mesh, so a step is
+2 lam-strongly convex in the P-norm, lam = 1 - theta.  A state is stable
+when it solves its own step (its load, anchored at it), and any
+subgradient s there certifies that it is at most |s|^2_{P^-1} / (4 lam)
+above the step's minimum.  stability_bounds builds s from the step's own
+pieces (solve_v's residual, smooth_part's gradient, and prox_nodal's row
+check proxsolve.first_order_rows for the kinks and the ball) and its norm
+by solve_P.  A run checks its start state, verify_energetic every state,
+by this bound against the one tolerance STABILITY_TOL.
 
 The discrete energies reported in the ledger use the same quadrature as
 the minimized functional: exact for all quadratic terms, nodal-lumped for
@@ -52,11 +55,11 @@ from .constitutive import TimeGrid, UnstableInitialState
 from .fem import (FeSpace, LoadProgram, assemble_forms, box_mesh, build_space,
                   nested_dissection)
 from .material import BALL_SLACK, MaterialParams, radial_core
-from .proxsolve import NonConvergence, StepProblem, row_norms, solve_field
+from .proxsolve import (STABILITY_TOL, NonConvergence, StepProblem,
+                        first_order_rows, row_norms, solve_field)
 
 
 MAX_SWEEPS = 200
-STABILITY_TOL = 1e-8   # the most a stable state's certified bound may be
 # ledger-bound CG: the preconditioned spectrum lies in 1 +- sqrt(G/(G + c2))
 # on every mesh; 43 iterations at c2 = G/2, under 200 at c2 = G/1000 (n = 4)
 CG_MAX_ITER = 1000
@@ -102,11 +105,14 @@ class QuasistaticSolver:
         self.lu = _splu_spd(self.K_ff)
         self.A_z = (2.0 * self.forms.z_block()).tocsr()   # acts on (m, 5)
         self.Cup_T = self.forms.Cup.T.tocsr()   # the z-load of a v (CSR: same sums)
-        self.w = space.lumped
+        self.w = w = space.lumped
         self._S = None
-        core = params.core_curvature if params.rho > 0 else 0.0
-        lam = _power_lambda_max(self.A_z)
-        self.z_lipschitz = 1.01 * lam + core * self.w.max()
+        # the step's nonsmooth weights; the zero kink and the ball are sharp
+        sharp = params.rho == 0
+        self.w_shift = w * params.R
+        self.w_zero, self.radius = (w * params.c1, params.c3) if sharp else (None, None)
+        core = 0.0 if sharp else params.core_curvature
+        self.z_lipschitz = 1.01 * _power_lambda_max(self.A_z) + core * w.max()
 
     # -- pieces of the step functional ------------------------------------
 
@@ -134,45 +140,54 @@ class QuasistaticSolver:
         v[self.dofs] = self.lu.solve(b_u[self.dofs])
         return v
 
-    def solve_S(self, R):
-        """S^-1 R, R (n_nodes, k); S = z_block() is factored on first use."""
+    def solve_P(self, r):
+        """P^-1 r for P = blockdiag(K_ff / 2, S (x) I5) (the module
+        docstring), r stacked as (the free u-dofs in dof order, the z-dofs);
+        S = z_block() is factored on first use."""
         if self._S is None:
             nodes = nested_dissection(self.space.mesh)
             self._S = nodes, _splu_spd(self.forms.z_block()[nodes][:, nodes])
         nodes, S_lu = self._S
-        Y = np.empty((len(nodes), R.shape[1]))
-        Y[nodes] = S_lu.solve(R[nodes])
-        return Y
+        nf = len(self.dofs)
+        Y = np.empty((len(nodes), 5))
+        Y[nodes] = S_lu.solve(r[nf:].reshape(-1, 5)[nodes])
+        return np.concatenate([2.0 * self.lu.solve(r[:nf]), Y.ravel()])
+
+    def smooth_part(self, Z, b):
+        """Value and z-gradient of the step's smooth part at the (m, 5) field
+        Z: 0.5 z.A_z z - b.z plus the lumped radial core (rho > 0)."""
+        p = self.params
+        zf, az = Z.ravel(), (self.A_z @ Z).ravel()
+        value = 0.5 * float(zf @ az) - float(b @ zf)
+        g = (az - b).reshape(-1, 5)
+        if p.rho > 0:
+            r = row_norms(Z)
+            core, d1 = radial_core(p, r)
+            value += float(self.w @ core)
+            pos = r > 0
+            fac = np.where(pos, d1 / np.where(pos, r, 1.0), p.c1 / p.rho)
+            g = g + (self.w * fac)[:, None] * Z
+        return value, g
 
     def stability_bounds(self, L_u, L_z, v, z) -> np.ndarray:
         """The module docstring's bound for the states in the rows of v, z
         under the loads in the rows of L_u, L_z (inf for a sharp state off
         the ball): s is the v-gradient on the free dofs and, per node, the
-        z-gradient less the sphere's inward normal part, shrunk by the
-        weights of the kinks the node sits on."""
-        p, w = self.params, self.w
+        subgradient first_order_rows leaves of the step anchored at z."""
+        p = self.params
         lam = 1.0 - math.sqrt(p.elastic.G / (p.elastic.G + p.c2))
         bounds = np.full(len(v), math.inf)
         for i, (v_i, z_i, Lu_i, Lz_i) in enumerate(zip(v, z, L_u, L_z)):
-            s_v = (self.forms.K @ v_i - self.forms.Cup @ z_i - Lu_i)[self.dofs]
             Z = z_i.reshape(-1, 5)
-            g = self.A_z @ Z - (self.Cup_T @ v_i + Lz_i).reshape(-1, 5)
             r = row_norms(Z)
-            unit = Z / np.where(r > 0, r, 1.0)[:, None]    # 0 where z = 0
-            kink = p.R * w                                 # the anchor is z
-            if p.rho > 0:
-                g += (w * radial_core(p, r)[1])[:, None] * unit
-            elif np.any(r > p.c3 * (1.0 + BALL_SLACK)):
-                continue                                   # the bound is inf
-            else:
-                g += (p.c1 * w)[:, None] * unit
-                kink += p.c1 * w * (r == 0)                # the zero kink
-                on = r >= p.c3 * (1.0 - BALL_SLACK)        # the normal cone
-                g -= (np.minimum(0.0, np.einsum("ij,ij->i", g, unit)) * on)[:, None] * unit
-            n = row_norms(g)
-            s_z = g * np.maximum(1.0 - kink / np.where(n > 0, n, 1.0), 0.0)[:, None]
-            bounds[i] = (2.0 * float(s_v @ self.lu.solve(s_v))
-                         + float((s_z * self.solve_S(s_z)).sum())) / (4.0 * lam)
+            if p.rho == 0 and r.max() > p.c3 * (1.0 + BALL_SLACK):
+                continue                                   # off the ball: inf
+            V = -self.smooth_part(Z, self.Cup_T @ v_i + Lz_i)[1]
+            first_order_rows(Z, V, ((None, 0.0, self.w_zero),
+                                    (Z, r, self.w_shift)), self.radius)
+            s = np.concatenate([(self.forms.K @ v_i - self.forms.Cup @ z_i
+                                 - Lu_i)[self.dofs], V.ravel()])
+            bounds[i] = float(s @ self.solve_P(s)) / (4.0 * lam)
         return bounds
 
     # -- one incremental minimization --------------------------------------
@@ -180,31 +195,13 @@ class QuasistaticSolver:
     def solve_step(self, L_u, L_z, anchor, tol=1e-9):
         """Minimize W(v,z) - <L,(v,z)> + R |z - anchor| over the v,z fields,
         starting the alternation from z = anchor."""
-        p = self.params
         anchors = anchor.reshape(-1, 5)
         z = anchors.copy()
-        w_shift = self.w * p.R
-        w_zero = self.w * p.c1 if p.rho == 0 else None
-        radius = p.c3 if p.rho == 0 else None
         scale = 1.0 + np.linalg.norm(L_u) + np.linalg.norm(L_z)
-
-        # one step problem for every sweep: smooth_grad reads the current
+        # one step problem for every sweep: its smooth part reads the current
         # right-hand side b of the z-problem, which each sweep reassigns
-        def smooth_grad(Z):
-            zf, az = Z.ravel(), (self.A_z @ Z).ravel()
-            value = 0.5 * float(zf @ az) - float(b @ zf)
-            g = (az - b).reshape(-1, 5)
-            if p.rho > 0:
-                r = row_norms(Z)
-                core, d1 = radial_core(p, r)
-                value += float(self.w @ core)
-                pos = r > 0
-                fac = np.where(pos, d1 / np.where(pos, r, 1.0), p.c1 / p.rho)
-                g = g + (self.w * fac)[:, None] * Z
-            return value, g
-
-        fp = StepProblem(smooth_grad, self.z_lipschitz, w_shift, anchors,
-                         w_zero, radius)
+        fp = StepProblem(lambda Z: self.smooth_part(Z, b), self.z_lipschitz,
+                         self.w_shift, anchors, self.w_zero, self.radius)
         step_tol = tol * scale
 
         def inner_tol(res):
@@ -335,11 +332,9 @@ def _dual_norms(solver: QuasistaticSolver, amps, Lam_u, Lam_z):
     L_i = sum_c amps[c, i] Lambda_c over the channel functionals Lambda_c =
     (Lam_u[:, c], Lam_z[:, c]), so |L_i|^2 = a_i . Gamma a_i with the Gram
     matrix Gamma_kl = Lambda_k . H^-1 Lambda_l of the constrained energy
-    matrix H; one CG solve per channel, preconditioned with the diagonal
-    blocks P of H (the module docstring), gives it.  The u-part runs on the
-    solver's dofs, so P reuses the solver's K_ff and S factors.  The
-    coupling applies the solver's Cup and Cup_T through a full-length u
-    vector, so no free-row copy of Cup is made.
+    matrix H; one CG solve per channel on the solver's dofs, preconditioned
+    by solver.solve_P, gives it.  The coupling applies the solver's Cup and
+    Cup_T through a full-length u vector, so no free-row copy of Cup is made.
     """
     if not len(amps):
         return np.zeros(amps.shape[1]), np.zeros(amps.shape[1] - 1)
@@ -354,12 +349,8 @@ def _dual_norms(solver: QuasistaticSolver, amps, Lam_u, Lam_z):
                                0.5 * ((solver.A_z @ yz.reshape(-1, 5)).ravel()
                                       - solver.Cup_T @ u)])
 
-    def apply_P(r):
-        Y = solver.solve_S(r[nf:].reshape(-1, 5))
-        return np.concatenate([2.0 * solver.lu.solve(r[:nf]), Y.ravel()])
-
     Lam = np.vstack([Lam_u[dofs], Lam_z]).T
-    X = [_pcg(apply_H, apply_P, L) for L in Lam]
+    X = [_pcg(apply_H, solver.solve_P, L) for L in Lam]
     gram = np.array([[Lk @ x for x in X] for Lk in Lam])
     gram = 0.5 * (gram + gram.T)   # H is symmetric; the CG solves are not exact
 

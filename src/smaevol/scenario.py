@@ -38,8 +38,8 @@ lengths, 3-component vectors, no traction on a Dirichlet plane), BvpProblem (a
 nonempty Dirichlet part), box_mesh and build_space (extents, n, plane names),
 LimitSchedule (lengths, monotonicity, signs, n >= 1) and its check_study (the
 entries a study fixes and, for the studies that step in time, tau > 0 and every
-tau's grid nesting in its reference's), minproblem_time (a minproblem
-study's loads not all 0 at T), rate_study_steps (conv-tau, nesting
+tau's grid nesting in its reference's), minproblem_time (a minproblem study's
+load data at T, on its space, not all 0), rate_study_steps (conv-tau, nesting
 included), gamma_rhos (gamma-table) and checked_initial_state (a stable start
 of the stress path for every rho of a point-test, conv-tau or conv-rho run).
 This module keeps only what no object knows: the structure (unknown keys and
@@ -287,8 +287,6 @@ def parse_scenario(text: str) -> Scenario:
         if s.schedule is not None and s.study in STUDIES:
             study = "constitutive" if kind == "conv-rho" else s.study
             _build(errors, "schedule", s.schedule.check_study, study, end)
-        if s.problem and kind == "bvp-conv" and s.study == "minproblem":
-            _build(errors, "program", minproblem_time, s.problem.program)
 
     if kind in ("point-test", "conv-tau", "conv-rho") and params and path:
         # the initial state of every constitutive run, checked without a solve
@@ -307,6 +305,9 @@ def parse_scenario(text: str) -> Scenario:
             ns.add(s.schedule.reference()[3])
         for n in sorted(ns):
             _build(errors, "mesh", s.problem.space, n)
+        if kind == "bvp-conv" and s.study == "minproblem" and not errors:
+            _build(errors, "program", minproblem_time, s.problem,
+                   s.schedule.reference()[3])
     if errors:
         raise ValidationError(errors)
     return s

@@ -5,15 +5,18 @@ diff.
     python3 tests/pool_artifacts.py OUT
 
 runs each scenario of ``workloads.pool(w)`` for the three workloads of
-perfbench/workloads.py through ``run_scenario`` and leaves its artifacts,
-without the timing-bearing ``manifest.json``, in ``OUT/<workload>/<key>/``
-(``key`` is the workload module's scenario key).  It does the same for
+perfbench/workloads.py through ``run_scenario`` and leaves its artifacts in
+``OUT/<workload>/<key>/`` (``key`` is the workload module's scenario key),
+with the manifest's ``results`` as ``results.json`` (sorted keys) in place
+of the timing-bearing ``manifest.json``.  It does the same for
 ``scenarios/<name>.json`` in ``OUT/scenarios/<name>/`` and for the
 documents of ``STUDIES`` in ``OUT/studies/<name>/``, so that every study
 kind runs: a minimization over rho and over h, an nstep-h study and a
-(tau, h) evolution study, and for ``LOADED_START`` in ``OUT/loaded-start/``,
+(tau, h) evolution study; for ``LOADED_START`` in ``OUT/loaded-start/``,
 a bvp-run whose body, traction and Dirichlet loads are all nonzero at t0, so
-its start check is not the zero-load one.  Running it in two checkouts and
+its start check is not the zero-load one; and for ``SHARP_PULL`` in
+``OUT/sharp-pull/``, a sharp bvp-run whose pull leaves some nodes at z = 0,
+so its certificate meets the zero kink.  Running it in two checkouts and
 comparing with ``diff -r`` shows whether a change keeps every output byte
 for byte.  It imports smaevol from the ``src/`` next to this file, reads
 perfbench/ and scenarios/ and edits nothing there; pytest does not collect
@@ -65,6 +68,13 @@ LOADED_START = {
                 "dirichlet_profile": "stretch_x",
                 "dirichlet_amps": [0.02, 0.05, 0.02]}}
 
+# a sharp bvp-run (n = 2) whose states keep z = 0 at some nodes
+SHARP_PULL = {
+    "kind": "bvp-run", "material": {"rho": 0.0, "nu": 0.01},
+    "time": {"T": 1.0, "steps": 4},
+    "program": {"times": [0.0, 1.0], "traction": {"x1": [1.0, 0.0, 0.0]},
+                "traction_amps": [0.0, 2.0]}}
+
 
 def _workloads():
     spec = importlib.util.spec_from_file_location(
@@ -75,8 +85,10 @@ def _workloads():
 
 
 def _write(scenario, out):
-    run_scenario(parse_scenario(json.dumps(scenario)), out)
+    results = run_scenario(parse_scenario(json.dumps(scenario)), out)["results"]
     (out / "manifest.json").unlink()
+    (out / "results.json").write_text(
+        json.dumps(results, indent=2, sort_keys=True, default=str) + "\n")
     print(out.parent.name, out.name, flush=True)
 
 
@@ -93,6 +105,7 @@ def main(argv):
     for name, scenario in STUDIES.items():
         _write(scenario, out / "studies" / name)
     _write(LOADED_START, out / "loaded-start")
+    _write(SHARP_PULL, out / "sharp-pull")
 
 
 if __name__ == "__main__":

@@ -139,8 +139,13 @@ def test_limit_minproblem_rejects_loads_that_vanish_at_T(monkeypatch):
 
     monkeypatch.setattr(QuasistaticSolver, "__init__", counted)
     sched = LimitSchedule.of(2, rho=[0.1, 0.05], nu=0.01, tau=0.0, n=2)
-    with pytest.raises(ValueError, match="the loads vanish at t = T = 1,"):
-        limit_minproblem(pull_problem(), sched)
+    # so is a stretch along x, which is 0 on the Dirichlet plane x0
+    stretch = BvpProblem(P, LoadProgram(
+        times=[0.0, 1.0], dirichlet=lambda x: np.array([x[0], 0.0, 0.0]),
+        dirichlet_amps=[0.0, 2.0]))
+    for problem in (pull_problem(), stretch):
+        with pytest.raises(ValueError, match="the loads vanish at t = T = 1,"):
+            limit_minproblem(problem, sched)
     assert inits == []
 
 

@@ -13,6 +13,7 @@ from oracles import (BBInfo, BBPointProblem, bb_solve_point, dykstra_prox,
 from smaevol.material import MaterialParams, radial_core_at
 from smaevol.constitutive import incremental_step, reduced_problem
 from smaevol.proxsolve import (NonConvergence, PointProblem, StepProblem,
+                               first_order_residual, first_order_rows,
                                prox_nodal, prox_nonsmooth, solve_field,
                                solve_point)
 from smaevol.tensors import dev_to_sym
@@ -550,6 +551,47 @@ def test_nearly_collinear_saturated_sharp_step_is_exact():
     J = lambda y: pb.smooth(y) + pb.w_zero * np.linalg.norm(y) \
         + pb.w_shift * np.linalg.norm(y - pb.anchor)
     assert all(J(z) <= J(z + 1e-7 * e) for e in np.eye(5))
+
+
+# where a row of first_order_rows' batch sits: at or off each kink center
+# (the origin and the row's own center), within roundoff of one, on the
+# sphere or inside the ball
+_PLACES = ("origin", "near-origin", "center", "near-center", "off", "sphere",
+           "inside")
+
+
+@settings(max_examples=200, deadline=None)
+@given(places=st.lists(st.sampled_from(_PLACES), min_size=1, max_size=12),
+       radius=st.none() | st.floats(0.05, 2.0),
+       g_scale=st.sampled_from([0.0, 1e-320, 1e-3, 0.3, 3.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_first_order_rows_is_first_order_residual_row_by_row(places, radius,
+                                                             g_scale, seed):
+    rng = np.random.default_rng(seed)
+    m, r = len(places), 1.0 if radius is None else radius
+    unit = rng.standard_normal((m, 5))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    C = r * rng.uniform(0.0, 1.0, (m, 1)) * unit[::-1]
+    tiny = 1e-17 * rng.standard_normal((m, 5))
+    Z = np.array([{"origin": np.zeros(5), "near-origin": t, "center": c,
+                   "near-center": c + t, "off": r * rng.uniform() * u,
+                   "sphere": r * u, "inside": 0.5 * r * u}[place]
+                  for place, u, c, t in zip(places, unit, C, tiny)])
+    G = g_scale * rng.standard_normal((m, 5))
+    W0, W1 = rng.uniform(0.0, 2.0, m), rng.uniform(0.0, 2.0, m)
+    V = -G
+    res, floor = first_order_rows(Z, V, ((None, 0.0, W0),
+                                         (C, np.linalg.norm(C, axis=1), W1)),
+                                  radius)
+    for z, g, c, w0, w1, res_i, floor_i, v in zip(Z, G, C, W0, W1, res, floor,
+                                                  V):
+        want, nz, share = first_order_residual(z, g, ((np.zeros(5), w0),
+                                                      (c, w1)), radius)
+        tol = 64.0 * np.finfo(float).eps * (1.0 + nz + share)
+        assert abs(res_i - want) <= tol
+        assert floor_i == pytest.approx(1.0 + nz + share, rel=1e-12)
+        # V is left as minus a subgradient of norm max(residual, 0)
+        assert abs(np.linalg.norm(v) - max(want, 0.0)) <= tol
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 27, 1331])

@@ -326,6 +326,29 @@ def test_smooth_small_z_perturbation_is_flagged():
     assert np.all(np.delete(rep.stability_worst, i) <= 1e-8)
 
 
+def test_roundoff_on_the_zero_kink_keeps_a_sharp_state_stable():
+    # one sharp pull step leaves z = 0 at some nodes (at all for peak 1.2);
+    # z moved off 0 there by 1e-17 still sits on the zero kink, as
+    # prox_nodal's check counts it, while 1e-9 is off it and stays certified
+    space = space_n(2)
+    solver = QuasistaticSolver(space, P_SHARP)
+    for peak in (1.2, 2.0):
+        L_u, L_z = solver.lifted_load(*pull_program(peak, unload=False).at(
+            space, 1.0))
+        v, z, _ = solver.solve_step(L_u, L_z, np.zeros(space.n_z))
+        zero = proxsolve.row_norms(z.reshape(-1, 5)) == 0.0
+        assert zero.any()
+        for size in (1e-17, 1e-9):
+            Z = z.reshape(-1, 5).copy()
+            Z[zero] += size
+            bound = solver.stability_bounds(L_u[None], L_z[None], v[None],
+                                            Z.ravel()[None])[0]
+            if size < 1e-9:
+                assert bound <= quasistatic.STABILITY_TOL
+            else:
+                assert bound >= true_violation(solver, L_u, L_z, v, Z.ravel())
+
+
 _SOLVERS = {}
 
 

@@ -248,6 +248,13 @@ BAD_DOCUMENTS = {
                                          "material": {"rho": 0.1, "nu": 0.01},
                                          "schedule": {"rho": [0.1, 0.05],
                                                       "n": 2}}),
+    # a Dirichlet stretch that vanishes on the Dirichlet plane x0 moves no
+    # Dirichlet dof, so this program loads nothing at T either
+    "minproblem-unloaded-dirichlet": ("bvp-conv", {
+        "study": "minproblem", "material": {"rho": 0.1, "nu": 0.01},
+        "program": {"times": [0.0, 1.0], "dirichlet_profile": "stretch_x",
+                    "dirichlet_amps": [0.0, 2.0]},
+        "schedule": {"rho": [0.1, 0.05], "n": 2}}),
 }
 
 
@@ -275,17 +282,23 @@ def test_dry_run_names_the_tau_that_does_not_nest(name, tmp_path, capsys):
 
 
 def test_dry_run_says_the_minproblem_loads_vanish(tmp_path, capsys):
-    kind, extra = BAD_DOCUMENTS["minproblem-unloaded"]
-    path = tmp_path / "s.json"
-    path.write_text(minimal(kind, **extra))
-    assert main([kind, "--scenario", str(path), "--dry-run"]) == 1
-    assert "the loads vanish at t = T = 1" in capsys.readouterr().err
+    for name in ("minproblem-unloaded", "minproblem-unloaded-dirichlet"):
+        kind, extra = BAD_DOCUMENTS[name]
+        path = tmp_path / "s.json"
+        path.write_text(minimal(kind, **extra))
+        assert main([kind, "--scenario", str(path), "--dry-run"]) == 1
+        assert "the loads vanish at t = T = 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", [*pool_artifacts.STUDIES, "loaded-start"])
+_POOL_DOCUMENTS = {**pool_artifacts.STUDIES,
+                   "loaded-start": pool_artifacts.LOADED_START,
+                   "sharp-pull": pool_artifacts.SHARP_PULL}
+
+
+@pytest.mark.parametrize("name", list(_POOL_DOCUMENTS))
 def test_pool_artifact_documents_parse(name):
     # a document that stopped parsing would drop out of the byte diff
-    doc = pool_artifacts.STUDIES.get(name, pool_artifacts.LOADED_START)
+    doc = _POOL_DOCUMENTS[name]
     assert parse_scenario(json.dumps(doc)).kind == doc["kind"]
 
 
