@@ -2,8 +2,9 @@
 
 The variational-convergence certificates work through the monotone
 pointwise convergence of the regularized transformation energies (the
-standard sufficient condition for Gamma-convergence of convex functions),
-checked exactly on sample grids.
+standard sufficient condition for Gamma-convergence of convex functions).
+Both densities read only |z|, so gamma_check_F checks it exactly on the
+radii of gamma_radii, through material's own densities.
 
 Five studies tabulate discrete solutions against a reference run: the
 sharp model for a vanishing regularization parameter, a once-more refined
@@ -148,30 +149,35 @@ def gamma_rhos(rhos) -> np.ndarray:
     return rhos
 
 
-def gamma_check_F(p: MaterialParams, rhos, points) -> GammaReport:
-    """Check the monotone pointwise convergence of the regularized family.
+def gamma_radii(p: MaterialParams, inside: int, outside: int) -> np.ndarray:
+    """The sorted distinct radii of a Gamma-family check: grids in [0, c3]
+    and [1.2 c3, 2 c3] and the penalty's breakpoints c3 + (0, 1, 2) delta."""
+    return np.unique(np.r_[np.linspace(0.0, p.c3, inside),
+                           np.linspace(1.2 * p.c3, 2.0 * p.c3, outside),
+                           p.c3 + p.delta * np.arange(3.0)])
 
-    points is an (m, 5) array of deviators; rhos must decrease strictly
-    to small positive values.  Inside the transformation ball the family
-    increases to the sharp energy; outside it diverges.
+
+def gamma_check_F(p: MaterialParams, rhos, radii) -> GammaReport:
+    """Check the monotone pointwise convergence of the regularized family
+    on radii r >= 0, each at r e1 (whose norm is r exactly); rhos must
+    decrease strictly to small positive values.  Inside the transformation
+    ball the family increases to the sharp energy; outside it diverges.
     """
     rhos = gamma_rhos(rhos)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    radii = np.linalg.norm(points, axis=1)
-    inside = radii <= p.c3
+    radii = np.asarray(radii, dtype=float)
+    points, inside = radii[:, None] * np.eye(5)[0], radii <= p.c3
     sharp = np.array([transformation_energy_sharp(p, z) for z in points])
-    values = np.empty((len(rhos), len(points)))
-    for k, rho in enumerate(rhos):
-        pk = replace(p, rho=float(rho))
-        values[k] = [transformation_energy_smooth(pk, z) for z in points]
-    monotone = bool(np.all(values[1:] >= values[:-1]))
-    below_sharp = bool(np.all(values <= np.where(np.isinf(sharp), np.inf, sharp)))
+    values = np.array([[transformation_energy_smooth(replace(p, rho=rho), z)
+                        for z in points] for rho in rhos.tolist()])
+    monotone = bool(np.all(values[1:] >= values[:-1])
+                    and np.all(values <= sharp))
     gaps = np.array([np.max(np.abs(values[k, inside] - sharp[inside]))
                      if inside.any() else 0.0 for k in range(len(rhos))])
     outside_min = float(values[-1, ~inside].min()) if (~inside).any() else math.inf
-    zeros = np.array([transformation_energy_smooth(replace(p, rho=float(r)),
-                                                   np.zeros(5)) for r in rhos])
-    return GammaReport(rhos, monotone and below_sharp, gaps, outside_min, zeros)
+    zeros = np.array([transformation_energy_smooth(replace(p, rho=rho),
+                                                   np.zeros(5))
+                      for rho in rhos.tolist()])
+    return GammaReport(rhos, monotone, gaps, outside_min, zeros)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .asymptotics import (gamma_check_F, limit_constitutive, limit_evolution,
-                          limit_minproblem, nstep_h_convergence,
-                          temporal_error_study)
+from .asymptotics import (gamma_check_F, gamma_radii, limit_constitutive,
+                          limit_evolution, limit_minproblem,
+                          nstep_h_convergence, temporal_error_study)
 from .constitutive import run_constitutive, verify_stability
 from .fem import dump_fields
 from .quasistatic import run_incremental_bvp, verify_energetic
@@ -43,16 +43,6 @@ def write_csv(path, header, rows):
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
-
-
-def _sample_grid(p, inside, outside, seed):
-    rng = np.random.Generator(np.random.Philox(seed))
-    m = inside + outside
-    e = rng.standard_normal((m, 5))
-    e /= np.linalg.norm(e, axis=1, keepdims=True)
-    radii = np.concatenate([np.linspace(0.0, p.c3, inside),
-                            np.linspace(1.2 * p.c3, 2.0 * p.c3, outside)])
-    return e * radii[:, None]
 
 
 def run_scenario(s: Scenario, out_dir) -> dict:
@@ -99,8 +89,7 @@ def run_scenario(s: Scenario, out_dir) -> dict:
         table = limit_constitutive(p, path, s.schedule)
 
     elif s.kind == "gamma-table":
-        pts = _sample_grid(p, *s.samples, s.seed)
-        rep = gamma_check_F(p, s.rhos, pts)
+        rep = gamma_check_F(p, s.rhos, gamma_radii(p, *s.samples))
         rows = [[k, rho, rep.inside_gaps[k], rep.zero_values[k]]
                 for k, rho in enumerate(rep.rhos)]
         write_csv(out / "gamma_table.csv",
@@ -163,8 +152,9 @@ def run_scenario(s: Scenario, out_dir) -> dict:
         "wall_time_s": time.perf_counter() - t_start,
         "results": extra,
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
+    # strict JSON: a non-finite result fails the run before the file opens
+    (out / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, default=str, allow_nan=False))
     return manifest
 
 
@@ -197,7 +187,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read scenario: {e}", file=sys.stderr)
         return 1
     try:
-        scenario = parse_scenario(text)
+        scenario = parse_scenario(text, seed=args.seed)
     except (ParseError, ValidationError) as e:
         print(f"error: invalid scenario {args.scenario}: {e}", file=sys.stderr)
         return 1
@@ -205,8 +195,6 @@ def main(argv=None) -> int:
         print(f"error: scenario kind {scenario.kind!r} does not match "
               f"subcommand {args.command!r}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        scenario.seed = args.seed
     if args.dry_run:
         print(f"scenario OK: kind={scenario.kind} seed={scenario.seed}")
         return 0

@@ -113,6 +113,8 @@ class QuasistaticSolver:
         self.w_zero, self.radius = (w * params.c1, params.c3) if sharp else (None, None)
         core = 0.0 if sharp else params.core_curvature
         self.z_lipschitz = 1.01 * _power_lambda_max(self.A_z) + core * w.max()
+        G = params.elastic.G
+        self.lam = 1.0 - math.sqrt(G / (G + params.c2))   # the docstring's lam
 
     # -- pieces of the step functional ------------------------------------
 
@@ -175,7 +177,6 @@ class QuasistaticSolver:
         the ball): s is the v-gradient on the free dofs and, per node, the
         subgradient first_order_rows leaves of the step anchored at z."""
         p = self.params
-        lam = 1.0 - math.sqrt(p.elastic.G / (p.elastic.G + p.c2))
         bounds = np.full(len(v), math.inf)
         for i, (v_i, z_i, Lu_i, Lz_i) in enumerate(zip(v, z, L_u, L_z)):
             Z = z_i.reshape(-1, 5)
@@ -187,7 +188,7 @@ class QuasistaticSolver:
                                     (Z, r, self.w_shift)), self.radius)
             s = np.concatenate([(self.forms.K @ v_i - self.forms.Cup @ z_i
                                  - Lu_i)[self.dofs], V.ravel()])
-            bounds[i] = float(s @ self.solve_P(s)) / (4.0 * lam)
+            bounds[i] = float(s @ self.solve_P(s)) / (4.0 * self.lam)
         return bounds
 
     # -- one incremental minimization --------------------------------------

@@ -4,9 +4,9 @@ Scenarios are JSON documents.  Top-level schema (defaults in brackets):
 
     kind            one of point-test | conv-tau | conv-rho | bvp-run |
                     bvp-conv | gamma-table                       (required)
-    seed            unsigned RNG seed (point-test, gamma-table)  [0]
+    seed            unsigned RNG seed of the point-test probes   [0]
     probes          stability probes per point-test check        [200]
-                    (bvp-run certifies its states; it reads neither)
+                    (no other kind reads either key)
     material        {G [1], kappa [1], c1 [1], c2 [0.5], c3 [1],
                      rho [0], nu [0], R [0.5], delta [0.1]}
     time            {T [1], steps [16]}  (bvp kinds: T is the program end)
@@ -16,7 +16,7 @@ Scenarios are JSON documents.  Top-level schema (defaults in brackets):
     taus            list of step sizes                 (conv-tau) [1/16..1/128]
     reference_tau   reference step size                (conv-tau) [min/8]
     rhos            decreasing rho list              (gamma-table)
-    grid            {inside [40], outside [10]} sample counts (gamma-table)
+    grid            {inside [40], outside [10]} radius counts (gamma-table)
     mesh            {extents [1,1,1], n [2], dirichlet ["x0"]}   (bvp kinds)
     program         {times, traction {plane: vector}, traction_amps,
                      body, body_amps, dirichlet_profile
@@ -45,12 +45,12 @@ of the stress path for every rho of a point-test, conv-tau or conv-rho run).
 This module keeps only what no object knows: the structure (unknown keys and
 non-object sections raise ParseError), the JSON types (a number is a 64-bit int
 or a finite float, a count a 64-bit int, neither a bool; type errors raise a
-ValidationError before any object sees a value), the defaults, the seed, probe
-and sample counts, and the rules that span sections: an explicit time.T is the
-last program time, a program has times and each of its channels its amplitudes,
-the dirichlet_profile, the study and the kind are known, and conv-rho and
-bvp-conv have a schedule.  All other violations are collected into one
-ValidationError.
+ValidationError before any object sees a value), the defaults, the seed (also
+--seed's), probe and radius counts, and the rules that span sections: an
+explicit time.T is the last program time, a program has times and each of its
+channels its amplitudes, the dirichlet_profile, the study and the kind are
+known, and conv-rho and bvp-conv have a schedule.  All other violations are
+collected into one ValidationError.
 """
 
 import json
@@ -192,8 +192,9 @@ def _build(errors, section, make, *args, **kwargs):
         return None
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and fully validate a scenario document into its run's objects."""
+def parse_scenario(text: str, seed: Optional[int] = None) -> Scenario:
+    """Parse and fully validate a scenario document into its run's objects;
+    a seed given here replaces the document's and meets the same rule."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -220,8 +221,8 @@ def parse_scenario(text: str) -> Scenario:
     path = _build(errors, "stress_path", StressPath.proportional,
                   [*d[:3], *(SQ2 * c for c in d[3:])], sp["amplitudes"],
                   sp["times"])
-    s = Scenario(kind, raw, params, None, path, seed=raw.get("seed", 0),
-                 probes=raw.get("probes", 200))
+    s = Scenario(kind, raw, params, None, path, probes=raw.get("probes", 200),
+                 seed=raw.get("seed", 0) if seed is None else seed)
     errors += [msg for msg, bad in (("seed must be >= 0", s.seed < 0),
                                     ("probes must be >= 1", s.probes < 1))
                if bad]

@@ -23,8 +23,10 @@ gradient of the z-problem against the closure that called the whole-array
 core's value and derivative one after the other.  The stability residual
 of a point state, now the first-order residual of the step anchored at the
 state, is checked against the hand-written sharp/smooth closed form it
-replaced.  The tensor constructors and the path reparametrization at the
-end are used by tests only.
+replaced.  The single-step continuous-dependence bound of the field step is
+written out from its derivation, with the solver's own P^-1 and lam.  The
+tensor constructors and the path reparametrization at the end are used by
+tests only.
 """
 
 import itertools
@@ -211,6 +213,29 @@ def stability_bound_oracle(solver, L_u, L_z, v, z):
          + float((s_z * np.linalg.solve(S, s_z)).sum()))
     G = p.elastic.G
     return q / (4.0 * (1.0 - math.sqrt(G / (G + p.c2))))
+
+
+def p_norm_sq(solver, dv, dz):
+    """|(dv, dz)|^2_P = dv.K dv / 2 + dz.S dz, P = blockdiag(K_ff / 2,
+    S (x) I5), for a dv that vanishes on the Dirichlet dofs."""
+    dZ = dz.reshape(-1, 5)
+    return (0.5 * float(dv @ (solver.forms.K @ dv))
+            + float(np.sum(dZ * (solver.forms.z_block() @ dZ))))
+
+
+def dependence_bound_oracle(solver, dL_u, dL_z, d_anchor):
+    """The single-step continuous-dependence bound on p_norm_sq of the
+    difference of two step solutions whose loads differ by (dL_u, dL_z)
+    and anchors by d_anchor: |dL|^2_{P^-1} / (4 lam^2) + (2 / lam) R
+    sum_r w_r |d_anchor_r|.  The step is 2 lam-strongly convex in the
+    P-norm and each row of a dissipation subgradient is at most R w_r long,
+    so 2 lam |dy|^2_P <= |dL|_{P^-1} |dy|_P + 2 R sum_r w_r |d_anchor_r|;
+    Young's inequality gives the bound."""
+    dL = np.concatenate([dL_u[solver.dofs], dL_z])
+    load = float(dL @ solver.solve_P(dL)) / (4.0 * solver.lam ** 2)
+    shift = solver.params.R * float(
+        solver.w @ np.linalg.norm(d_anchor.reshape(-1, 5), axis=1))
+    return load + 2.0 * shift / solver.lam
 
 
 def colamd_solve_v(solver, b_u):

@@ -16,11 +16,16 @@ kind runs: a minimization over rho and over h, an nstep-h study and a
 a bvp-run whose body, traction and Dirichlet loads are all nonzero at t0, so
 its start check is not the zero-load one; and for ``SHARP_PULL`` in
 ``OUT/sharp-pull/``, a sharp bvp-run whose pull leaves some nodes at z = 0,
-so its certificate meets the zero kink.  Running it in two checkouts and
-comparing with ``diff -r`` shows whether a change keeps every output byte
-for byte.  It imports smaevol from the ``src/`` next to this file, reads
-perfbench/ and scenarios/ and edits nothing there; pytest does not collect
-it, but tests/test_scenario_cli.py checks that its documents parse.
+so its certificate meets the zero kink; and for ``GAMMA_EDGE`` in
+``OUT/gamma-edge/``, a gamma-table run with no outside radii of its own, so
+only the penalty's breakpoints lie outside the ball.  Every ``results.json``
+is parsed back as strict JSON (no NaN or Infinity); the files that fail are
+named at the end, and the exit status is then 1.  Running it in two
+checkouts and comparing with ``diff -r`` shows whether a change keeps every
+output byte for byte.  It imports smaevol from the ``src/`` next to this
+file, reads perfbench/ and scenarios/ and edits nothing there; pytest does
+not collect it, but tests/test_scenario_cli.py checks that its documents
+parse.
 """
 
 import importlib.util
@@ -76,6 +81,11 @@ SHARP_PULL = {
                 "traction_amps": [0.0, 2.0]}}
 
 
+# a gamma-table run whose grid has no outside radii of its own
+GAMMA_EDGE = {"kind": "gamma-table", "material": {"delta": 0.05},
+              "grid": {"inside": 5, "outside": 0}}
+
+
 def _workloads():
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", _ROOT / "perfbench" / "workloads.py")
@@ -84,12 +94,23 @@ def _workloads():
     return module
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
 def _write(scenario, out):
+    """Run scenario into out; None, or a message naming its results.json
+    when that file is not strict JSON."""
     results = run_scenario(parse_scenario(json.dumps(scenario)), out)["results"]
     (out / "manifest.json").unlink()
-    (out / "results.json").write_text(
-        json.dumps(results, indent=2, sort_keys=True, default=str) + "\n")
+    text = json.dumps(results, indent=2, sort_keys=True, default=str) + "\n"
+    (out / "results.json").write_text(text)
     print(out.parent.name, out.name, flush=True)
+    try:
+        json.loads(text, parse_constant=_reject)
+    except ValueError as e:
+        return f"{out / 'results.json'}: {e}"
+    return None
 
 
 def main(argv):
@@ -97,15 +118,18 @@ def main(argv):
         sys.exit("usage: python3 tests/pool_artifacts.py OUT")
     out = Path(argv[0])
     workloads = _workloads()
-    for workload in workloads.WORKLOADS:
-        for scenario in workloads.pool(workload):
-            _write(scenario, out / workload / workloads.key(scenario))
-    for path in sorted((_ROOT / "scenarios").glob("*.json")):
-        _write(json.loads(path.read_text()), out / "scenarios" / path.stem)
-    for name, scenario in STUDIES.items():
-        _write(scenario, out / "studies" / name)
-    _write(LOADED_START, out / "loaded-start")
-    _write(SHARP_PULL, out / "sharp-pull")
+    runs = [(scenario, out / workload / workloads.key(scenario))
+            for workload in workloads.WORKLOADS
+            for scenario in workloads.pool(workload)]
+    runs += [(json.loads(path.read_text()), out / "scenarios" / path.stem)
+             for path in sorted((_ROOT / "scenarios").glob("*.json"))]
+    runs += [(scenario, out / "studies" / name)
+             for name, scenario in STUDIES.items()]
+    runs += [(LOADED_START, out / "loaded-start"),
+             (SHARP_PULL, out / "sharp-pull"), (GAMMA_EDGE, out / "gamma-edge")]
+    bad = [e for e in (_write(*run) for run in runs) if e]
+    if bad:
+        sys.exit("not strict JSON:\n" + "\n".join(bad))
 
 
 if __name__ == "__main__":

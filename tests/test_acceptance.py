@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from oracles import planar_step_oracle
-from smaevol.asymptotics import (LimitSchedule, gamma_check_F,
+from smaevol.asymptotics import (LimitSchedule, gamma_check_F, gamma_radii,
                                  nstep_h_convergence, temporal_error_study)
 from smaevol.constitutive import (PointState, StressPath, TimeGrid,
                                   continuous_dependence_check,
@@ -207,14 +207,8 @@ def test_criterion_8_superelastic_hysteresis():
 
 def test_criterion_9_monotone_gamma_family():
     with criterion(9, "monotone regularized family and blow-up"):
-        rng = np.random.default_rng(77)
-        dirs = rng.standard_normal((50, 5))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = np.concatenate([np.linspace(0.0, P0.c3, 40),
-                                np.linspace(1.2 * P0.c3, 2.0 * P0.c3, 10)])
-        pts = dirs * radii[:, None]
         rhos = [10.0 ** (-k) for k in range(0, 8)]
-        rep = gamma_check_F(P0, rhos, pts)
+        rep = gamma_check_F(P0, rhos, gamma_radii(P0, 40, 10))
         assert rep.monotone_exact
         assert rep.inside_gaps[rhos.index(1e-4)] <= 1e-3
         assert rep.outside_min_last > 1e6

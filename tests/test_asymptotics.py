@@ -1,14 +1,15 @@
 import multiprocessing as mp
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from smaevol import asymptotics, constitutive
 from smaevol.asymptotics import (LimitSchedule, _beside, gamma_check_F,
-                                 limit_constitutive, limit_evolution,
-                                 limit_minproblem, nstep_h_convergence,
-                                 temporal_error_study)
+                                 gamma_radii, limit_constitutive,
+                                 limit_evolution, limit_minproblem,
+                                 nstep_h_convergence, temporal_error_study)
 from smaevol.constitutive import StressPath
 from smaevol.fem import LoadProgram
 from smaevol.material import MaterialParams
@@ -16,19 +17,9 @@ from smaevol.proxsolve import NonConvergence
 from smaevol.quasistatic import BvpProblem, QuasistaticSolver
 from smaevol.tensors import dev_to_sym
 
-RNG = np.random.default_rng(61)
-
 P = MaterialParams()
 UNIT = np.zeros(5)
 UNIT[0] = 1.0
-
-
-def sample_points(n_inside=40, n_outside=10):
-    e = RNG.standard_normal((n_inside + n_outside, 5))
-    e /= np.linalg.norm(e, axis=1, keepdims=True)
-    radii = np.concatenate([np.linspace(0.0, P.c3, n_inside),
-                            np.linspace(1.2 * P.c3, 2.0 * P.c3, n_outside)])
-    return e * radii[:, None]
 
 
 def ramp_path(peak=3.0):
@@ -58,9 +49,8 @@ def test_schedule_validation():
 
 
 def test_gamma_family_monotone_and_blowup():
-    pts = sample_points()
     rhos = [10.0 ** (-k) for k in range(0, 8)]
-    rep = gamma_check_F(P, rhos, pts)
+    rep = gamma_check_F(P, rhos, gamma_radii(P, 40, 10))
     assert rep.monotone_exact
     k_4 = rhos.index(1e-4)
     assert rep.inside_gaps[k_4] <= 1e-3
@@ -71,7 +61,16 @@ def test_gamma_family_monotone_and_blowup():
 
 def test_gamma_check_requires_decreasing_rhos():
     with pytest.raises(ValueError):
-        gamma_check_F(P, [0.1, 0.1], sample_points())
+        gamma_check_F(P, [0.1, 0.1], gamma_radii(P, 40, 10))
+
+
+def test_gamma_radii_hold_the_penalty_breakpoints():
+    # the penalty changes pieces at c3, c3 + delta and c3 + 2 delta
+    p = replace(P, delta=0.05)
+    radii = gamma_radii(p, 40, 10)
+    assert np.isin([p.c3, p.c3 + p.delta, p.c3 + 2.0 * p.delta], radii).all()
+    assert np.all(np.diff(radii) > 0)
+    assert len(radii) == 40 + 10 + 2
 
 
 def test_limit_constitutive_rho_arrow():

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import scipy.sparse as sp
 
-from oracles import (colamd_solve_v, joint_lu_dual_norms, load_at_oracle,
+from oracles import (colamd_solve_v, dependence_bound_oracle,
+                     joint_lu_dual_norms, load_at_oracle, p_norm_sq,
                      stability_bound_oracle, step_smooth_grad)
 from smaevol import proxsolve, quasistatic
 from smaevol.asymptotics import (LimitSchedule, limit_evolution,
@@ -352,6 +353,14 @@ def test_roundoff_on_the_zero_kink_keeps_a_sharp_state_stable():
 _SOLVERS = {}
 
 
+def solver_for(n, rho, nu):
+    key = (n, rho, nu)
+    if key not in _SOLVERS:
+        _SOLVERS[key] = QuasistaticSolver(space_n(n), MaterialParams(rho=rho,
+                                                                     nu=nu))
+    return _SOLVERS[key]
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from([1, 2]), rho=st.sampled_from([0.0, 0.1]),
        nu=st.sampled_from([0.0, 0.01]), peak=st.floats(0.5, 4.0),
@@ -360,11 +369,7 @@ _SOLVERS = {}
        smooth=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_stability_bound_dominates_the_true_violation(n, rho, nu, peak, z_size,
                                                       v_size, smooth, seed):
-    key = (n, rho, nu)
-    if key not in _SOLVERS:
-        _SOLVERS[key] = QuasistaticSolver(space_n(n), MaterialParams(rho=rho,
-                                                                     nu=nu))
-    solver = _SOLVERS[key]
+    solver = solver_for(n, rho, nu)
     space = solver.space
     L_u, L_z = solver.lifted_load(*pull_program(peak, unload=False).at(space,
                                                                         1.0))
@@ -381,6 +386,52 @@ def test_stability_bound_dominates_the_true_violation(n, rho, nu, peak, z_size,
     assert bound >= violation - 1e-12 * scale
     assert bound == pytest.approx(stability_bound_oracle(solver, L_u, L_z, v, z),
                                   rel=1e-9, abs=1e-20)
+
+
+def nodal_load(solver, rng, size, smooth):
+    """(L_u, L_z) of a lumped nodal load density: one random vector at every
+    node (smooth) or a random vector per node."""
+    m = len(solver.w)
+    f = rng.standard_normal(8 if smooth else (m, 8)) * size
+    L = solver.w[:, None] * np.broadcast_to(f, (m, 8))
+    return L[:, :3].ravel(), L[:, 3:].ravel()
+
+
+def ball_anchor(solver, rng):
+    """An anchor field with rows inside the ball and about a third on it."""
+    m, c3 = len(solver.w), solver.params.c3
+    e = rng.standard_normal((m, 5))
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    r = np.where(rng.random(m) < 0.3, c3, rng.uniform(0.0, c3, m))
+    return (e * r[:, None]).ravel()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([1, 2]), rho=st.sampled_from([0.0, 0.1]),
+       nu=st.sampled_from([0.0, 0.01]),
+       change=st.sampled_from(["load", "anchor", "both"]),
+       size=st.floats(0.5, 4.0), smooth=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_field_step_depends_continuously_on_load_and_anchor(n, rho, nu, change,
+                                                           size, smooth, seed):
+    # two steps whose loads or anchors (or both) differ stay within the
+    # single-step bound |dy|^2_P <= |dL|^2_{P^-1} / (4 lam^2)
+    # + (2 / lam) R sum_r w_r |da_r|
+    solver = solver_for(n, rho, nu)
+    rng = np.random.default_rng(seed)
+    L_u, L_z = nodal_load(solver, rng, size, smooth)
+    anchor = ball_anchor(solver, rng)
+    L_u2, L_z2, anchor2 = L_u, L_z, anchor
+    if change != "anchor":
+        dL_u, dL_z = nodal_load(solver, rng, size / 2.0, smooth)
+        L_u2, L_z2 = L_u + dL_u, L_z + dL_z
+    if change != "load":
+        anchor2 = ball_anchor(solver, rng)
+    v, z, _ = solver.solve_step(L_u, L_z, anchor, tol=1e-13)
+    v2, z2, _ = solver.solve_step(L_u2, L_z2, anchor2, tol=1e-13)
+    lhs = p_norm_sq(solver, v2 - v, z2 - z)
+    assert lhs <= dependence_bound_oracle(solver, L_u2 - L_u, L_z2 - L_z,
+                                          anchor2 - anchor)
 
 
 def oracle_bound(rec):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pool_artifacts
-from smaevol import asymptotics, constitutive, quasistatic
+from smaevol import asymptotics, cli, constitutive, quasistatic
 from smaevol.cli import main, run_scenario
 from smaevol.scenario import (ParseError, ValidationError, parse_scenario)
 
@@ -134,6 +134,37 @@ def test_gamma_table_run(tmp_path):
     assert manifest["results"]["outside_min_last"] > 1e6
 
 
+def test_gamma_table_reads_no_seed(tmp_path):
+    # the check runs on radii: a seed changes no byte of the table
+    for seed in (0, 3):
+        run_scenario(parse_scenario(minimal("gamma-table", seed=seed)),
+                     tmp_path / str(seed))
+    assert ((tmp_path / "0" / "gamma_table.csv").read_bytes()
+            == (tmp_path / "3" / "gamma_table.csv").read_bytes())
+
+
+def test_gamma_table_without_outside_radii_writes_strict_json(tmp_path):
+    # the penalty's breakpoints lie outside the ball, so the blow-up value is
+    # finite even when the grid has no outside radii of its own
+    s = parse_scenario(minimal("gamma-table",
+                               grid={"inside": 5, "outside": 0}))
+    run_scenario(s, tmp_path)
+    results = json.loads((tmp_path / "manifest.json").read_text(),
+                         parse_constant=pool_artifacts._reject)["results"]
+    assert results["monotone_exact"]
+    assert results["outside_min_last"] > 1e6
+
+
+def test_a_non_finite_result_fails_the_run(tmp_path, monkeypatch):
+    # radii all inside the ball leave the blow-up value inf: the run fails
+    # and leaves no manifest that strict JSON parsers would reject
+    monkeypatch.setattr(cli, "gamma_radii",
+                        lambda p, inside, outside: np.linspace(0.0, p.c3, 5))
+    with pytest.raises(ValueError, match="JSON compliant"):
+        run_scenario(parse_scenario(minimal("gamma-table")), tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_bvp_run(tmp_path):
     doc = minimal("bvp-run", material={"rho": 0.1, "nu": 0.01},
                   time={"T": 1.0, "steps": 4}, mesh={"n": 2}, probes=20)
@@ -180,6 +211,19 @@ def test_cli_full_run(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 3
     assert "trajectory.csv" in manifest["artifacts"]
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_seed_flag_meets_the_seed_rule(tmp_path, capsys, dry_run):
+    # a negative --seed fails like a negative seed key, before any run
+    path = tmp_path / "s.json"
+    path.write_text(minimal("point-test"))
+    out = tmp_path / "out"
+    argv = ["point-test", "--scenario", str(path), "--out", str(out),
+            "--seed", "-1"]
+    assert main(argv + ["--dry-run"] * dry_run) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _TRACTION = {"traction_amps": [0.0, 1.0], "times": [0.0, 1.0]}
@@ -292,7 +336,8 @@ def test_dry_run_says_the_minproblem_loads_vanish(tmp_path, capsys):
 
 _POOL_DOCUMENTS = {**pool_artifacts.STUDIES,
                    "loaded-start": pool_artifacts.LOADED_START,
-                   "sharp-pull": pool_artifacts.SHARP_PULL}
+                   "sharp-pull": pool_artifacts.SHARP_PULL,
+                   "gamma-edge": pool_artifacts.GAMMA_EDGE}
 
 
 @pytest.mark.parametrize("name", list(_POOL_DOCUMENTS))
