@@ -166,9 +166,9 @@ def gamma_check_F(p: MaterialParams, rhos, radii) -> GammaReport:
     rhos = gamma_rhos(rhos)
     radii = np.asarray(radii, dtype=float)
     points, inside = radii[:, None] * np.eye(5)[0], radii <= p.c3
-    sharp = np.array([transformation_energy_sharp(p, z) for z in points])
-    values = np.array([[transformation_energy_smooth(replace(p, rho=rho), z)
-                        for z in points] for rho in rhos.tolist()])
+    sharp = transformation_energy_sharp(p, points)
+    values = np.array([transformation_energy_smooth(replace(p, rho=rho), points)
+                       for rho in rhos.tolist()])
     monotone = bool(np.all(values[1:] >= values[:-1])
                     and np.all(values <= sharp))
     gaps = np.array([np.max(np.abs(values[k, inside] - sharp[inside]))
@@ -275,12 +275,9 @@ def _sup_state_diff(traj: PointTrajectory, ref: PointTrajectory) -> float:
     between nodes would add the O(tau) interpolation offset even for runs
     that are exact at the nodes.
     """
-    worst = 0.0
-    for i, t in enumerate(traj.grid.nodes):
-        j = ref.grid.node_index(t)
-        worst = max(worst, math.sqrt(float(np.sum((traj.eps[i] - ref.eps[j]) ** 2))
-                                     + float(np.sum((traj.z[i] - ref.z[j]) ** 2))))
-    return worst
+    j = ref.grid.node_indices(traj.grid.nodes)
+    return float(np.max(np.sqrt(np.sum((traj.eps - ref.eps[j]) ** 2, axis=1)
+                                + np.sum((traj.z - ref.z[j]) ** 2, axis=1))))
 
 
 def temporal_error_study(p: MaterialParams, path: StressPath,
@@ -312,8 +309,8 @@ def limit_constitutive(p: MaterialParams, path: StressPath,
     trajs = [_point_run(replace(p, rho=m[0]), path, m[2]) for m in members]
 
     def compare(k, traj):
-        energy = max(abs(traj.stored[i] - ref.stored[ref.grid.node_index(t)])
-                     for i, t in enumerate(traj.grid.nodes))
+        j = ref.grid.node_indices(traj.grid.nodes)
+        energy = float(np.max(np.abs(traj.stored - ref.stored[j])))
         return {"rho": members[k][0], "nu": 0.0, "tau": members[k][2],
                 "h": 0.0, "state_diff": _sup_state_diff(traj, ref),
                 "energy_diff": energy,
@@ -397,8 +394,7 @@ def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
         space = problem.space(n)
         P = inject(space, ref_forms.space)
         state = energy = 0.0
-        for i, t in enumerate(rec.grid.nodes):
-            j = ref.grid.node_index(t)
+        for i, j in enumerate(ref.grid.node_indices(rec.grid.nodes).tolist()):
             state = max(state, _bvp_state_diff(P, ref_forms,
                                                rec.v[i], rec.z[i],
                                                ref.v[j], ref.z[j]))

@@ -7,8 +7,11 @@ eps = C^-1 sigma + z, and the remaining 5-dimensional problem in z is
 
     F(z) - sigma_dev : z + R |z - z_prev|
 
-which the proximal kernel solves.  The per-node energy ledger (stored
-energy, dissipation, external work) is kept exactly for the
+which the proximal kernel solves.  A run has three stages: the stress at
+every grid node in one array pass (StressPath.at), a time loop that only
+solves each node's z-problem, anchored at the previous node's z, and then
+the strains and the per-node energy ledger (stored energy, dissipation,
+external work) for all nodes at once.  The ledger is exact for the
 right-continuous piecewise-constant state interpolant, so the discrete
 one-sided energy inequality is a computable statement, not a quadrature
 approximation.
@@ -23,7 +26,7 @@ from .material import (MaterialParams, stored_energy_density,
                        transformation_energy_sharp)
 from .proxsolve import (STABILITY_TOL, PointProblem, first_order_residual,
                         project_ball, solve_point)
-from .tensors import dev_split, dev_to_sym, norm
+from .tensors import dev_split, dev_to_sym, inner, norm
 
 
 class UnstableInitialState(Exception):
@@ -53,13 +56,23 @@ class TimeGrid:
     def steps(self) -> int:
         return len(self.nodes) - 1
 
-    def node_index(self, t: float) -> int:
-        """Index of the node at t (to a relative 1e-9); ValueError if no
-        node is there, so a table never compares states at two times."""
-        j = int(np.argmin(np.abs(self.nodes - t)))
-        if abs(self.nodes[j] - t) > 1e-9 * max(1.0, self.nodes[-1]):
-            raise ValueError(f"t = {t:g} is not a node of the grid")
+    def node_indices(self, ts) -> np.ndarray:
+        """Index of the node at each time of ts (to a relative 1e-9), the
+        nearest one (the first of two as near), in one pass; ValueError
+        naming the first time no node is at, so a table never compares
+        states at two times."""
+        ts = np.asarray(ts, dtype=float)
+        nodes = self.nodes
+        j = np.clip(np.searchsorted(nodes, ts), 1, len(nodes) - 1)
+        j -= np.abs(nodes[j - 1] - ts) <= np.abs(nodes[j] - ts)
+        off = ~(np.abs(nodes[j] - ts) <= 1e-9 * max(1.0, nodes[-1]))
+        if off.any():
+            raise ValueError(f"t = {ts[off][0]:g} is not a node of the grid")
         return j
+
+    def node_index(self, t: float) -> int:
+        """node_indices of the one time t."""
+        return int(self.node_indices([t])[0])
 
 
 @dataclass(frozen=True)
@@ -89,13 +102,20 @@ class StressPath:
     def T(self) -> float:
         return float(self.times[-1])
 
-    def value(self, t: float) -> np.ndarray:
-        t = min(max(t, self.times[0]), self.times[-1])
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        i = min(i, len(self.times) - 2)
+    def at(self, ts) -> np.ndarray:
+        """The stress at each time of ts (clamped to [t0, T]), an (N, 6)
+        array, in one array pass; each row is (1 - w) v_j + w v_{j+1} on
+        the time's segment j."""
+        t = np.clip(np.asarray(ts, dtype=float), self.times[0], self.times[-1])
+        i = np.minimum(np.searchsorted(self.times, t, side="right") - 1,
+                       len(self.times) - 2)
         t0, t1 = self.times[i], self.times[i + 1]
-        w = (t - t0) / (t1 - t0)
+        w = ((t - t0) / (t1 - t0))[:, None]
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+
+    def value(self, t: float) -> np.ndarray:
+        """The stress at the one time t."""
+        return self.at([t])[0]
 
 
 @dataclass
@@ -139,11 +159,16 @@ def reduced_problem(p: MaterialParams, sigma, z_prev) -> PointProblem:
     return PointProblem(b, p.c2, p.R, anchor, w_zero=p.c1, radius=p.c3)
 
 
+def strain(p: MaterialParams, sigma, z) -> np.ndarray:
+    """The strain eps = C^-1 sigma + z that minimizes the step at fixed z,
+    of one state or of each row of (N, 6) and (N, 5) stacks."""
+    return p.elastic.apply_inverse(sigma) + dev_to_sym(z)
+
+
 def incremental_step(p: MaterialParams, sigma, z_prev) -> PointState:
     """Exact minimizer of the step functional at the given stress."""
     z = solve_point(reduced_problem(p, sigma, z_prev))
-    eps = p.elastic.apply_inverse(sigma) + dev_to_sym(z)
-    return PointState(eps, z)
+    return PointState(strain(p, sigma, z), z)
 
 
 def stability_residual(p: MaterialParams, sigma, state) -> float:
@@ -186,24 +211,26 @@ def verify_stability(p: MaterialParams, sigma, state,
 
     Competitors are drawn within radius 2 c3 of the state; in the sharp
     case the competitor z is clamped into the transformation ball so the
-    probe is informative (outside it the inequality holds trivially).
+    probe is informative (outside it the inequality holds trivially).  The
+    competitors' energies are one stack call.
     """
     if n_probes < 1:
         raise ValueError("need at least one probe")
     rng = np.random.Generator(np.random.Philox(seed))
     sigma = np.asarray(sigma, dtype=float)
-    base = stored_energy_density(p, state.eps, state.z) - float(sigma @ state.eps)
-    worst = -math.inf
-    for _ in range(n_probes):
-        eps_c = state.eps + _ball(rng, 6, 2.0 * p.c3)
-        z_c = state.z + _ball(rng, 5, 2.0 * p.c3)
-        if p.rho == 0:
-            z_c = project_ball(z_c, p.c3)
-        comp = (stored_energy_density(p, eps_c, z_c) - float(sigma @ eps_c)
-                + p.R * norm(z_c - state.z))
-        worst = max(worst, base - comp)
-    return StabilityReport(worst, stability_residual(p, sigma, state),
-                           n_probes, seed)
+    base = stored_energy_density(p, state.eps, state.z) - inner(sigma, state.eps)
+    # probe by probe, a strain offset and then a z offset from the stream
+    d_eps, d_z = map(np.array, zip(*[(_ball(rng, 6, 2.0 * p.c3),
+                                      _ball(rng, 5, 2.0 * p.c3))
+                                     for _ in range(n_probes)]))
+    eps_c, z_c = state.eps + d_eps, state.z + d_z
+    if p.rho == 0:
+        z_c = project_ball(z_c, p.c3)
+    dz = z_c - state.z
+    comp = (stored_energy_density(p, eps_c, z_c) - inner(eps_c, sigma)
+            + p.R * np.sqrt(inner(dz, dz)))
+    return StabilityReport(float(np.max(base - comp)),
+                           stability_residual(p, sigma, state), n_probes, seed)
 
 
 def checked_initial_state(p: MaterialParams, sigma0) -> PointState:
@@ -211,7 +238,7 @@ def checked_initial_state(p: MaterialParams, sigma0) -> PointState:
     which turns a -0 strain component into 0), after checking that it is
     stable at sigma0; UnstableInitialState otherwise."""
     z = np.zeros(5)
-    init = PointState(p.elastic.apply_inverse(sigma0) + dev_to_sym(z), z)
+    init = PointState(strain(p, sigma0, z), z)
     comp0 = stored_energy_density(p, init.eps, init.z) - float(np.asarray(sigma0) @ init.eps)
     if stability_residual(p, sigma0, init) > STABILITY_TOL * (1.0 + abs(comp0)):
         raise UnstableInitialState(
@@ -221,33 +248,28 @@ def checked_initial_state(p: MaterialParams, sigma0) -> PointState:
 
 def run_constitutive(p: MaterialParams, path: StressPath,
                      grid: TimeGrid) -> PointTrajectory:
-    """Incremental evolution along the grid, with the exact energy ledger."""
-    n = grid.steps
-    sig0 = path.value(grid.nodes[0])
-    init = checked_initial_state(p, sig0)
+    """Incremental evolution along the grid, with the exact energy ledger.
 
-    eps = np.zeros((n + 1, 6))
-    z = np.zeros((n + 1, 5))
-    stored = np.zeros(n + 1)
-    comp = np.zeros(n + 1)
-    diss_inc = np.zeros(n + 1)
-    work = np.zeros(n + 1)
-    eps[0], z[0] = init.eps, init.z
-    stored[0] = stored_energy_density(p, init.eps, init.z)
-    comp[0] = stored[0] - float(np.asarray(sig0) @ init.eps)
-    sig_prev = sig0
-    for i in range(1, n + 1):
-        sig = path.value(grid.nodes[i])
-        st = incremental_step(p, sig, z[i - 1])
-        eps[i], z[i] = st.eps, st.z
-        stored[i] = stored_energy_density(p, st.eps, st.z)
-        comp[i] = stored[i] - float(sig @ st.eps)
-        diss_inc[i] = p.R * norm(z[i] - z[i - 1])
-        # exact for piecewise-linear sigma against the piecewise-constant
-        # right-continuous strain interpolant
-        work[i] = work[i - 1] + float((sig - sig_prev) @ eps[i - 1])
-        sig_prev = sig
-    cum = np.cumsum(diss_inc)
+    Three stages: the stress at every node (one array pass), the time loop
+    (after the start check, each node's exact step anchored at the previous
+    node's z, and nothing else), then the strains eps = C^-1 sigma + z, the
+    stored energy, the dissipation increments R |z_i - z_{i-1}|, the work
+    and the balance residual for all nodes at once.
+    """
+    sig = path.at(grid.nodes)
+    checked_initial_state(p, sig[0])
+    z = np.zeros((grid.steps + 1, 5))
+    for i in range(1, grid.steps + 1):
+        z[i] = solve_point(reduced_problem(p, sig[i], z[i - 1]))
+
+    eps = strain(p, sig, z)
+    stored = stored_energy_density(p, eps, z)
+    comp = stored - inner(sig, eps)
+    dz = np.diff(z, axis=0)
+    cum = np.cumsum(np.r_[0.0, p.R * np.sqrt(inner(dz, dz))])
+    # exact for piecewise-linear sigma against the piecewise-constant
+    # right-continuous strain interpolant
+    work = np.cumsum(np.r_[0.0, inner(np.diff(sig, axis=0), eps[:-1])])
     residual = (comp + cum) - (comp[0] - work)
     return PointTrajectory(grid, eps, z, stored, cum, work, residual)
 

@@ -13,8 +13,11 @@ Infinity is represented by the ordinary float ``inf``; comparisons against
 it are total, so no sentinel magic numbers appear anywhere.
 
 The radial core ``c1 (sqrt(rho^2 + r^2) - rho) + phi(r)/rho`` has one
-evaluator for an array of radii (``radial_core``, the field step) and one
-for a float radius (``radial_core_at``, the point step and the densities).
+evaluator for an array of radii (``radial_core``: the field step and the
+densities) and one for a float radius (``radial_core_at``: the point step),
+with the same bits.  The densities take one deviator or an (N, 5) stack of
+them (the stored energy an (N, 6) stack of strains beside it), so a run's
+energy ledger is one call.
 """
 
 import math
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import Elasticity, dev_split, norm
+from .tensors import Elasticity, dev_split, inner, norm
 
 
 # relative slack of the sharp ball |z| <= c3: a radius above c3 (1 - slack)
@@ -102,37 +105,49 @@ _PIECES = (
 )
 
 
-def _penalty(k, s, d):
-    """The k-th derivative of phi on an array s, every piece on every entry."""
-    f = _PIECES[k]
-    return np.where(s <= d, f[0](s, d),
-                    np.where(s <= 2 * d, f[1](s, d), f[2](s, d)))
+def _penalty(s, d):
+    """phi and phi' on an array s, each piece on its own entries only (a
+    NaN goes to the last piece)."""
+    value, d1 = np.empty_like(s), np.empty_like(s)
+    first, last = s <= d, ~(s <= 2 * d)
+    for j, on in enumerate((first, ~(first | last), last)):
+        if on.any():
+            part = s[on]
+            value[on] = _PIECES[0][j](part, d)
+            d1[on] = _PIECES[1][j](part, d)
+    return value, d1
 
 
-def transformation_energy_sharp(p: MaterialParams, z) -> float:
-    """Sharp inelastic density; inf outside the transformation ball (with
-    the slack BALL_SLACK, so an exact radial projection's last ulp is in)."""
-    r = norm(np.asarray(z, dtype=float))
-    if r > p.c3 * (1.0 + BALL_SLACK):
-        return math.inf
-    return p.c1 * r + p.c2 * r * r
+def _radius(z):
+    """|z| of a deviator, or of each row of an (N, 5) stack."""
+    z = np.asarray(z, dtype=float)
+    return np.sqrt(inner(z, z))
+
+
+def transformation_energy_sharp(p: MaterialParams, z):
+    """Sharp inelastic density of a deviator (a float) or of each row of an
+    (N, 5) stack; inf outside the transformation ball (with the slack
+    BALL_SLACK, so an exact radial projection's last ulp is in)."""
+    r = _radius(z)
+    return np.where(r > p.c3 * (1.0 + BALL_SLACK), math.inf,
+                    p.c1 * r + p.c2 * r * r)[()]
 
 
 def radial_core(p: MaterialParams, r):
     """Value and derivative of the non-quadratic radial core of the smooth
-    density (all but c2 r^2) on an array of radii r >= 0, in one pass: one
-    sqrt(rho^2 + r^2), one ball test, the penalty pieces only outside the
-    ball (where a NaN radius counts)."""
+    density (all but c2 r^2) on an array of radii r >= 0 (0-d included), in
+    one pass: one sqrt(rho^2 + r^2), one ball test, the penalty only outside
+    the ball (where a NaN radius counts), each piece on its own radii."""
     if p.rho <= 0:
         raise ValueError("smooth transformation energy requires rho > 0")
     r = np.asarray(r, dtype=float)
     q = np.sqrt(p.rho ** 2 + r ** 2)
-    value, d1 = p.c1 * (q - p.rho), p.c1 * r / q
+    value, d1 = np.asarray(p.c1 * (q - p.rho)), np.asarray(p.c1 * r / q)
     outside = ~(r - p.c3 <= 0)
     if outside.any():
-        s = r[outside] - p.c3
-        value[outside] += _penalty(0, s, p.delta) / p.rho
-        d1[outside] += _penalty(1, s, p.delta) / p.rho
+        phi, dphi = _penalty(r[outside] - p.c3, p.delta)
+        value[outside] += phi / p.rho
+        d1[outside] += dphi / p.rho
     return value, d1
 
 
@@ -156,33 +171,37 @@ def radial_core_at(p: MaterialParams, r: float):
     return value, d1, d2
 
 
-def transformation_energy_smooth(p: MaterialParams, z) -> float:
-    r = norm(np.asarray(z, dtype=float))
-    return radial_core_at(p, r)[0] + p.c2 * r * r
+def transformation_energy_smooth(p: MaterialParams, z):
+    """Smooth inelastic density of a deviator (a float) or of each row of
+    an (N, 5) stack."""
+    r = _radius(z)
+    return (radial_core(p, r)[0] + p.c2 * r * r)[()]
 
 
 def transformation_energy_grad(p: MaterialParams, z) -> np.ndarray:
-    """Gradient of the smooth density; exactly zero at z = 0."""
+    """Gradient of the smooth density at a deviator; exactly zero at z = 0."""
     z = np.asarray(z, dtype=float)
     r = norm(z)
     d1 = radial_core_at(p, r)[1]
     return ((d1 / r if r > 0 else 0.0) + 2.0 * p.c2) * z
 
 
-def transformation_energy(p: MaterialParams, z) -> float:
-    """Inelastic density at the parameter set's own rho (sharp when 0)."""
+def transformation_energy(p: MaterialParams, z):
+    """Inelastic density at the parameter set's own rho (sharp when 0), of
+    a deviator or of each row of an (N, 5) stack."""
     if p.rho > 0:
         return transformation_energy_smooth(p, z)
     return transformation_energy_sharp(p, z)
 
 
-def stored_energy_density(p: MaterialParams, eps, z) -> float:
+def stored_energy_density(p: MaterialParams, eps, z):
     """Pointwise stored energy 0.5 C(eps - z):(eps - z) + F(z).
 
-    z is a 5-component deviator, eps a 6-component symmetric tensor; the
-    elastic part reduces to G |eps_dev - z|^2 + (kappa/2) tr(eps)^2.
+    z is a 5-component deviator and eps a 6-component symmetric tensor (a
+    float), or they are (N, 5) and (N, 6) stacks of them (an (N,) array);
+    the elastic part reduces to G |eps_dev - z|^2 + (kappa/2) tr(eps)^2.
     """
     e_dev, tr = dev_split(eps)
     d = e_dev - np.asarray(z, dtype=float)
-    elastic = p.elastic.G * float(d @ d) + 0.5 * p.elastic.kappa * tr * tr
+    elastic = p.elastic.G * inner(d, d) + 0.5 * p.elastic.kappa * tr * tr
     return elastic + transformation_energy(p, z)

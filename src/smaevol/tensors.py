@@ -53,19 +53,31 @@ def norm(a) -> float:
     return math.sqrt(a.dot(a))
 
 
-def trace(a) -> float:
-    return float(a[0] + a[1] + a[2])
+def inner(a, b):
+    """a : b of two tensors, or of each pair of rows of two (N, k) stacks
+    (an (N,) array); a row gives the same bits alone as in a stack."""
+    return np.einsum("...j,...j->...", a, b)
+
+
+def trace(a):
+    """Trace of a tensor, or of each row of an (N, 6) stack."""
+    c = np.asarray(a).T
+    return c[0] + c[1] + c[2]
 
 
 def dev_to_sym(d) -> np.ndarray:
-    """Embed a 5-component deviator into 6-component symmetric form."""
-    return DEV_BASIS @ np.asarray(d, dtype=float)
+    """Embed a 5-component deviator, or each row of an (N, 5) stack, into
+    6-component symmetric form; each row has the bits of DEV_BASIS @ row."""
+    return np.einsum("kj,...j->...k", DEV_BASIS, np.asarray(d, dtype=float))
 
 
 def dev_split(a):
-    """Split a into (deviatoric part, trace); a = dev + (tr/3)*identity."""
+    """Split a, or each row of an (N, 6) stack, into (deviatoric part,
+    trace); a = dev + (tr/3)*identity.  A single tensor's deviator has the
+    bits of DEV_BASIS.T @ a; a stack's rows agree with them to roundoff
+    (one matrix product for the whole stack)."""
     a = np.asarray(a, dtype=float)
-    return DEV_BASIS.T @ a, trace(a)
+    return a @ DEV_BASIS, trace(a)
 
 
 @dataclass(frozen=True)
@@ -82,13 +94,15 @@ class Elasticity:
             raise ValueError("; ".join(bad))
 
     def apply(self, a) -> np.ndarray:
+        """C a of a tensor, or of each row of an (N, 6) stack."""
         a = np.asarray(a, dtype=float)
-        tr = a[0] + a[1] + a[2]
+        tr = trace(a)[..., None]
         return 2.0 * self.G * a + (self.kappa - 2.0 * self.G / 3.0) * tr * IDENTITY6
 
     def apply_inverse(self, s) -> np.ndarray:
+        """C^-1 s of a tensor, or of each row of an (N, 6) stack."""
         s = np.asarray(s, dtype=float)
-        tr = s[0] + s[1] + s[2]
+        tr = trace(s)[..., None]
         return s / (2.0 * self.G) + (1.0 / (9.0 * self.kappa) - 1.0 / (6.0 * self.G)) * tr * IDENTITY6
 
     def matrix6(self) -> np.ndarray:

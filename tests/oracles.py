@@ -15,16 +15,22 @@ for bit against the closure-based root it replaced, which evaluated
 g(mu) through a closure around the plane shrinkage.  The smooth radial core,
 its derivatives and its constraint penalty are checked bit for bit against
 their whole-array nested ``np.where`` evaluation, which computes every
-penalty piece on every entry.  The
-element kernel of the assembly is checked bit for bit against the two
-four-operand einsums it replaced, scattered with every entry summed in
-element order, and the step's one-pass value and
-gradient of the z-problem against the closure that called the whole-array
-core's value and derivative one after the other.  The stability residual
-of a point state, now the first-order residual of the step anchored at the
-state, is checked against the hand-written sharp/smooth closed form it
-replaced.  The single-step continuous-dependence bound of the field step is
-written out from its derivation, with the solver's own P^-1 and lam.  The
+penalty piece on every entry; the penalty, now evaluated piece by piece on
+each piece's own entries, is also checked against the nested ``np.where``
+over every piece that it replaced.  The element kernel of the assembly is
+checked bit for bit against the two four-operand einsums it replaced,
+scattered with every entry summed in element order, and the step's
+one-pass value and gradient of the z-problem against the closure that
+called the whole-array core's value and derivative one after the other.
+The stability residual of a point state, now the first-order residual of
+the step anchored at the state, is checked against the hand-written
+sharp/smooth closed form it replaced.  The single-step
+continuous-dependence bound of the field step is written out from its
+derivation, with the solver's own P^-1 and lam.  The point driver, which
+now evaluates the stress program and the energy ledger once for the whole
+grid, is checked against the per-step loop it replaced, its stress program
+against the per-time evaluation, and the one-pass node mapping of a time
+grid against the argmin per time it replaced.  The
 tensor constructors and the path reparametrization at the end are used by
 tests only.
 """
@@ -38,11 +44,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from smaevol.material import (MaterialParams, radial_core_at,
+from smaevol.material import (_PIECES, MaterialParams, radial_core_at,
+                              stored_energy_density,
                               transformation_energy_grad)
 from smaevol.proxsolve import (EPS, MU_MAX, NEWTON_STEP_RTOL, NonConvergence,
                                project_ball)
-from smaevol.constitutive import StressPath
+from smaevol.constitutive import (PointTrajectory, StressPath, TimeGrid,
+                                  checked_initial_state, incremental_step)
 from smaevol.tensors import DEV_BASIS, SQ2, dev_split, dev_to_sym, norm
 
 
@@ -680,6 +688,69 @@ def closed_form_stability_residual(p: MaterialParams, sigma, state):
             v = v - max(0.0, float(v @ zhat)) * zhat
         r_z = max(0.0, norm(v) - p.R)
     return float(r_eps + r_z)
+
+
+# ---------------------------------------------------------------------------
+# the constitutive penalty, driver and node mapping the fast paths replaced
+
+
+def penalty_every_piece(k, s, d):
+    """The k-th derivative of phi on an array s, every piece on every entry."""
+    f = _PIECES[k]
+    return np.where(s <= d, f[0](s, d),
+                    np.where(s <= 2 * d, f[1](s, d), f[2](s, d)))
+
+
+def run_constitutive_loop(p: MaterialParams, path: StressPath,
+                          grid: TimeGrid) -> PointTrajectory:
+    """Incremental evolution along the grid, with the exact energy ledger."""
+    n = grid.steps
+    sig0 = path.value(grid.nodes[0])
+    init = checked_initial_state(p, sig0)
+
+    eps = np.zeros((n + 1, 6))
+    z = np.zeros((n + 1, 5))
+    stored = np.zeros(n + 1)
+    comp = np.zeros(n + 1)
+    diss_inc = np.zeros(n + 1)
+    work = np.zeros(n + 1)
+    eps[0], z[0] = init.eps, init.z
+    stored[0] = stored_energy_density(p, init.eps, init.z)
+    comp[0] = stored[0] - float(np.asarray(sig0) @ init.eps)
+    sig_prev = sig0
+    for i in range(1, n + 1):
+        sig = path.value(grid.nodes[i])
+        st = incremental_step(p, sig, z[i - 1])
+        eps[i], z[i] = st.eps, st.z
+        stored[i] = stored_energy_density(p, st.eps, st.z)
+        comp[i] = stored[i] - float(sig @ st.eps)
+        diss_inc[i] = p.R * norm(z[i] - z[i - 1])
+        # exact for piecewise-linear sigma against the piecewise-constant
+        # right-continuous strain interpolant
+        work[i] = work[i - 1] + float((sig - sig_prev) @ eps[i - 1])
+        sig_prev = sig
+    cum = np.cumsum(diss_inc)
+    residual = (comp + cum) - (comp[0] - work)
+    return PointTrajectory(grid, eps, z, stored, cum, work, residual)
+
+
+def stress_value(path: StressPath, t: float) -> np.ndarray:
+    """The stress of the path at the one time t, clamped to [t0, T]."""
+    t = min(max(t, path.times[0]), path.times[-1])
+    i = int(np.searchsorted(path.times, t, side="right")) - 1
+    i = min(i, len(path.times) - 2)
+    t0, t1 = path.times[i], path.times[i + 1]
+    w = (t - t0) / (t1 - t0)
+    return (1.0 - w) * path.values[i] + w * path.values[i + 1]
+
+
+def node_index_argmin(nodes, t) -> int:
+    """Index of the node at t (to a relative 1e-9); ValueError if no
+    node is there, so a table never compares states at two times."""
+    j = int(np.argmin(np.abs(nodes - t)))
+    if abs(nodes[j] - t) > 1e-9 * max(1.0, nodes[-1]):
+        raise ValueError(f"t = {t:g} is not a node of the grid")
+    return j
 
 
 # ---------------------------------------------------------------------------

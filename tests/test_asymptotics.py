@@ -1,3 +1,4 @@
+import math
 import multiprocessing as mp
 import os
 from dataclasses import replace
@@ -5,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from smaevol import asymptotics, constitutive
 from smaevol.asymptotics import (LimitSchedule, _beside, gamma_check_F,
                                  gamma_radii, limit_constitutive,
@@ -98,6 +100,26 @@ def test_limit_constitutive_tau_arrow():
     diffs = [r["state_diff"] for r in out["rows"]]
     assert all(np.diff(diffs) <= 1e-12)
     assert diffs[-1] < 0.8 * diffs[0]
+
+
+def test_state_diff_maps_the_member_nodes_in_one_pass():
+    # the sup over the member's nodes of the state difference at the
+    # reference node of the same time, as the per-node argmin loop had it
+    path = ramp_path()
+    ref = constitutive.run_constitutive(replace(P, rho=0.1), path,
+                                        constitutive.TimeGrid.with_step(1.0, 1 / 64))
+    member = constitutive.run_constitutive(replace(P, rho=0.1), path,
+                                           constitutive.TimeGrid.with_step(1.0, 1 / 8))
+    want = 0.0
+    for i, t in enumerate(member.grid.nodes):
+        j = oracles.node_index_argmin(ref.grid.nodes, t)
+        want = max(want, math.sqrt(
+            float(np.sum((member.eps[i] - ref.eps[j]) ** 2))
+            + float(np.sum((member.z[i] - ref.z[j]) ** 2))))
+    assert asymptotics._sup_state_diff(member, ref) == want > 0.0
+    with pytest.raises(ValueError, match="t = 0.015625 is not a node"):
+        asymptotics._sup_state_diff(ref, constitutive.run_constitutive(
+            replace(P, rho=0.1), path, constitutive.TimeGrid.with_step(1.0, 0.1)))
 
 
 def test_limit_constitutive_constant_schedule_is_zero():

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import (closed_form_stability_residual, path_dissipation,
                      planar_step_oracle, reparametrized)
+from smaevol import constitutive
 from smaevol.asymptotics import temporal_error_study
 from smaevol.constitutive import (PointState, StressPath, TimeGrid,
                                   UnstableInitialState,
                                   continuous_dependence_check,
                                   incremental_step, run_constitutive,
                                   stability_residual, verify_stability)
-from smaevol.material import MaterialParams, radial_core
+from smaevol.material import (MaterialParams, radial_core,
+                              stored_energy_density)
 from smaevol.proxsolve import EPS, RESIDUAL_RTOL
 from smaevol.tensors import dev_split, dev_to_sym, norm
 
@@ -236,6 +239,107 @@ def test_node_index_finds_nodes_and_rejects_other_times():
     assert grid.node_index(0.7) == 7 and grid.node_index(1.0) == 10
     with pytest.raises(ValueError, match="not a node"):
         grid.node_index(0.75)
+
+
+@pytest.mark.parametrize("nodes", [
+    TimeGrid.with_step(1.0, 0.1).nodes, TimeGrid.uniform(3.0, 2048).nodes,
+    np.array([0.0, 0.1, 0.35, 0.4, 1.0, 2.5]), np.array([-2.0, -1.0])])
+def test_node_indices_match_the_argmin_per_time(nodes):
+    # nodes, times within the tolerance of a node, times beyond either end
+    # and midpoints (two nodes as near: the first) map as the argmin did,
+    # and the first time off the grid raises its message
+    grid = TimeGrid(nodes)
+    tol = 1e-9 * max(1.0, nodes[-1])
+    on = np.concatenate([nodes, nodes + 0.5 * tol, nodes - 0.5 * tol])
+    assert grid.node_indices(on).tolist() == [
+        oracles.node_index_argmin(nodes, t) for t in on.tolist()]
+    off = [0.5 * (nodes[0] + nodes[1]), nodes[-1] + 2 * tol,
+           nodes[0] - 1.0, math.nan]
+    for t in off[:3]:
+        with pytest.raises(ValueError) as want:
+            oracles.node_index_argmin(nodes, t)
+        with pytest.raises(ValueError, match=str(want.value)):
+            grid.node_indices(np.r_[nodes[:2], t, off[0] + 1.0])
+    with pytest.raises(ValueError, match="not a node"):
+        grid.node_index(math.nan)
+    assert grid.node_indices([]).tolist() == []
+
+
+def test_stress_program_at_every_node_in_one_pass_matches_one_time_at_a_time():
+    # clamped times before and after the program, the breakpoints and the
+    # nodes of grids that do and do not share them, bit for bit
+    path = StressPath(np.array([0.0, 0.3, 1.0 / 3.0, 1.0]),
+                      RNG.standard_normal((4, 6)))
+    ts = np.concatenate([[-1.0, 0.0, 0.3, 1.0 / 3.0, 1.0, 2.0],
+                         TimeGrid.uniform(1.0, 64).nodes,
+                         TimeGrid.uniform(1.1, 7).nodes])
+    want = np.array([oracles.stress_value(path, t) for t in ts.tolist()])
+    assert path.at(ts).tobytes() == want.tobytes()
+    assert all(path.value(t).tobytes() == w.tobytes()
+               for t, w in zip(ts.tolist(), want))
+
+
+def _unit6(values):
+    v = np.asarray(values, dtype=float)
+    n = np.linalg.norm(v)
+    return v / n if n > 1e-3 else np.eye(6)[0]
+
+
+@st.composite
+def _driver_case(draw):
+    """A material of rho 0, 0.1 or 1e-3; a proportional or non-proportional
+    path of 2-4 breakpoints starting inside the elastic range, whose later
+    amplitudes reach 4.5 (past the saturation of the ball); 1-64 steps."""
+    rho = draw(st.sampled_from([0.0, 0.1, 1e-3]))
+    m = draw(st.integers(2, 4))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=m - 1,
+                         max_size=m - 1))
+    times = np.cumsum([0.0, *gaps])
+    amps = [draw(st.floats(-0.4, 0.4))] + draw(st.lists(
+        st.floats(-4.5, 4.5), min_size=m - 1, max_size=m - 1))
+    direction = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)
+    if draw(st.booleans()):
+        path = StressPath.proportional(_unit6(draw(direction)), amps, times)
+    else:
+        path = StressPath(times, np.array([a * _unit6(draw(direction))
+                                           for a in amps]))
+    grid = TimeGrid.uniform(path.T, draw(st.integers(1, 64)))
+    return MaterialParams(rho=rho), path, grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(_driver_case())
+def test_driver_matches_the_per_step_loop(case):
+    # the step sequence is the loop's, so z is the same bit for bit; the
+    # strains and the ledger are formed for all nodes at once and agree to
+    # 64 eps times (1 + the column's largest entry); the balance residual
+    # is a difference of ledger terms, so it is held to the ledger's scale
+    p, path, grid = case
+    new = run_constitutive(p, path, grid)
+    old = oracles.run_constitutive_loop(p, path, grid)
+    assert new.z.tobytes() == old.z.tobytes()
+    ledger = 1.0 + max(np.max(np.abs(getattr(old, c)))
+                       for c in ("stored", "cum_diss", "work"))
+    for col in ("eps", "stored", "cum_diss", "work", "residual"):
+        a, b = getattr(new, col), getattr(old, col)
+        scale = ledger if col == "residual" else 1.0 + np.max(np.abs(b))
+        assert np.max(np.abs(a - b)) <= 64.0 * EPS * scale, col
+
+
+@pytest.mark.parametrize("steps", [1, 64])
+def test_a_run_evaluates_the_stored_energy_once_for_all_nodes(monkeypatch,
+                                                              steps):
+    # one call for the whole ledger (all steps + 1 nodes) beside the start
+    # check's call on the one initial state, however many steps
+    rows = []
+
+    def counted(p, eps, z):
+        rows.append(np.shape(eps)[:-1])
+        return stored_energy_density(p, eps, z)
+
+    monkeypatch.setattr(constitutive, "stored_energy_density", counted)
+    run_constitutive(PS, ramp_unload_path(), TimeGrid.uniform(1.0, steps))
+    assert rows == [(), (steps + 1,)]
 
 
 def test_balance_residual_one_sided_and_shrinking():

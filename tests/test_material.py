@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 import oracles
-from smaevol.material import (MaterialParams, radial_core, radial_core_at,
-                              stored_energy_density, transformation_energy_grad,
+from smaevol.material import (BALL_SLACK, MaterialParams, _penalty,
+                              radial_core, radial_core_at,
+                              stored_energy_density, transformation_energy,
+                              transformation_energy_grad,
                               transformation_energy_sharp,
                               transformation_energy_smooth)
-from smaevol.tensors import dev_to_sym
+from smaevol.proxsolve import EPS
+from smaevol.tensors import (DEV_BASIS, Elasticity, dev_split, dev_to_sym,
+                             inner, trace)
 
 RNG = np.random.default_rng(7)
 
@@ -177,6 +181,69 @@ def test_float_core_matches_the_array_core_bit_for_bit(p, size):
         radial_core(P0, r)
     with pytest.raises(ValueError):
         radial_core_at(P0, 0.5)
+
+
+@pytest.mark.parametrize("size", [27, 1331])
+@pytest.mark.parametrize("p", [PS_SMALL,
+                               MaterialParams(rho=0.01, c3=0.7, delta=0.03),
+                               MaterialParams(rho=0.1, c3=2.0 ** -6)],
+                         ids=["default", "narrow", "exact-knots"])
+def test_penalty_pieces_on_their_own_radii_match_every_piece_oracle(p, size):
+    # s = r - c3 on both sides of c3, c3 + delta and c3 + 2 delta (and on
+    # them), random s over every piece and a NaN, which goes to the last
+    # piece as under the nested np.where; phi and phi', bit for bit
+    s = np.r_[_core_radii(p, size), p.c3 - 0.5 * p.delta] - p.c3
+    with np.errstate(invalid="ignore"):
+        for got, k in zip(_penalty(s, p.delta), (0, 1)):
+            want = oracles.penalty_every_piece(k, s, p.delta)
+            assert got.tobytes() == want.tobytes(), k
+        nan = _penalty(np.array([np.nan]), p.delta)
+    assert np.isnan(nan[0]).all() and nan[1].tolist() == [6.0]
+
+
+def _stack_case(p, rng, n=64):
+    """n strains and deviators of radii 0 to 2 c3: random rows, z = 0, and
+    rows just inside and just outside c3 (1 + BALL_SLACK) and on c3."""
+    eps = 2.0 * rng.standard_normal((n, 6))
+    z = rng.standard_normal((n, 5))
+    radii = rng.uniform(0.0, 2.0 * p.c3, n)
+    edge = p.c3 * (1.0 + BALL_SLACK)
+    radii[:6] = [edge * (1 - 1e-13), edge * (1 + 1e-13), p.c3, 0.0,
+                 edge * (1 - 1e-13), edge * (1 + 1e-13)]
+    return eps, z / np.linalg.norm(z, axis=1)[:, None] * radii[:, None]
+
+
+@pytest.mark.parametrize("p", [P0, PS_SMALL], ids=["sharp", "smooth"])
+def test_stacks_match_single_point_calls_row_by_row(p):
+    # the elementwise maps and the row sums give each row the bits of its
+    # single-point call; the deviator of a strain stack is one matrix
+    # product, so it and the stored energy agree to 64 eps of the row's scale
+    eps, z = _stack_case(p, np.random.default_rng(3))
+    E = Elasticity(G=1.3, kappa=0.7)
+    rows = lambda f, *a: np.array([f(*x) for x in zip(*a)])
+    for f, args in ((E.apply, (eps,)), (E.apply_inverse, (eps,)),
+                    (trace, (eps,)), (dev_to_sym, (z,)), (inner, (z, z)),
+                    (inner, (eps, eps)),
+                    (lambda x: transformation_energy(p, x), (z,))):
+        assert f(*args).tobytes() == rows(f, *args).tobytes()
+    dev, tr = dev_split(eps)
+    one = [dev_split(e) for e in eps]
+    assert all(d.tobytes() == (DEV_BASIS.T @ e).tobytes()
+               for (d, _), e in zip(one, eps))
+    assert all(dev_to_sym(x).tobytes() == (DEV_BASIS @ x).tobytes()
+               for x in z)
+    assert tr.tobytes() == np.array([t for _, t in one]).tobytes()
+    assert np.all(np.abs(dev - np.array([d for d, _ in one]))
+                  <= 64 * EPS * (1 + np.abs(eps).max(axis=1))[:, None])
+    w = stored_energy_density(p, eps, z)
+    single = np.array([stored_energy_density(p, e, x) for e, x in zip(eps, z)])
+    finite = np.isfinite(single)
+    assert np.array_equal(np.isfinite(w), finite)
+    scale = 1.0 + np.sum(eps * eps, axis=1) + np.sum(z * z, axis=1)
+    assert np.all(np.abs(w[finite] - single[finite]) <= 64 * EPS * scale[finite])
+    outside = np.linalg.norm(z, axis=1) > p.c3 * (1.0 + BALL_SLACK)
+    assert outside[[1, 5]].all() and not outside[[0, 2, 3, 4]].any()
+    assert np.array_equal(~finite, outside & (p.rho == 0))
 
 
 def test_sharp_energy_examples():
