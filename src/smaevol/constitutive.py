@@ -7,11 +7,12 @@ eps = C^-1 sigma + z, and the remaining 5-dimensional problem in z is
 
     F(z) - sigma_dev : z + R |z - z_prev|
 
-which the proximal kernel solves.  A run has three stages: the stress at
-every grid node in one array pass (StressPath.at), a time loop that only
-solves each node's z-problem, anchored at the previous node's z, and then
-the strains and the per-node energy ledger (stored energy, dissipation,
-external work) for all nodes at once.  The ledger is exact for the
+which the proximal kernel solves.  A run has three stages: the stress and
+its deviator at every grid node in one array pass each, a time loop that
+only runs the exact kernel on each node's z-problem, anchored at the
+previous node's z, and then the check of every step and the strains and
+the per-node energy ledger (stored energy, dissipation, external work) for
+all nodes at once.  The ledger is exact for the
 right-continuous piecewise-constant state interpolant, so the discrete
 one-sided energy inequality is a computable statement, not a quadrature
 approximation.
@@ -24,9 +25,10 @@ import numpy as np
 
 from .material import (MaterialParams, stored_energy_density,
                        transformation_energy_sharp)
-from .proxsolve import (STABILITY_TOL, PointProblem, first_order_residual,
-                        project_ball, solve_point)
-from .tensors import dev_split, dev_to_sym, inner, norm
+from .proxsolve import (STABILITY_TOL, NonConvergence, PointProblem,
+                        first_order_residual, point_kernel, point_residuals,
+                        project_ball, residual_error, solve_point)
+from .tensors import dev_rows, dev_split, dev_to_sym, inner, norm
 
 
 class UnstableInitialState(Exception):
@@ -250,17 +252,22 @@ def run_constitutive(p: MaterialParams, path: StressPath,
                      grid: TimeGrid) -> PointTrajectory:
     """Incremental evolution along the grid, with the exact energy ledger.
 
-    Three stages: the stress at every node (one array pass), the time loop
-    (after the start check, each node's exact step anchored at the previous
-    node's z, and nothing else), then the strains eps = C^-1 sigma + z, the
-    stored energy, the dissipation increments R |z_i - z_{i-1}|, the work
-    and the balance residual for all nodes at once.
+    Three stages: the stress and its deviatoric load b_i at every node (an
+    array pass each, b_i with the bits of the step's own dev_split); the
+    time loop, after the start check, which runs only the exact step's
+    kernel, z_i = point_kernel(b_i, z_{i-1}); then every step's check at
+    once (_check_steps), the strains eps = C^-1 sigma + z, the stored
+    energy, the dissipation increments R |z_i - z_{i-1}|, the work and the
+    balance residual for all nodes.
     """
     sig = path.at(grid.nodes)
     checked_initial_state(p, sig[0])
+    loads = dev_rows(sig)
+    pb = reduced_problem(p, sig[0], np.zeros(5))  # every step's constants
     z = np.zeros((grid.steps + 1, 5))
     for i in range(1, grid.steps + 1):
-        z[i] = solve_point(reduced_problem(p, sig[i], z[i - 1]))
+        z[i] = point_kernel(pb, loads[i], z[i - 1], [])
+    _check_steps(p, pb, loads, z, grid.nodes)
 
     eps = strain(p, sig, z)
     stored = stored_energy_density(p, eps, z)
@@ -272,6 +279,27 @@ def run_constitutive(p: MaterialParams, path: StressPath,
     work = np.cumsum(np.r_[0.0, inner(np.diff(sig, axis=0), eps[:-1])])
     residual = (comp + cum) - (comp[0] - work)
     return PointTrajectory(grid, eps, z, stored, cum, work, residual)
+
+
+def _check_steps(p, pb, loads, z, times):
+    """Check every step of a run at once, in the order the steps ran: step
+    i's anchor z[i-1] against the sharp ball (reduced_problem's test), then
+    z[i] by point_residuals under loads[i].  The first step that fails
+    raises ValueError or NonConvergence with its time; a residual also with
+    its bound and the Newton trail of the step solved again."""
+    i, res, bound = point_residuals(pb, loads[1:], z[1:], z[:-1])
+    last = len(z) - 1 if i is None else i + 1   # steps 1..last ran before it
+    if p.rho == 0:
+        out = np.isinf(transformation_energy_sharp(p, z[:last]))  # anchors
+        if out.any():
+            j = int(np.argmax(out)) + 1
+            raise ValueError(f"step {j} at t = {times[j]:g}: anchor must "
+                             f"satisfy |z_prev| <= c3 when rho = 0")
+    if i is not None:
+        trail = []
+        point_kernel(pb, loads[last], z[last - 1], trail)
+        raise NonConvergence(f"step {last} at t = {times[last]:g}: "
+                             f"{residual_error(res[i], bound[i], trail)}")
 
 
 def rate_study_steps(p: MaterialParams, T, taus, reference_tau=None):

@@ -27,9 +27,15 @@ exactly, with no iterative outer loop:
 * Without the core the profile is quadratic and the step is one prox of
   the kinks and the ball, prox_nonsmooth.
 
-Every scalar solve runs to roundoff and is capped at NEWTON_MAX_ITER, and
-every result's first_order_residual (also the stability residual of a point
-state) must be at roundoff; a miss raises NonConvergence with the trail.
+Every scalar solve runs to roundoff and is capped at NEWTON_MAX_ITER.  The
+step (point_kernel) and its accuracy check are apart: every check of a point
+result is failing_row, the first_order_rows residual of a batch of rows
+against max(RESIDUAL_RTOL scale, 64 eps (curvature (1 + |z|) + the kinks'
+share)).  solve_point and prox_nonsmooth are its one-row case, and a miss
+raises NonConvergence with the Newton trail; prox_nodal checks its rows, and
+the point driver a whole trajectory after its time loop (point_residuals).
+first_order_residual is the scalar form that a point state's stability
+residual reports.
 
 A field step minimizes the same structure nodewise on an (m, 5) field with
 per-node weights and a coupled strongly convex smooth part.  It is solved
@@ -40,8 +46,8 @@ estimate with a 1.01 margin, which measured 0.9989 lambda_max at n = 12,
 rho = 0; a certified bound is ROADMAP item 2.  Its rowwise prox, prox_nodal,
 is a shrinkage about each anchor without the zero kink and the ball;
 otherwise every row runs the plane prox of prox_nonsmooth, its change of
-coordinates and residual check (first_order_rows, which the BVP stability
-certificate shares) vectorized over the rows; the radial return
+coordinates and residual check (failing_row; its first_order_rows the BVP
+stability certificate shares) vectorized over the rows; the radial return
 starts at the iterate's row radius (on a bvp-schedule study 2.7 Newton steps
 a root, 5.7 from the anchor's).  The row loop stays scalar: on a shared 2-core
 x86 host a numpy op on 27 rows costs about 1 us, and a masked numpy root took
@@ -54,7 +60,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .material import BALL_SLACK, MaterialParams, radial_core_at
+from .material import BALL_SLACK, MaterialParams, radial_core, radial_core_at
 
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
@@ -124,9 +130,10 @@ class PointProblem:
     the smooth non-quadratic radial core of the given material (rho > 0),
     which comes without the zero kink and the ball; None leaves a
     quadratic profile.  smooth and grad evaluate the differentiable part
-    c2 |z|^2 + core(|z|) - b.z.  solve_point uses grad only (in its
-    residual check); smooth is the value grad is checked against, and the
-    objective of the prox-gradient oracle in the tests.
+    c2 |z|^2 + core(|z|) - b.z at one point: grad is the gradient a point
+    state's stability residual reads (point_residuals forms it on rows),
+    smooth the value grad is checked against, and the objective of the
+    prox-gradient oracle in the tests.
     """
 
     b: np.ndarray
@@ -159,11 +166,21 @@ class PointProblem:
 
 
 def solve_point(pb: PointProblem) -> np.ndarray:
-    """Exact minimizer of a point problem (see the module docstring)."""
+    """Exact minimizer of a point problem (see the module docstring):
+    point_kernel's, checked by point_residuals."""
+    trail = []
+    z = point_kernel(pb, pb.b, pb.anchor, trail)
+    _check(point_residuals(pb, pb.b[None], z[None], pb.anchor[None]), trail)
+    return z
+
+
+def point_kernel(pb: PointProblem, b, anchor, trail) -> np.ndarray:
+    """The minimizer of pb with the load b and the anchor in place of its
+    own, unchecked (solve_point checks one, run_constitutive a whole
+    trajectory at once); the multiplier root's |g| trail goes to trail."""
     if pb.core is None:
         t = 1.0 / (2.0 * pb.c2)
-        return prox_nonsmooth(pb.b * t, t, pb.w_shift, pb.anchor, pb.w_zero,
-                              pb.radius)
+        return _prox(b * t, t, pb.w_shift, anchor, pb.w_zero, pb.radius, trail)
     p = pb.core
 
     def slopes(s):
@@ -171,39 +188,63 @@ def solve_point(pb: PointProblem) -> np.ndarray:
         _, d1, d2 = radial_core_at(p, s)
         return 2.0 * pb.c2 * s + d1, 2.0 * pb.c2 + d2
 
-    e1, e2, beta, A = _plane(pb.b, pb.anchor)
-    trail = []
+    e1, e2, beta, A = _plane(b, anchor)
     if e1 is None:
-        z = np.zeros_like(pb.b)
+        return np.zeros_like(b)
+    alpha = (A, 0.0)
+    if math.hypot(beta[0] - slopes(A)[0], beta[1]) <= pb.w_shift:
+        y = alpha
     else:
-        alpha = (A, 0.0)
-        if math.hypot(beta[0] - slopes(A)[0], beta[1]) <= pb.w_shift:
-            y = alpha
-        else:
-            y = _plane_root(slopes, 2.0 * pb.c2, beta, alpha, pb.w_shift,
-                            A, trail)
-        z = _embed(y, alpha, pb.anchor, e1, e2)
-    _check(z, pb.grad(z), ((pb.anchor, pb.w_shift),), None,
-           2.0 * pb.c2 + p.core_curvature, 1.0 + _norm(pb.b), trail)
-    return z
+        y = _plane_root(slopes, 2.0 * pb.c2, beta, alpha, pb.w_shift, A, trail)
+    return _embed(y, alpha, anchor, e1, e2)
+
+
+def point_residuals(pb: PointProblem, B, Z, A):
+    """failing_row of the rows of Z as minimizers of pb under the loads B
+    and the anchors A, row by row ((m, 5) arrays).  A quadratic profile is
+    checked as prox_nonsmooth's prox of B / (2 c2); the smooth core on its
+    gradient, with curvature 2 c2 + core_curvature and scale 1 + |b|."""
+    if pb.core is None:
+        t = 1.0 / (2.0 * pb.c2)
+        return _prox_rows(B * t, Z, A, t, pb.w_shift, pb.w_zero, pb.radius)
+    r = row_hypot(Z)
+    pos = r > 0.0
+    d1 = radial_core(pb.core, r)[1]
+    # minus the gradient of c2 |z|^2 + core(|z|) - b.z, as PointProblem.grad
+    V = (B - 2.0 * pb.c2 * Z) - (np.where(pos, d1, 0.0)
+                                 / np.where(pos, r, 1.0))[:, None] * Z
+    return failing_row(Z, V, ((A, row_hypot(A), pb.w_shift),), None,
+                       2.0 * pb.c2 + pb.core.core_curvature,
+                       1.0 + row_hypot(B))
 
 
 def prox_nonsmooth(x, t, w_shift, anchor, w_zero=0.0, radius=None):
     """Exact prox of t * (w_zero |.| + w_shift |. - anchor| + ball indicator)."""
     x = np.asarray(x, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
-    k0, k1 = t * w_zero, t * w_shift
-    e1, e2, xi, A = _plane(x, anchor)
     trail = []
-    if e1 is None:
-        z = np.zeros_like(x)
-    else:
-        alpha = (A, 0.0)
-        y = _plane_prox(xi, alpha, k0, k1, radius, A, trail)
-        z = _embed(y, alpha, anchor, e1, e2)
-    _check(z, z - x, ((np.zeros_like(z), k0), (anchor, k1)), radius, 1.0,
-           1.0 + _norm(x), trail)
+    z = _prox(x, t, w_shift, anchor, w_zero, radius, trail)
+    _check(_prox_rows(x[None], z[None], anchor[None], t, w_shift, w_zero,
+                      radius), trail)
     return z
+
+
+def _prox(x, t, w_shift, anchor, w_zero, radius, trail):
+    """prox_nonsmooth, unchecked."""
+    e1, e2, xi, A = _plane(x, anchor)
+    if e1 is None:
+        return np.zeros_like(x)
+    alpha = (A, 0.0)
+    y = _plane_prox(xi, alpha, t * w_zero, t * w_shift, radius, A, trail)
+    return _embed(y, alpha, anchor, e1, e2)
+
+
+def _prox_rows(X, Z, A, t, w_shift, w_zero, radius):
+    """failing_row of the rows of Z as prox_nonsmooth's prox of the rows of
+    X about the anchors A."""
+    return failing_row(Z, X - Z, ((None, 0.0, t * w_zero),
+                                  (A, row_hypot(A), t * w_shift)),
+                       radius, 1.0, 1.0 + row_hypot(X))
 
 
 def _plane(b, anchor):
@@ -385,14 +426,31 @@ def first_order_residual(z, g, kinks, radius):
     return _norm(v) - budget, nz, share
 
 
-def _check(z, g, kinks, radius, curvature, scale, trail):
-    """NonConvergence unless z's first_order_residual is at most RESIDUAL_RTOL
-    scale or 64 eps (curvature (1 + |z|) + the kinks' share)."""
-    res, nz, share = first_order_residual(z, g, kinks, radius)
-    bound = max(RESIDUAL_RTOL * scale, 64.0 * EPS * (curvature * (1.0 + nz) + share))
-    if not res <= bound:  # also catches a nan
-        raise NonConvergence(f"point solve left first-order residual {res:.3e} "
-                             f"(bound {bound:.3e}); Newton trail {_trail(trail)}")
+def failing_row(Z, V, kinks, radius, curvature, scale):
+    """The accuracy check of a batch of point results, the one coding of
+    every caller (a point solve is its one-row case, prox_nodal and a
+    trajectory check its batches): (i, res, bound), res the first_order_rows
+    residual of each row (V, kinks, radius as there), bound
+    max(RESIDUAL_RTOL scale, 64 eps (curvature (1 + |z|) + the kinks'
+    share)) and i the first row over its bound (a nan too), else None."""
+    res, floor = first_order_rows(Z, V, kinks, radius, curvature)
+    bound = np.maximum(RESIDUAL_RTOL * scale, 64.0 * EPS * floor)
+    ok = res <= bound
+    return (None if ok.all() else int(np.argmin(ok))), res, bound
+
+
+def residual_error(res, bound, trail) -> NonConvergence:
+    """The NonConvergence of a point result whose first-order residual res
+    is over its bound, with the Newton trail of its solve."""
+    return NonConvergence(f"point solve left first-order residual {res:.3e} "
+                          f"(bound {bound:.3e}); Newton trail {_trail(trail)}")
+
+
+def _check(row_check, trail):
+    """Raise the residual_error of a one-row failing_row that failed."""
+    i, res, bound = row_check
+    if i is not None:
+        raise residual_error(res[0], bound[0], trail)
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +498,10 @@ def prox_nodal(X, t, w_shift, anchors, w_zero=None, radius=None, start=None):
     # a row stuck at its anchor is the anchor itself
     stuck = (Y[:, 0] == A) & (Y[:, 1] == 0.0)
     Z = np.where(stuck[:, None], anchors, Y[:, :1] * E1 + Y[:, 1:] * E2)
-    # _check of every row; the NonConvergence names the first row that fails
-    res, floor = first_order_rows(Z, X - Z, ((None, 0.0, k0), (anchors, A, k1)),
-                                  radius)
-    bound = np.maximum(RESIDUAL_RTOL * (1.0 + nx), 64.0 * EPS * floor)
-    if not np.all(res <= bound):  # also catches a nan
-        i = int(np.argmin(res <= bound))
+    # the check of every row; the NonConvergence names the first that fails
+    i, res, bound = failing_row(Z, X - Z, ((None, 0.0, k0), (anchors, A, k1)),
+                                radius, 1.0, 1.0 + nx)
+    if i is not None:
         raise NonConvergence(f"nodal prox row {i} left first-order residual "
                              f"{res[i]:.3e} (bound {bound[i]:.3e})")
     return Z
@@ -460,14 +516,16 @@ def _unit_rows(V, n):
     return U
 
 
-def first_order_rows(Z, V, kinks, radius):
+def first_order_rows(Z, V, kinks, radius, curvature=1.0):
     """first_order_residual of each row of an (m, 5) field Z: V the rows of
     -g, kinks the (centers or None for the origin, their row norms, per-row
     weights or None for no kink) of the norm terms.  V ends, in place, as
     minus a subgradient of norm the residual's positive part.  Returns (the
-    residual rows, their roundoff floor (1 + |z|) + the kinks' share)."""
+    residual rows, their roundoff floor curvature (1 + |z|) + the kinks'
+    share), the product not formed when curvature is 1."""
     nz = row_hypot(Z)
-    floor, budget = 1.0 + nz, 0.0
+    floor = 1.0 + nz if curvature == 1.0 else curvature * (1.0 + nz)
+    budget = 0.0
     for C, nc, k in kinks:
         if k is None:
             continue

@@ -80,6 +80,13 @@ def dev_split(a):
     return a @ DEV_BASIS, trace(a)
 
 
+def dev_rows(a) -> np.ndarray:
+    """The deviator of each row of an (N, 6) stack with the bits dev_split
+    gives the row alone: N vector-matrix products in one batched call,
+    where dev_split's one matrix product rounds otherwise."""
+    return np.matmul(np.asarray(a, dtype=float)[:, None, :], DEV_BASIS)[:, 0]
+
+
 @dataclass(frozen=True)
 class Elasticity:
     """Isotropic elasticity map: C a = 2G a_dev + kappa tr(a) I."""

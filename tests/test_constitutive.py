@@ -16,8 +16,9 @@ from smaevol.constitutive import (PointState, StressPath, TimeGrid,
                                   stability_residual, verify_stability)
 from smaevol.material import (MaterialParams, radial_core,
                               stored_energy_density)
-from smaevol.proxsolve import EPS, RESIDUAL_RTOL
-from smaevol.tensors import dev_split, dev_to_sym, norm
+from smaevol.proxsolve import (EPS, RESIDUAL_RTOL, NonConvergence,
+                               first_order_residual, point_residuals)
+from smaevol.tensors import dev_rows, dev_split, dev_to_sym, norm
 
 RNG = np.random.default_rng(31)
 
@@ -324,6 +325,64 @@ def test_driver_matches_the_per_step_loop(case):
         a, b = getattr(new, col), getattr(old, col)
         scale = ledger if col == "residual" else 1.0 + np.max(np.abs(b))
         assert np.max(np.abs(a - b)) <= 64.0 * EPS * scale, col
+    # the trajectory check's residual of each step is the step's scalar
+    # first_order_residual (of reduced_problem at z[i-1]) within the check's
+    # roundoff floor; a sharp step is checked in prox units, t = 1/(2 c2)
+    sig, z = path.at(grid.nodes), new.z
+    pb = constitutive.reduced_problem(p, sig[0], z[0])
+    res = point_residuals(pb, dev_rows(sig)[1:], z[1:], z[:-1])[1]
+    t = 1.0 / (2.0 * p.c2) if p.rho == 0 else 1.0
+    curvature = 1.0 if p.rho == 0 else 2.0 * p.c2 + p.core_curvature
+
+    def scalar(i):
+        q = constitutive.reduced_problem(p, sig[i], z[i - 1])
+        return first_order_residual(z[i], q.grad(z[i]), (
+            (np.zeros(5), q.w_zero), (z[i - 1], q.w_shift)), q.radius)
+
+    assert all(abs(r - t * want)
+               <= 64.0 * EPS * (curvature * (1.0 + nz) + t * share)
+               for r, (want, nz, share) in zip(res, map(scalar,
+                                                        range(1, len(z)))))
+
+
+def _moved_kernel(monkeypatch, k, move):
+    """Patch the driver's kernel so that its k-th call returns move(z)."""
+    kernel, calls = constitutive.point_kernel, []
+
+    def moved(pb, b, anchor, trail):
+        calls.append(None)
+        z = kernel(pb, b, anchor, trail)
+        return move(z) if len(calls) == k else z
+
+    monkeypatch.setattr(constitutive, "point_kernel", moved)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.0])
+def test_the_trajectory_check_names_a_step_moved_off_its_minimizer(
+        monkeypatch, rho):
+    # the loop runs the kernel unchecked; the check after it must catch
+    # one step moved by 1e-6 across the load, naming the step and its time
+    k, grid = 7, TimeGrid.uniform(1.0, 16)
+    _moved_kernel(monkeypatch, k, lambda z: z + 1e-6 * np.eye(5)[1])
+    with pytest.raises(NonConvergence, match=rf"^step {k} at t = "
+                       rf"{grid.nodes[k]:g}: point solve left first-order "
+                       rf"residual .*; Newton trail"):
+        run_constitutive(MaterialParams(rho=rho), ramp_unload_path(peak=2.0),
+                         grid)
+
+
+def test_the_trajectory_check_rejects_a_sharp_anchor_off_the_ball(
+        monkeypatch):
+    # on the saturated plateau a z pushed radially off the ball still meets
+    # its first-order condition; the next step's anchor test must catch it
+    k, grid = 7, TimeGrid.uniform(1.0, 16)
+    traj = run_constitutive(P0, ramp_unload_path(peak=4.0), grid)
+    assert np.allclose(np.linalg.norm(traj.z[k - 1:k + 1], axis=1), P0.c3,
+                       rtol=1e-15, atol=0.0)
+    _moved_kernel(monkeypatch, k, lambda z: (1.0 + 1e-6) * z)
+    with pytest.raises(ValueError, match=rf"^step {k + 1} at t = "
+                       rf"{grid.nodes[k + 1]:g}: anchor must satisfy"):
+        run_constitutive(P0, ramp_unload_path(peak=4.0), grid)
 
 
 @pytest.mark.parametrize("steps", [1, 64])

@@ -11,8 +11,8 @@ from smaevol.material import (BALL_SLACK, MaterialParams, _penalty,
                               transformation_energy_sharp,
                               transformation_energy_smooth)
 from smaevol.proxsolve import EPS
-from smaevol.tensors import (DEV_BASIS, Elasticity, dev_split, dev_to_sym,
-                             inner, trace)
+from smaevol.tensors import (DEV_BASIS, Elasticity, dev_rows, dev_split,
+                             dev_to_sym, inner, trace)
 
 RNG = np.random.default_rng(7)
 
@@ -233,6 +233,7 @@ def test_stacks_match_single_point_calls_row_by_row(p):
     assert all(dev_to_sym(x).tobytes() == (DEV_BASIS @ x).tobytes()
                for x in z)
     assert tr.tobytes() == np.array([t for _, t in one]).tobytes()
+    assert dev_rows(eps).tobytes() == np.array([d for d, _ in one]).tobytes()
     assert np.all(np.abs(dev - np.array([d for d, _ in one]))
                   <= 64 * EPS * (1 + np.abs(eps).max(axis=1))[:, None])
     w = stored_energy_density(p, eps, z)

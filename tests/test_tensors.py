@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import sym_from_diag, sym_to_matrix
-from smaevol.tensors import (DEV_BASIS, IDENTITY6, Elasticity, dev_split,
-                             dev_to_sym, sym_from_matrix, trace)
+from smaevol.tensors import (DEV_BASIS, IDENTITY6, Elasticity, dev_rows,
+                             dev_split, dev_to_sym, sym_from_matrix, trace)
 
 RNG = np.random.default_rng(20240901)
 
@@ -19,6 +19,17 @@ def test_inner_product_matches_full_expansion():
         a, b = random_sym(), random_sym()
         full = np.trace(sym_to_matrix(a) @ sym_to_matrix(b))
         assert abs(float(a @ b) - full) <= 1e-13 * (1 + abs(full))
+
+
+def test_dev_rows_give_each_row_the_bits_of_its_own_dev_split():
+    # the point driver forms every step's load at once; the step sequence
+    # stays the per-step one only if each load keeps its single-tensor bits
+    a = RNG.standard_normal((2000, 6)) * np.exp(RNG.uniform(-20, 20,
+                                                            (2000, 1)))
+    a[:3] = [np.zeros(6), [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0], IDENTITY6]
+    want = np.array([dev_split(row)[0] for row in a])
+    assert dev_rows(a).tobytes() == want.tobytes()
+    assert dev_rows(a[:0]).shape == (0, 5)
 
 
 def test_matrix_round_trip():
