@@ -26,9 +26,9 @@ import numpy as np
 from .material import (MaterialParams, stored_energy_density,
                        transformation_energy_sharp)
 from .proxsolve import (STABILITY_TOL, NonConvergence, PointProblem,
-                        first_order_residual, point_kernel, point_residuals,
-                        project_ball, residual_error, solve_point)
-from .tensors import dev_rows, dev_split, dev_to_sym, inner, norm
+                        point_kernel, point_residuals, project_ball,
+                        residual_error, solve_point)
+from .tensors import dev_split, dev_to_sym, inner, norm
 
 
 class UnstableInitialState(Exception):
@@ -71,10 +71,6 @@ class TimeGrid:
         if off.any():
             raise ValueError(f"t = {ts[off][0]:g} is not a node of the grid")
         return j
-
-    def node_index(self, t: float) -> int:
-        """node_indices of the one time t."""
-        return int(self.node_indices([t])[0])
 
 
 @dataclass(frozen=True)
@@ -175,17 +171,17 @@ def incremental_step(p: MaterialParams, sigma, z_prev) -> PointState:
 
 def stability_residual(p: MaterialParams, sigma, state) -> float:
     """Stability defect of (eps, z) at the given stress: the strain residual
-    |C(eps - z) - sigma| plus the positive part of the first-order residual
-    of the step anchored at z itself (z is stable exactly when it solves
-    that step); inf for a sharp z outside the transformation ball."""
+    |C(eps - z) - sigma| plus the positive part of the one-row
+    point_residuals of the step anchored at z itself (z is stable exactly
+    when it solves that step); inf for a sharp z outside the transformation
+    ball."""
     eps = np.asarray(state.eps, dtype=float)
     z = np.asarray(state.z, dtype=float)
     if p.rho == 0 and math.isinf(transformation_energy_sharp(p, z)):
         return math.inf
     r_eps = norm(p.elastic.apply(eps - dev_to_sym(z)) - np.asarray(sigma, dtype=float))
     pb = reduced_problem(p, sigma, z)
-    r_z = first_order_residual(z, pb.grad(z), ((np.zeros(5), pb.w_zero),
-                                               (z, pb.w_shift)), pb.radius)[0]
+    r_z = point_residuals(pb, pb.b[None], z[None], z[None])[1][0]
     return float(r_eps + max(0.0, r_z))
 
 
@@ -253,7 +249,7 @@ def run_constitutive(p: MaterialParams, path: StressPath,
     """Incremental evolution along the grid, with the exact energy ledger.
 
     Three stages: the stress and its deviatoric load b_i at every node (an
-    array pass each, b_i with the bits of the step's own dev_split); the
+    array pass each; dev_split gives b_i the bits of the step's own); the
     time loop, after the start check, which runs only the exact step's
     kernel, z_i = point_kernel(b_i, z_{i-1}); then every step's check at
     once (_check_steps), the strains eps = C^-1 sigma + z, the stored
@@ -262,7 +258,7 @@ def run_constitutive(p: MaterialParams, path: StressPath,
     """
     sig = path.at(grid.nodes)
     checked_initial_state(p, sig[0])
-    loads = dev_rows(sig)
+    loads = dev_split(sig)[0]
     pb = reduced_problem(p, sig[0], np.zeros(5))  # every step's constants
     z = np.zeros((grid.steps + 1, 5))
     for i in range(1, grid.steps + 1):

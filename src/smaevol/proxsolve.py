@@ -12,9 +12,11 @@ lies in that plane, and on the anchor's line when b is parallel to the
 anchor (proportional loading).  solve_point solves the plane problem
 exactly, with no iterative outer loop:
 
-* The anchor is optimal exactly when |grad F(anchor) - b| <= w_shift, the
-  origin (for a kink w_zero) exactly when |b + w_shift e| <= w_zero with e
-  the anchor's direction.
+* The ball is active exactly when the step's z(mu) (below) at the
+  sphere's least multiplier lies on or outside it.  Otherwise the anchor
+  is optimal exactly when |grad F(anchor) - b| <= w_shift, the origin (for
+  a kink w_zero) exactly when |b + w_shift e| <= w_zero with e the
+  anchor's direction.
 * Otherwise write the optimality condition F'(|z|) z/|z| - b + w_shift q
   = 0 (q a subgradient of |. - anchor|) as mu z - b + w_shift q = 0 with
   the radial multiplier mu = F'(|z|)/|z|.  For fixed mu its solution z(mu)
@@ -24,18 +26,19 @@ exactly, with no iterative outer loop:
   |z(mu)| = radius.  Either root is bracketed and found by safeguarded
   Newton steps; on b's line (proportional loading) the same code runs
   with every second coordinate zero.
-* Without the core the profile is quadratic and the step is one prox of
-  the kinks and the ball, prox_nonsmooth.
 
-Every scalar solve runs to roundoff and is capped at NEWTON_MAX_ITER.  The
-step (point_kernel) and its accuracy check are apart: every check of a point
-result is failing_row, the first_order_rows residual of a batch of rows
-against max(RESIDUAL_RTOL scale, 64 eps (curvature (1 + |z|) + the kinks'
-share)).  solve_point and prox_nonsmooth are its one-row case, and a miss
-raises NonConvergence with the Newton trail; prox_nodal checks its rows, and
-the point driver a whole trajectory after its time loop (point_residuals).
-first_order_residual is the scalar form that a point state's stability
-residual reports.
+One plane solve, _plane_step, does this in gradient units for every
+caller: point_kernel with the modulus 2 c2, the kinks and the core of its
+problem, and prox_nonsmooth (the step of c2 = 1/2) and the rows of
+prox_nodal with the modulus 1.  Every scalar solve runs to roundoff and is
+capped at NEWTON_MAX_ITER.  The step (point_kernel) and its accuracy check
+are apart: every check of a point result is failing_row, the
+first_order_rows residual of a batch of rows against max(RESIDUAL_RTOL
+scale, 64 eps (curvature (1 + |z|) + the kinks' share)).  point_residuals
+forms it for a point problem, in gradient units: solve_point and a point
+state's stability residual are its one-row case, the point driver's whole
+trajectory after its time loop a batch.  A miss raises NonConvergence with
+the Newton trail; prox_nodal checks its rows the same way.
 
 A field step minimizes the same structure nodewise on an (m, 5) field with
 per-node weights and a coupled strongly convex smooth part.  It is solved
@@ -45,7 +48,7 @@ gradient's Lipschitz constant; the BVP step's L is a power-iteration
 estimate with a 1.01 margin, which measured 0.9989 lambda_max at n = 12,
 rho = 0; a certified bound is ROADMAP item 2.  Its rowwise prox, prox_nodal,
 is a shrinkage about each anchor without the zero kink and the ball;
-otherwise every row runs the plane prox of prox_nonsmooth, its change of
+otherwise every row runs _plane_step, with prox_nonsmooth's change of
 coordinates and residual check (failing_row; its first_order_rows the BVP
 stability certificate shares) vectorized over the rows; the radial return
 starts at the iterate's row radius (on a bvp-schedule study 2.7 Newton steps
@@ -130,10 +133,10 @@ class PointProblem:
     the smooth non-quadratic radial core of the given material (rho > 0),
     which comes without the zero kink and the ball; None leaves a
     quadratic profile.  smooth and grad evaluate the differentiable part
-    c2 |z|^2 + core(|z|) - b.z at one point: grad is the gradient a point
-    state's stability residual reads (point_residuals forms it on rows),
-    smooth the value grad is checked against, and the objective of the
-    prox-gradient oracle in the tests.
+    c2 |z|^2 + core(|z|) - b.z at one point: point_residuals forms -grad on
+    rows, the one check of every point result (a solve, a trajectory, a
+    state's stability); the tests check grad against smooth, the objective
+    of their prox-gradient oracle.
     """
 
     b: np.ndarray
@@ -178,73 +181,37 @@ def point_kernel(pb: PointProblem, b, anchor, trail) -> np.ndarray:
     """The minimizer of pb with the load b and the anchor in place of its
     own, unchecked (solve_point checks one, run_constitutive a whole
     trajectory at once); the multiplier root's |g| trail goes to trail."""
-    if pb.core is None:
-        t = 1.0 / (2.0 * pb.c2)
-        return _prox(b * t, t, pb.w_shift, anchor, pb.w_zero, pb.radius, trail)
-    p = pb.core
-
-    def slopes(s):
-        # F'(s) and F''(s) for F(s) = c2 s^2 + core(s)
-        _, d1, d2 = radial_core_at(p, s)
-        return 2.0 * pb.c2 * s + d1, 2.0 * pb.c2 + d2
-
     e1, e2, beta, A = _plane(b, anchor)
     if e1 is None:
         return np.zeros_like(b)
     alpha = (A, 0.0)
-    if math.hypot(beta[0] - slopes(A)[0], beta[1]) <= pb.w_shift:
-        y = alpha
-    else:
-        y = _plane_root(slopes, 2.0 * pb.c2, beta, alpha, pb.w_shift, A, trail)
+    y = _plane_step(beta, alpha, 2.0 * pb.c2, pb.w_zero, pb.w_shift,
+                    pb.radius, pb.core, A, trail)
     return _embed(y, alpha, anchor, e1, e2)
 
 
 def point_residuals(pb: PointProblem, B, Z, A):
     """failing_row of the rows of Z as minimizers of pb under the loads B
-    and the anchors A, row by row ((m, 5) arrays).  A quadratic profile is
-    checked as prox_nonsmooth's prox of B / (2 c2); the smooth core on its
-    gradient, with curvature 2 c2 + core_curvature and scale 1 + |b|."""
-    if pb.core is None:
-        t = 1.0 / (2.0 * pb.c2)
-        return _prox_rows(B * t, Z, A, t, pb.w_shift, pb.w_zero, pb.radius)
-    r = row_hypot(Z)
-    pos = r > 0.0
-    d1 = radial_core(pb.core, r)[1]
-    # minus the gradient of c2 |z|^2 + core(|z|) - b.z, as PointProblem.grad
-    V = (B - 2.0 * pb.c2 * Z) - (np.where(pos, d1, 0.0)
-                                 / np.where(pos, r, 1.0))[:, None] * Z
-    return failing_row(Z, V, ((A, row_hypot(A), pb.w_shift),), None,
-                       2.0 * pb.c2 + pb.core.core_curvature,
-                       1.0 + row_hypot(B))
+    and the anchors A, row by row ((m, 5) arrays), in gradient units: V = B
+    - 2 c2 z - (core'(|z|)/|z|) z, curvature 2 c2 (+ core_curvature), scale
+    1 + |b|."""
+    V, curvature = B - 2.0 * pb.c2 * Z, 2.0 * pb.c2
+    if pb.core is not None:
+        r = row_hypot(Z)
+        pos = r > 0.0
+        d1 = radial_core(pb.core, r)[1]
+        V -= (np.where(pos, d1, 0.0) / np.where(pos, r, 1.0))[:, None] * Z
+        curvature += pb.core.core_curvature
+    return failing_row(Z, V, ((None, 0.0, pb.w_zero or None),
+                              (A, row_hypot(A), pb.w_shift)),
+                       pb.radius, curvature, 1.0 + row_hypot(B))
 
 
 def prox_nonsmooth(x, t, w_shift, anchor, w_zero=0.0, radius=None):
-    """Exact prox of t * (w_zero |.| + w_shift |. - anchor| + ball indicator)."""
-    x = np.asarray(x, dtype=float)
-    anchor = np.asarray(anchor, dtype=float)
-    trail = []
-    z = _prox(x, t, w_shift, anchor, w_zero, radius, trail)
-    _check(_prox_rows(x[None], z[None], anchor[None], t, w_shift, w_zero,
-                      radius), trail)
-    return z
-
-
-def _prox(x, t, w_shift, anchor, w_zero, radius, trail):
-    """prox_nonsmooth, unchecked."""
-    e1, e2, xi, A = _plane(x, anchor)
-    if e1 is None:
-        return np.zeros_like(x)
-    alpha = (A, 0.0)
-    y = _plane_prox(xi, alpha, t * w_zero, t * w_shift, radius, A, trail)
-    return _embed(y, alpha, anchor, e1, e2)
-
-
-def _prox_rows(X, Z, A, t, w_shift, w_zero, radius):
-    """failing_row of the rows of Z as prox_nonsmooth's prox of the rows of
-    X about the anchors A."""
-    return failing_row(Z, X - Z, ((None, 0.0, t * w_zero),
-                                  (A, row_hypot(A), t * w_shift)),
-                       radius, 1.0, 1.0 + row_hypot(X))
+    """Exact prox of t * (w_zero |.| + w_shift |. - anchor| + ball
+    indicator): the point step of c2 = 1/2 and the weights times t."""
+    return solve_point(PointProblem(x, 0.5, t * w_shift, anchor, t * w_zero,
+                                    radius))
 
 
 def _plane(b, anchor):
@@ -346,23 +313,16 @@ def _multiplier_root(xi, alpha, w, lo, guess, trail, slopes=None,
         last_step, mu = abs(new - mu), new
 
 
-def _plane_prox(xi, alpha, k0, k1, radius, s0, trail):
-    """prox_nonsmooth in plane coordinates; _plane_root takes s0."""
-    y = None if radius is None else _sphere_prox(xi, alpha, k0, k1, radius,
-                                                 trail)
-    return _interior_prox(xi, alpha, k0, k1, s0, trail) if y is None else y
-
-
-def _sphere_prox(xi, alpha, k0, k1, r, trail):
-    """The prox when the ball is active at it, else None (plane coordinates).
+def _sphere_prox(xi, alpha, modulus, k0, k1, r, trail):
+    """The step when the ball is active at it, else None (plane coordinates).
 
     On the sphere the optimality condition reads mu z - xi + k1 q = 0 with
-    q in the subdifferential of |. - alpha| and mu = 1 + (k0 + lambda)/r,
-    lambda >= 0 the ball multiplier; so z = z(mu), whose norm is nonincreasing
-    in mu.  The ball is active exactly when |z(mu0)| >= r at mu0 = 1 + k0/r,
-    and then mu solves |z(mu)| = r.
+    q in the subdifferential of |. - alpha| and mu = modulus + (k0 +
+    lambda)/r, lambda >= 0 the ball multiplier; so z = z(mu), whose norm is
+    nonincreasing in mu.  The ball is active exactly when |z(mu0)| >= r at
+    mu0 = modulus + k0/r, and then mu solves |z(mu)| = r.
     """
-    mu0 = 1.0 + k0 / r
+    mu0 = modulus + k0 / r
     # |z(mu0)|, formed as _multiplier_root forms |z(mu)|
     nd = math.hypot(xi[0] - mu0 * alpha[0], xi[1] - mu0 * alpha[1])
     c = None if nd <= k1 else (1.0 - k1 / nd) / mu0
@@ -379,13 +339,35 @@ def _sphere_prox(xi, alpha, k0, k1, r, trail):
     return (z[0] * r / nz, z[1] * r / nz)
 
 
-def _interior_prox(xi, alpha, k0, k1, s0, trail):
-    """The prox without the ball, in plane coordinates."""
-    if math.hypot(xi[0] - alpha[0] - k0, xi[1]) <= k1:
+def _plane_step(beta, alpha, modulus, w0, w1, radius, core, s0, trail):
+    """Minimizer of F(|x|) - beta.x + w1 |x - alpha| over |x| <= radius
+    (no ball when radius is None), F(s) = modulus s^2/2 + w0 s + core(s)
+    (core the radial core of a material, None for none; its core'(0) is 0),
+    in plane coordinates, alpha = (A, 0).  In order: the sphere, the anchor
+    (optimal exactly when |F'(A) e1 - beta| <= w1), the origin (exactly
+    when |beta + w1 e1| <= w0), else the radial return _plane_root, started
+    at the radius s0."""
+    if radius is not None:
+        y = _sphere_prox(beta, alpha, modulus, w0, w1, radius, trail)
+        if y is not None:
+            return y
+    A = alpha[0]
+    d = (beta[0] - modulus * A) - w0
+    if core is not None:
+        d -= radial_core_at(core, A)[1]
+    if math.hypot(d, beta[1]) <= w1:
         return alpha
-    if math.hypot(xi[0] + k1, xi[1]) <= k0:
+    if math.hypot(beta[0] + w1, beta[1]) <= w0:
         return (0.0, 0.0)
-    return _plane_root(lambda s: (s + k0, 1.0), 1.0, xi, alpha, k1, s0, trail)
+    if core is None:
+        def slopes(s):
+            return modulus * s + w0, modulus
+    else:
+        def slopes(s):
+            # F'(s) and F''(s)
+            _, d1, d2 = radial_core_at(core, s)
+            return modulus * s + w0 + d1, modulus + d2
+    return _plane_root(slopes, modulus, beta, alpha, w1, s0, trail)
 
 
 def _plane_root(slopes, modulus, beta, alpha, w, s0, trail):
@@ -402,28 +384,6 @@ def _plane_root(slopes, modulus, beta, alpha, w, s0, trail):
     return _multiplier_root(beta, alpha, w, modulus,
                             guess if guess > modulus else 2.0 * modulus,
                             trail, slopes)
-
-
-def first_order_residual(z, g, kinks, radius):
-    """(residual, |z|, the kinks' share of the residual's roundoff floor).
-
-    The residual is the distance from 0 to the subdifferential at z (g the
-    smooth part's gradient, kinks the (center, weight) pairs of the norm
-    terms, the ball's normal cone when |z| = radius), less the weight of
-    each kink within roundoff of its center: <= 0 inside it.  A kink off
-    its center shares its weight times the rounding of its direction."""
-    v, nz, budget, share = -g, _norm(z), 0.0, 0.0
-    for center, weight in kinks:
-        d = z - center
-        nd = _norm(d)
-        if nd > 64.0 * EPS * (1.0 + nz):
-            v = v - (weight / nd) * d
-            share += weight * (nz + _norm(center)) / nd
-        else:
-            budget += weight
-    if radius is not None and nz >= radius * (1.0 - BALL_SLACK):
-        v = v - (max(0.0, float(v @ z)) / (nz * nz)) * z
-    return _norm(v) - budget, nz, share
 
 
 def failing_row(Z, V, kinks, radius, curvature, scale):
@@ -491,7 +451,8 @@ def prox_nodal(X, t, w_shift, anchors, w_zero=None, radius=None, start=None):
     Y = []
     try:
         for x0, x1, a, c0, c1, s0 in rows:
-            Y.append(_plane_prox((x0, x1), (a, 0.0), c0, c1, radius, s0, []))
+            Y.append(_plane_step((x0, x1), (a, 0.0), 1.0, c0, c1, radius,
+                                 None, s0, []))
     except NonConvergence as e:
         raise NonConvergence(f"nodal prox row {len(Y)}: {e}") from e
     Y = np.array(Y).reshape(-1, 2)
@@ -517,9 +478,14 @@ def _unit_rows(V, n):
 
 
 def first_order_rows(Z, V, kinks, radius, curvature=1.0):
-    """first_order_residual of each row of an (m, 5) field Z: V the rows of
-    -g, kinks the (centers or None for the origin, their row norms, per-row
-    weights or None for no kink) of the norm terms.  V ends, in place, as
+    """The first-order residual of each row of an (m, 5) field Z: the
+    distance from 0 to the subdifferential at z, less the weight of each
+    kink within roundoff of its center (<= 0 inside it).  V holds the rows
+    of -g, g the smooth part's gradient; kinks the (centers or None for the
+    origin, their row norms, per-row weights or None for no kink) of the
+    norm terms; the ball's normal cone counts where |z| = radius (no ball
+    when radius is None).  A kink off its center shares its weight times the
+    rounding of its direction in the floor.  V ends, in place, as
     minus a subgradient of norm the residual's positive part.  Returns (the
     residual rows, their roundoff floor curvature (1 + |z|) + the kinks'
     share), the product not formed when curvature is 1."""

@@ -73,18 +73,11 @@ def dev_to_sym(d) -> np.ndarray:
 
 def dev_split(a):
     """Split a, or each row of an (N, 6) stack, into (deviatoric part,
-    trace); a = dev + (tr/3)*identity.  A single tensor's deviator has the
-    bits of DEV_BASIS.T @ a; a stack's rows agree with them to roundoff
-    (one matrix product for the whole stack)."""
+    trace); a = dev + (tr/3)*identity.  The deviator is one batched
+    vector-matrix product, so a stack's row has the bits of its
+    single-tensor call, which are those of DEV_BASIS.T @ a."""
     a = np.asarray(a, dtype=float)
-    return a @ DEV_BASIS, trace(a)
-
-
-def dev_rows(a) -> np.ndarray:
-    """The deviator of each row of an (N, 6) stack with the bits dev_split
-    gives the row alone: N vector-matrix products in one batched call,
-    where dev_split's one matrix product rounds otherwise."""
-    return np.matmul(np.asarray(a, dtype=float)[:, None, :], DEV_BASIS)[:, 0]
+    return np.matmul(a[..., None, :], DEV_BASIS)[..., 0, :], trace(a)
 
 
 @dataclass(frozen=True)

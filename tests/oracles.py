@@ -22,17 +22,17 @@ checked bit for bit against the two four-operand einsums it replaced,
 scattered with every entry summed in element order, and the step's
 one-pass value and gradient of the z-problem against the closure that
 called the whole-array core's value and derivative one after the other.
-The stability residual of a point state, now the first-order residual of
+The stability residual of a point state, now the one-row point check of
 the step anchored at the state, is checked against the hand-written
-sharp/smooth closed form it replaced.  The single-step
-continuous-dependence bound of the field step is written out from its
-derivation, with the solver's own P^-1 and lam.  The point driver, which
-now evaluates the stress program and the energy ledger once for the whole
-grid, is checked against the per-step loop it replaced, its stress program
-against the per-time evaluation, and the one-pass node mapping of a time
-grid against the argmin per time it replaced.  The
-tensor constructors and the path reparametrization at the end are used by
-tests only.
+sharp/smooth closed form it replaced, and the row-wise first-order
+residual of every point check against the scalar one it replaced.  The
+single-step continuous-dependence bound of the field step is written out
+from its derivation, with the solver's own P^-1 and lam.  The point driver,
+which now evaluates the stress program and the energy ledger once for the
+whole grid, is checked against the per-step loop it replaced, its stress
+program against the per-time evaluation, and the one-pass node mapping of a
+time grid against the argmin per time it replaced.  The tensor constructors
+and the path reparametrization at the end are used by tests only.
 """
 
 import itertools
@@ -44,8 +44,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from smaevol.material import (_PIECES, MaterialParams, radial_core_at,
-                              stored_energy_density,
+from smaevol.material import (_PIECES, BALL_SLACK, MaterialParams,
+                              radial_core_at, stored_energy_density,
                               transformation_energy_grad)
 from smaevol.proxsolve import (EPS, MU_MAX, NEWTON_STEP_RTOL, NonConvergence,
                                project_ball)
@@ -664,6 +664,30 @@ def step_smooth_grad(A_z, w, b, p, Z):
         fac[~pos] = p.c1 / p.rho
         g = g + (w * fac)[:, None] * Z
     return value, g
+
+
+def first_order_residual(z, g, kinks, radius):
+    """(residual, |z|, the kinks' share of the residual's roundoff floor) of
+    one (5,) point, with 5-vector arithmetic.
+
+    The residual is the distance from 0 to the subdifferential at z (g the
+    smooth part's gradient, kinks the (center, weight) pairs of the norm
+    terms, the ball's normal cone when |z| = radius), less the weight of
+    each kink within roundoff of its center: <= 0 inside it.  A kink off
+    its center shares its weight times the rounding of its direction."""
+    _norm = lambda v: math.hypot(*v.tolist())
+    v, nz, budget, share = -g, _norm(z), 0.0, 0.0
+    for center, weight in kinks:
+        d = z - center
+        nd = _norm(d)
+        if nd > 64.0 * EPS * (1.0 + nz):
+            v = v - (weight / nd) * d
+            share += weight * (nz + _norm(center)) / nd
+        else:
+            budget += weight
+    if radius is not None and nz >= radius * (1.0 - BALL_SLACK):
+        v = v - (max(0.0, float(v @ z)) / (nz * nz)) * z
+    return _norm(v) - budget, nz, share
 
 
 def closed_form_stability_residual(p: MaterialParams, sigma, state):

@@ -18,7 +18,9 @@ its start check is not the zero-load one; and for ``SHARP_PULL`` in
 ``OUT/sharp-pull/``, a sharp bvp-run whose pull leaves some nodes at z = 0,
 so its certificate meets the zero kink; and for ``GAMMA_EDGE`` in
 ``OUT/gamma-edge/``, a gamma-table run with no outside radii of its own, so
-only the penalty's breakpoints lie outside the ball.  Every ``results.json``
+only the penalty's breakpoints lie outside the ball; and for the documents
+of ``C2_POINT`` in ``OUT/c2/<name>/``, point runs at c2 = 2, where the
+step's modulus 2 c2 is not 1.  Every ``results.json``
 is parsed back as strict JSON (no NaN or Infinity); the files that fail are
 named at the end, and the exit status is then 1.  Running it in two
 checkouts and comparing with ``diff -r`` shows whether a change keeps every
@@ -86,6 +88,19 @@ GAMMA_EDGE = {"kind": "gamma-table", "material": {"delta": 0.05},
               "grid": {"inside": 5, "outside": 0}}
 
 
+# point runs at c2 = 2 (every pool point run has c2 = 1/2, where gradient
+# and prox units agree): a sharp point-test whose pull reaches the ball
+# (at |b| = 4 c3 + c1 + R = 5.5) and a smooth conv-tau whose peak is off
+# the grids' nodes, so its order is not degenerate
+C2_POINT = {
+    "point-test": {"kind": "point-test", "material": {"rho": 0.0, "c2": 2.0},
+                   "stress_path": {"amplitudes": [0.0, 6.0, 0.0]}},
+    "conv-tau": {"kind": "conv-tau", "material": {"rho": 0.1, "c2": 2.0},
+                 "stress_path": {"amplitudes": [0.0, 4.0, 0.0],
+                                 "times": [0.0, 1.0 / 3.0, 1.0]}},
+}
+
+
 def _workloads():
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", _ROOT / "perfbench" / "workloads.py")
@@ -127,6 +142,8 @@ def main(argv):
              for name, scenario in STUDIES.items()]
     runs += [(LOADED_START, out / "loaded-start"),
              (SHARP_PULL, out / "sharp-pull"), (GAMMA_EDGE, out / "gamma-edge")]
+    runs += [(scenario, out / "c2" / name)
+             for name, scenario in C2_POINT.items()]
     bad = [e for e in (_write(*run) for run in runs) if e]
     if bad:
         sys.exit("not strict JSON:\n" + "\n".join(bad))

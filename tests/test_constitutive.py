@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from oracles import (closed_form_stability_residual, path_dissipation,
-                     planar_step_oracle, reparametrized)
+from oracles import (closed_form_stability_residual, first_order_residual,
+                     path_dissipation, planar_step_oracle, reparametrized)
 from smaevol import constitutive
 from smaevol.asymptotics import temporal_error_study
 from smaevol.constitutive import (PointState, StressPath, TimeGrid,
@@ -17,8 +17,8 @@ from smaevol.constitutive import (PointState, StressPath, TimeGrid,
 from smaevol.material import (MaterialParams, radial_core,
                               stored_energy_density)
 from smaevol.proxsolve import (EPS, RESIDUAL_RTOL, NonConvergence,
-                               first_order_residual, point_residuals)
-from smaevol.tensors import dev_rows, dev_split, dev_to_sym, norm
+                               point_residuals)
+from smaevol.tensors import dev_split, dev_to_sym, norm
 
 RNG = np.random.default_rng(31)
 
@@ -169,6 +169,8 @@ def test_stability_at_global_minimum():
 VECTOR5 = st.lists(st.floats(-1, 1), min_size=5, max_size=5)
 STRESS = st.lists(st.floats(-4, 4), min_size=6, max_size=6)
 RHOS = st.sampled_from((1e-4, 1e-3, 1e-2, 1e-1, 1.0))
+# at c2 = 1/2 the step's modulus 2 c2 is 1, and gradient and prox units agree
+C2S = st.sampled_from((0.5, 2.0))
 
 
 def _unit(v):
@@ -190,25 +192,27 @@ def _assert_matches_closed_form(p, sigma, state):
 
 @settings(max_examples=200, deadline=None)
 @given(sigma=STRESS, z=st.lists(st.floats(-2, 2), min_size=5, max_size=5),
-       rho=RHOS, offset=st.sampled_from((0.0, 1e-3, -0.2)))
-def test_stability_residual_matches_closed_form_smooth(sigma, z, rho, offset):
+       rho=RHOS, offset=st.sampled_from((0.0, 1e-3, -0.2)), c2=C2S)
+def test_stability_residual_matches_closed_form_smooth(sigma, z, rho, offset,
+                                                       c2):
     # any z is feasible in the smooth model, inside the ball or beyond it
-    p, sigma = MaterialParams(rho=rho), np.array(sigma)
+    p, sigma = MaterialParams(rho=rho, c2=c2), np.array(sigma)
     _assert_matches_closed_form(p, sigma, _state(p, sigma, np.array(z), offset))
 
 
 @settings(max_examples=200, deadline=None)
 @given(sigma=STRESS, direction=VECTOR5,
        where=st.sampled_from(("origin", "inside", "sphere")),
-       length=st.floats(1e-3, 1.0 - 1e-9), offset=st.sampled_from((0.0, -0.2)))
+       length=st.floats(1e-3, 1.0 - 1e-9), offset=st.sampled_from((0.0, -0.2)),
+       c2=C2S)
 def test_stability_residual_matches_closed_form_sharp(sigma, direction, where,
-                                                      length, offset):
+                                                      length, offset, c2):
     # the inside states keep |z| >= 1e-3 c3: within roundoff of the origin
     # the new residual, like the point kernel, counts z as the origin
-    sigma = np.array(sigma)
-    z = {"origin": 0.0, "inside": length, "sphere": P0.c3}[where] \
+    p, sigma = MaterialParams(c2=c2), np.array(sigma)
+    z = {"origin": 0.0, "inside": length, "sphere": p.c3}[where] \
         * _unit(direction)
-    _assert_matches_closed_form(P0, sigma, _state(P0, sigma, z, offset))
+    _assert_matches_closed_form(p, sigma, _state(p, sigma, z, offset))
 
 
 @settings(max_examples=100, deadline=None)
@@ -237,9 +241,10 @@ def test_every_incremental_step_is_stable(sigma, direction, length, rho):
 
 def test_node_index_finds_nodes_and_rejects_other_times():
     grid = TimeGrid.with_step(1.0, 0.1)
-    assert grid.node_index(0.7) == 7 and grid.node_index(1.0) == 10
+    assert grid.node_indices([0.7])[0] == 7
+    assert grid.node_indices([1.0])[0] == 10
     with pytest.raises(ValueError, match="not a node"):
-        grid.node_index(0.75)
+        grid.node_indices([0.75])[0]
 
 
 @pytest.mark.parametrize("nodes", [
@@ -262,7 +267,7 @@ def test_node_indices_match_the_argmin_per_time(nodes):
         with pytest.raises(ValueError, match=str(want.value)):
             grid.node_indices(np.r_[nodes[:2], t, off[0] + 1.0])
     with pytest.raises(ValueError, match="not a node"):
-        grid.node_index(math.nan)
+        grid.node_indices([math.nan])[0]
     assert grid.node_indices([]).tolist() == []
 
 
@@ -288,15 +293,19 @@ def _unit6(values):
 
 @st.composite
 def _driver_case(draw):
-    """A material of rho 0, 0.1 or 1e-3; a proportional or non-proportional
-    path of 2-4 breakpoints starting inside the elastic range, whose later
-    amplitudes reach 4.5 (past the saturation of the ball); 1-64 steps."""
+    """A material of rho 0, 0.1 or 1e-3, c2 0.2, 0.5 or 2 and R in [0.1,
+    1.5]; a proportional or non-proportional path of 2-4 breakpoints
+    starting inside the elastic range (|b| <= 0.8 R), whose later
+    amplitudes reach 4.5 (past the saturation of the ball at c2 <= 1/2);
+    1-64 steps."""
     rho = draw(st.sampled_from([0.0, 0.1, 1e-3]))
+    c2 = draw(st.sampled_from([0.2, 0.5, 2.0]))
+    R = draw(st.floats(0.1, 1.5))
     m = draw(st.integers(2, 4))
     gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=m - 1,
                          max_size=m - 1))
     times = np.cumsum([0.0, *gaps])
-    amps = [draw(st.floats(-0.4, 0.4))] + draw(st.lists(
+    amps = [R * draw(st.floats(-0.8, 0.8))] + draw(st.lists(
         st.floats(-4.5, 4.5), min_size=m - 1, max_size=m - 1))
     direction = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)
     if draw(st.booleans()):
@@ -305,11 +314,17 @@ def _driver_case(draw):
         path = StressPath(times, np.array([a * _unit6(draw(direction))
                                            for a in amps]))
     grid = TimeGrid.uniform(path.T, draw(st.integers(1, 64)))
-    return MaterialParams(rho=rho), path, grid
+    return MaterialParams(rho=rho, c2=c2, R=R), path, grid
 
 
 @settings(max_examples=60, deadline=None)
 @given(_driver_case())
+# sharp runs onto the ball and back at c2 != 1/2, where the step's modulus
+# 2 c2 is not 1 (saturation at |b| = 2 c2 c3 + c1 + R)
+@example((MaterialParams(c2=0.2), ramp_unload_path(peak=4.0),
+          TimeGrid.uniform(1.0, 16)))
+@example((MaterialParams(c2=2.0), ramp_unload_path(peak=7.0),
+          TimeGrid.uniform(1.0, 16)))
 def test_driver_matches_the_per_step_loop(case):
     # the step sequence is the loop's, so z is the same bit for bit; the
     # strains and the ledger are formed for all nodes at once and agree to
@@ -327,20 +342,18 @@ def test_driver_matches_the_per_step_loop(case):
         assert np.max(np.abs(a - b)) <= 64.0 * EPS * scale, col
     # the trajectory check's residual of each step is the step's scalar
     # first_order_residual (of reduced_problem at z[i-1]) within the check's
-    # roundoff floor; a sharp step is checked in prox units, t = 1/(2 c2)
+    # roundoff floor; both are in gradient units
     sig, z = path.at(grid.nodes), new.z
     pb = constitutive.reduced_problem(p, sig[0], z[0])
-    res = point_residuals(pb, dev_rows(sig)[1:], z[1:], z[:-1])[1]
-    t = 1.0 / (2.0 * p.c2) if p.rho == 0 else 1.0
-    curvature = 1.0 if p.rho == 0 else 2.0 * p.c2 + p.core_curvature
+    res = point_residuals(pb, dev_split(sig)[0][1:], z[1:], z[:-1])[1]
+    curvature = 2.0 * p.c2 + (p.core_curvature if p.rho > 0 else 0.0)
 
     def scalar(i):
         q = constitutive.reduced_problem(p, sig[i], z[i - 1])
         return first_order_residual(z[i], q.grad(z[i]), (
             (np.zeros(5), q.w_zero), (z[i - 1], q.w_shift)), q.radius)
 
-    assert all(abs(r - t * want)
-               <= 64.0 * EPS * (curvature * (1.0 + nz) + t * share)
+    assert all(abs(r - want) <= 64.0 * EPS * (curvature * (1.0 + nz) + share)
                for r, (want, nz, share) in zip(res, map(scalar,
                                                         range(1, len(z)))))
 
@@ -357,9 +370,11 @@ def _moved_kernel(monkeypatch, k, move):
     monkeypatch.setattr(constitutive, "point_kernel", moved)
 
 
-@pytest.mark.parametrize("rho", [0.1, 0.0])
+@pytest.mark.parametrize("rho, c2", [(0.1, 0.5), (0.0, 0.5), (0.1, 2.0),
+                                     (0.0, 2.0)],
+                         ids=["0.1", "0.0", "0.1-c2=2", "0.0-c2=2"])
 def test_the_trajectory_check_names_a_step_moved_off_its_minimizer(
-        monkeypatch, rho):
+        monkeypatch, rho, c2):
     # the loop runs the kernel unchecked; the check after it must catch
     # one step moved by 1e-6 across the load, naming the step and its time
     k, grid = 7, TimeGrid.uniform(1.0, 16)
@@ -367,8 +382,8 @@ def test_the_trajectory_check_names_a_step_moved_off_its_minimizer(
     with pytest.raises(NonConvergence, match=rf"^step {k} at t = "
                        rf"{grid.nodes[k]:g}: point solve left first-order "
                        rf"residual .*; Newton trail"):
-        run_constitutive(MaterialParams(rho=rho), ramp_unload_path(peak=2.0),
-                         grid)
+        run_constitutive(MaterialParams(rho=rho, c2=c2),
+                         ramp_unload_path(peak=2.0), grid)
 
 
 def test_the_trajectory_check_rejects_a_sharp_anchor_off_the_ball(

@@ -9,13 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 import smaevol.proxsolve as proxsolve
 from oracles import (BBInfo, BBPointProblem, bb_solve_point, dykstra_prox,
-                     planar_step_oracle)
+                     first_order_residual, planar_step_oracle)
 from smaevol.material import MaterialParams, radial_core_at
 from smaevol.constitutive import incremental_step, reduced_problem
 from smaevol.proxsolve import (NonConvergence, PointProblem, StepProblem,
-                               first_order_residual, first_order_rows,
-                               prox_nodal, prox_nonsmooth, solve_field,
-                               solve_point)
+                               first_order_rows, prox_nodal, prox_nonsmooth,
+                               solve_field, solve_point)
 from smaevol.tensors import dev_to_sym
 
 RNG = np.random.default_rng(23)
@@ -445,13 +444,14 @@ def test_field_newton_cap_raises_with_the_residual_trail(monkeypatch):
 
 
 def test_nodal_row_check_names_the_row_that_fails(monkeypatch):
-    # an interior prox that always answers "stuck at the anchor" is right
-    # on row 0 (x at its anchor, |w_zero| <= w_shift) and wrong on row 1
+    # a plane step that always answers "stuck at the anchor" is right on
+    # row 0 (x at its anchor, |w_zero| <= w_shift) and wrong on row 1
     X = np.array([[0.3, 0.1, 0.0, 0.0, 0.0], [2.0, -1.0, 0.5, 0.0, 0.0]])
     A = np.array([[0.3, 0.1, 0.0, 0.0, 0.0], [0.1, 0.2, 0.0, 0.0, 0.0]])
     prox_nodal(X, 1.0, [0.5, 0.5], A, [0.2, 0.2])
-    monkeypatch.setattr(proxsolve, "_interior_prox",
-                        lambda xi, alpha, k0, k1, s0, trail: alpha)
+    monkeypatch.setattr(proxsolve, "_plane_step",
+                        lambda beta, alpha, modulus, w0, w1, radius, core, s0,
+                        trail: alpha)
     number = r"\d\.\d{3}e[+-]\d\d"
     with pytest.raises(NonConvergence,
                        match=rf"^nodal prox row 1 left first-order residual "
@@ -485,7 +485,7 @@ def test_fused_root_is_the_closure_root_bit_for_bit(xi, kind, length, log_tiny,
         return s + k0, 1.0
 
     cases = [  # (fused, closure-based), each taking the |g| trail
-        (lambda tr: proxsolve._sphere_prox(xi, alpha, k0, k1, r, tr),
+        (lambda tr: proxsolve._sphere_prox(xi, alpha, 1.0, k0, k1, r, tr),
          lambda tr: oracles.sphere_prox(xi, alpha, k0, k1, r, tr, cap)),
         (lambda tr: proxsolve._plane_root(quadratic, 1.0, xi, alpha, k1, A, tr),
          lambda tr: oracles.plane_root(quadratic, 1.0, xi, alpha, k1, tr, cap)),

@@ -337,7 +337,9 @@ def test_dry_run_says_the_minproblem_loads_vanish(tmp_path, capsys):
 _POOL_DOCUMENTS = {**pool_artifacts.STUDIES,
                    "loaded-start": pool_artifacts.LOADED_START,
                    "sharp-pull": pool_artifacts.SHARP_PULL,
-                   "gamma-edge": pool_artifacts.GAMMA_EDGE}
+                   "gamma-edge": pool_artifacts.GAMMA_EDGE,
+                   **{f"c2-{name}": doc
+                      for name, doc in pool_artifacts.C2_POINT.items()}}
 
 
 @pytest.mark.parametrize("name", list(_POOL_DOCUMENTS))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import sym_from_diag, sym_to_matrix
-from smaevol.tensors import (DEV_BASIS, IDENTITY6, Elasticity, dev_rows,
-                             dev_split, dev_to_sym, sym_from_matrix, trace)
+from smaevol.tensors import (DEV_BASIS, IDENTITY6, Elasticity, dev_split,
+                             dev_to_sym, sym_from_matrix, trace)
 
 RNG = np.random.default_rng(20240901)
 
@@ -21,15 +21,15 @@ def test_inner_product_matches_full_expansion():
         assert abs(float(a @ b) - full) <= 1e-13 * (1 + abs(full))
 
 
-def test_dev_rows_give_each_row_the_bits_of_its_own_dev_split():
+def test_dev_split_gives_each_row_of_a_stack_the_bits_of_its_own_call():
     # the point driver forms every step's load at once; the step sequence
     # stays the per-step one only if each load keeps its single-tensor bits
     a = RNG.standard_normal((2000, 6)) * np.exp(RNG.uniform(-20, 20,
                                                             (2000, 1)))
     a[:3] = [np.zeros(6), [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0], IDENTITY6]
     want = np.array([dev_split(row)[0] for row in a])
-    assert dev_rows(a).tobytes() == want.tobytes()
-    assert dev_rows(a[:0]).shape == (0, 5)
+    assert dev_split(a)[0].tobytes() == want.tobytes()
+    assert dev_split(a[:0])[0].shape == (0, 5)
 
 
 def test_matrix_round_trip():
