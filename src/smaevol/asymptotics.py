@@ -135,8 +135,6 @@ class GammaReport:
     inside_gaps: np.ndarray       # per member, max |F_rho - F_sharp| inside
     outside_min_last: float       # min F over outside points at the last rho
     zero_values: np.ndarray       # F_rho(0) per member
-    condition: str = ("monotone pointwise convergence of convex energies "
-                      "(sufficient for Gamma-convergence)")
 
 
 def gamma_rhos(rhos) -> np.ndarray:
@@ -316,7 +314,7 @@ def limit_constitutive(p: MaterialParams, path: StressPath,
                 "energy_diff": energy,
                 "diss_diff": abs(traj.cum_diss[-1] - ref.cum_diss[-1])}
 
-    return {"label": schedule.label, "rows": _rows(compare, trajs),
+    return {"rows": _rows(compare, trajs),
             "reference": {"rho": rho_ref, "tau": tau_ref}}
 
 
@@ -371,7 +369,7 @@ def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule):
                                               ref_forms, v, z, v_r, z_r),
                 "energy_diff": abs(w - w_r), "diss_diff": abs(dd - d_r)}
 
-    return {"label": schedule.label, "rows": _rows(compare, runs),
+    return {"rows": _rows(compare, runs),
             "reference": {"rho": rho_ref, "nu": nu_ref, "n": n_ref}}
 
 
@@ -405,7 +403,7 @@ def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
                 "ledger_bound_ok": rec.bound_ok, "nu_in_scope": nu > 0,
                 "sweeps": int(rec.sweeps.sum())}
 
-    return {"label": schedule.label, "rows": _rows(compare, runs),
+    return {"rows": _rows(compare, runs),
             "reference": {"rho": rho_ref, "nu": nu, "tau": tau_ref, "n": n_ref,
                           "ledger_bound_ok": ref.bound_ok,
                           "nu_in_scope": nu > 0,

@@ -1,10 +1,12 @@
-"""Command-line runner: scenario dispatch, CSV tables and run manifests.
+"""Command-line runner: scenario dispatch and every artifact of a run.
 
-Every run writes a manifest.json (scenario, seed, package and library
-versions, wall time) next to its data artifacts.  CSV files carry full
-double precision (17 significant digits) and are byte-identical across
-repeated runs with the same scenario and seed; the manifest is not, since
-it records the wall time.
+run_scenario turns results into artifacts: each CSV table (every header
+lives here) from the arrays a result carries, the field dump
+(fem.dump_fields) and a manifest.json (scenario, seed, package and library
+versions, wall time, results).  CSV files carry full double precision (17
+significant digits) and are byte-identical across repeated runs with the
+same scenario and seed; the manifest is not, since it records the wall
+time.
 """
 
 import argparse
@@ -56,8 +58,12 @@ def run_scenario(s: Scenario, out_dir) -> dict:
 
     if s.kind == "point-test":
         traj = run_constitutive(p, path, grid)
-        header, body = traj.rows()
-        write_csv(out / "trajectory.csv", header, body)
+        write_csv(out / "trajectory.csv",
+                  ["t", *(f"eps{k}" for k in range(6)),
+                   *(f"z{k}" for k in range(5)), "stored_energy",
+                   "cum_dissipation", "work_integral", "balance_residual"],
+                  np.column_stack([grid.nodes, traj.eps, traj.z, traj.stored,
+                                   traj.cum_diss, traj.work, traj.residual]))
         artifacts.append("trajectory.csv")
         checks = []
         idx = sorted({0, grid.steps // 2, grid.steps})
@@ -66,7 +72,7 @@ def run_scenario(s: Scenario, out_dir) -> dict:
                                    traj.state(i), n_probes=s.probes,
                                    seed=s.seed)
             checks.append([grid.nodes[i], rep.worst_violation,
-                           rep.analytic_residual, rep.n_probes, rep.seed,
+                           rep.analytic_residual, s.probes, s.seed,
                            rep.passed])
         write_csv(out / "stability_report.csv",
                   ["t", "worst_violation", "analytic_residual", "n_probes",
@@ -97,13 +103,19 @@ def run_scenario(s: Scenario, out_dir) -> dict:
         artifacts.append("gamma_table.csv")
         extra = {"monotone_exact": rep.monotone_exact,
                  "outside_min_last": rep.outside_min_last,
-                 "condition": rep.condition}
+                 "condition": "monotone pointwise convergence of convex "
+                              "energies (sufficient for Gamma-convergence)"}
 
     elif s.kind == "bvp-run":
         space = s.problem.space()
         rec = run_incremental_bvp(space, p, grid, s.problem.program)
-        header, body = rec.rows()
-        write_csv(out / "ledger.csv", header, body)
+        write_csv(out / "ledger.csv",
+                  ["t", "stored_energy", "load_pairing", "cum_dissipation",
+                   "work_sum", "balance_residual", "q", "L_pairing",
+                   "max_nodal_z"],
+                  np.column_stack([grid.nodes, rec.stored_u, rec.load_pair,
+                                   rec.cum_diss, rec.worksum, rec.residual,
+                                   rec.q, rec.L_pair, rec.nodal_z_norms()]))
         dump_fields(out / "final_state.txt", space,
                     {"u": rec.u[-1], "z": rec.z[-1]})
         artifacts += ["ledger.csv", "final_state.txt"]
@@ -137,7 +149,7 @@ def run_scenario(s: Scenario, out_dir) -> dict:
                   [[r[c] for c in header] for r in table["rows"]])
         artifacts.append("limit_table.csv")
         # per-member lists of the row entries the table has no column for
-        extra = {"label": table["label"], "reference": table["reference"],
+        extra = {"label": s.schedule.label, "reference": table["reference"],
                  **{c: [r[c] for r in table["rows"]]
                     for c in table["rows"][0] if c not in header}}
 

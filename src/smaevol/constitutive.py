@@ -135,16 +135,6 @@ class PointTrajectory:
     def state(self, i: int) -> PointState:
         return PointState(self.eps[i].copy(), self.z[i].copy())
 
-    def rows(self):
-        header = (["t"] + [f"eps{k}" for k in range(6)] + [f"z{k}" for k in range(5)]
-                  + ["stored_energy", "cum_dissipation", "work_integral",
-                     "balance_residual"])
-        body = []
-        for i, t in enumerate(self.grid.nodes):
-            body.append([t, *self.eps[i], *self.z[i], self.stored[i],
-                         self.cum_diss[i], self.work[i], self.residual[i]])
-        return header, body
-
 
 def reduced_problem(p: MaterialParams, sigma, z_prev) -> PointProblem:
     """The z-only incremental problem after eliminating the strain."""
@@ -189,8 +179,6 @@ def stability_residual(p: MaterialParams, sigma, state) -> float:
 class StabilityReport:
     worst_violation: float
     analytic_residual: float
-    n_probes: int
-    seed: int
 
     @property
     def passed(self) -> bool:
@@ -228,7 +216,7 @@ def verify_stability(p: MaterialParams, sigma, state,
     comp = (stored_energy_density(p, eps_c, z_c) - inner(eps_c, sigma)
             + p.R * np.sqrt(inner(dz, dz)))
     return StabilityReport(float(np.max(base - comp)),
-                           stability_residual(p, sigma, state), n_probes, seed)
+                           stability_residual(p, sigma, state))
 
 
 def checked_initial_state(p: MaterialParams, sigma0) -> PointState:

@@ -490,8 +490,6 @@ def galerkin_project(coarse: FeSpace, forms_f: StepForms, u_f, z_f):
     Operates on the homogeneous-Dirichlet subspace; the input must vanish
     on the fine Dirichlet dofs.
     """
-    if forms_f.params.c2 <= 0 and forms_f.params.nu <= 0:
-        raise SingularFormError("projector needs c2 > 0 or nu > 0")
     if not coarse.dirichlet_nodes.any():
         raise SingularFormError("projector needs a nonempty Dirichlet part")
     H = forms_f.matrix()
@@ -536,24 +534,16 @@ def interp_constrained(coarse: FeSpace, fine: FeSpace, z_f) -> np.ndarray:
 
 
 def dump_fields(path, space: FeSpace, fields: dict):
-    """Write node coordinates, per-node fields and connectivity as text."""
-    widths = {}
-    arrays = {}
-    for name, arr in fields.items():
-        arr = np.asarray(arr, dtype=float)
-        arr = arr.reshape(space.n_nodes, -1)
-        widths[name] = arr.shape[1]
-        arrays[name] = arr
-    fields_desc = ",".join(f"{name}:{w}" for name, w in widths.items())
-    lines = [f"# smaevol-fields nodes={space.n_nodes} tets={len(space.mesh.tets)} "
-             f"fields={fields_desc}"]
-    for i, x in enumerate(space.mesh.nodes):
-        vals = [f"{v:.17g}" for v in x]
-        for name in arrays:
-            vals.extend(f"{v:.17g}" for v in arrays[name][i])
-        lines.append(" ".join(vals))
-    lines.append("# tets")
-    for tet in space.mesh.tets:
-        lines.append(" ".join(str(int(v)) for v in tet))
+    """Write node coordinates, per-node fields and connectivity as text:
+    the line "# smaevol-fields nodes=N tets=T fields=name:width,...", one
+    line per node (coordinates, then each field's values, 17 significant
+    digits), "# tets" and one line of node indices per tetrahedron."""
+    arrays = [np.asarray(arr, dtype=float).reshape(space.n_nodes, -1)
+              for arr in fields.values()]
+    desc = ",".join(f"{name}:{arr.shape[1]}"
+                    for name, arr in zip(fields, arrays))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        np.savetxt(fh, np.hstack([space.mesh.nodes, *arrays]), fmt="%.17g",
+                   header=f"smaevol-fields nodes={space.n_nodes} "
+                          f"tets={len(space.mesh.tets)} fields={desc}")
+        np.savetxt(fh, space.mesh.tets, fmt="%d", header="tets")

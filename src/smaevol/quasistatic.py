@@ -55,7 +55,7 @@ from .constitutive import TimeGrid, UnstableInitialState
 from .fem import (FeSpace, LoadProgram, assemble_forms, box_mesh, build_space,
                   nested_dissection)
 from .material import BALL_SLACK, MaterialParams, radial_core
-from .proxsolve import (STABILITY_TOL, NonConvergence, StepProblem,
+from .proxsolve import (STABILITY_TOL, NonConvergence, StepProblem, _trail,
                         first_order_rows, row_norms, solve_field)
 
 
@@ -221,7 +221,7 @@ class QuasistaticSolver:
             trail.append(res)
         raise NonConvergence(
             f"step stalled at joint residual {res:.3e} after {MAX_SWEEPS} "
-            f"sweeps; joint residuals {' '.join(f'{r:.2e}' for r in trail)}")
+            f"sweeps; joint residuals {_trail(trail)}")
 
 
 def solve_bvp_step(solver: QuasistaticSolver, u_dir, load_u, anchor):
@@ -290,18 +290,6 @@ class EvolutionRecord:
     def max_nodal_z_norm(self) -> float:
         return float(self.nodal_z_norms().max())
 
-    def rows(self):
-        header = ["t", "stored_energy", "load_pairing", "cum_dissipation",
-                  "work_sum", "balance_residual", "q", "L_pairing",
-                  "max_nodal_z"]
-        body = []
-        zmax = self.nodal_z_norms()
-        for i, t in enumerate(self.grid.nodes):
-            body.append([t, self.stored_u[i], self.load_pair[i], self.cum_diss[i],
-                         self.worksum[i], self.residual[i], self.q[i],
-                         self.L_pair[i], zmax[i]])
-        return header, body
-
 
 def _pcg(apply_H, apply_P, b):
     """Preconditioned CG for H x = b down to a relative residual CG_RTOL."""
@@ -323,7 +311,7 @@ def _pcg(apply_H, apply_P, b):
             return x
     raise NonConvergence(
         f"ledger-bound CG stalled after {CG_MAX_ITER} iterations; relative "
-        f"residuals {' '.join(f'{t:.2e}' for t in trail)}")
+        f"residuals {_trail(trail)}")
 
 
 def _dual_norms(solver: QuasistaticSolver, amps, Lam_u, Lam_z):

@@ -19,7 +19,8 @@ penalty piece on every entry; the penalty, now evaluated piece by piece on
 each piece's own entries, is also checked against the nested ``np.where``
 over every piece that it replaced.  The element kernel of the assembly is
 checked bit for bit against the two four-operand einsums it replaced,
-scattered with every entry summed in element order, and the step's
+scattered with every entry summed in element order, the field dump byte
+for byte against the per-line formatting loop it replaced, and the step's
 one-pass value and gradient of the z-problem against the closure that
 called the whole-array core's value and derivative one after the other.
 The stability residual of a point state, now the one-row point check of
@@ -616,7 +617,8 @@ def plane_root(slopes, modulus, beta, alpha, w, trail, max_iter):
 
 
 # ---------------------------------------------------------------------------
-# the einsum assembly and the two-pass z-problem the kernels replaced
+# the einsum assembly, the per-line field dump and the two-pass z-problem
+# the kernels replaced
 
 
 def element_scatter(n_rows, n_cols, rows, cols, vals):
@@ -646,6 +648,31 @@ def assemble_forms_einsum(space, params):
     Cup = element_scatter(3 * nn, 5 * nn, np.repeat(udofs, 20, axis=1),
                           np.tile(zdofs, (1, 12)), np.tile(blk, (1, 1, 4)))
     return Ke, blk, K, Cup
+
+
+def dump_fields_loop(path, space, fields: dict):
+    """The field dump with every node and tetrahedron line formatted by
+    its own Python loop, value by value."""
+    widths = {}
+    arrays = {}
+    for name, arr in fields.items():
+        arr = np.asarray(arr, dtype=float)
+        arr = arr.reshape(space.n_nodes, -1)
+        widths[name] = arr.shape[1]
+        arrays[name] = arr
+    fields_desc = ",".join(f"{name}:{w}" for name, w in widths.items())
+    lines = [f"# smaevol-fields nodes={space.n_nodes} tets={len(space.mesh.tets)} "
+             f"fields={fields_desc}"]
+    for i, x in enumerate(space.mesh.nodes):
+        vals = [f"{v:.17g}" for v in x]
+        for name in arrays:
+            vals.extend(f"{v:.17g}" for v in arrays[name][i])
+        lines.append(" ".join(vals))
+    lines.append("# tets")
+    for tet in space.mesh.tets:
+        lines.append(" ".join(str(int(v)) for v in tet))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def step_smooth_grad(A_z, w, b, p, Z):

@@ -19,8 +19,8 @@ its start check is not the zero-load one; and for ``SHARP_PULL`` in
 so its certificate meets the zero kink; and for ``GAMMA_EDGE`` in
 ``OUT/gamma-edge/``, a gamma-table run with no outside radii of its own, so
 only the penalty's breakpoints lie outside the ball; and for the documents
-of ``C2_POINT`` in ``OUT/c2/<name>/``, point runs at c2 = 2, where the
-step's modulus 2 c2 is not 1.  Every ``results.json``
+of ``C2_POINT`` in ``OUT/c2/<name>/``, point runs at c2 = 1.5, where the
+step's modulus 2 c2 is not a power of two.  Every ``results.json``
 is parsed back as strict JSON (no NaN or Infinity); the files that fail are
 named at the end, and the exit status is then 1.  Running it in two
 checkouts and comparing with ``diff -r`` shows whether a change keeps every
@@ -88,14 +88,16 @@ GAMMA_EDGE = {"kind": "gamma-table", "material": {"delta": 0.05},
               "grid": {"inside": 5, "outside": 0}}
 
 
-# point runs at c2 = 2 (every pool point run has c2 = 1/2, where gradient
-# and prox units agree): a sharp point-test whose pull reaches the ball
-# (at |b| = 4 c3 + c1 + R = 5.5) and a smooth conv-tau whose peak is off
-# the grids' nodes, so its order is not degenerate
+# point runs at c2 = 1.5 (every pool point run has c2 = 1/2, where gradient
+# and prox units agree; at a c2 whose 2 c2 is a power of two the two units
+# differ by an exact scaling, so a change of units would keep every byte): a
+# sharp point-test whose pull reaches the ball (at |b| = 2 c2 c3 + c1 + R =
+# 4.5 against a peak of 6) and a smooth conv-tau whose peak is off the
+# grids' nodes, so its order is not degenerate
 C2_POINT = {
-    "point-test": {"kind": "point-test", "material": {"rho": 0.0, "c2": 2.0},
+    "point-test": {"kind": "point-test", "material": {"rho": 0.0, "c2": 1.5},
                    "stress_path": {"amplitudes": [0.0, 6.0, 0.0]}},
-    "conv-tau": {"kind": "conv-tau", "material": {"rho": 0.1, "c2": 2.0},
+    "conv-tau": {"kind": "conv-tau", "material": {"rho": 0.1, "c2": 1.5},
                  "stress_path": {"amplitudes": [0.0, 4.0, 0.0],
                                  "times": [0.0, 1.0 / 3.0, 1.0]}},
 }

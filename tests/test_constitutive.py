@@ -516,12 +516,3 @@ def test_ledger_matches_path_total():
     traj = run_constitutive(P0, ramp_unload_path(), grid)
     assert traj.cum_diss[-1] == pytest.approx(path_dissipation(P0.R, traj.z),
                                               rel=1e-12)
-
-
-def test_csv_rows_shape():
-    grid = TimeGrid.uniform(1.0, 4)
-    traj = run_constitutive(P0, ramp_unload_path(), grid)
-    header, body = traj.rows()
-    assert len(header) == 1 + 6 + 5 + 4
-    assert len(body) == 5
-    assert all(len(r) == len(header) for r in body)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from smaevol.material import MaterialParams
 from smaevol.tensors import DEV_BASIS, Elasticity, sym_from_matrix
 
 from oracles import (assemble_forms_einsum, box_mesh_loops, dev_from_sym,
-                     element_scatter)
+                     dump_fields_loop, element_scatter)
 
 RNG = np.random.default_rng(41)
 
@@ -429,3 +430,18 @@ def test_dump_fields_round_trip(tmp_path):
     parsed = np.array([[float(v) for v in ln.split()] for ln in node_lines])
     assert np.allclose(parsed[:, :3], space.mesh.nodes)
     assert np.allclose(parsed[:, 3:].ravel(), z)
+
+
+def test_dump_fields_writes_the_per_line_formatter_bytes(tmp_path):
+    space = small_space(2)
+    u = RNG.standard_normal(space.n_u)
+    z = RNG.standard_normal(space.n_z)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -2.0, 1e16,
+               0.1, math.inf, -math.inf, math.nan]
+    u[:len(special)] = special
+    z[-len(special):] = special[::-1]
+    for fields in ({"u": u, "z": z}, {"z": z}):
+        dump_fields(tmp_path / "new.txt", space, fields)
+        dump_fields_loop(tmp_path / "old.txt", space, fields)
+        assert ((tmp_path / "new.txt").read_bytes()
+                == (tmp_path / "old.txt").read_bytes())

@@ -31,6 +31,7 @@ RNG = np.random.default_rng(53)
 
 P_SMOOTH = MaterialParams(rho=0.1, nu=0.01)
 P_SHARP = MaterialParams(rho=0.0, nu=0.01)
+MIN_ORDER = 0.45    # the conv-tau gate's least temporal order
 
 
 def space_n(n):
@@ -775,3 +776,27 @@ def test_z_step_matrix_is_twice_the_z_block(nu):
     direct = 2.0 * (G + c2) * space.M + nu * space.Gs
     assert np.array_equal(QuasistaticSolver(space, p).A_z.toarray(),
                           direct.toarray())
+
+
+def test_bvp_tau_arrow_has_an_observed_order():
+    # acceptance criterion 10's rotating load at n = 2 (never node-exact, so
+    # the differences decay smoothly): the sup-in-time energy-norm difference
+    # of consecutive tau levels falls at an order of at least MIN_ORDER, by
+    # the least-squares fit over the arrow and on each halving of tau
+    prog = LoadProgram(times=[0.0, 0.5, 1.0], traction={"x1": [1.0, 0.0, 0.0]},
+                       traction_amps=[0.0, 1.5, 3.0], body=[0.6, 0.4, 0.0],
+                       body_amps=[0.0, 2.0, 0.0])
+    problem = BvpProblem(P_SMOOTH, prog)
+    taus = [1 / 8, 1 / 16, 1 / 32, 1 / 64]
+    recs = [spacetime_run(problem, P_SMOOTH.rho, P_SMOOTH.nu, tau, 2)
+            for tau in taus]
+    forms = recs[0].solver.forms
+    diffs = []
+    for a, b in zip(recs, recs[1:]):
+        j = b.grid.node_indices(a.grid.nodes).tolist()
+        diffs.append(max(math.sqrt(max(forms.energy_value(
+            (a.v[i] - b.v[k], a.z[i] - b.z[k])), 0.0))
+            for i, k in enumerate(j)))
+    fit = float(np.polyfit(np.log(taus[:-1]), np.log(diffs), 1)[0])
+    halvings = np.log2(np.array(diffs[:-1]) / diffs[1:])
+    assert fit >= MIN_ORDER and halvings.min() >= MIN_ORDER, (diffs, fit)

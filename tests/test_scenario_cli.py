@@ -116,6 +116,26 @@ def test_trajectory_csv_round_trips(tmp_path):
     assert data[:, -1].max() <= 1e-10
 
 
+def test_run_scenario_lays_out_the_trajectory_and_ledger(tmp_path):
+    # cli writes both tables from the result's arrays: one row per node
+    point = minimal("point-test", time={"T": 1.0, "steps": 4})
+    bvp = minimal("bvp-run", material={"rho": 0.1, "nu": 0.01},
+                  time={"T": 1.0, "steps": 4}, mesh={"n": 1})
+    trajectory = ["t", "eps0", "eps1", "eps2", "eps3", "eps4", "eps5", "z0",
+                  "z1", "z2", "z3", "z4", "stored_energy", "cum_dissipation",
+                  "work_integral", "balance_residual"]
+    ledger = ["t", "stored_energy", "load_pairing", "cum_dissipation",
+              "work_sum", "balance_residual", "q", "L_pairing", "max_nodal_z"]
+    for doc, name, header in ((point, "trajectory.csv", trajectory),
+                              (bvp, "ledger.csv", ledger)):
+        run_scenario(parse_scenario(doc), tmp_path / name)
+        rows = [ln.split(",") for ln in
+                (tmp_path / name / name).read_text().splitlines()]
+        assert rows[0] == header
+        assert [len(r) for r in rows[1:]] == [len(header)] * 5
+        assert [float(r[0]) for r in rows[1:]] == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
 def test_conv_tau_run_emits_rate_table(tmp_path):
     doc = minimal("conv-tau", material={"rho": 0.1},
                   stress_path={"amplitudes": [0.0, 2.2, 0.0],
