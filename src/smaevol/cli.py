@@ -124,7 +124,7 @@ def run_scenario(s: Scenario, out_dir) -> dict:
                  "ledger_peak": rec.ledger_peak,
                  "ledger_bound": rec.apriori.total,
                  "max_nodal_z": rec.max_nodal_z_norm(),
-                 "max_balance_residual": rep.residual_max}
+                 "max_balance_residual": float(rec.residual.max())}
 
     elif s.kind == "bvp-conv" and s.study == "nstep-h":
         out_nh = nstep_h_convergence(s.problem, s.schedule)

@@ -226,9 +226,12 @@ def checked_initial_state(p: MaterialParams, sigma0) -> PointState:
     z = np.zeros(5)
     init = PointState(strain(p, sigma0, z), z)
     comp0 = stored_energy_density(p, init.eps, init.z) - float(np.asarray(sigma0) @ init.eps)
-    if stability_residual(p, sigma0, init) > STABILITY_TOL * (1.0 + abs(comp0)):
+    res = stability_residual(p, sigma0, init)
+    bound = STABILITY_TOL * (1.0 + abs(comp0))
+    if res > bound:
         raise UnstableInitialState(
-            "initial state violates the stability condition at t = 0")
+            f"initial state violates the stability condition at t = 0 "
+            f"(stability residual {res:.2e}, bound {bound:.2e})")
     return init
 
 

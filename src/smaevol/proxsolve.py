@@ -51,10 +51,11 @@ is a shrinkage about each anchor without the zero kink and the ball;
 otherwise every row runs _plane_step, with prox_nonsmooth's change of
 coordinates and residual check (failing_row; its first_order_rows the BVP
 stability certificate shares) vectorized over the rows; the radial return
-starts at the iterate's row radius (on a bvp-schedule study 2.7 Newton steps
-a root, 5.7 from the anchor's).  The row loop stays scalar: on a shared 2-core
-x86 host a numpy op on 27 rows costs about 1 us, and a masked numpy root took
-1.48 ms a 27-row call against 0.81 (but 6.6 against 12.1 ms at 729 rows).
+starts at the row radius of the start field, solve_field's iterate (on a
+bvp-schedule study 2.7 Newton steps a root, 5.7 from the anchor's).  The row
+loop stays scalar: on a shared 2-core x86 host a numpy op on 27 rows costs
+about 1 us, and a masked numpy root took 1.48 ms a 27-row call against 0.81
+(but 6.6 against 12.1 ms at 729 rows).
 """
 
 import math
@@ -83,6 +84,9 @@ NEWTON_STEP_RTOL = 1e-12
 # a point solution must be first-order optimal to this fraction of
 # 1 + |b| (or to the roundoff floor of the residual, if that is larger)
 RESIDUAL_RTOL = 1e-12
+
+# iteration cap of solve_field
+FIELD_MAX_ITER = 20000
 
 # the most a stable state's stability measure may be: a point state's
 # probed violation and residual, a field state's certified bound
@@ -173,7 +177,9 @@ def solve_point(pb: PointProblem) -> np.ndarray:
     point_kernel's, checked by point_residuals."""
     trail = []
     z = point_kernel(pb, pb.b, pb.anchor, trail)
-    _check(point_residuals(pb, pb.b[None], z[None], pb.anchor[None]), trail)
+    i, res, bound = point_residuals(pb, pb.b[None], z[None], pb.anchor[None])
+    if i is not None:
+        raise residual_error(res[0], bound[0], trail)
     return z
 
 
@@ -406,25 +412,20 @@ def residual_error(res, bound, trail) -> NonConvergence:
                           f"(bound {bound:.3e}); Newton trail {_trail(trail)}")
 
 
-def _check(row_check, trail):
-    """Raise the residual_error of a one-row failing_row that failed."""
-    i, res, bound = row_check
-    if i is not None:
-        raise residual_error(res[0], bound[0], trail)
-
-
 # ---------------------------------------------------------------------------
 # vectorized nodal variant for finite-element z-fields
 
 
-def prox_nodal(X, t, w_shift, anchors, w_zero=None, radius=None, start=None):
-    """Rowwise prox for a field of nodal problems; X and anchors are (m, 5).
+def prox_nodal(X, t, w_shift, anchors, w_zero, radius, start):
+    """Rowwise prox for a field of nodal problems; X, anchors and start are
+    (m, 5).
 
     w_shift / w_zero are per-node weights (already including quadrature
-    weights) or one weight for all nodes.  Without the zero kink and the
-    ball a row is a shrinkage about its anchor, else prox_nonsmooth's, its
-    radial return started at the radius of its row of start (a field near
-    the prox) where that is not 0, else at its anchor's.
+    weights) or one weight for all nodes (w_zero None: no zero kink; radius
+    None: no ball).  Without the zero kink and the ball a row is a shrinkage
+    about its anchor, else prox_nonsmooth's, its radial return started at
+    the radius of its row of start (a field near the prox) where that is
+    not 0, else at its anchor's.
     """
     X, anchors = np.asarray(X, dtype=float), np.asarray(anchors, dtype=float)
     k1 = t * np.asarray(w_shift, dtype=float)
@@ -445,7 +446,7 @@ def prox_nodal(X, t, w_shift, anchors, w_zero=None, radius=None, start=None):
     perp = X - xi0[:, None] * E1
     xi1 = row_hypot(perp)
     E2 = _unit_rows(perp, xi1)
-    S = A if start is None else row_hypot(start)
+    S = row_hypot(start)
     rows = zip(*(v.tolist() for v in (xi0, xi1, A, k0, k1,
                                       np.where(S > 0.0, S, A))))
     Y = []
@@ -545,7 +546,7 @@ class StepProblem:
     w_zero: Union[float, np.ndarray, None] = None
     radius: Optional[float] = None
 
-    def prox(self, x, t, start=None):
+    def prox(self, x, t, start):
         return prox_nodal(x, t, self.w_shift, self.anchor, self.w_zero,
                           self.radius, start)
 
@@ -554,10 +555,11 @@ def _dot(a, b):
     return float((a * b).sum())
 
 
-def solve_field(pb: StepProblem, X0, tol, max_iter=20000):
+def solve_field(pb: StepProblem, X0, tol):
     """Minimize an (m, 5) field problem from X0 (projected onto the ball, if
-    any; X0 is not written to) by safeguarded BB proximal gradient; returns
-    the last iterate and the start's residual.
+    any; X0 is not written to) by safeguarded BB proximal gradient, in at
+    most FIELD_MAX_ITER iterations; returns the last iterate and the start's
+    residual.
 
     smooth_grad is called once on the start and once on each candidate; the
     accepted candidate's value and gradient are carried to the next
@@ -576,7 +578,7 @@ def solve_field(pb: StepProblem, X0, tol, max_iter=20000):
         z = project_ball(z, pb.radius)
     f, g = pb.smooth_grad(z)
     z_prev = g_prev = None
-    for it in range(max_iter):
+    for it in range(FIELD_MAX_ITER):
         # z starts each row's radial return: near the solution it is the prox
         fallback = pb.prox(z - t0 * g, t0, z)
         # np.linalg.norm's own sums, without its dispatch
@@ -610,4 +612,4 @@ def solve_field(pb: StepProblem, X0, tol, max_iter=20000):
         z_prev, g_prev = z, g
         z, f, g = cand, f_cand, g_cand
     raise NonConvergence(f"prox-gradient solve stalled at residual {res:.3e} "
-                         f"after {max_iter} iterations")
+                         f"after {FIELD_MAX_ITER} iterations")

@@ -18,7 +18,8 @@ and gradient) at each sweep's right-hand side.  Dof vectors follow fem's
 layout (raveled (n_nodes, 3) and (n_nodes, 5) arrays), and A_z =
 2 z_block() acts on the (n_nodes, 5) array.  The free u-dofs are one index
 array in nested-dissection order, in which the SPD stiffness
-K_ff = K[dofs][:, dofs] is factored once per solver, without pivoting.
+K_ff = K[dofs][:, dofs] is factored without pivoting, as is S = z_block() in
+the nodes' own order: both when the solver is built, and nothing after.
 
 A run builds its load data once: u_dir(t), l(t) and L(t) are amplitude-
 weighted sums of the unit liftings, unit loads and functionals Lambda_c of
@@ -52,8 +53,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .constitutive import TimeGrid, UnstableInitialState
-from .fem import (FeSpace, LoadProgram, assemble_forms, box_mesh, build_space,
-                  nested_dissection)
+from .fem import (FeSpace, LoadProgram, SingularFormError, assemble_forms,
+                  box_mesh, build_space, nested_dissection)
 from .material import BALL_SLACK, MaterialParams, radial_core
 from .proxsolve import (STABILITY_TOL, NonConvergence, StepProblem, _trail,
                         first_order_rows, row_norms, solve_field)
@@ -64,10 +65,6 @@ MAX_SWEEPS = 200
 # on every mesh; 43 iterations at c2 = G/2, under 200 at c2 = G/1000 (n = 4)
 CG_MAX_ITER = 1000
 CG_RTOL = 1e-13
-
-
-class SingularSystem(Exception):
-    """The constrained elasticity system is singular (no Dirichlet part)."""
 
 
 def _power_lambda_max(A):
@@ -91,22 +88,25 @@ def _splu_spd(A):
 
 
 class QuasistaticSolver:
-    """Per-(space, material) engine with cached factorizations."""
+    """Per-(space, material) engine; its two factorizations, K_ff and S,
+    are made at construction."""
 
     def __init__(self, space: FeSpace, params: MaterialParams):
         self.space = space
         self.params = params
         self.forms = assemble_forms(space, params)
         if not space.dirichlet_nodes.any():
-            raise SingularSystem("need a Dirichlet part with positive area")
+            raise SingularFormError("need a Dirichlet part with positive area")
         order = nested_dissection(space.mesh, ~space.dirichlet_nodes)
         self.dofs = dofs = (3 * order[:, None] + np.arange(3)).ravel()
         self.K_ff = self.forms.K[dofs][:, dofs]
         self.lu = _splu_spd(self.K_ff)
-        self.A_z = (2.0 * self.forms.z_block()).tocsr()   # acts on (m, 5)
+        S = self.forms.z_block()
+        self.S_nodes = nodes = nested_dissection(space.mesh)
+        self.S_lu = _splu_spd(S[nodes][:, nodes])
+        self.A_z = (2.0 * S).tocsr()   # acts on (m, 5)
         self.Cup_T = self.forms.Cup.T.tocsr()   # the z-load of a v (CSR: same sums)
         self.w = w = space.lumped
-        self._S = None
         # the step's nonsmooth weights; the zero kink and the ball are sharp
         sharp = params.rho == 0
         self.w_shift = w * params.R
@@ -144,15 +144,10 @@ class QuasistaticSolver:
 
     def solve_P(self, r):
         """P^-1 r for P = blockdiag(K_ff / 2, S (x) I5) (the module
-        docstring), r stacked as (the free u-dofs in dof order, the z-dofs);
-        S = z_block() is factored on first use."""
-        if self._S is None:
-            nodes = nested_dissection(self.space.mesh)
-            self._S = nodes, _splu_spd(self.forms.z_block()[nodes][:, nodes])
-        nodes, S_lu = self._S
-        nf = len(self.dofs)
+        docstring), r stacked as (the free u-dofs in dof order, the z-dofs)."""
+        nodes, nf = self.S_nodes, len(self.dofs)
         Y = np.empty((len(nodes), 5))
-        Y[nodes] = S_lu.solve(r[nf:].reshape(-1, 5)[nodes])
+        Y[nodes] = self.S_lu.solve(r[nf:].reshape(-1, 5)[nodes])
         return np.concatenate([2.0 * self.lu.solve(r[:nf]), Y.ravel()])
 
     def smooth_part(self, Z, b):
@@ -408,7 +403,6 @@ def run_incremental_bvp(space: FeSpace, params: MaterialParams, grid: TimeGrid,
 @dataclass
 class EnergeticReport:
     stability_worst: np.ndarray   # per step: certified bound on its violation
-    residual_max: float           # one-sided inequality defect (signed max)
 
     @property
     def passed(self) -> bool:
@@ -417,10 +411,9 @@ class EnergeticReport:
 
 def verify_energetic(record: EvolutionRecord) -> EnergeticReport:
     """Every state's certified stability bound (stability_bounds, lam = 1 -
-    sqrt(G / (G + c2))) and the discrete energy inequality's defect."""
-    worst = record.solver.stability_bounds(record.L_u, record.L_z, record.v,
-                                           record.z)
-    return EnergeticReport(worst, float(record.residual.max()))
+    sqrt(G / (G + c2))); the energy inequality's defect is record.residual."""
+    return EnergeticReport(record.solver.stability_bounds(
+        record.L_u, record.L_z, record.v, record.z))
 
 
 # ---------------------------------------------------------------------------

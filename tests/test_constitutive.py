@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +18,8 @@ from smaevol.constitutive import (PointState, StressPath, TimeGrid,
                                   stability_residual, verify_stability)
 from smaevol.material import (MaterialParams, radial_core,
                               stored_energy_density)
-from smaevol.proxsolve import (EPS, RESIDUAL_RTOL, NonConvergence,
-                               point_residuals)
+from smaevol.proxsolve import (EPS, RESIDUAL_RTOL, STABILITY_TOL,
+                               NonConvergence, point_residuals)
 from smaevol.tensors import dev_split, dev_to_sym, norm
 
 RNG = np.random.default_rng(31)
@@ -136,8 +138,20 @@ def test_unstable_initial_state_raises():
     grid = TimeGrid.uniform(1.0, 4)
     path = StressPath.proportional(dev_to_sym(UNIT_DEV), [3.0, 3.0, 0.0],
                                    [0.0, 0.5, 1.0])
-    with pytest.raises(UnstableInitialState):
+    with pytest.raises(UnstableInitialState) as err:
         run_constitutive(P0, path, grid)
+    # the message names the start's stability residual and its bound
+    # STABILITY_TOL (1 + |comp0|), comp0 the start's complementary energy
+    number = r"(\d\.\d{2}e[+-]\d\d)"
+    m = re.search(rf"stability residual {number}, bound {number}\)$",
+                  str(err.value))
+    sigma0, z0 = path.value(0.0), np.zeros(5)
+    eps0 = P0.elastic.apply_inverse(sigma0)
+    comp0 = stored_energy_density(P0, eps0, z0) - float(sigma0 @ eps0)
+    res = stability_residual(P0, sigma0, PointState(eps0, z0))
+    assert res > 1.0 and float(m[1]) == pytest.approx(res, rel=1e-2)
+    assert float(m[2]) == pytest.approx(STABILITY_TOL * (1.0 + abs(comp0)),
+                                        rel=1e-2)
 
 
 def test_stability_of_incremental_states():
@@ -487,6 +501,33 @@ def test_continuous_dependence_random_pairs():
             pairs.append(((s1, zb1), (s2, zb2)))
         rep = continuous_dependence_check(p, pairs)
         assert rep.all_ok
+
+
+@pytest.mark.parametrize("c2", [0.5, 2.0])
+def test_regularized_step_is_within_its_rate_of_the_sharp_step(c2):
+    # one step from the same anchor: F_0 - F_rho lies in [0, c1 rho] inside
+    # the ball and both steps are 2 c2-strongly convex in z, so the two
+    # minimality gaps give |z_rho - z_0| <= sqrt(c1 rho / (2 c2)) whenever
+    # |z_rho| <= c3; the strain moves by the same amount (eps = C^-1 sigma + z)
+    p0 = MaterialParams(c2=c2)
+    rng = np.random.default_rng(18)
+    peak = 2.0 * (2.0 * c2 * p0.c3 + p0.c1 + p0.R)   # twice the ball's load
+    for rho in (0.1, 1e-2, 1e-3, 1e-4):
+        p_rho, inside = replace(p0, rho=rho), 0
+        bound = math.sqrt(p0.c1 * rho / (2.0 * c2))
+        for _ in range(300):
+            d, a = rng.standard_normal(6), rng.standard_normal(5)
+            sigma = d * (rng.uniform(0.0, peak) / np.linalg.norm(d))
+            a *= p0.c3 * min(1.0, rng.uniform(0.0, 1.2)) / np.linalg.norm(a)
+            s0 = incremental_step(p0, sigma, a)
+            s_rho = incremental_step(p_rho, sigma, a)
+            gap = np.linalg.norm(s_rho.z - s0.z)
+            assert norm(s_rho.eps - s0.eps) == pytest.approx(gap, rel=1e-12,
+                                                             abs=1e-15)
+            if np.linalg.norm(s_rho.z) <= p0.c3:
+                inside += 1
+                assert gap <= bound, (rho, gap / bound)
+        assert inside >= 100
 
 
 def test_rate_independence_under_reparametrization():

@@ -98,7 +98,7 @@ def test_monotone_descent_and_info():
     iterates = []
 
     class RecordingProblem(StepProblem):
-        def prox(self, x, t, start=None):
+        def prox(self, x, t, start):
             if not iterates or iterates[-1] is not start:
                 iterates.append(start)
             return super().prox(x, t, start)
@@ -110,7 +110,7 @@ def test_monotone_descent_and_info():
     assert len(hist) > 2 and np.all(np.diff(hist) <= 1e-12)
     t0 = 1.0 / fp.lipschitz
     g = fp.smooth_grad(X)[1]
-    assert np.linalg.norm(X - fp.prox(X - t0 * g, t0)) / t0 <= TOL
+    assert np.linalg.norm(X - fp.prox(X - t0 * g, t0, fp.anchor)) / t0 <= TOL
     assert np.all(np.linalg.norm(X, axis=1) <= fp.radius + 1e-12)
 
 
@@ -168,11 +168,12 @@ def test_ball_projection_composition_when_anchor_zero():
     assert np.allclose(y, expect, atol=1e-14)
 
 
-def test_nonconvergence_raises():
+def test_nonconvergence_raises(monkeypatch):
     fp = coupled_field_problem(3, np.random.default_rng(37))
     fp.lipschitz *= 1e4
-    with pytest.raises(NonConvergence):
-        solve_field(fp, fp.anchor, 1e-14, max_iter=2)
+    monkeypatch.setattr(proxsolve, "FIELD_MAX_ITER", 2)
+    with pytest.raises(NonConvergence, match="after 2 iterations"):
+        solve_field(fp, fp.anchor, 1e-14)
 
 
 def test_deterministic_repeat():
@@ -199,7 +200,7 @@ def test_point_and_nodal_prox_agree_on_one_row(x, anchor, zero_anchor, t, w1,
     a = np.zeros(5) if zero_anchor else np.array(anchor)
     y = prox_nonsmooth(x, t, w1, a, 0.0 if w0 is None else w0, radius)
     y_nodal = prox_nodal(x[None], t, [w1], a[None],
-                         None if w0 is None else [w0], radius)[0]
+                         None if w0 is None else [w0], radius, a[None])[0]
     assert np.linalg.norm(y - y_nodal) <= 1e-10
 
 
@@ -350,7 +351,7 @@ def test_nodal_prox_is_exact_on_rows_the_splitting_leaves_short():
         assert np.linalg.norm(dykstra_prox(x, t, w1, a, w0, r) - exact) > 1e-10
         X = np.stack([x, benign[0]])
         A = np.stack([a, benign[1]])
-        out = prox_nodal(X, t, [w1, w1], A, [w0, w0], r)
+        out = prox_nodal(X, t, [w1, w1], A, [w0, w0], r, A)
         assert np.linalg.norm(out[0] - exact) <= 1e-10
         assert np.linalg.norm(out[1] - prox_nonsmooth(benign[0], t, w1, benign[1],
                                                       w0, r)) <= 1e-10
@@ -405,7 +406,7 @@ def test_nodal_prox_matches_the_point_prox_row_by_row(rows, t, zero_kink,
     # a batch mixes every kind of row, so a mask that leaks from one row
     # into another shows as a row off its own point prox
     X, A, W1, W0 = _nodal_rows(rows, radius)
-    Z = prox_nodal(X, t, W1, A, W0 if zero_kink else None, radius)
+    Z = prox_nodal(X, t, W1, A, W0 if zero_kink else None, radius, A)
     for x, a, w1, w0, z in zip(X, A, W1, W0, Z):
         w0 = w0 if zero_kink else 0.0
         y = prox_nonsmooth(x, t, w1, a, w0, radius)
@@ -426,7 +427,8 @@ def test_nodal_rows_stuck_at_their_anchors_are_the_anchors():
     A = rng.standard_normal((200, 5)) * rng.uniform(1e-3, 1.0, (200, 1))
     X = A + 1e-3 * rng.standard_normal((200, 5))
     for radius in (None, 10.0):
-        Z = prox_nodal(X, 1.0, np.full(200, 0.5), A, np.full(200, 0.1), radius)
+        Z = prox_nodal(X, 1.0, np.full(200, 0.5), A, np.full(200, 0.1), radius,
+                       A)
         assert np.array_equal(Z, A)
 
 
@@ -448,7 +450,7 @@ def test_nodal_row_check_names_the_row_that_fails(monkeypatch):
     # row 0 (x at its anchor, |w_zero| <= w_shift) and wrong on row 1
     X = np.array([[0.3, 0.1, 0.0, 0.0, 0.0], [2.0, -1.0, 0.5, 0.0, 0.0]])
     A = np.array([[0.3, 0.1, 0.0, 0.0, 0.0], [0.1, 0.2, 0.0, 0.0, 0.0]])
-    prox_nodal(X, 1.0, [0.5, 0.5], A, [0.2, 0.2])
+    prox_nodal(X, 1.0, [0.5, 0.5], A, [0.2, 0.2], None, A)
     monkeypatch.setattr(proxsolve, "_plane_step",
                         lambda beta, alpha, modulus, w0, w1, radius, core, s0,
                         trail: alpha)
@@ -456,7 +458,7 @@ def test_nodal_row_check_names_the_row_that_fails(monkeypatch):
     with pytest.raises(NonConvergence,
                        match=rf"^nodal prox row 1 left first-order residual "
                              rf"{number} \(bound {number}\)$"):
-        prox_nodal(X, 1.0, [0.5, 0.5], A, [0.2, 0.2])
+        prox_nodal(X, 1.0, [0.5, 0.5], A, [0.2, 0.2], None, A)
 
 
 @settings(max_examples=300, deadline=None)
@@ -514,7 +516,7 @@ def test_nodal_prox_started_at_a_field_agrees_with_the_anchor_start(
     # prox is the same to roundoff, whatever the start, zero rows included
     X, A, W1, W0 = _nodal_rows(rows, radius)
     W0 = W0 if zero_kink else None
-    Z = prox_nodal(X, t, W1, A, W0, radius)
+    Z = prox_nodal(X, t, W1, A, W0, radius, A)
     for start in (start_scale * Z, start_scale * X[::-1], np.zeros_like(X)):
         Z_start = prox_nodal(X, t, W1, A, W0, radius, start)
         bound = 1e-12 * (1.0 + np.linalg.norm(X, axis=1))
@@ -531,7 +533,8 @@ def test_tiny_anchor_at_the_kink_does_not_stall_the_root():
             a = np.array([A, 0.0, 0.0, 0.0, 0.0])
             y = prox_nonsmooth(x, 1.0, w1, a, 0.5)
             assert np.linalg.norm(y - 0.5 * x) <= 1e-12
-            y_nodal = prox_nodal(x[None], 1.0, w1, a[None], 0.5)[0]
+            y_nodal = prox_nodal(x[None], 1.0, w1, a[None], 0.5, None,
+                                 a[None])[0]
             assert np.linalg.norm(y_nodal - y) <= 1e-12
 
 
@@ -545,7 +548,7 @@ def test_nearly_collinear_saturated_sharp_step_is_exact():
     z = solve_point(pb)
     t = 1.0 / (2.0 * pb.c2)
     z_nodal = prox_nodal((pb.b * t)[None], t, pb.w_shift, pb.anchor[None],
-                         pb.w_zero, pb.radius)[0]
+                         pb.w_zero, pb.radius, pb.anchor[None])[0]
     assert np.linalg.norm(z_nodal - z) <= 1e-15
     # the prox is the minimizer: its value beats nearby points on the ball
     J = lambda y: pb.smooth(y) + pb.w_zero * np.linalg.norm(y) \

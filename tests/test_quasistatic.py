@@ -16,13 +16,12 @@ from smaevol import proxsolve, quasistatic
 from smaevol.asymptotics import (LimitSchedule, limit_evolution,
                                  nstep_h_convergence)
 from smaevol.constitutive import TimeGrid, UnstableInitialState
-from smaevol.fem import (PLANES, LoadProgram, box_mesh, build_space,
-                         nested_dissection)
+from smaevol.fem import (PLANES, LoadProgram, SingularFormError, box_mesh,
+                         build_space, nested_dissection)
 from smaevol.material import MaterialParams
 from smaevol.proxsolve import (NonConvergence, PointProblem, StepProblem,
                                solve_point)
-from smaevol.quasistatic import (BvpProblem, QuasistaticSolver,
-                                 SingularSystem, _dual_norms,
+from smaevol.quasistatic import (BvpProblem, QuasistaticSolver, _dual_norms,
                                  run_incremental_bvp, solve_bvp_step,
                                  spacetime_run, verify_energetic)
 from smaevol.tensors import Elasticity, dev_split
@@ -246,12 +245,19 @@ def test_ledger_bound_holds():
 
 
 def test_energy_inequality_one_sided():
+    # criterion 3's field form: the ledger's defect stays <= 0 within
+    # roundoff, and its largest |.| shrinks by at most 3/4 per halving of
+    # tau (measured about 1/2: the gap is first order)
     space = space_n(2)
     for p in (P_SMOOTH, P_SHARP):
-        rec = run_incremental_bvp(space, p, TimeGrid.uniform(1.0, 6),
-                                  pull_program())
-        scale = 1.0 + np.abs(rec.stored_v).max()
-        assert rec.residual.max() <= 1e-9 * scale
+        gaps = []
+        for steps in (8, 16, 32):
+            rec = run_incremental_bvp(space, p, TimeGrid.uniform(1.0, steps),
+                                      pull_program())
+            scale = 1.0 + np.abs(rec.stored_v).max()
+            assert rec.residual.max() <= 1e-9 * scale
+            gaps.append(np.abs(rec.residual).max())
+        assert gaps[1] <= 0.75 * gaps[0] and gaps[2] <= 0.75 * gaps[1], p
 
 
 def test_energy_identity_between_u_and_v_bookkeeping():
@@ -278,7 +284,6 @@ def test_verify_energetic_passes_and_flags():
                               pull_program())
     rep = verify_energetic(rec)
     assert rep.passed
-    assert rep.residual_max <= 1e-9 * (1 + np.abs(rec.stored_v).max())
     # hand-perturbed record: scale z at one interior node
     bad = rec
     i = 3
@@ -458,8 +463,8 @@ def test_run_and_verify_share_one_solver_and_two_factorizations(monkeypatch):
     init, splu = QuasistaticSolver.__init__, spla.splu
 
     def counting_init(self, *args, **kwargs):
-        inits.append(1)
         init(self, *args, **kwargs)
+        inits.append(len(shapes))
 
     def counting_splu(A, *args, **kwargs):
         shapes.append(A.shape)
@@ -472,11 +477,11 @@ def test_run_and_verify_share_one_solver_and_two_factorizations(monkeypatch):
         m.setattr(spla, "splu", counting_splu)
         rec = run_incremental_bvp(space, P_SMOOTH, grid, pull_program())
         verify_energetic(rec)
-    assert len(inits) == 1
     # K_ff and the scalar nodal matrix S, which the ledger-bound
-    # preconditioner and the stability certificate share; nothing as large
-    # as the joint (u, z) matrix is ever factored
-    assert len(shapes) == 2
+    # preconditioner and the stability certificate share, both factored by
+    # the constructor: the steps, the certificates and the bound factor
+    # nothing, and nothing as large as the joint (u, z) matrix is factored
+    assert inits == [2] and len(shapes) == 2
     largest = max(int(space.u_free.sum()), space.n_nodes)
     assert all(rows <= largest for rows, _ in shapes)
 
@@ -645,7 +650,7 @@ def test_unstable_initial_state_detected():
 
 def test_singular_system_without_dirichlet():
     space = build_space(box_mesh((1.0, 1.0, 1.0), (2, 2, 2)), ())
-    with pytest.raises(SingularSystem):
+    with pytest.raises(SingularFormError, match="need a Dirichlet part"):
         QuasistaticSolver(space, P_SMOOTH)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -333,6 +334,16 @@ def test_parse_rejects_what_the_run_rejects(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_an_unstable_start_reports_its_residual_and_bound():
+    kind, extra = BAD_DOCUMENTS["unstable-start"]
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(minimal(kind, **extra))
+    number = r"(\d\.\d{2}e[+-]\d\d)"
+    (msg,) = exc.value.errors
+    m = re.search(rf"stability residual {number}, bound {number}\)$", msg)
+    assert float(m[1]) > float(m[2]) > 0.0
 
 
 @pytest.mark.parametrize("name", ["non-nesting-rho", "non-nesting-tau",
