@@ -14,9 +14,9 @@ limit_minproblem, limit_evolution or nstep_h_convergence (whose reference
 is its finest level).  Each checks its schedule first
 (LimitSchedule.check_study), runs its reference in the calling process and
 builds one row per member.  The BVP members run beside the reference
-through _beside, in forked children on the spare CPUs of
-os.sched_getaffinity, and send back their records without the solver; the
-rows are those of a serial run, bit for bit.  The constitutive members run
+through _beside, on a fork-context process pool with one worker per spare
+CPU of os.sched_getaffinity, and return their records without the solver;
+the rows are those of a serial run, bit for bit.  The constitutive members run
 after the reference in the caller.  On a 2-CPU host, forking made the BVP
 studies faster (the study documents of tests/pool_artifacts.py, 44, 24 and
 24 alternating pairs, medians serial -> forked: minproblem over rho 261 ->
@@ -182,27 +182,30 @@ def gamma_check_F(p: MaterialParams, rhos, radii) -> GammaReport:
 # the run path: a reference, members beside it, a row per member
 
 
-def _send_share(conn, task, share):
-    """A child's body: task over its share, or the exception that stopped it."""
-    try:
-        out = (True, [task(a) for a in share])
-    except Exception as e:
-        out = (False, e)
-    conn.send(out)
-    conn.close()
+def _adopt(task, args):
+    """A member process's initializer: under fork, task and args are
+    inherited, not pickled, so a study's closures serve as they are."""
+    global _study
+    _study = task, args
+
+
+def _member(i):
+    return _study[0](_study[1][i])
 
 
 def _beside(main, task, args):
-    """(main(), [task(a) for a in args]) with the tasks in forked children.
+    """(main(), [task(a) for a in args]) with the tasks in forked processes.
 
-    The caller runs main while at most cpus - 1 children run the args
-    round-robin, so at most cpus processes compute at once.  A forked
-    child inherits the caller's state (a parsed problem, its cached
-    spaces) and pickles its results back.  multiprocessing flushes stdout
-    and stderr before each fork and ends each child with os._exit, so no
-    buffered line is written twice.  With one CPU, no fork start method
-    or a live thread (fork is unsafe then), everything runs here, main
-    first.  Every child is reaped before this returns or raises.
+    The caller runs main while a fork-context process pool of at most
+    cpus - 1 workers runs the args, so at most cpus processes compute at
+    once.  A worker inherits the caller's state (a parsed problem, its
+    cached spaces) and pickles its results back; a task's exception is
+    raised here, and a worker that dies raises BrokenProcessPool.
+    multiprocessing flushes stdout and stderr before each fork and ends
+    each worker with os._exit, so no buffered line is written twice.  With
+    one CPU, no fork start method or a live thread (fork is unsafe then),
+    everything runs here, main first.  Every worker is joined before this
+    returns or raises.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(len(args), (len(affinity(0)) if affinity else 1) - 1)
@@ -210,37 +213,14 @@ def _beside(main, task, args):
             or threading.active_count() > 1):
         first = main()
         return first, [task(a) for a in args]
-    ctx = mp.get_context("fork")
-    children, done = [], False
-    try:
-        for j in range(workers):
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_send_share,
-                                args=(send, task, args[j::workers]),
-                                daemon=True)
-            with send:   # the child holds its own end
-                child.start()
-            children.append((child, recv))
+    # a lazy import: only a BVP study forks, but every run imports this module
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, mp.get_context("fork"),
+                             initializer=_adopt,
+                             initargs=(task, args)) as pool:
+        results = pool.map(_member, range(len(args)))
         first = main()
-        results = [None] * len(args)
-        for j, (child, recv) in enumerate(children):
-            try:
-                ok, out = recv.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(f"a member process exited with code "
-                                   f"{child.exitcode} and sent no result")
-            if not ok:
-                raise out
-            results[j::workers] = out
-        done = True
-        return first, results
-    finally:
-        for child, recv in children:
-            if not done:
-                child.kill()
-            child.join()
-            recv.close()
+        return first, list(results)
 
 
 def _rows(compare, runs):

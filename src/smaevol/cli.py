@@ -184,8 +184,6 @@ def build_parser():
         sp.add_argument("--out", default=None,
                         help="output directory (default: scenario 'out' "
                              "field or the current directory)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the scenario RNG seed")
         sp.add_argument("--dry-run", action="store_true",
                         help="validate the scenario and exit")
     return parser
@@ -199,7 +197,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read scenario: {e}", file=sys.stderr)
         return 1
     try:
-        scenario = parse_scenario(text, seed=args.seed)
+        scenario = parse_scenario(text)
     except (ParseError, ValidationError) as e:
         print(f"error: invalid scenario {args.scenario}: {e}", file=sys.stderr)
         return 1

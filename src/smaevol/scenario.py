@@ -45,12 +45,12 @@ of the stress path for every rho of a point-test, conv-tau or conv-rho run).
 This module keeps only what no object knows: the structure (unknown keys and
 non-object sections raise ParseError), the JSON types (a number is a 64-bit int
 or a finite float, a count a 64-bit int, neither a bool; type errors raise a
-ValidationError before any object sees a value), the defaults, the seed (also
---seed's), probe and radius counts, and the rules that span sections: an
-explicit time.T is the last program time, a program has times and each of its
-channels its amplitudes, the dirichlet_profile, the study and the kind are
-known, and conv-rho and bvp-conv have a schedule.  All other violations are
-collected into one ValidationError.
+ValidationError before any object sees a value), the defaults, the seed, probe
+and radius counts, and the rules that span sections: an explicit time.T is the
+last program time, a program has times and each of its channels its
+amplitudes, the dirichlet_profile, the study and the kind are known, and
+conv-rho and bvp-conv have a schedule.  All other violations are collected
+into one ValidationError.
 """
 
 import json
@@ -192,9 +192,8 @@ def _build(errors, section, make, *args, **kwargs):
         return None
 
 
-def parse_scenario(text: str, seed: Optional[int] = None) -> Scenario:
-    """Parse and fully validate a scenario document into its run's objects;
-    a seed given here replaces the document's and meets the same rule."""
+def parse_scenario(text: str) -> Scenario:
+    """Parse and fully validate a scenario document into its run's objects."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -222,7 +221,7 @@ def parse_scenario(text: str, seed: Optional[int] = None) -> Scenario:
                   [*d[:3], *(SQ2 * c for c in d[3:])], sp["amplitudes"],
                   sp["times"])
     s = Scenario(kind, raw, params, None, path, probes=raw.get("probes", 200),
-                 seed=raw.get("seed", 0) if seed is None else seed)
+                 seed=raw.get("seed", 0))
     errors += [msg for msg, bad in (("seed must be >= 0", s.seed < 0),
                                     ("probes must be >= 1", s.probes < 1))
                if bad]

@@ -1,6 +1,7 @@
 import math
 import multiprocessing as mp
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -317,9 +318,23 @@ def test_limit_evolution_failure_names_the_step(monkeypatch, failing):
 
 @pytest.mark.skipif(spare_cpus() < 1, reason="the task would end this process")
 def test_a_child_that_dies_without_a_result_is_reported():
-    with pytest.raises(RuntimeError, match="exited with code 3"):
+    # the pool reports a dead worker as BrokenProcessPool, a RuntimeError
+    with pytest.raises(RuntimeError, match="terminated abruptly"):
         _beside(lambda: None, lambda a: os._exit(3), [0])
     assert mp.active_children() == []
+
+
+def test_consecutive_calls_each_fork_and_leave_no_thread(monkeypatch):
+    # a thread left behind would send the next call down the serial path,
+    # as a bvp-schedule pass runs three studies one after another
+    forks, threads = counted_forks(monkeypatch), threading.active_count()
+    args = [1, 2, 3]
+    for _ in range(3):
+        forks.clear()
+        assert _beside(lambda: "main", lambda a: a * a, args) \
+            == ("main", [1, 4, 9])
+        assert len(forks) == min(len(args), spare_cpus())
+        assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("study", ["evolution", "constitutive", "rate",

@@ -246,8 +246,9 @@ def test_ledger_bound_holds():
 
 def test_energy_inequality_one_sided():
     # criterion 3's field form: the ledger's defect stays <= 0 within
-    # roundoff, and its largest |.| shrinks by at most 3/4 per halving of
-    # tau (measured about 1/2: the gap is first order)
+    # roundoff, and its largest |.| shrinks by at most 0.56 per halving of
+    # tau (measured at most 0.514: the gap is first order; a ledger that
+    # counts half the dissipation reads 0.61-0.67)
     space = space_n(2)
     for p in (P_SMOOTH, P_SHARP):
         gaps = []
@@ -257,7 +258,7 @@ def test_energy_inequality_one_sided():
             scale = 1.0 + np.abs(rec.stored_v).max()
             assert rec.residual.max() <= 1e-9 * scale
             gaps.append(np.abs(rec.residual).max())
-        assert gaps[1] <= 0.75 * gaps[0] and gaps[2] <= 0.75 * gaps[1], p
+        assert gaps[1] <= 0.56 * gaps[0] and gaps[2] <= 0.56 * gaps[1], p
 
 
 def test_energy_identity_between_u_and_v_bookkeeping():

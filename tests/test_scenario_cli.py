@@ -225,23 +225,22 @@ def test_cli_dry_run_and_errors(tmp_path, capsys):
 
 def test_cli_full_run(tmp_path, capsys):
     path = tmp_path / "s.json"
-    path.write_text(minimal("point-test", time={"T": 1.0, "steps": 4}))
+    path.write_text(minimal("point-test", time={"T": 1.0, "steps": 4},
+                            seed=3))
     out = tmp_path / "out"
-    assert main(["point-test", "--scenario", str(path), "--out", str(out),
-                 "--seed", "3"]) == 0
+    assert main(["point-test", "--scenario", str(path), "--out",
+                 str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 3
     assert "trajectory.csv" in manifest["artifacts"]
 
 
 @pytest.mark.parametrize("dry_run", [True, False])
-def test_seed_flag_meets_the_seed_rule(tmp_path, capsys, dry_run):
-    # a negative --seed fails like a negative seed key, before any run
+def test_a_negative_seed_fails_before_any_run(tmp_path, capsys, dry_run):
     path = tmp_path / "s.json"
-    path.write_text(minimal("point-test"))
+    path.write_text(minimal("point-test", seed=-1))
     out = tmp_path / "out"
-    argv = ["point-test", "--scenario", str(path), "--out", str(out),
-            "--seed", "-1"]
+    argv = ["point-test", "--scenario", str(path), "--out", str(out)]
     assert main(argv + ["--dry-run"] * dry_run) == 1
     assert "seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
