@@ -222,9 +222,12 @@ def verify_stability(p: MaterialParams, sigma, state,
 def checked_initial_state(p: MaterialParams, sigma0) -> PointState:
     """The elastic equilibrium at sigma0, eps0 = C^-1 sigma0 at z = 0 (+ 0,
     which turns a -0 strain component into 0), after checking that it is
-    stable at sigma0; UnstableInitialState otherwise."""
+    stable at sigma0; UnstableInitialState otherwise.  At sigma0 = 0 every
+    term of the step is >= 0 and vanishes at (0, 0): no check is needed."""
     z = np.zeros(5)
     init = PointState(strain(p, sigma0, z), z)
+    if not np.any(sigma0):
+        return init
     comp0 = stored_energy_density(p, init.eps, init.z) - float(np.asarray(sigma0) @ init.eps)
     res = stability_residual(p, sigma0, init)
     bound = STABILITY_TOL * (1.0 + abs(comp0))

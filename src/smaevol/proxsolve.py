@@ -30,15 +30,18 @@ exactly, with no iterative outer loop:
 One plane solve, _plane_step, does this in gradient units for every
 caller: point_kernel with the modulus 2 c2, the kinks and the core of its
 problem, and prox_nonsmooth (the step of c2 = 1/2) and the rows of
-prox_nodal with the modulus 1.  Every scalar solve runs to roundoff and is
-capped at NEWTON_MAX_ITER.  The step (point_kernel) and its accuracy check
-are apart: every check of a point result is failing_row, the
-first_order_rows residual of a batch of rows against max(RESIDUAL_RTOL
-scale, 64 eps (curvature (1 + |z|) + the kinks' share)).  point_residuals
-forms it for a point problem, in gradient units: solve_point and a point
-state's stability residual are its one-row case, the point driver's whole
-trajectory after its time loop a batch.  A miss raises NonConvergence with
-the Newton trail; prox_nodal checks its rows the same way.
+prox_nodal with the modulus 1.  It is one scalar function with one
+multiplier loop, which forms z(mu), g, g' and the core inside the ball
+inline; point_kernel forms the plane around it on floats.  Every scalar
+solve runs to roundoff and is capped at NEWTON_MAX_ITER.  The step
+(point_kernel) and its accuracy check are apart: every check of a point
+result is failing_row, the first_order_rows residual of a batch of rows
+against max(RESIDUAL_RTOL scale, 64 eps (curvature (1 + |z|) + the kinks'
+share)).  point_residuals forms it for a point problem, in gradient
+units: solve_point and a point state's stability residual are its one-row
+case, the point driver's whole trajectory after its time loop a batch.  A
+miss raises NonConvergence with the Newton trail; prox_nodal checks its
+rows the same way.
 
 A field step minimizes the same structure nodewise on an (m, 5) field with
 per-node weights and a coupled strongly convex smooth part.  It is solved
@@ -54,8 +57,9 @@ stability certificate shares) vectorized over the rows; the radial return
 starts at the row radius of the start field, solve_field's iterate (on a
 bvp-schedule study 2.7 Newton steps a root, 5.7 from the anchor's).  The row
 loop stays scalar: on a shared 2-core x86 host a numpy op on 27 rows costs
-about 1 us, and a masked numpy root took 1.48 ms a 27-row call against 0.81
-(but 6.6 against 12.1 ms at 729 rows).
+about 1 us, a fused row about 4.3 us and a sharp 27-row call about 0.25
+ms, where a masked numpy root took 1.48 ms (it won only at 729 rows, 6.6
+against 12.1 ms for the row loop before the fusion).
 """
 
 import math
@@ -186,14 +190,36 @@ def solve_point(pb: PointProblem) -> np.ndarray:
 def point_kernel(pb: PointProblem, b, anchor, trail) -> np.ndarray:
     """The minimizer of pb with the load b and the anchor in place of its
     own, unchecked (solve_point checks one, run_constitutive a whole
-    trajectory at once); the multiplier root's |g| trail goes to trail."""
-    e1, e2, beta, A = _plane(b, anchor)
-    if e1 is None:
+    trajectory at once); the multiplier root's |g| trail goes to trail.
+
+    The plane is formed on floats: e1 is the anchor's direction (b's when
+    the anchor is 0; b = anchor = 0 gives 0), b = beta0 e1 + beta1 e2 with
+    beta1 >= 0, a unit vector normalized again when its norm is subnormal.
+    beta0 is numpy's dot (BLAS rounds it its own way), every other
+    operation is elementwise, as numpy's ufuncs round it."""
+    A = _norm(anchor)
+    n = A if A > 0.0 else _norm(b)
+    if n == 0.0:
         return np.zeros_like(b)
+    e1 = (anchor if A > 0.0 else b) / n
+    if n < TINY:
+        e1 = e1 / _norm(e1)
+    beta0 = float(b.dot(e1))
+    e1 = e1.tolist()
+    perp = [v - beta0 * u for v, u in zip(b.tolist(), e1)]
+    beta1 = math.hypot(*perp)
     alpha = (A, 0.0)
-    y = _plane_step(beta, alpha, 2.0 * pb.c2, pb.w_zero, pb.w_shift,
-                    pb.radius, pb.core, A, trail)
-    return _embed(y, alpha, anchor, e1, e2)
+    y0, y1 = y = _plane_step((beta0, beta1), alpha, 2.0 * pb.c2, pb.w_zero,
+                             pb.w_shift, pb.radius, pb.core, A, trail)
+    if y == alpha:
+        return anchor.copy()
+    if not beta1 > 0.0:  # b on the anchor's line
+        return np.array([y0 * u for u in e1])
+    e2 = [v / beta1 for v in perp]
+    if beta1 < TINY:
+        n2 = math.hypot(*e2)
+        e2 = [v / n2 for v in e2]
+    return np.array([y0 * u + y1 * v for u, v in zip(e1, e2)])
 
 
 def point_residuals(pb: PointProblem, B, Z, A):
@@ -220,82 +246,106 @@ def prox_nonsmooth(x, t, w_shift, anchor, w_zero=0.0, radius=None):
                                     radius))
 
 
-def _plane(b, anchor):
-    """Orthonormal basis of span(b, anchor), the first vector on the anchor.
+def _plane_step(beta, alpha, modulus, w0, w1, radius, core, s0, trail):
+    """Minimizer of F(|x|) - beta.x + w1 |x - alpha| over |x| <= radius
+    (no ball when radius is None), F(s) = modulus s^2/2 + w0 s + core(s)
+    (core the radial core of a material, None for none; its core'(0) is 0),
+    in plane coordinates, alpha = (A, 0).
 
-    Returns (e1, e2, beta, A): b = beta[0] e1 + beta[1] e2 with
-    beta[1] >= 0 and anchor = A e1.  e2 is None when b lies on the
-    anchor's line, e1 too when b = anchor = 0.
+    z(mu) = argmin mu |z|^2/2 - beta.z + w1 |z - alpha| is a shrinkage
+    about alpha of norm s, nonincreasing in mu.  In order:
+
+    * the sphere: mu = modulus + (w0 + lambda)/radius with the ball's
+      multiplier lambda >= 0, so the ball is active exactly when g(mu) =
+      radius - s is <= 0 at mu0 = modulus + w0/radius; its root lies
+      below (|beta| + w1)/radius, and z(mu) is put on the sphere;
+    * the anchor, optimal exactly when |F'(A) e1 - beta| <= w1, and the
+      origin, exactly when |beta + w1 e1| <= w0;
+    * the radial return: g(mu) = mu s - F'(s), F'' >= modulus > 0, is <= 0
+      at mu = modulus and changes sign once, at the minimizer's mu; it
+      starts at F'(s0)/s0 for a radius s0 near the minimizer's (the
+      anchor's or a field iterate's), below beta's roundoff at F''(s0), as
+      F'(s0)/s0 at a kink of F would underflow g' there.
+
+    Either root is one loop: doubling from its start brackets it, then
+    Newton steps run from the bracket end of smaller |g| until a step is
+    below NEWTON_STEP_RTOL; a step that would leave the bracket or not
+    halve the last one is replaced by a bisection, geometric across a
+    bracket wider than a factor 4.  Past MU_MAX the origin, a kink of F,
+    is returned.  z(mu), g and g' are formed inline, the core inside the
+    ball too (radial_core_at's expressions, beyond it radial_core_at).
     """
-    A = _norm(anchor)
-    if A > 0.0:
-        e1 = _unit(anchor, A)
+    (x0, x1), (a0, a1) = beta, alpha
+    sphere = False
+    if radius is not None:
+        mu = modulus + w0 / radius
+        # |z(mu0)|, formed as the loop forms it
+        nd = math.hypot(x0 - mu * a0, x1 - mu * a1)
+        if nd <= w1:
+            s = math.hypot(a0, a1)
+        else:
+            c = (1.0 - w1 / nd) / mu
+            s = math.hypot(a0 * (w1 / nd) + x0 * c, a1 * (w1 / nd) + x1 * c)
+        sphere = not radius > s
+    if sphere:
+        lo, mu = mu, max((math.hypot(x0, x1) + w1) / radius, mu)
     else:
-        nb = _norm(b)
-        if nb == 0.0:
-            return None, None, (0.0, 0.0), 0.0
-        e1 = _unit(b, nb)
-    beta1 = float(b @ e1)
-    perp = b - beta1 * e1
-    beta2 = _norm(perp)
-    e2 = _unit(perp, beta2) if beta2 > 0.0 else None
-    return e1, e2, (beta1, beta2), A
-
-
-def _unit(v, n):
-    """v / n for n = |v| > 0, normalized again when n is subnormal."""
-    u = v / n
-    return u / _norm(u) if n < TINY else u
-
-
-def _embed(y, alpha, anchor, e1, e2):
-    """The 5-d point of plane coordinates y (the anchor itself at alpha)."""
-    if y == alpha:
-        return anchor.copy()
-    z = y[0] * e1
-    return z if e2 is None else z + y[1] * e2
-
-
-def _multiplier_root(xi, alpha, w, lo, guess, trail, slopes=None,
-                     radius=None):
-    """Point z(mu) at the root of an increasing g above lo > 0, g(lo) <= 0.
-
-    z(mu) = argmin mu |z|^2 / 2 - xi.z + w |z - alpha|, a shrinkage about
-    alpha of norm s; g(mu) = mu s - F'(s) for slopes(s) = (F'(s), F''(s)),
-    else radius - s.  Doubling from guess > lo brackets the root.  Newton
-    steps run from the bracket end of smaller |g| until a step is below
-    NEWTON_STEP_RTOL; a step that would leave the bracket or not halve the
-    last one is replaced by a bisection, geometric across a bracket wider
-    than a factor 4.  Past MU_MAX the origin, a kink of F, is returned.
-    """
-    (x0, x1), (a0, a1) = xi, alpha
-    mu, first, steps, final = guess, None, None, False
+        d = (x0 - modulus * a0) - w0
+        if core is not None:
+            at_a = radial_core_at(core, a0)
+            d -= at_a[1]
+            rho2, c1, c3 = core.rho ** 2, core.c1, core.c3
+        if math.hypot(d, x1) <= w1:
+            return alpha
+        if math.hypot(x0 + w1, x1) <= w0:
+            return (0.0, 0.0)
+        f1, f2 = modulus * s0 + w0, modulus
+        if core is not None:
+            # the point kernel starts at A; at s0 = +-0 only F'' is read
+            _, p1, p2 = at_a if s0 == a0 else radial_core_at(core, s0)
+            f1, f2 = f1 + p1, f2 + p2
+        guess = (min(f1 / s0, MU_MAX) if s0 > EPS * math.hypot(x0, x1)
+                 else f2)
+        lo, mu = modulus, guess if guess > modulus else 2.0 * modulus
+    first, steps, final = None, None, False
     while True:
         d0, d1 = x0 - mu * a0, x1 - mu * a1
         nd = math.hypot(d0, d1)
-        if nd <= w:
+        if nd <= w1:
             z, s, ds = alpha, math.hypot(a0, a1), 0.0
         else:
-            # z = alpha + d c, d = xi - mu alpha, c = (1 - w / |d|) / mu, formed
-            # as alpha w / |d| + xi c: no cancellation when |z| << |alpha|
-            c = (1.0 - w / nd) / mu
-            z = (a0 * (w / nd) + x0 * c, a1 * (w / nd) + x1 * c)
+            # z = alpha + d c, d = beta - mu alpha, c = (1 - w1/|d|) / mu,
+            # formed as alpha w1/|d| + beta c: no cancellation when |z| <<
+            # |alpha|
+            c = (1.0 - w1 / nd) / mu
+            z = (a0 * (w1 / nd) + x0 * c, a1 * (w1 / nd) + x1 * c)
             s, ds = math.hypot(*z), 0.0
             if s > 0.0:
-                dc = -((w / nd) * ((d0 * a0 + d1 * a1) / nd) / nd + c) / mu
-                ds = (z[0] * (d0 * dc - a0 * c) + z[1] * (d1 * dc - a1 * c)) / s
+                dc = -((w1 / nd) * ((d0 * a0 + d1 * a1) / nd) / nd + c) / mu
+                ds = (z[0] * (d0 * dc - a0 * c)
+                      + z[1] * (d1 * dc - a1 * c)) / s
         if final:
-            return z
-        if slopes is None:
+            break
+        if sphere:
             g_mu, dg = radius - s, -ds
         else:
-            f1, f2 = slopes(s)
+            # F'(s) and F''(s)
+            if core is None:
+                f1, f2 = modulus * s + w0, modulus
+            elif s - c3 <= 0:
+                q = math.sqrt(rho2 + s * s)
+                f1 = modulus * s + w0 + c1 * s / q
+                f2 = modulus + c1 * rho2 / q ** 3
+            else:
+                _, p1, p2 = radial_core_at(core, s)
+                f1, f2 = modulus * s + w0 + p1, modulus + p2
             g_mu, dg = mu * s - f1, s + (mu - f2) * ds
         if steps is None:  # bracketing
             first = first or (abs(g_mu), mu, g_mu, dg, z)
             if g_mu < 0.0:
                 if mu > MU_MAX:
-                    return (0.0, 0.0)
+                    z = (0.0, 0.0)
+                    break
                 lo, mu = mu, 2.0 * mu
                 continue
             hi, steps = mu, 0
@@ -308,7 +358,7 @@ def _multiplier_root(xi, alpha, w, lo, guess, trail, slopes=None,
         steps += 1
         trail.append(abs(g_mu))
         if g_mu == 0.0 or hi - lo <= 4.0 * EPS * hi:
-            return z
+            break
         lo, hi = (mu, hi) if g_mu < 0.0 else (lo, mu)
         step = g_mu / dg if dg > 0.0 else math.inf
         if lo < mu - step < hi and abs(step) <= 0.5 * last_step:
@@ -317,79 +367,12 @@ def _multiplier_root(xi, alpha, w, lo, guess, trail, slopes=None,
             new = (math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo
                    else 0.5 * (lo + hi))
         last_step, mu = abs(new - mu), new
-
-
-def _sphere_prox(xi, alpha, modulus, k0, k1, r, trail):
-    """The step when the ball is active at it, else None (plane coordinates).
-
-    On the sphere the optimality condition reads mu z - xi + k1 q = 0 with
-    q in the subdifferential of |. - alpha| and mu = modulus + (k0 +
-    lambda)/r, lambda >= 0 the ball multiplier; so z = z(mu), whose norm is
-    nonincreasing in mu.  The ball is active exactly when |z(mu0)| >= r at
-    mu0 = modulus + k0/r, and then mu solves |z(mu)| = r.
-    """
-    mu0 = modulus + k0 / r
-    # |z(mu0)|, formed as _multiplier_root forms |z(mu)|
-    nd = math.hypot(xi[0] - mu0 * alpha[0], xi[1] - mu0 * alpha[1])
-    c = None if nd <= k1 else (1.0 - k1 / nd) / mu0
-    if r > (math.hypot(*alpha) if c is None else
-            math.hypot(alpha[0] * (k1 / nd) + xi[0] * c,
-                       alpha[1] * (k1 / nd) + xi[1] * c)):
-        return None
-    # g >= 0 from mu = (|xi| + k1) / r on, so the root lies below there
-    z = _multiplier_root(xi, alpha, k1, mu0,
-                         max((math.hypot(*xi) + k1) / r, mu0), trail, radius=r)
+    if not sphere:
+        return z
     if z == alpha:
         return alpha
     nz = math.hypot(*z)
-    return (z[0] * r / nz, z[1] * r / nz)
-
-
-def _plane_step(beta, alpha, modulus, w0, w1, radius, core, s0, trail):
-    """Minimizer of F(|x|) - beta.x + w1 |x - alpha| over |x| <= radius
-    (no ball when radius is None), F(s) = modulus s^2/2 + w0 s + core(s)
-    (core the radial core of a material, None for none; its core'(0) is 0),
-    in plane coordinates, alpha = (A, 0).  In order: the sphere, the anchor
-    (optimal exactly when |F'(A) e1 - beta| <= w1), the origin (exactly
-    when |beta + w1 e1| <= w0), else the radial return _plane_root, started
-    at the radius s0."""
-    if radius is not None:
-        y = _sphere_prox(beta, alpha, modulus, w0, w1, radius, trail)
-        if y is not None:
-            return y
-    A = alpha[0]
-    d = (beta[0] - modulus * A) - w0
-    if core is not None:
-        d -= radial_core_at(core, A)[1]
-    if math.hypot(d, beta[1]) <= w1:
-        return alpha
-    if math.hypot(beta[0] + w1, beta[1]) <= w0:
-        return (0.0, 0.0)
-    if core is None:
-        def slopes(s):
-            return modulus * s + w0, modulus
-    else:
-        def slopes(s):
-            # F'(s) and F''(s)
-            _, d1, d2 = radial_core_at(core, s)
-            return modulus * s + w0 + d1, modulus + d2
-    return _plane_root(slopes, modulus, beta, alpha, w1, s0, trail)
-
-
-def _plane_root(slopes, modulus, beta, alpha, w, s0, trail):
-    """Minimizer of F(|x|) - beta.x + w |x - alpha| off its kinks (radial return).
-
-    slopes(s) = (F'(s), F''(s)), F'' >= modulus > 0, so g(mu) = mu |x(mu)| -
-    F'(|x(mu)|) is <= 0 at mu = modulus and changes sign once, at the
-    minimizer's mu.  The root starts at F'(s0)/s0 for a radius s0 near the
-    minimizer's (the anchor's or a field iterate's); below beta's roundoff
-    at F''(s0), as F'(s0)/s0 at a kink of F would underflow g' there.
-    """
-    d1, d2 = slopes(s0)
-    guess = min(d1 / s0, MU_MAX) if s0 > EPS * math.hypot(*beta) else d2
-    return _multiplier_root(beta, alpha, w, modulus,
-                            guess if guess > modulus else 2.0 * modulus,
-                            trail, slopes)
+    return (z[0] * radius / nz, z[1] * radius / nz)
 
 
 def failing_row(Z, V, kinks, radius, curvature, scale):

@@ -1,6 +1,12 @@
 import multiprocessing
 
 import pytest
+from hypothesis import settings
+
+# tier-1 draws the same examples on every run and keeps no example database,
+# so a run's result does not depend on earlier runs
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)

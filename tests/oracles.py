@@ -10,9 +10,12 @@ from that time's amplitudes with Kronecker-expanded mass matrices, as the
 solver did before it summed the load program's channels.  The exact point kernel is checked
 against the iterative solvers it replaced: the Barzilai-Borwein
 prox-gradient loop on a point, and the scalar Dykstra splitting for the
-prox of two kinks and the ball; its fused multiplier root is checked bit
-for bit against the closure-based root it replaced, which evaluated
-g(mu) through a closure around the plane shrinkage.  The smooth radial core,
+prox of two kinks and the ball.  Its fused plane step is checked bit for
+bit against the composition it replaced: the sphere, the anchor and origin
+tests and the radial return, each root evaluating g(mu) through a closure
+around the plane shrinkage and F' through a closure around the core; the
+point kernel, which forms its plane on floats, against the numpy plane,
+step and embedding it replaced.  The smooth radial core,
 its derivatives and its constraint penalty are checked bit for bit against
 their whole-array nested ``np.where`` evaluation, which computes every
 penalty piece on every entry; the penalty, now evaluated piece by piece on
@@ -525,7 +528,7 @@ def _prox_gradient(pb, z0, tol, max_iter, info):
 
 
 # ---------------------------------------------------------------------------
-# the closure-based multiplier root the fused root replaced
+# the closure-based plane step and the numpy plane the fused kernel replaced
 
 
 def shift_prox(xi, alpha, w, mu):
@@ -582,14 +585,14 @@ def multiplier_root(g, lo, guess, trail, max_iter):
     raise NonConvergence(f"multiplier root stalled after {max_iter} steps")
 
 
-def sphere_prox(xi, alpha, k0, k1, r, trail, max_iter):
-    """The prox on the sphere |z| = r when the ball is active at it, else
+def sphere_prox(xi, alpha, modulus, k0, k1, r, trail, max_iter):
+    """The step on the sphere |z| = r when the ball is active at it, else
     None."""
     def g(mu):
         z, s, ds = shift_prox(xi, alpha, k1, mu)
         return r - s, -ds, z
 
-    mu0 = 1.0 + k0 / r
+    mu0 = modulus + k0 / r
     if g(mu0)[0] > 0.0:
         return None
     z = multiplier_root(g, mu0, max((math.hypot(*xi) + k1) / r, mu0), trail,
@@ -600,20 +603,88 @@ def sphere_prox(xi, alpha, k0, k1, r, trail, max_iter):
     return (z[0] * r / nz, z[1] * r / nz)
 
 
-def plane_root(slopes, modulus, beta, alpha, w, trail, max_iter):
+def plane_root(slopes, modulus, beta, alpha, w, s0, trail, max_iter):
     """The radial return of F(|x|) - beta.x + w |x - alpha| from the
-    anchor's multiplier, slopes(s) = (F'(s), F''(s))."""
+    multiplier at the radius s0, slopes(s) = (F'(s), F''(s))."""
     def g(mu):
         x, s, ds = shift_prox(beta, alpha, w, mu)
         d1, d2 = slopes(s)
         return mu * s - d1, s + (mu - d2) * ds, x
 
-    A = alpha[0]
-    d1, d2 = slopes(A)
-    guess = min(d1 / A, MU_MAX) if A > EPS * math.hypot(*beta) else d2
+    d1, d2 = slopes(s0)
+    guess = min(d1 / s0, MU_MAX) if s0 > EPS * math.hypot(*beta) else d2
     x = multiplier_root(g, modulus, guess if guess > modulus else 2.0 * modulus,
                         trail, max_iter)
     return (0.0, 0.0) if x is None else x
+
+
+def plane_step(beta, alpha, modulus, w0, w1, radius, core, s0, trail,
+               max_iter):
+    """The plane step composed of its parts, as before the fused kernel:
+    the sphere, the anchor test, the origin test, then the radial return
+    with the closure slopes of F(s) = modulus s^2/2 + w0 s + core(s)."""
+    if radius is not None:
+        y = sphere_prox(beta, alpha, modulus, w0, w1, radius, trail, max_iter)
+        if y is not None:
+            return y
+    A = alpha[0]
+    d = (beta[0] - modulus * A) - w0
+    if core is not None:
+        d -= radial_core_at(core, A)[1]
+    if math.hypot(d, beta[1]) <= w1:
+        return alpha
+    if math.hypot(beta[0] + w1, beta[1]) <= w0:
+        return (0.0, 0.0)
+    if core is None:
+        def slopes(s):
+            return modulus * s + w0, modulus
+    else:
+        def slopes(s):
+            _, d1, d2 = radial_core_at(core, s)
+            return modulus * s + w0 + d1, modulus + d2
+    return plane_root(slopes, modulus, beta, alpha, w1, s0, trail, max_iter)
+
+
+def _unit(v, n):
+    """v / n for n = |v| > 0, normalized again when n is subnormal."""
+    u = v / n
+    return u / math.hypot(*u.tolist()) if n < np.finfo(float).tiny else u
+
+
+def plane(b, anchor):
+    """Orthonormal basis (e1, e2) of span(b, anchor), e1 on the anchor (on
+    b when the anchor is 0), with b = beta[0] e1 + beta[1] e2, beta[1] >= 0,
+    and A = |anchor|, as numpy arrays: e2 is None when b lies on the
+    anchor's line, e1 too when b = anchor = 0."""
+    A = math.hypot(*anchor.tolist())
+    if A > 0.0:
+        e1 = _unit(anchor, A)
+    else:
+        nb = math.hypot(*b.tolist())
+        if nb == 0.0:
+            return None, None, (0.0, 0.0), 0.0
+        e1 = _unit(b, nb)
+    beta1 = float(b @ e1)
+    perp = b - beta1 * e1
+    beta2 = math.hypot(*perp.tolist())
+    e2 = _unit(perp, beta2) if beta2 > 0.0 else None
+    return e1, e2, (beta1, beta2), A
+
+
+def point_kernel(pb, b, anchor, trail, max_iter):
+    """The point kernel as numpy array operations around the composed plane
+    step: the plane, the step, then the 5-d point of the plane coordinates
+    (the anchor itself at alpha)."""
+    e1, e2, beta, A = plane(b, anchor)
+    if e1 is None:
+        return np.zeros_like(b)
+    alpha = (A, 0.0)
+    y = plane_step(beta, alpha, 2.0 * pb.c2, pb.w_zero, pb.w_shift, pb.radius,
+                   pb.core, A, trail, max_iter)
+    if y == alpha:
+        return anchor.copy()
+    z = y[0] * e1
+    return z if e2 is None else z + y[1] * e2
 
 
 # ---------------------------------------------------------------------------

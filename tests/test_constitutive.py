@@ -154,6 +154,33 @@ def test_unstable_initial_state_raises():
                                         rel=1e-2)
 
 
+@pytest.mark.parametrize("p", [P0, PS], ids=["sharp", "smooth"])
+def test_a_zero_start_skips_its_residual_and_keeps_its_bits(monkeypatch, p):
+    # at sigma0 = 0 every term of the step is >= 0 and vanishes at (0, 0):
+    # the start is stable without a residual, and its strain is C^-1 sigma0
+    # + 0 as before (a -0 stress component gives a +0 strain)
+    def unreachable(*args):
+        raise AssertionError("stability_residual called at a zero start")
+
+    monkeypatch.setattr(constitutive, "stability_residual", unreachable)
+    for sigma0 in (np.zeros(6), -np.zeros(6),
+                   np.array([0.0, -0.0, 0.0, -0.0, -0.0, 0.0])):
+        init = constitutive.checked_initial_state(p, sigma0)
+        eps0 = p.elastic.apply_inverse(sigma0) + dev_to_sym(np.zeros(5))
+        assert repr(init.eps.tolist()) == repr(eps0.tolist())
+        assert repr(init.z.tolist()) == repr([0.0] * 5)
+    # any nonzero start runs the check: a stable one passes, an unstable
+    # one still raises
+    calls, residual = [], stability_residual
+    monkeypatch.setattr(constitutive, "stability_residual",
+                        lambda *a: calls.append(a) or residual(*a))
+    constitutive.checked_initial_state(p, dev_to_sym(1e-300 * UNIT_DEV))
+    assert len(calls) == 1
+    with pytest.raises(UnstableInitialState):
+        constitutive.checked_initial_state(p, dev_to_sym(3.0 * UNIT_DEV))
+    assert len(calls) == 2
+
+
 def test_stability_of_incremental_states():
     grid = TimeGrid.uniform(1.0, 16)
     path = ramp_unload_path()
@@ -417,8 +444,9 @@ def test_the_trajectory_check_rejects_a_sharp_anchor_off_the_ball(
 @pytest.mark.parametrize("steps", [1, 64])
 def test_a_run_evaluates_the_stored_energy_once_for_all_nodes(monkeypatch,
                                                               steps):
-    # one call for the whole ledger (all steps + 1 nodes) beside the start
-    # check's call on the one initial state, however many steps
+    # one call for the whole ledger (all steps + 1 nodes), however many
+    # steps, beside the start check's call on the one initial state when
+    # the path starts loaded (a zero start is stable without the check)
     rows = []
 
     def counted(p, eps, z):
@@ -427,6 +455,11 @@ def test_a_run_evaluates_the_stored_energy_once_for_all_nodes(monkeypatch,
 
     monkeypatch.setattr(constitutive, "stored_energy_density", counted)
     run_constitutive(PS, ramp_unload_path(), TimeGrid.uniform(1.0, steps))
+    assert rows == [(steps + 1,)]
+    rows.clear()
+    loaded = StressPath.proportional(dev_to_sym(UNIT_DEV), [0.25, 3.0, 0.0],
+                                     [0.0, 0.5, 1.0])
+    run_constitutive(PS, loaded, TimeGrid.uniform(1.0, steps))
     assert rows == [(), (steps + 1,)]
 
 

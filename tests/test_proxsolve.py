@@ -461,49 +461,92 @@ def test_nodal_row_check_names_the_row_that_fails(monkeypatch):
         prox_nodal(X, 1.0, [0.5, 0.5], A, [0.2, 0.2], None, A)
 
 
+def _repr_run(step):
+    """repr of (result, |g| trail) of step(trail), "stalled" for a result
+    when it raises NonConvergence; repr tells -0.0 and nan apart."""
+    trail = []
+    try:
+        return repr((step(trail), trail))
+    except NonConvergence:
+        return repr(("stalled", trail))
+
+
 @settings(max_examples=300, deadline=None)
 @given(xi=st.tuples(st.floats(-4, 4), st.floats(0, 4)),
-       kind=st.sampled_from(("general", "tiny", "subnormal", "zero")),
+       kind=st.sampled_from(("general", "tiny", "subnormal", "zero",
+                             "beyond")),
        length=st.floats(0.0, 1.5), log_tiny=st.floats(-200.0, -20.0),
-       log_subnormal=st.floats(-323.0, -308.0), k0=st.floats(0.0, 2.0),
-       k1=st.floats(0.0, 2.0), r=st.floats(0.05, 2.0),
+       log_subnormal=st.floats(-323.0, -308.0), beyond=st.floats(0.0, 0.35),
+       k0=st.floats(0.0, 2.0), k1=st.floats(0.0, 2.0), r=st.floats(0.05, 2.0),
+       modulus=st.sampled_from((1.0, 3.0)), start=st.none() | st.floats(0, 3),
        rho=st.sampled_from((1e-4, 1e-2, 0.1, 1.0)))
-def test_fused_root_is_the_closure_root_bit_for_bit(xi, kind, length, log_tiny,
-                                                    log_subnormal, k0, k1, r,
-                                                    rho):
-    # the fused root evaluates z(mu) and g(mu) inline with the expressions of
-    # the closures it replaced, so every root it finds, started where the
-    # closure root started, is the same float pair after the same steps
-    A = {"general": length, "tiny": 10.0 ** log_tiny,
-         "subnormal": 10.0 ** log_subnormal, "zero": 0.0}[kind]
-    alpha, cap = (A, 0.0), proxsolve.NEWTON_MAX_ITER
+@example(xi=(4.0, 1.0), kind="beyond", length=0.0, log_tiny=-20.0,
+         log_subnormal=-308.0, beyond=0.15, k0=0.0, k1=0.0, r=2.0,
+         modulus=1.0, start=None, rho=0.1)
+def test_fused_root_is_the_closure_root_bit_for_bit(
+        xi, kind, length, log_tiny, log_subnormal, beyond, k0, k1, r, modulus,
+        start, rho):
+    # the fused step evaluates z(mu), g(mu) and the core inline with the
+    # expressions of the composition it replaced (the sphere, the anchor and
+    # origin tests, the radial return through closures), so from the same
+    # start it is the same float pair after the same steps; "beyond" puts
+    # the anchor past c3 (the core's penalty pieces), as do large xi
     p = MaterialParams(rho=rho)
+    A = {"general": length, "tiny": 10.0 ** log_tiny,
+         "subnormal": 10.0 ** log_subnormal, "zero": 0.0,
+         "beyond": p.c3 + beyond}[kind]
+    alpha, cap = (A, 0.0), proxsolve.NEWTON_MAX_ITER
+    s0 = A if start is None else start
+    cases = [(modulus, k0, k1, r, None), (modulus, k0, k1, None, None),
+             (2.0 * p.c2, 0.0, p.R, None, p), (modulus, k0, k1, None, p)]
+    for args in cases:
+        fused = _repr_run(lambda tr: proxsolve._plane_step(xi, alpha, *args,
+                                                           s0, tr))
+        composed = _repr_run(lambda tr: oracles.plane_step(xi, alpha, *args,
+                                                           s0, tr, cap))
+        assert fused == composed
 
-    def core(s):
-        _, d1, d2 = radial_core_at(p, s)
-        return 2.0 * p.c2 * s + d1, 2.0 * p.c2 + d2
 
-    def quadratic(s):
-        return s + k0, 1.0
+@settings(max_examples=300, deadline=None)
+@given(b=st.lists(st.floats(-4, 4), min_size=5, max_size=5),
+       direction=st.lists(st.floats(-1, 1), min_size=5, max_size=5),
+       kind=st.sampled_from(("general", "tiny", "subnormal", "zero")),
+       load=st.sampled_from(("general", "on-line", "near-line", "zero")),
+       length=st.floats(0.0, 1.5), log_tiny=st.floats(-200.0, -20.0),
+       log_subnormal=st.floats(-323.0, -308.0), scale=st.floats(-3.0, 3.0),
+       rho=st.sampled_from((0.0, 1e-4, 1e-2, 0.1, 1.0)),
+       c2=st.sampled_from((0.5, 1.5)))
+def test_point_kernel_is_the_numpy_plane_kernel_bit_for_bit(
+        b, direction, kind, load, length, log_tiny, log_subnormal, scale, rho,
+        c2):
+    # the kernel forms its plane on floats, as numpy's elementwise ufuncs
+    # round it, and keeps numpy's dot for beta0; the anchor may be zero,
+    # subnormal or tiny, b on its line or 0; "near-line" puts both on axes,
+    # b off the anchor's line by subnormals, so e2 is normalized again
+    p = MaterialParams(rho=rho, c2=c2)
+    u = np.array(direction)
+    n = np.linalg.norm(u)
+    u = u / n if n > 0.0 and load != "near-line" else np.eye(5)[0]
+    A = {"general": length * (p.c3 if rho == 0.0 else 1.0),
+         "tiny": 10.0 ** log_tiny, "subnormal": 10.0 ** log_subnormal,
+         "zero": 0.0}[kind]
+    anchor = A * u
+    b = {"general": np.array(b), "on-line": scale * u,
+         "near-line": scale * u + np.array([0.0, 1e-310, 3e-311, 0.0, 0.0]),
+         "zero": np.zeros(5)}[load]
+    pb = (PointProblem(b, p.c2, p.R, anchor, core=p) if rho > 0.0 else
+          PointProblem(b, p.c2, p.R, anchor, w_zero=p.c1, radius=p.c3))
+    cap = proxsolve.NEWTON_MAX_ITER
+    fused = _repr_run(lambda tr: _bits(proxsolve.point_kernel(pb, b, anchor,
+                                                              tr)))
+    numpy_plane = _repr_run(lambda tr: _bits(oracles.point_kernel(
+        pb, b, anchor, tr, cap)))
+    assert fused == numpy_plane
 
-    cases = [  # (fused, closure-based), each taking the |g| trail
-        (lambda tr: proxsolve._sphere_prox(xi, alpha, 1.0, k0, k1, r, tr),
-         lambda tr: oracles.sphere_prox(xi, alpha, k0, k1, r, tr, cap)),
-        (lambda tr: proxsolve._plane_root(quadratic, 1.0, xi, alpha, k1, A, tr),
-         lambda tr: oracles.plane_root(quadratic, 1.0, xi, alpha, k1, tr, cap)),
-        (lambda tr: proxsolve._plane_root(core, 2.0 * p.c2, xi, alpha, p.R, A,
-                                          tr),
-         lambda tr: oracles.plane_root(core, 2.0 * p.c2, xi, alpha, p.R, tr,
-                                       cap))]
-    for fused, closure in cases:
-        out = []
-        for root in (fused, closure):
-            trail = []
-            try:
-                out.append((root(trail), trail))
-            except NonConvergence:
-                out.append(("stalled", trail))
-        assert repr(out[0]) == repr(out[1])  # repr tells -0.0 and nan apart
+
+def _bits(z):
+    # an array's repr rounds its entries; a list of floats shows every bit
+    return z.tolist(), z.dtype.str
 
 
 @settings(max_examples=200, deadline=None)
