@@ -26,7 +26,7 @@ import numpy as np
 from .material import (MaterialParams, stored_energy_density,
                        transformation_energy_sharp)
 from .proxsolve import (STABILITY_TOL, NonConvergence, PointProblem,
-                        point_kernel, point_residuals, project_ball,
+                        point_path, point_residuals, project_ball,
                         residual_error, solve_point)
 from .tensors import dev_split, dev_to_sym, inner, norm
 
@@ -244,8 +244,9 @@ def run_constitutive(p: MaterialParams, path: StressPath,
 
     Three stages: the stress and its deviatoric load b_i at every node (an
     array pass each; dev_split gives b_i the bits of the step's own); the
-    time loop, after the start check, which runs only the exact step's
-    kernel, z_i = point_kernel(b_i, z_{i-1}); then every step's check at
+    time loop, after the start check, which is one point_path call: the
+    exact step alone, z_i from b_i and z_{i-1}, on floats, the anchor's
+    plane kept across the steps stuck at it; then every step's check at
     once (_check_steps), the strains eps = C^-1 sigma + z, the stored
     energy, the dissipation increments R |z_i - z_{i-1}|, the work and the
     balance residual for all nodes.
@@ -255,8 +256,7 @@ def run_constitutive(p: MaterialParams, path: StressPath,
     loads = dev_split(sig)[0]
     pb = reduced_problem(p, sig[0], np.zeros(5))  # every step's constants
     z = np.zeros((grid.steps + 1, 5))
-    for i in range(1, grid.steps + 1):
-        z[i] = point_kernel(pb, loads[i], z[i - 1], [])
+    z[1:] = point_path(pb, loads[1:], z[0], [])
     _check_steps(p, pb, loads, z, grid.nodes)
 
     eps = strain(p, sig, z)
@@ -287,7 +287,7 @@ def _check_steps(p, pb, loads, z, times):
                              f"satisfy |z_prev| <= c3 when rho = 0")
     if i is not None:
         trail = []
-        point_kernel(pb, loads[last], z[last - 1], trail)
+        point_path(pb, loads[last:last + 1], z[last - 1], trail)
         raise NonConvergence(f"step {last} at t = {times[last]:g}: "
                              f"{residual_error(res[i], bound[i], trail)}")
 

@@ -28,20 +28,21 @@ exactly, with no iterative outer loop:
   with every second coordinate zero.
 
 One plane solve, _plane_step, does this in gradient units for every
-caller: point_kernel with the modulus 2 c2, the kinks and the core of its
+caller: point_path with the modulus 2 c2, the kinks and the core of its
 problem, and prox_nonsmooth (the step of c2 = 1/2) and the rows of
 prox_nodal with the modulus 1.  It is one scalar function with one
 multiplier loop, which forms z(mu), g, g' and the core inside the ball
-inline; point_kernel forms the plane around it on floats.  Every scalar
-solve runs to roundoff and is capped at NEWTON_MAX_ITER.  The step
-(point_kernel) and its accuracy check are apart: every check of a point
-result is failing_row, the first_order_rows residual of a batch of rows
-against max(RESIDUAL_RTOL scale, 64 eps (curvature (1 + |z|) + the kinks'
-share)).  point_residuals forms it for a point problem, in gradient
-units: solve_point and a point state's stability residual are its one-row
-case, the point driver's whole trajectory after its time loop a batch.  A
-miss raises NonConvergence with the Newton trail; prox_nodal checks its
-rows the same way.
+inline; point_path runs a load sequence around it on floats and forms
+each anchor's plane and core values once, for all the steps stuck at it.
+Every scalar solve runs to roundoff and is capped at NEWTON_MAX_ITER.
+The step (point_path) and its accuracy check are apart: every check of a
+point result is failing_row, the first_order_rows residual of a batch of
+rows against max(RESIDUAL_RTOL scale, 64 eps (curvature (1 + |z|) + the
+kinks' share)).  point_residuals forms it for a point problem, in
+gradient units: solve_point and a point state's stability residual are
+its one-row case, the point driver's whole trajectory after its time loop
+a batch.  A miss raises NonConvergence with the Newton trail; prox_nodal
+checks its rows the same way.
 
 A field step minimizes the same structure nodewise on an (m, 5) field with
 per-node weights and a coupled strongly convex smooth part.  It is solved
@@ -57,12 +58,13 @@ stability certificate shares) vectorized over the rows; the radial return
 starts at the row radius of the start field, solve_field's iterate (on a
 bvp-schedule study 2.7 Newton steps a root, 5.7 from the anchor's).  The row
 loop stays scalar: on a shared 2-core x86 host a numpy op on 27 rows costs
-about 1 us, a fused row about 4.3 us and a sharp 27-row call about 0.25
+about 1 us, a fused row about 3.9 us and a sharp 27-row call about 0.24
 ms, where a masked numpy root took 1.48 ms (it won only at 729 rows, 6.6
 against 12.1 ms for the row loop before the fusion).
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
@@ -177,49 +179,70 @@ class PointProblem:
 
 
 def solve_point(pb: PointProblem) -> np.ndarray:
-    """Exact minimizer of a point problem (see the module docstring):
-    point_kernel's, checked by point_residuals."""
+    """Exact minimizer of a point problem (see the module docstring): the
+    one-load point_path's, checked by point_residuals."""
     trail = []
-    z = point_kernel(pb, pb.b, pb.anchor, trail)
+    z = point_path(pb, pb.b[None], pb.anchor, trail)[0]
     i, res, bound = point_residuals(pb, pb.b[None], z[None], pb.anchor[None])
     if i is not None:
         raise residual_error(res[0], bound[0], trail)
     return z
 
 
-def point_kernel(pb: PointProblem, b, anchor, trail) -> np.ndarray:
-    """The minimizer of pb with the load b and the anchor in place of its
-    own, unchecked (solve_point checks one, run_constitutive a whole
-    trajectory at once); the multiplier root's |g| trail goes to trail.
-
-    The plane is formed on floats: e1 is the anchor's direction (b's when
-    the anchor is 0; b = anchor = 0 gives 0), b = beta0 e1 + beta1 e2 with
-    beta1 >= 0, a unit vector normalized again when its norm is subnormal.
-    beta0 is numpy's dot (BLAS rounds it its own way), every other
-    operation is elementwise, as numpy's ufuncs round it."""
-    A = _norm(anchor)
-    n = A if A > 0.0 else _norm(b)
-    if n == 0.0:
-        return np.zeros_like(b)
-    e1 = (anchor if A > 0.0 else b) / n
+def _unit(v, n):
+    """(array, list) of v / n, n = |v| > 0, normalized again if subnormal."""
+    u = v / n
     if n < TINY:
-        e1 = e1 / _norm(e1)
-    beta0 = float(b.dot(e1))
-    e1 = e1.tolist()
-    perp = [v - beta0 * u for v, u in zip(b.tolist(), e1)]
-    beta1 = math.hypot(*perp)
-    alpha = (A, 0.0)
-    y0, y1 = y = _plane_step((beta0, beta1), alpha, 2.0 * pb.c2, pb.w_zero,
-                             pb.w_shift, pb.radius, pb.core, A, trail)
-    if y == alpha:
-        return anchor.copy()
-    if not beta1 > 0.0:  # b on the anchor's line
-        return np.array([y0 * u for u in e1])
-    e2 = [v / beta1 for v in perp]
-    if beta1 < TINY:
-        n2 = math.hypot(*e2)
-        e2 = [v / n2 for v in e2]
-    return np.array([y0 * u + y1 * v for u, v in zip(e1, e2)])
+        u = u / math.hypot(*u.tolist())
+    return u, u.tolist()
+
+
+def point_path(pb: PointProblem, loads, anchor, trail) -> np.ndarray:
+    """The minimizers of pb under each load (row) of loads in place of b,
+    each anchored at the last and the first at anchor: an unchecked (n, 5)
+    array (solve_point checks a one-load path, run_constitutive a whole
+    trajectory); the roots' |g| trails go to trail.
+
+    A step runs on floats: e1 is the anchor's direction (the load's when the
+    anchor is 0; both 0 give 0), b = beta0 e1 + beta1 e2 with beta1 >= 0, a
+    unit vector normalized again at a subnormal norm.  beta0 is numpy's dot
+    (BLAS rounds it its own way), every other operation elementwise, as
+    numpy's ufuncs round it.  The anchor's norm, direction and core values
+    are formed once per anchor, so the steps stuck at it reuse them."""
+    modulus, w0, w1, core = 2.0 * pb.c2, pb.w_zero, pb.w_shift, pb.core
+    a, A, rows = anchor.tolist(), None, array("d")  # raw doubles
+    for b in loads:
+        bl = b.tolist()
+        if A is None:  # a new anchor
+            A = math.hypot(*a)
+            at_a = None if core is None else radial_core_at(core, A)
+            if A > 0.0:
+                E1, e1 = _unit(np.array(a), A)
+            alpha = (A, 0.0)
+        if not A > 0.0:
+            n = math.hypot(*bl)
+            if n == 0.0:
+                a = [0.0] * 5
+                rows.extend(a)
+                continue
+            E1, e1 = _unit(b, n)
+        beta0 = float(b.dot(E1))
+        perp = [v - beta0 * u for v, u in zip(bl, e1)]
+        beta1 = math.hypot(*perp)
+        y0, y1 = y = _plane_step((beta0, beta1), alpha, modulus, w0, w1,
+                                 pb.radius, core, A, trail, at_a)
+        if y != alpha:  # else stuck: the anchor and its pieces stay
+            if not beta1 > 0.0:  # b on the anchor's line
+                a = [y0 * u for u in e1]
+            else:
+                e2 = [v / beta1 for v in perp]
+                if beta1 < TINY:
+                    n2 = math.hypot(*e2)
+                    e2 = [v / n2 for v in e2]
+                a = [y0 * u + y1 * v for u, v in zip(e1, e2)]
+            A = None
+        rows.extend(a)
+    return np.frombuffer(rows).reshape(-1, 5)
 
 
 def point_residuals(pb: PointProblem, B, Z, A):
@@ -246,11 +269,12 @@ def prox_nonsmooth(x, t, w_shift, anchor, w_zero=0.0, radius=None):
                                     radius))
 
 
-def _plane_step(beta, alpha, modulus, w0, w1, radius, core, s0, trail):
+def _plane_step(beta, alpha, modulus, w0, w1, radius, core, s0, trail,
+                core_a=None):
     """Minimizer of F(|x|) - beta.x + w1 |x - alpha| over |x| <= radius
     (no ball when radius is None), F(s) = modulus s^2/2 + w0 s + core(s)
-    (core the radial core of a material, None for none; its core'(0) is 0),
-    in plane coordinates, alpha = (A, 0).
+    (core the radial core of a material, None for none; its core'(0) is 0,
+    core_a = radial_core_at(core, A)), in plane coordinates, alpha = (A, 0).
 
     z(mu) = argmin mu |z|^2/2 - beta.z + w1 |z - alpha| is a shrinkage
     about alpha of norm s, nonincreasing in mu.  In order:
@@ -284,16 +308,16 @@ def _plane_step(beta, alpha, modulus, w0, w1, radius, core, s0, trail):
         if nd <= w1:
             s = math.hypot(a0, a1)
         else:
-            c = (1.0 - w1 / nd) / mu
-            s = math.hypot(a0 * (w1 / nd) + x0 * c, a1 * (w1 / nd) + x1 * c)
+            k = w1 / nd
+            c = (1.0 - k) / mu
+            s = math.hypot(a0 * k + x0 * c, a1 * k + x1 * c)
         sphere = not radius > s
     if sphere:
         lo, mu = mu, max((math.hypot(x0, x1) + w1) / radius, mu)
     else:
         d = (x0 - modulus * a0) - w0
         if core is not None:
-            at_a = radial_core_at(core, a0)
-            d -= at_a[1]
+            d -= core_a[1]
             rho2, c1, c3 = core.rho ** 2, core.c1, core.c3
         if math.hypot(d, x1) <= w1:
             return alpha
@@ -301,8 +325,8 @@ def _plane_step(beta, alpha, modulus, w0, w1, radius, core, s0, trail):
             return (0.0, 0.0)
         f1, f2 = modulus * s0 + w0, modulus
         if core is not None:
-            # the point kernel starts at A; at s0 = +-0 only F'' is read
-            _, p1, p2 = at_a if s0 == a0 else radial_core_at(core, s0)
+            # point_path starts at A; at s0 = +-0 only F'' is read
+            _, p1, p2 = core_a if s0 == a0 else radial_core_at(core, s0)
             f1, f2 = f1 + p1, f2 + p2
         guess = (min(f1 / s0, MU_MAX) if s0 > EPS * math.hypot(x0, x1)
                  else f2)
@@ -312,18 +336,18 @@ def _plane_step(beta, alpha, modulus, w0, w1, radius, core, s0, trail):
         d0, d1 = x0 - mu * a0, x1 - mu * a1
         nd = math.hypot(d0, d1)
         if nd <= w1:
-            z, s, ds = alpha, math.hypot(a0, a1), 0.0
+            z0, z1, s, ds = a0, a1, math.hypot(a0, a1), 0.0
         else:
             # z = alpha + d c, d = beta - mu alpha, c = (1 - w1/|d|) / mu,
             # formed as alpha w1/|d| + beta c: no cancellation when |z| <<
             # |alpha|
-            c = (1.0 - w1 / nd) / mu
-            z = (a0 * (w1 / nd) + x0 * c, a1 * (w1 / nd) + x1 * c)
-            s, ds = math.hypot(*z), 0.0
+            k = w1 / nd
+            c = (1.0 - k) / mu
+            z0, z1 = a0 * k + x0 * c, a1 * k + x1 * c
+            s, ds = math.hypot(z0, z1), 0.0
             if s > 0.0:
-                dc = -((w1 / nd) * ((d0 * a0 + d1 * a1) / nd) / nd + c) / mu
-                ds = (z[0] * (d0 * dc - a0 * c)
-                      + z[1] * (d1 * dc - a1 * c)) / s
+                dc = -(k * ((d0 * a0 + d1 * a1) / nd) / nd + c) / mu
+                ds = (z0 * (d0 * dc - a0 * c) + z1 * (d1 * dc - a1 * c)) / s
         if final:
             break
         if sphere:
@@ -341,20 +365,21 @@ def _plane_step(beta, alpha, modulus, w0, w1, radius, core, s0, trail):
                 f1, f2 = modulus * s + w0 + p1, modulus + p2
             g_mu, dg = mu * s - f1, s + (mu - f2) * ds
         if steps is None:  # bracketing
-            first = first or (abs(g_mu), mu, g_mu, dg, z)
+            first = first or (abs(g_mu), mu, g_mu, dg, z0, z1)
             if g_mu < 0.0:
                 if mu > MU_MAX:
-                    z = (0.0, 0.0)
+                    z0 = z1 = 0.0
                     break
                 lo, mu = mu, 2.0 * mu
                 continue
             hi, steps = mu, 0
             if first[1] == lo and first[0] < g_mu:
-                _, mu, g_mu, dg, z = first
+                _, mu, g_mu, dg, z0, z1 = first
             last_step = hi - lo
         if steps == NEWTON_MAX_ITER:
+            tail = _trail(trail[len(trail) - steps:])  # this root's own
             raise NonConvergence(f"multiplier root stalled after {steps} "
-                                 f"steps; |g| trail {_trail(trail)}")
+                                 f"steps; |g| trail {tail}")
         steps += 1
         trail.append(abs(g_mu))
         if g_mu == 0.0 or hi - lo <= 4.0 * EPS * hi:
@@ -368,11 +393,11 @@ def _plane_step(beta, alpha, modulus, w0, w1, radius, core, s0, trail):
                    else 0.5 * (lo + hi))
         last_step, mu = abs(new - mu), new
     if not sphere:
-        return z
-    if z == alpha:
+        return z0, z1
+    if z0 == a0 and z1 == a1:
         return alpha
-    nz = math.hypot(*z)
-    return (z[0] * radius / nz, z[1] * radius / nz)
+    nz = math.hypot(z0, z1)
+    return (z0 * radius / nz, z1 * radius / nz)
 
 
 def failing_row(Z, V, kinks, radius, curvature, scale):

@@ -400,15 +400,19 @@ def test_driver_matches_the_per_step_loop(case):
 
 
 def _moved_kernel(monkeypatch, k, move):
-    """Patch the driver's kernel so that its k-th call returns move(z)."""
-    kernel, calls = constitutive.point_kernel, []
+    """Patch the driver's kernel so that its first call (the time loop)
+    returns move(z) for step k and runs the later steps from it."""
+    kernel, calls = constitutive.point_path, []
 
-    def moved(pb, b, anchor, trail):
+    def moved(pb, loads, anchor, trail):
         calls.append(None)
-        z = kernel(pb, b, anchor, trail)
-        return move(z) if len(calls) == k else z
+        if len(calls) > 1:
+            return kernel(pb, loads, anchor, trail)
+        head = kernel(pb, loads[:k], anchor, trail)
+        head[-1] = move(head[-1])
+        return np.vstack([head, kernel(pb, loads[k:], head[-1], trail)])
 
-    monkeypatch.setattr(constitutive, "point_kernel", moved)
+    monkeypatch.setattr(constitutive, "point_path", moved)
 
 
 @pytest.mark.parametrize("rho, c2", [(0.1, 0.5), (0.0, 0.5), (0.1, 2.0),

@@ -312,6 +312,30 @@ def test_newton_cap_raises_with_the_residual_trail(monkeypatch):
         solve_point(pb)
 
 
+def test_a_stall_in_a_path_names_only_its_own_trail(monkeypatch):
+    # a path's trail runs on across its steps, but a root that stalls names
+    # only its own |g| values, as the same step solved alone does
+    p = MaterialParams(rho=0.1)
+    loads = np.array([[2.5, 1.0, 0.0, 0.0, 0.0], [0.5, 3.0, 0.0, 0.0, 0.0]])
+    anchor = np.array([0.2, 0.3, 0.0, 0.0, 0.0])
+    pb = PointProblem(loads[0], p.c2, p.R, anchor, core=p)
+    step, calls = proxsolve._plane_step, []
+
+    def capped(*args):
+        if calls:  # the second step's root may take one Newton step
+            monkeypatch.setattr(proxsolve, "NEWTON_MAX_ITER", 1)
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(proxsolve, "_plane_step", capped)
+    trail = []
+    with pytest.raises(NonConvergence,
+                       match=r"stalled after 1 steps; \|g\| trail "
+                             r"\d\.\d\de[+-]\d\d$"):
+        proxsolve.point_path(pb, loads, anchor, trail)
+    assert len(calls) == 2 and len(trail) > 1
+
+
 def test_point_path_runs_no_iterative_loop(monkeypatch):
     # the point step is exact: neither the prox-gradient loop of the field
     # step nor the field's rowwise prox runs for it
@@ -500,8 +524,10 @@ def test_fused_root_is_the_closure_root_bit_for_bit(
     cases = [(modulus, k0, k1, r, None), (modulus, k0, k1, None, None),
              (2.0 * p.c2, 0.0, p.R, None, p), (modulus, k0, k1, None, p)]
     for args in cases:
+        # the anchor's core values, formed by the caller as point_path does
+        core_a = None if args[-1] is None else radial_core_at(p, A)
         fused = _repr_run(lambda tr: proxsolve._plane_step(xi, alpha, *args,
-                                                           s0, tr))
+                                                           s0, tr, core_a))
         composed = _repr_run(lambda tr: oracles.plane_step(xi, alpha, *args,
                                                            s0, tr, cap))
         assert fused == composed
@@ -519,10 +545,11 @@ def test_fused_root_is_the_closure_root_bit_for_bit(
 def test_point_kernel_is_the_numpy_plane_kernel_bit_for_bit(
         b, direction, kind, load, length, log_tiny, log_subnormal, scale, rho,
         c2):
-    # the kernel forms its plane on floats, as numpy's elementwise ufuncs
-    # round it, and keeps numpy's dot for beta0; the anchor may be zero,
-    # subnormal or tiny, b on its line or 0; "near-line" puts both on axes,
-    # b off the anchor's line by subnormals, so e2 is normalized again
+    # the one-load point_path forms its plane on floats, as numpy's
+    # elementwise ufuncs round it, and keeps numpy's dot for beta0; the
+    # anchor may be zero, subnormal or tiny, b on its line or 0; "near-line"
+    # puts both on axes, b off the anchor's line by subnormals, so e2 is
+    # normalized again
     p = MaterialParams(rho=rho, c2=c2)
     u = np.array(direction)
     n = np.linalg.norm(u)
@@ -537,8 +564,8 @@ def test_point_kernel_is_the_numpy_plane_kernel_bit_for_bit(
     pb = (PointProblem(b, p.c2, p.R, anchor, core=p) if rho > 0.0 else
           PointProblem(b, p.c2, p.R, anchor, w_zero=p.c1, radius=p.c3))
     cap = proxsolve.NEWTON_MAX_ITER
-    fused = _repr_run(lambda tr: _bits(proxsolve.point_kernel(pb, b, anchor,
-                                                              tr)))
+    fused = _repr_run(lambda tr: _bits(proxsolve.point_path(pb, b[None],
+                                                            anchor, tr)[0]))
     numpy_plane = _repr_run(lambda tr: _bits(oracles.point_kernel(
         pb, b, anchor, tr, cap)))
     assert fused == numpy_plane
@@ -547,6 +574,62 @@ def test_point_kernel_is_the_numpy_plane_kernel_bit_for_bit(
 def _bits(z):
     # an array's repr rounds its entries; a list of floats shows every bit
     return z.tolist(), z.dtype.str
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.integers(1, 40), peak=st.floats(0.0, 6.0),
+       turn=st.sampled_from((0.0, 0.5, 3.0)),
+       u=st.lists(st.floats(-1, 1), min_size=5, max_size=5),
+       v=st.lists(st.floats(-1, 1), min_size=5, max_size=5),
+       kind=st.sampled_from(("general", "on-line", "tiny", "subnormal",
+                             "zero")),
+       length=st.floats(0.0, 1.0), log_tiny=st.floats(-200.0, -20.0),
+       log_subnormal=st.floats(-323.0, -308.0),
+       zeros=st.lists(st.integers(0, 39), max_size=3),
+       rho=st.sampled_from((0.0, 1e-4, 1e-2, 0.1, 1.0)),
+       c2=st.sampled_from((0.5, 1.5)))
+@example(steps=40, peak=6.0, turn=0.0, u=[1.0, 0, 0, 0, 0], v=[0.0] * 5,
+         kind="zero", length=0.0, log_tiny=-20.0, log_subnormal=-308.0,
+         zeros=[0, 20], rho=0.1, c2=0.5)
+def test_point_path_is_the_step_by_step_kernel_bit_for_bit(
+        steps, peak, turn, u, v, kind, length, log_tiny, log_subnormal, zeros,
+        rho, c2):
+    # a path keeps its anchor's norm, direction and core values while its
+    # steps stay stuck at it, and forms them again when the anchor moves;
+    # every row, the trail and a stall must still be those of the numpy
+    # plane kernel run step by step, each step anchored at the last.  The
+    # loads ramp up to the peak (past c3 for the smooth core, past
+    # saturation for the ball) and back, turning in the plane of u and v,
+    # so that a path has loading and stuck unloading runs; zeros puts zero
+    # loads at the start and mid-path
+    p = MaterialParams(rho=rho, c2=c2)
+    e = np.array(u)
+    n = np.linalg.norm(e)
+    e = e / n if n > 0.0 else np.eye(5)[0]
+    A = {"general": length * p.c3, "on-line": length * p.c3,
+         "tiny": 10.0 ** log_tiny, "subnormal": 10.0 ** log_subnormal,
+         "zero": 0.0}[kind]
+    anchor = A * (e if kind == "on-line" else np.roll(e, 1))
+    s = np.linspace(0.0, 1.0, steps)
+    amp = (peak * (1.0 - np.abs(2.0 * s - 1.0)) if steps > 1
+           else np.full(1, peak))
+    loads = amp[:, None] * (np.cos(turn * s)[:, None] * e
+                            + np.sin(turn * s)[:, None] * np.array(v))
+    loads[[i for i in zeros if i < steps]] = 0.0
+    pb = (PointProblem(loads[0], p.c2, p.R, anchor, core=p) if rho > 0.0 else
+          PointProblem(loads[0], p.c2, p.R, anchor, w_zero=p.c1, radius=p.c3))
+    cap = proxsolve.NEWTON_MAX_ITER
+
+    def stepwise(trail):
+        rows, z = [], anchor
+        for b in loads:
+            z = oracles.point_kernel(pb, b, z, trail, cap)
+            rows.append(_bits(z))
+        return rows
+
+    path = _repr_run(lambda tr: [_bits(z) for z in proxsolve.point_path(
+        pb, loads, anchor, tr)])
+    assert path == _repr_run(stepwise)
 
 
 @settings(max_examples=200, deadline=None)
