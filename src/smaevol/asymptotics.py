@@ -37,7 +37,7 @@ import numpy as np
 from .constitutive import (PointTrajectory, StressPath, TimeGrid,
                            check_nested, rate_study_steps, run_constitutive)
 from .fem import inject
-from .material import (MaterialParams, transformation_energy_sharp,
+from .material import (RHO_FLOOR, MaterialParams, transformation_energy_sharp,
                        transformation_energy_smooth)
 from .quasistatic import BvpProblem, QuasistaticSolver, spacetime_run
 
@@ -74,6 +74,8 @@ class LimitSchedule:
             bad.append("rho, nu, tau sequences must be non-increasing")
         if np.any(self.rho < 0) or np.any(self.nu < 0):
             bad.append("rho and nu must be >= 0")
+        if np.any((self.rho > 0) & (self.rho < RHO_FLOOR)):
+            bad.append(f"rho must be 0 or >= {RHO_FLOOR:.2g}")
         if np.any(np.diff(self.n) < 0):
             bad.append("mesh subdivisions must be non-decreasing")
         if np.any(self.n < 1):
@@ -139,11 +141,11 @@ class GammaReport:
 
 def gamma_rhos(rhos) -> np.ndarray:
     """The rho sequence of a Gamma-family check as an array; ValueError
-    unless it is nonempty and decreases strictly through positive values."""
+    unless it is nonempty and decreases strictly through RHO_FLOOR or more."""
     rhos = np.asarray(rhos, dtype=float)
-    if not rhos.size or np.any(np.diff(rhos) >= 0) or np.any(rhos <= 0):
+    if not rhos.size or np.any(np.diff(rhos) >= 0) or np.any(rhos < RHO_FLOOR):
         raise ValueError("rhos must be nonempty and decrease strictly "
-                         "through positive values")
+                         f"through values >= {RHO_FLOOR:.2g}")
     return rhos
 
 

@@ -1,12 +1,13 @@
-"""Command-line runner: scenario dispatch and every artifact of a run.
+"""Command line: ``smaevol --scenario FILE [--out DIR] [--dry-run]``.
 
-run_scenario turns results into artifacts: each CSV table (every header
-lives here) from the arrays a result carries, the field dump
-(fem.dump_fields) and a manifest.json (scenario, seed, package and library
-versions, wall time, results).  CSV files carry full double precision (17
-significant digits) and are byte-identical across repeated runs with the
-same scenario and seed; the manifest is not, since it records the wall
-time.
+The scenario's kind chooses the run, whose artifacts go to --out (default:
+the current directory).  run_scenario turns results into artifacts: each
+CSV table (every header lives here) from the arrays a result carries, the
+field dump (fem.dump_fields) and a manifest.json (scenario, seed, package
+and library versions, wall time, results).  CSV files carry full double
+precision (17 significant digits) and are byte-identical across repeated
+runs with the same scenario and seed; the manifest is not, since it records
+the wall time.
 """
 
 import argparse
@@ -26,7 +27,7 @@ from .asymptotics import (gamma_check_F, gamma_radii, limit_constitutive,
 from .constitutive import run_constitutive, verify_stability
 from .fem import dump_fields
 from .quasistatic import run_incremental_bvp, verify_energetic
-from .scenario import KINDS, ParseError, Scenario, ValidationError, parse_scenario
+from .scenario import ParseError, Scenario, ValidationError, parse_scenario
 
 
 def _fmt(value):
@@ -56,15 +57,19 @@ def run_scenario(s: Scenario, out_dir) -> dict:
     artifacts = []
     table = None    # a limit study's table
 
+    def write(name, *content):   # CSV: header, rows; dump: space, fields
+        (write_csv if name.endswith(".csv") else dump_fields)(out / name,
+                                                              *content)
+        artifacts.append(name)
+
     if s.kind == "point-test":
         traj = run_constitutive(p, path, grid)
-        write_csv(out / "trajectory.csv",
-                  ["t", *(f"eps{k}" for k in range(6)),
-                   *(f"z{k}" for k in range(5)), "stored_energy",
-                   "cum_dissipation", "work_integral", "balance_residual"],
-                  np.column_stack([grid.nodes, traj.eps, traj.z, traj.stored,
-                                   traj.cum_diss, traj.work, traj.residual]))
-        artifacts.append("trajectory.csv")
+        write("trajectory.csv",
+              ["t", *(f"eps{k}" for k in range(6)),
+               *(f"z{k}" for k in range(5)), "stored_energy",
+               "cum_dissipation", "work_integral", "balance_residual"],
+              np.column_stack([grid.nodes, traj.eps, traj.z, traj.stored,
+                               traj.cum_diss, traj.work, traj.residual]))
         checks = []
         idx = sorted({0, grid.steps // 2, grid.steps})
         for i in idx:
@@ -74,10 +79,9 @@ def run_scenario(s: Scenario, out_dir) -> dict:
             checks.append([grid.nodes[i], rep.worst_violation,
                            rep.analytic_residual, s.probes, s.seed,
                            rep.passed])
-        write_csv(out / "stability_report.csv",
-                  ["t", "worst_violation", "analytic_residual", "n_probes",
-                   "seed", "passed"], checks)
-        artifacts.append("stability_report.csv")
+        write("stability_report.csv",
+              ["t", "worst_violation", "analytic_residual", "n_probes", "seed",
+               "passed"], checks)
         extra = {"final_z_norm": float(np.linalg.norm(traj.z[-1])),
                  "total_dissipation": float(traj.cum_diss[-1]),
                  "max_balance_residual": float(traj.residual.max())}
@@ -85,9 +89,8 @@ def run_scenario(s: Scenario, out_dir) -> dict:
     elif s.kind == "conv-tau":
         study = temporal_error_study(p, path, s.taus,
                                      reference_tau=s.reference_tau)
-        write_csv(out / "rate_table.csv", ["tau", "sup_state_error"],
-                  list(zip(study.taus, study.errors)))
-        artifacts.append("rate_table.csv")
+        write("rate_table.csv", ["tau", "sup_state_error"],
+              list(zip(study.taus, study.errors)))
         extra = {"order": study.order, "degenerate": study.degenerate,
                  "reference_tau": study.reference_tau}
 
@@ -98,9 +101,8 @@ def run_scenario(s: Scenario, out_dir) -> dict:
         rep = gamma_check_F(p, s.rhos, gamma_radii(p, *s.samples))
         rows = [[k, rho, rep.inside_gaps[k], rep.zero_values[k]]
                 for k, rho in enumerate(rep.rhos)]
-        write_csv(out / "gamma_table.csv",
-                  ["k", "rho", "max_inside_gap", "value_at_zero"], rows)
-        artifacts.append("gamma_table.csv")
+        write("gamma_table.csv",
+              ["k", "rho", "max_inside_gap", "value_at_zero"], rows)
         extra = {"monotone_exact": rep.monotone_exact,
                  "outside_min_last": rep.outside_min_last,
                  "condition": "monotone pointwise convergence of convex "
@@ -109,16 +111,14 @@ def run_scenario(s: Scenario, out_dir) -> dict:
     elif s.kind == "bvp-run":
         space = s.problem.space()
         rec = run_incremental_bvp(space, p, grid, s.problem.program)
-        write_csv(out / "ledger.csv",
-                  ["t", "stored_energy", "load_pairing", "cum_dissipation",
-                   "work_sum", "balance_residual", "q", "L_pairing",
-                   "max_nodal_z"],
-                  np.column_stack([grid.nodes, rec.stored_u, rec.load_pair,
-                                   rec.cum_diss, rec.worksum, rec.residual,
-                                   rec.q, rec.L_pair, rec.nodal_z_norms()]))
-        dump_fields(out / "final_state.txt", space,
-                    {"u": rec.u[-1], "z": rec.z[-1]})
-        artifacts += ["ledger.csv", "final_state.txt"]
+        write("ledger.csv",
+              ["t", "stored_energy", "load_pairing", "cum_dissipation",
+               "work_sum", "balance_residual", "q", "L_pairing",
+               "max_nodal_z"],
+              np.column_stack([grid.nodes, rec.stored_u, rec.load_pair,
+                               rec.cum_diss, rec.worksum, rec.residual,
+                               rec.q, rec.L_pair, rec.nodal_z_norms()]))
+        write("final_state.txt", space, {"u": rec.u[-1], "z": rec.z[-1]})
         rep = verify_energetic(rec)
         extra = {"stability_passed": bool(rep.passed),
                  "ledger_peak": rec.ledger_peak,
@@ -130,9 +130,8 @@ def run_scenario(s: Scenario, out_dir) -> dict:
         out_nh = nstep_h_convergence(s.problem, s.schedule)
         rows = [[e["n_coarse"], e["n_fine"], i, dv]
                 for e in out_nh["table"] for i, dv in enumerate(e["diffs"])]
-        write_csv(out / "nstep_table.csv",
-                  ["n_coarse", "n_fine", "step", "h1_diff"], rows)
-        artifacts.append("nstep_table.csv")
+        write("nstep_table.csv", ["n_coarse", "n_fine", "step", "h1_diff"],
+              rows)
         extra = {"study": "nstep-h"}
 
     elif s.kind == "bvp-conv":
@@ -145,9 +144,8 @@ def run_scenario(s: Scenario, out_dir) -> dict:
     if table is not None:
         header = ["k", "rho", "nu", "tau", "h", "state_diff", "energy_diff",
                   "diss_diff"]
-        write_csv(out / "limit_table.csv", header,
-                  [[r[c] for c in header] for r in table["rows"]])
-        artifacts.append("limit_table.csv")
+        write("limit_table.csv", header,
+              [[r[c] for c in header] for r in table["rows"]])
         # per-member lists of the row entries the table has no column for
         extra = {"label": s.schedule.label, "reference": table["reference"],
                  **{c: [r[c] for r in table["rows"]]
@@ -170,30 +168,23 @@ def run_scenario(s: Scenario, out_dir) -> dict:
     return manifest
 
 
-def build_parser():
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="smaevol",
         description="Quasi-static evolution of shape-memory materials: "
                     "constitutive runs, convergence studies and "
-                    "boundary-value simulations.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for kind in KINDS:
-        sp = sub.add_parser(kind, help=f"run a {kind} scenario")
-        sp.add_argument("--scenario", required=True,
+                    "boundary-value simulations.  The scenario's kind "
+                    "chooses the run.")
+    parser.add_argument("--scenario", required=True, metavar="FILE",
                         help="path to the JSON scenario file")
-        sp.add_argument("--out", default=None,
-                        help="output directory (default: scenario 'out' "
-                             "field or the current directory)")
-        sp.add_argument("--dry-run", action="store_true",
+    parser.add_argument("--out", default=".", metavar="DIR",
+                        help="output directory [default: current directory]")
+    parser.add_argument("--dry-run", action="store_true",
                         help="validate the scenario and exit")
-    return parser
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     try:
-        text = Path(args.scenario).read_text()
-    except OSError as e:
+        text = Path(args.scenario).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read scenario: {e}", file=sys.stderr)
         return 1
     try:
@@ -201,21 +192,17 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as e:
         print(f"error: invalid scenario {args.scenario}: {e}", file=sys.stderr)
         return 1
-    if scenario.kind != args.command:
-        print(f"error: scenario kind {scenario.kind!r} does not match "
-              f"subcommand {args.command!r}", file=sys.stderr)
-        return 1
     if args.dry_run:
         print(f"scenario OK: kind={scenario.kind} seed={scenario.seed}")
         return 0
-    out = args.out or scenario.raw.get("out") or "."
     try:
-        manifest = run_scenario(scenario, out)
+        manifest = run_scenario(scenario, args.out)
     except Exception as e:
         print(f"error: scenario {args.scenario} ({scenario.kind}) failed: "
               f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    print(f"wrote {', '.join(manifest['artifacts'])} and manifest.json to {out}")
+    print(f"wrote {', '.join(manifest['artifacts'])} and manifest.json to "
+          f"{args.out}")
     return 0
 
 

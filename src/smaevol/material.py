@@ -32,6 +32,10 @@ from .tensors import Elasticity, dev_split, inner, norm
 # is on the sphere, one up to c3 (1 + slack) inside the ball
 BALL_SLACK = 1e-12
 
+# the least positive rho, the cube root of the smallest normal float: the
+# core's c1 rho^2 / q^3 at r = 0 must not divide by a q^3 underflowed to 0
+RHO_FLOOR = float(np.finfo(float).tiny) ** (1.0 / 3.0)
+
 
 @dataclass(frozen=True)
 class MaterialParams:
@@ -60,6 +64,8 @@ class MaterialParams:
         for name in ("rho", "nu"):
             if getattr(self, name) < 0:
                 bad.append(f"{name} must be >= 0")
+        if 0 < self.rho < RHO_FLOOR:
+            bad.append(f"rho must be 0 or >= {RHO_FLOOR:.2g} (got {self.rho:g})")
         if bad:
             raise ValueError("; ".join(bad))
 

@@ -31,17 +31,18 @@ parse_scenario builds, once, every object the run consumes, the spaces of every
 mesh the run uses included, so parsing and ``--dry-run`` reject what the run
 would reject before it starts, but for a bvp-run or bvp-conv load that starts
 beyond yield: the BVP start check needs the assembled solver, so the run stops
-with UnstableInitialState.  Each value rule has one owner: MaterialParams
-and Elasticity (the signs of the constants), TimeGrid (T and steps), StressPath
-(direction and breakpoints), LoadProgram (program times, planes, amplitude
-lengths, 3-component vectors, no traction on a Dirichlet plane), BvpProblem (a
-nonempty Dirichlet part), box_mesh and build_space (extents, n, plane names),
-LimitSchedule (lengths, monotonicity, signs, n >= 1) and its check_study (the
-entries a study fixes and, for the studies that step in time, tau > 0 and every
-tau's grid nesting in its reference's), minproblem_time (a minproblem study's
-load data at T, on its space, not all 0), rate_study_steps (conv-tau, nesting
-included), gamma_rhos (gamma-table) and checked_initial_state (a stable start
-of the stress path for every rho of a point-test, conv-tau or conv-rho run).
+with UnstableInitialState.  Each value rule has one owner: MaterialParams and
+Elasticity (the signs of the constants, rho's floor), TimeGrid (T and steps),
+StressPath (direction and breakpoints), LoadProgram (program times, planes,
+amplitude lengths, 3-component vectors, no traction on a Dirichlet plane),
+BvpProblem (a nonempty Dirichlet part), box_mesh and build_space (extents, n,
+plane names), LimitSchedule (lengths, monotonicity, signs, rho's floor, n >= 1)
+and its check_study (the entries a study fixes and, for the studies that step
+in time, tau > 0 and every tau's grid nesting in its reference's),
+minproblem_time (a minproblem study's load data at T, on its space, not all 0),
+rate_study_steps (conv-tau, nesting included), gamma_rhos (gamma-table) and
+checked_initial_state (a stable start of the stress path for every rho of a
+point-test, conv-tau or conv-rho run).
 This module keeps only what no object knows: the structure (unknown keys and
 non-object sections raise ParseError), the JSON types (a number is a 64-bit int
 or a finite float, a count a 64-bit int, neither a bool; type errors raise a
@@ -49,8 +50,8 @@ ValidationError before any object sees a value), the defaults, the seed, probe
 and radius counts, and the rules that span sections: an explicit time.T is the
 last program time, a program has times and each of its channels its
 amplitudes, the dirichlet_profile, the study and the kind are known, and
-conv-rho and bvp-conv have a schedule.  All other violations are collected
-into one ValidationError.
+conv-rho and bvp-conv have a schedule.  All other violations (an object
+that does not fit in memory too) are collected into one ValidationError.
 """
 
 import json
@@ -140,7 +141,7 @@ SECTIONS = {
 }
 SECTIONS["scenario"] = {"kind": NAME, "seed": COUNT, "probes": COUNT,
                         "taus": NUMBERS, "reference_tau": NUMBER,
-                        "rhos": NUMBERS, "study": NAME, "out": NAME,
+                        "rhos": NUMBERS, "study": NAME,
                         **dict.fromkeys(SECTIONS, SECTION)}
 
 
@@ -182,13 +183,14 @@ def _type_errors(raw):
 
 
 def _build(errors, section, make, *args, **kwargs):
-    """make(*args, **kwargs), or None with the messages of its ValueError
-    or UnstableInitialState (one per '; '-separated part) appended to
-    errors."""
+    """make(*args, **kwargs), or None with the messages of its ValueError,
+    UnstableInitialState or MemoryError (one per '; '-separated part)
+    appended to errors."""
     try:
         return make(*args, **kwargs)
-    except (ValueError, UnstableInitialState) as e:
-        errors.extend(f"{section}: {msg}" for msg in str(e).split("; "))
+    except (ValueError, UnstableInitialState, MemoryError) as e:
+        errors.extend(f"{section}: {msg}"
+                      for msg in (str(e) or type(e).__name__).split("; "))
         return None
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from smaevol.material import (BALL_SLACK, MaterialParams, _penalty,
+from smaevol.material import (BALL_SLACK, RHO_FLOOR, MaterialParams, _penalty,
                               radial_core, radial_core_at,
                               stored_energy_density, transformation_energy,
                               transformation_energy_grad,
@@ -32,6 +32,18 @@ def test_params_validation():
         MaterialParams(rho=-0.1)
     with pytest.raises(ValueError):
         MaterialParams(R=0.0)
+
+
+def test_a_rho_below_the_floor_is_rejected():
+    # below the floor the core's c1 rho^2 / q^3 at r = 0 would divide by a
+    # q^3 that underflows to 0
+    with pytest.raises(ValueError, match=r"rho must be 0 or >= 2\.8e-103 "
+                                         r"\(got 1e-110\)"):
+        MaterialParams(rho=1e-110)
+    for rho in (RHO_FLOOR, 1e-100):
+        value, d1, d2 = radial_core_at(MaterialParams(rho=rho), 0.0)
+        assert value == d1 == 0.0 and math.isfinite(d2) and d2 > 0.0
+    assert MaterialParams(rho=0.0).rho == 0.0
 
 
 def test_alpha_value_at_defaults():

@@ -211,28 +211,90 @@ def test_bvp_conv_run(tmp_path):
 def test_cli_dry_run_and_errors(tmp_path, capsys):
     path = tmp_path / "s.json"
     path.write_text(minimal("point-test"))
-    assert main(["point-test", "--scenario", str(path), "--dry-run"]) == 0
-    assert "scenario OK" in capsys.readouterr().out
-    # kind mismatch
-    assert main(["conv-tau", "--scenario", str(path), "--dry-run"]) == 1
+    assert main(["--scenario", str(path), "--dry-run"]) == 0
+    assert "scenario OK: kind=point-test" in capsys.readouterr().out
     # invalid scenario file
     bad = tmp_path / "bad.json"
     bad.write_text("{")
-    assert main(["point-test", "--scenario", str(bad)]) == 1
+    assert main(["--scenario", str(bad)]) == 1
     # missing file
-    assert main(["point-test", "--scenario", str(tmp_path / "none.json")]) == 1
+    assert main(["--scenario", str(tmp_path / "none.json")]) == 1
 
 
-def test_cli_full_run(tmp_path, capsys):
+def test_the_kind_comes_from_the_document_alone(tmp_path, capsys):
+    # a leading kind word is an argument argparse does not know
+    path = tmp_path / "s.json"
+    path.write_text(minimal("point-test"))
+    with pytest.raises(SystemExit) as exc:
+        main(["point-test", "--scenario", str(path), "--dry-run"])
+    assert exc.value.code == 2
+    # the output directory comes from --out alone
+    path.write_text(minimal("point-test", out="x"))
+    assert main(["--scenario", str(path), "--dry-run"]) == 1
+    assert "unknown key 'out' in scenario" in capsys.readouterr().err
+
+
+def test_a_file_that_is_not_utf8_cannot_be_read(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_bytes(b"\xff")
+    assert main(["--scenario", str(path), "--dry-run"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read scenario: ")
+    assert "Traceback" not in err
+
+
+def test_an_allocation_that_fails_names_its_section(tmp_path, capsys,
+                                                    monkeypatch):
+    # a huge time.steps asks TimeGrid.uniform for more memory than there is;
+    # raising MemoryError stands in for it, since a host that overcommits
+    # memory may grant a real huge request and then kill the process
+    def refuse(cls, T, steps):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(constitutive.TimeGrid, "uniform", classmethod(refuse))
+    path = tmp_path / "s.json"
+    path.write_text(minimal("point-test", time={"steps": 10 ** 11}))
+    assert main(["--scenario", str(path), "--dry-run"]) == 1
+    err = capsys.readouterr().err
+    assert "time: Unable to allocate 745. GiB" in err
+    assert len(err.splitlines()) == 1
+
+
+# rho = 1e-110 is below material.RHO_FLOOR, 1e-100 above it
+_TINY_RHO = {
+    "point-test": lambda rho: {"material": {"rho": rho}},
+    "gamma-table": lambda rho: {"rhos": [1.0, rho]},
+    "conv-rho": lambda rho: {"schedule": {"rho": [0.1, rho]}},
+    "bvp-conv": lambda rho: {"material": {"rho": 0.1, "nu": 0.01},
+                             "schedule": {"rho": [0.1, rho]}},
+}
+
+
+@pytest.mark.parametrize("kind", list(_TINY_RHO))
+def test_a_rho_below_the_floor_fails_the_dry_run(kind, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(minimal(kind, **_TINY_RHO[kind](1e-110)))
+    assert main(["--scenario", str(path), "--dry-run"]) == 1
+    err = capsys.readouterr().err
+    assert "rho" in err and ">= 2.8e-103" in err
+    path.write_text(minimal(kind, **_TINY_RHO[kind](1e-100)))
+    assert main(["--scenario", str(path), "--dry-run"]) == 0
+
+
+def test_cli_full_run(tmp_path, capsys, monkeypatch):
     path = tmp_path / "s.json"
     path.write_text(minimal("point-test", time={"T": 1.0, "steps": 4},
                             seed=3))
     out = tmp_path / "out"
-    assert main(["point-test", "--scenario", str(path), "--out",
-                 str(out)]) == 0
+    assert main(["--scenario", str(path), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 3
-    assert "trajectory.csv" in manifest["artifacts"]
+    assert manifest["artifacts"] == ["trajectory.csv", "stability_report.csv"]
+    # without --out the run writes to the current directory
+    monkeypatch.chdir(out)
+    (out / "manifest.json").unlink()
+    assert main(["--scenario", str(path)]) == 0
+    assert (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("dry_run", [True, False])
@@ -240,7 +302,7 @@ def test_a_negative_seed_fails_before_any_run(tmp_path, capsys, dry_run):
     path = tmp_path / "s.json"
     path.write_text(minimal("point-test", seed=-1))
     out = tmp_path / "out"
-    argv = ["point-test", "--scenario", str(path), "--out", str(out)]
+    argv = ["--scenario", str(path), "--out", str(out)]
     assert main(argv + ["--dry-run"] * dry_run) == 1
     assert "seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
@@ -329,7 +391,7 @@ def test_parse_rejects_what_the_run_rejects(name, tmp_path, capsys):
         parse_scenario(minimal(kind, **extra))
     path = tmp_path / "s.json"
     path.write_text(minimal(kind, **extra))
-    assert main([kind, "--scenario", str(path), "--dry-run"]) == 1
+    assert main(["--scenario", str(path), "--dry-run"]) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and len(err.splitlines()) == 1
     assert "Traceback" not in err
@@ -351,7 +413,7 @@ def test_dry_run_names_the_tau_that_does_not_nest(name, tmp_path, capsys):
     kind, extra = BAD_DOCUMENTS[name]
     path = tmp_path / "s.json"
     path.write_text(minimal(kind, **extra))
-    assert main([kind, "--scenario", str(path), "--dry-run"]) == 1
+    assert main(["--scenario", str(path), "--dry-run"]) == 1
     assert "tau 0.25 grid does not nest" in capsys.readouterr().err
 
 
@@ -360,7 +422,7 @@ def test_dry_run_says_the_minproblem_loads_vanish(tmp_path, capsys):
         kind, extra = BAD_DOCUMENTS[name]
         path = tmp_path / "s.json"
         path.write_text(minimal(kind, **extra))
-        assert main([kind, "--scenario", str(path), "--dry-run"]) == 1
+        assert main(["--scenario", str(path), "--dry-run"]) == 1
         assert "the loads vanish at t = T = 1" in capsys.readouterr().err
 
 
@@ -437,7 +499,7 @@ def test_nstep_h_levels_run_at_the_schedule(tmp_path, monkeypatch, capsys):
     kind, extra = BAD_DOCUMENTS["nstep-h-varying-schedule"]
     path = tmp_path / "s.json"
     path.write_text(minimal(kind, **extra))
-    assert main([kind, "--scenario", str(path), "--dry-run"]) == 1
+    assert main(["--scenario", str(path), "--dry-run"]) == 1
     assert "the nstep-h study fixes rho" in capsys.readouterr().err
     seen, run = [], quasistatic.run_incremental_bvp
 
@@ -497,7 +559,7 @@ def test_non_object_section_is_a_schema_error(kind, section, tmp_path,
         parse_scenario(text)
     path = tmp_path / "s.json"
     path.write_text(text)
-    assert main([kind, "--scenario", str(path), "--dry-run"]) == 1
+    assert main(["--scenario", str(path), "--dry-run"]) == 1
     assert f"{section} must be a JSON object" in capsys.readouterr().err
 
 
@@ -522,8 +584,7 @@ SHIPPED = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.jso
 
 @pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
 def test_shipped_scenarios_pass_dry_run(path):
-    kind = json.loads(path.read_text())["kind"]
-    assert main([kind, "--scenario", str(path), "--dry-run"]) == 0
+    assert main(["--scenario", str(path), "--dry-run"]) == 0
 
 
 def _key_paths(d, prefix=()):
