@@ -15,7 +15,10 @@ Assembly: a space has one CSR pattern, the sorted node pairs of its tets,
 with the data slot of every element entry (a boundary plane has its own,
 from its triangles).  Every form, with p dofs per row node and q per
 column node, is summed from its element blocks straight into the data
-array of that pattern, each entry's terms in element order.
+array of that pattern, each entry's terms in element order.  The element
+blocks are formed a chunk of elements at a time from the element volumes
+and basis gradients the space keeps; no block array over all elements is
+formed.
 
 Quadrature policy: the quadratic energy terms are integrated exactly
 (P1 integrands are polynomials), while the nonsmooth transformation and
@@ -140,10 +143,11 @@ class Pattern(NamedTuple):
 class FeSpace:
     mesh: BoxMesh
     dirichlet_planes: tuple = ("x0",)
-    # geometric element data and matrices, filled by build_space
-    vols: np.ndarray = None
+    # geometric element data and matrices, filled by build_space; the
+    # element blocks of every form are formed from vols and grads a chunk
+    # of elements at a time
+    vols: np.ndarray = None        # (nt,) element volumes
     grads: np.ndarray = None       # (nt, 4, 3) P1 basis gradients
-    D: np.ndarray = None           # (nt, 6, 12) strain-displacement (Mandel)
     M: sp.csr_matrix = None        # scalar consistent mass
     Gs: sp.csr_matrix = None       # scalar gradient stiffness
     lumped: np.ndarray = None      # nodal quadrature weights
@@ -181,6 +185,8 @@ def _element_geometry(mesh: BoxMesh):
 
 
 def _strain_displacement(grads):
+    """The (nt, 6, 12) strain-displacement matrices (Mandel) of the
+    elements' basis gradients (nt, 4, 3)."""
     nt = len(grads)
     D = np.zeros((nt, 6, 12))
     s = 1.0 / np.sqrt(2.0)
@@ -210,38 +216,43 @@ def _pattern(nn, elems) -> Pattern:
     return Pattern(indptr, pairs - rows * nn, slots.reshape(-1, k, k))
 
 
-_CHUNK = 256    # elements per np.add.at call
+_CHUNK = 256    # elements per block and np.add.at call
 
 
-def _assemble(pat: Pattern, p, q, blocks) -> sp.csr_matrix:
+def _assemble(pat: Pattern, p, q, block) -> sp.csr_matrix:
     """The (p nn, q nn) CSR matrix with p dofs per row node and q per column
-    node (dof = p*node + comp) summed from the element blocks (ne, k p,
-    k q); a block (ne, k p, q) stands for the same block at every column
-    node.  Each entry sums its element terms in element order, starting at
-    +0; the index arrays are formed for a chunk of elements at a time."""
+    node (dof = p*node + comp) summed from the element blocks: block(sl)
+    gives those of the elements in the slice sl, (len, k p, k q); a block
+    (len, k p, q) stands for the same block at every column node.  Each
+    entry sums its element terms in element order, starting at +0; the
+    blocks and their index arrays are formed a chunk of elements at a
+    time."""
     ne, k = pat.slots.shape[:2]
     nn, nnz = len(pat.indptr) - 1, len(pat.indices)
     start, deg = pat.indptr[:-1], np.diff(pat.indptr)
     c, d = np.arange(p), np.arange(q)
-    # the data index where[s, c, d] of scalar slot s in row i, row component
-    # c, column component d: row (i, c) starts at q (p start_i + c deg_i)
-    # and holds q deg_i entries, q per slot in slot order
+    # row (i, c) of the matrix starts at q (p start_i + c deg_i) and holds
+    # q deg_i entries, q per scalar slot in slot order; so scalar slot s in
+    # row i has the data index base_s + c span_s + d at row component c and
+    # column component d, base_s = q ((p - 1) start_i + s), span_s = q deg_i
     row = np.repeat(np.arange(nn), deg)
-    first, count = start[row][:, None, None], deg[row][:, None, None]
-    offset = np.arange(nnz)[:, None, None] - first
-    where = q * (p * first + c[:, None] * count + offset) + d
+    base = q * ((p - 1) * start[row] + np.arange(nnz))
+    span = q * deg[row]
     indices = np.empty(p * q * nnz, dtype=pat.indices.dtype)
-    indices[where] = q * pat.indices[:, None, None] + d
+    indices[base[:, None, None] + span[:, None, None] * c[:, None] + d] = \
+        q * pat.indices[:, None, None] + d
     indptr = np.append(q * (p * start[:, None] + deg[:, None] * c).ravel(),
                        p * q * nnz)
     data = np.zeros(p * q * nnz)
-    blocks = blocks.reshape(ne, k, p, blocks.shape[2] // q, q)
     for e in range(0, ne, _CHUNK):
-        blk = blocks[e:e + _CHUNK]
-        shape = (len(blk), k, p, k, q)
-        # flat index and values: numpy's fast path of ufunc.at
-        idx = where[pat.slots[e:e + _CHUNK]].transpose(0, 1, 3, 2, 4)
-        np.add.at(data, idx.ravel(), np.broadcast_to(blk, shape).ravel())
+        sl = slice(e, e + _CHUNK)
+        blk = block(sl)
+        blk = blk.reshape(len(blk), k, p, blk.shape[2] // q, q)
+        # flat index and values (len, k, p, k, q) of element entry (a, b),
+        # row and column components (c, d): numpy's fast path of ufunc.at
+        slot = pat.slots[sl][:, :, None, :, None]
+        idx = base[slot] + c[:, None, None] * span[slot] + d
+        np.add.at(data, idx.ravel(), np.broadcast_to(blk, idx.shape).ravel())
     return sp.csr_matrix((data, indices, indptr), shape=(p * nn, q * nn))
 
 
@@ -253,15 +264,14 @@ def build_space(mesh: BoxMesh, dirichlet_planes=("x0",)) -> FeSpace:
     nn = mesh.n_nodes
     vols, grads = _element_geometry(mesh)
     space.vols, space.grads = vols, grads
-    space.D = _strain_displacement(grads)
     space.pattern = _pattern(nn, mesh.tets)
 
     # scalar mass: vol/20 * (1 + delta_ab); scalar stiffness: vol grad.grad
-    ones4 = np.ones((4, 4))
-    Me = (vols[:, None, None] / 20.0) * (ones4 + np.eye(4))[None, :, :]
-    Ge = np.einsum("t,tad,tbd->tab", vols, grads, grads)
-    space.M = _assemble(space.pattern, 1, 1, Me)
-    space.Gs = _assemble(space.pattern, 1, 1, Ge)
+    mass4 = (np.ones((4, 4)) + np.eye(4))[None, :, :]
+    space.M = _assemble(space.pattern, 1, 1,
+                        lambda sl: (vols[sl, None, None] / 20.0) * mass4)
+    space.Gs = _assemble(space.pattern, 1, 1, lambda sl: np.einsum(
+        "t,tad,tbd->tab", vols[sl], grads[sl], grads[sl]))
     space.lumped = np.asarray(space.M.sum(axis=1)).ravel()
 
     space.surf = {}
@@ -269,9 +279,10 @@ def build_space(mesh: BoxMesh, dirichlet_planes=("x0",)) -> FeSpace:
         pts = mesh.nodes[tris]
         areas = 0.5 * np.linalg.norm(
             np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]), axis=1)
-        ones3 = np.ones((3, 3))
-        Se = (areas[:, None, None] / 12.0) * (ones3 + np.eye(3))[None, :, :]
-        space.surf[pl] = _assemble(_pattern(nn, tris), 1, 1, Se)
+        mass3 = (np.ones((3, 3)) + np.eye(3))[None, :, :]
+        space.surf[pl] = _assemble(
+            _pattern(nn, tris), 1, 1,
+            lambda sl: (areas[sl, None, None] / 12.0) * mass3)
 
     mask = np.zeros(nn, dtype=bool)
     for pl in dirichlet_planes:
@@ -332,13 +343,20 @@ def _triple(w, L, C, R):
 
 def assemble_forms(space: FeSpace, params: MaterialParams) -> StepForms:
     C6 = params.elastic.matrix6()
-    vols, D = space.vols, space.D
-    # the element arrays are arguments only, freed before the next assembly
-    K = _assemble(space.pattern, 3, 3, _triple(vols, D, C6, D))
-    # coupling with the nodal deviatoric field: int C eps(u) : zeta; one
-    # block (nt, 12, 5) for all four z-nodes, as int of each P1 hat is vol/4
-    Cup = _assemble(space.pattern, 3, 5,
-                    _triple(vols / 4.0, D, C6, DEV_BASIS[None]))
+    vols, grads = space.vols, space.grads
+
+    def stiffness(sl):
+        D = _strain_displacement(grads[sl])
+        return _triple(vols[sl], D, C6, D)
+
+    def coupling(sl):
+        # int C eps(u) : zeta with the nodal deviatoric field; one block
+        # (len, 12, 5) for all four z-nodes, as int of each P1 hat is vol/4
+        return _triple(vols[sl] / 4.0, _strain_displacement(grads[sl]), C6,
+                       DEV_BASIS[None])
+
+    K = _assemble(space.pattern, 3, 3, stiffness)
+    Cup = _assemble(space.pattern, 3, 5, coupling)
     return StepForms(space, params, K, Cup)
 
 

@@ -293,8 +293,9 @@ def _plane_step(beta, alpha, modulus, w0, w1, radius, core, s0, trail,
 
     Either root is one loop: doubling from its start brackets it, then
     Newton steps run from the bracket end of smaller |g| until a step is
-    below NEWTON_STEP_RTOL; a step that would leave the bracket or not
-    halve the last one is replaced by a bisection, geometric across a
+    below NEWTON_STEP_RTOL; a step that would leave the bracket or is not
+    below half the last one (above the root at tiny rho a Newton step is
+    exactly half of mu) is replaced by a bisection, geometric across a
     bracket wider than a factor 4.  Past MU_MAX the origin, a kink of F,
     is returned.  z(mu), g and g' are formed inline, the core inside the
     ball too (radial_core_at's expressions, beyond it radial_core_at).
@@ -386,7 +387,7 @@ def _plane_step(beta, alpha, modulus, w0, w1, radius, core, s0, trail,
             break
         lo, hi = (mu, hi) if g_mu < 0.0 else (lo, mu)
         step = g_mu / dg if dg > 0.0 else math.inf
-        if lo < mu - step < hi and abs(step) <= 0.5 * last_step:
+        if lo < mu - step < hi and abs(step) < 0.5 * last_step:
             final, new = abs(step) <= NEWTON_STEP_RTOL * mu, mu - step
         else:
             new = (math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo

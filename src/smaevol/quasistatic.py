@@ -36,8 +36,8 @@ subgradient s there certifies that it is at most |s|^2_{P^-1} / (4 lam)
 above the step's minimum.  stability_bounds builds s from the step's own
 pieces (solve_v's residual, smooth_part's gradient, and prox_nodal's row
 check proxsolve.first_order_rows for the kinks and the ball) and its norm
-by solve_P.  A run checks its start state, verify_energetic every state,
-by this bound against the one tolerance STABILITY_TOL.
+by solve_P.  A run checks its start state, verify_energetic every later
+state, by this bound against the one tolerance STABILITY_TOL.
 
 The discrete energies reported in the ledger use the same quadrature as
 the minimized functional: exact for all quadratic terms, nodal-lumped for
@@ -262,6 +262,7 @@ class EvolutionRecord:
     residual: np.ndarray         # discrete one-sided inequality defect
     apriori: AprioriBound
     sweeps: np.ndarray           # solve_step's sweep count per step (0 at t0)
+    start_bound: float           # stability bound of the start state (row 0)
 
     @property
     def u(self) -> np.ndarray:
@@ -397,7 +398,7 @@ def run_incremental_bvp(space: FeSpace, params: MaterialParams, grid: TimeGrid,
     load_pair = np.array([float(ell[i] @ (v[i] + u_dir[i])) for i in range(n + 1)])
     return EvolutionRecord(grid, solver, v, z, u_dir, L_u, L_z, q,
                            stored_v, stored_u, load_pair, L_pair, cum,
-                           worksum, residual, bound, sweeps)
+                           worksum, residual, bound, sweeps, bound0)
 
 
 @dataclass
@@ -411,9 +412,11 @@ class EnergeticReport:
 
 def verify_energetic(record: EvolutionRecord) -> EnergeticReport:
     """Every state's certified stability bound (stability_bounds, lam = 1 -
-    sqrt(G / (G + c2))); the energy inequality's defect is record.residual."""
-    return EnergeticReport(record.solver.stability_bounds(
-        record.L_u, record.L_z, record.v, record.z))
+    sqrt(G / (G + c2))): the run's own bound of its start state, then one
+    per later state; the energy inequality's defect is record.residual."""
+    later = record.solver.stability_bounds(record.L_u[1:], record.L_z[1:],
+                                           record.v[1:], record.z[1:])
+    return EnergeticReport(np.concatenate([[record.start_bound], later]))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from smaevol.fem import _strain_displacement
 from smaevol.material import (_PIECES, BALL_SLACK, MaterialParams,
                               radial_core_at, stored_energy_density,
                               transformation_energy_grad)
@@ -709,9 +710,9 @@ def assemble_forms_einsum(space, params):
     and the scattered K and Cup, the blocks formed by the plain einsums."""
     nn, tets = space.n_nodes, space.mesh.tets
     C6 = params.elastic.matrix6()
-    Ke = np.einsum("t,tia,ij,tjb->tab", space.vols, space.D, C6, space.D)
-    blk = np.einsum("t,tia,ij,jk->tak", space.vols / 4.0, space.D, C6,
-                    DEV_BASIS)
+    D = _strain_displacement(space.grads)
+    Ke = np.einsum("t,tia,ij,tjb->tab", space.vols, D, C6, D)
+    blk = np.einsum("t,tia,ij,jk->tak", space.vols / 4.0, D, C6, DEV_BASIS)
     udofs = (3 * tets[:, :, None] + np.arange(3)[None, None, :]).reshape(-1, 12)
     zdofs = (5 * tets[:, :, None] + np.arange(5)[None, None, :]).reshape(-1, 20)
     K = element_scatter(3 * nn, 3 * nn, np.repeat(udofs, 12, axis=1),

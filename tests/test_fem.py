@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from smaevol.fem import (LoadProgram, SingularFormError, _triple,
-                         assemble_forms, box_mesh, build_space, dump_fields,
-                         galerkin_project, inject, interp_constrained, locate,
-                         nested_dissection)
+from smaevol.fem import (_CHUNK, LoadProgram, SingularFormError,
+                         _strain_displacement, _triple, assemble_forms,
+                         box_mesh, build_space, dump_fields, galerkin_project,
+                         inject, interp_constrained, locate, nested_dissection)
 from smaevol.material import MaterialParams
 from smaevol.tensors import DEV_BASIS, Elasticity, sym_from_matrix
 
@@ -99,9 +99,10 @@ def test_element_kernel_matches_the_einsum_bit_for_bit(extents, n, elastic):
     assert np.count_nonzero(C6) == (6 if 3 * elastic.kappa == 2 * elastic.G
                                     else 12)
     Ke, blk, K, Cup = assemble_forms_einsum(space, params)
-    assert np.array_equal(_triple(space.vols, space.D, C6, space.D), Ke)
-    assert np.array_equal(_triple(space.vols / 4.0, space.D, C6,
-                                  DEV_BASIS[None]), blk)
+    D = _strain_displacement(space.grads)
+    assert np.array_equal(_triple(space.vols, D, C6, D), Ke)
+    assert np.array_equal(_triple(space.vols / 4.0, D, C6, DEV_BASIS[None]),
+                          blk)
     forms = assemble_forms(space, params)
     for new, old in ((forms.K, K), (forms.Cup, Cup)):
         for attr in ("data", "indices", "indptr"):
@@ -151,9 +152,9 @@ def test_a_plane_without_triangles_has_an_empty_surface_mass():
 
 
 def test_assembly_peak_memory_stays_near_the_element_blocks():
-    # n = 6 (1296 tets): traced peak 4.0 MB; a COO scatter of the same
-    # blocks, with its nt x 240 index arrays and the tiled coupling
-    # block, peaks at 15.8 MB
+    # n = 6 (1296 tets): traced peak 2.9 MB (4.1 MB with the blocks formed
+    # for all elements at once); a COO scatter of the same blocks, with its
+    # nt x 240 index arrays and the tiled coupling block, peaks at 15.8 MB
     space = small_space(6)
     assemble_forms(space, P)
     tracemalloc.start()
@@ -163,6 +164,40 @@ def test_assembly_peak_memory_stays_near_the_element_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_set_up_peak_memory_is_the_forms_plus_a_few_chunks():
+    # n = 8 (3072 tets, 12 chunks): build_space and assemble_forms peak at
+    # 5.9 MB, within twice the returned CSR arrays (2.9 MB: a form's data
+    # and index arrays are summed beside those already returned) plus four
+    # chunks of element stiffness blocks, 7.0 MB; forming the element
+    # arrays for all elements at once peaked at 10.4 MB
+    mesh = box_mesh((1.0, 1.0, 1.0), (8, 8, 8))
+    tracemalloc.start()
+    try:
+        space = build_space(mesh)
+        forms = assemble_forms(space, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    csr = sum(a.nbytes for A in (space.M, space.Gs, *space.surf.values(),
+                                 forms.K, forms.Cup)
+              for a in (A.data, A.indices, A.indptr))
+    assert peak < 2 * csr + 4 * _CHUNK * 12 * 12 * 8
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.1])
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+def test_chunked_forms_match_the_whole_array_einsum(rho, nu):
+    # n = 4: 384 tets, one full chunk and a partial one
+    space = small_space(4)
+    assert _CHUNK < len(space.mesh.tets) < 2 * _CHUNK
+    params = MaterialParams(rho=rho, nu=nu)
+    _, _, K, Cup = assemble_forms_einsum(space, params)
+    forms = assemble_forms(space, params)
+    for new, old in ((forms.K, K), (forms.Cup, Cup)):
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(new, attr), getattr(old, attr)), attr
 
 
 def _check_dissection(seg, ijk, K, S):

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -488,6 +489,29 @@ def test_run_and_verify_share_one_solver_and_two_factorizations(monkeypatch):
 
     assert rec.apriori.b > 0
     assert_bound_matches_oracle(rec)
+
+
+def test_a_run_and_its_verification_certify_each_state_once(monkeypatch):
+    # the run bounds its start state and keeps that bound; verification
+    # bounds only the later states, so stability_bounds makes N + 1
+    # solve_P calls over both (the ledger bound's CG makes the others)
+    callers = []
+    solve_P = QuasistaticSolver.solve_P
+
+    def counting_solve_P(self, r):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return solve_P(self, r)
+
+    grid = TimeGrid.uniform(1.0, 4)
+    monkeypatch.setattr(QuasistaticSolver, "solve_P", counting_solve_P)
+    rec = run_incremental_bvp(space_n(2), P_SMOOTH, grid, pull_program())
+    rep = verify_energetic(rec)
+    assert callers.count("stability_bounds") == grid.steps + 1
+    assert set(callers) == {"stability_bounds", "_pcg"}
+    # every state's bound keeps its bits, the start state's too
+    assert np.array_equal(rep.stability_worst, rec.solver.stability_bounds(
+        rec.L_u, rec.L_z, rec.v, rec.z))
+    assert rep.stability_worst[0] == rec.start_bound
 
 
 BODY = np.array([0.0, 0.0, -1.0])
