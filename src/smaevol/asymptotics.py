@@ -22,7 +22,9 @@ studies faster (the study documents of tests/pool_artifacts.py, 44, 24 and
 24 alternating pairs, medians serial -> forked: minproblem over rho 261 ->
 210 ms, over h 149 -> 109 ms, nstep-h 344 -> 245 ms) and the constitutive
 studies slower (8 point directions x 3 repeats: conv-tau 142.9 -> 154.5 ms,
-conv-rho 8.2 -> 17.7 ms).
+conv-rho 8.2 -> 17.7 ms).  The BVP studies import fem and quasistatic when
+they run, not with this module: every run imports it, and those two modules
+bring scipy.sparse, which no point run calls.
 """
 
 import math
@@ -36,10 +38,8 @@ import numpy as np
 
 from .constitutive import (PointTrajectory, StressPath, TimeGrid,
                            check_nested, rate_study_steps, run_constitutive)
-from .fem import inject
 from .material import (RHO_FLOOR, MaterialParams, transformation_energy_sharp,
                        transformation_energy_smooth)
-from .quasistatic import BvpProblem, QuasistaticSolver, spacetime_run
 
 
 # schedule entries that each limit study keeps fixed
@@ -311,7 +311,7 @@ def _bvp_state_diff(P, ref_forms, v_m, z_m, v_r, z_r):
     return math.sqrt(max(ref_forms.energy_value(d), 0.0))
 
 
-def minproblem_time(problem: BvpProblem, n: int) -> float:
+def minproblem_time(problem: "BvpProblem", n: int) -> float:
     """The program's end T, where a minproblem study solves; ValueError if
     its load data vanish there on the n-cell space, the load and the lifting
     on the Dirichlet dofs (each run would solve for the zero state)."""
@@ -323,8 +323,10 @@ def minproblem_time(problem: BvpProblem, n: int) -> float:
     return T
 
 
-def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule):
+def limit_minproblem(problem: "BvpProblem", schedule: LimitSchedule):
     """Single incremental minimization at t = T along a (rho, nu, h) schedule."""
+    from .fem import inject
+    from .quasistatic import QuasistaticSolver
     schedule.check_study("minproblem", problem.program.T)
     rho_ref, nu_ref, _, n_ref = schedule.reference()
     T = minproblem_time(problem, n_ref)
@@ -355,9 +357,11 @@ def limit_minproblem(problem: BvpProblem, schedule: LimitSchedule):
             "reference": {"rho": rho_ref, "nu": nu_ref, "n": n_ref}}
 
 
-def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
+def limit_evolution(problem: "BvpProblem", schedule: LimitSchedule):
     """Space-time evolution limits along a (rho, tau, h) schedule, nu fixed;
     each row and the reference carry their run's total sweeps."""
+    from .fem import inject
+    from .quasistatic import spacetime_run
     schedule.check_study("evolution", problem.program.T)
     rho_ref, nu, tau_ref, n_ref = schedule.reference()
     members = schedule.members()
@@ -392,7 +396,7 @@ def limit_evolution(problem: BvpProblem, schedule: LimitSchedule):
                           "sweeps": int(ref.sweeps.sum())}}
 
 
-def nstep_h_convergence(problem: BvpProblem, schedule: LimitSchedule):
+def nstep_h_convergence(problem: "BvpProblem", schedule: LimitSchedule):
     """Inter-level displacement differences under mesh refinement.
 
     Runs every mesh level n of the schedule at its fixed (rho, nu, tau) and
@@ -401,6 +405,8 @@ def nstep_h_convergence(problem: BvpProblem, schedule: LimitSchedule):
     the finer level's K.  The finest level is the reference, and the only
     record in "runs" (coarsest first) that keeps its solver.
     """
+    from .fem import inject
+    from .quasistatic import spacetime_run
     schedule.check_study("nstep-h", problem.program.T)
     levels = schedule.members()
 

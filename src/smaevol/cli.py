@@ -25,8 +25,6 @@ from .asymptotics import (gamma_check_F, gamma_radii, limit_constitutive,
                           limit_evolution, limit_minproblem,
                           nstep_h_convergence, temporal_error_study)
 from .constitutive import run_constitutive, verify_stability
-from .fem import dump_fields
-from .quasistatic import run_incremental_bvp, verify_energetic
 from .scenario import ParseError, Scenario, ValidationError, parse_scenario
 
 
@@ -58,8 +56,11 @@ def run_scenario(s: Scenario, out_dir) -> dict:
     table = None    # a limit study's table
 
     def write(name, *content):   # CSV: header, rows; dump: space, fields
-        (write_csv if name.endswith(".csv") else dump_fields)(out / name,
-                                                              *content)
+        if name.endswith(".csv"):
+            write_csv(out / name, *content)
+        else:   # a bvp-run's field dump: fem loads for BVP kinds only
+            from .fem import dump_fields
+            dump_fields(out / name, *content)
         artifacts.append(name)
 
     if s.kind == "point-test":
@@ -109,6 +110,7 @@ def run_scenario(s: Scenario, out_dir) -> dict:
                               "energies (sufficient for Gamma-convergence)"}
 
     elif s.kind == "bvp-run":
+        from .quasistatic import run_incremental_bvp, verify_energetic
         space = s.problem.space()
         rec = run_incremental_bvp(space, p, grid, s.problem.program)
         write("ledger.csv",

@@ -103,11 +103,6 @@ class NonConvergence(Exception):
     """Raised when an iterative solve exhausts its iteration budget."""
 
 
-def _norm(v) -> float:
-    # scaled: no underflow for tiny vectors
-    return math.hypot(*v.tolist())
-
-
 def _trail(values) -> str:
     return " ".join(f"{v:.2e}" for v in values)
 
@@ -142,11 +137,7 @@ class PointProblem:
     subject to |z| <= radius (no constraint when radius is None).  core is
     the smooth non-quadratic radial core of the given material (rho > 0),
     which comes without the zero kink and the ball; None leaves a
-    quadratic profile.  smooth and grad evaluate the differentiable part
-    c2 |z|^2 + core(|z|) - b.z at one point: point_residuals forms -grad on
-    rows, the one check of every point result (a solve, a trajectory, a
-    state's stability); the tests check grad against smooth, the objective
-    of their prox-gradient oracle.
+    quadratic profile.
     """
 
     b: np.ndarray
@@ -162,20 +153,6 @@ class PointProblem:
         self.anchor = np.asarray(self.anchor, dtype=float)
         if self.core is not None and (self.w_zero or self.radius is not None):
             raise ValueError("the smooth core takes neither a zero kink nor a ball")
-
-    def smooth(self, z) -> float:
-        r = _norm(z)
-        val = self.c2 * r * r - float(self.b @ z)
-        if self.core is not None:
-            val += radial_core_at(self.core, r)[0]
-        return val
-
-    def grad(self, z) -> np.ndarray:
-        g = 2.0 * self.c2 * z - self.b
-        r = _norm(z)
-        if self.core is not None and r > 0:
-            g = g + (radial_core_at(self.core, r)[1] / r) * z
-        return g
 
 
 def solve_point(pb: PointProblem) -> np.ndarray:

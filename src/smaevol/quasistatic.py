@@ -219,13 +219,6 @@ class QuasistaticSolver:
             f"sweeps; joint residuals {_trail(trail)}")
 
 
-def solve_bvp_step(solver: QuasistaticSolver, u_dir, load_u, anchor):
-    """Solve one step of the incremental problem in the physical variables:
-    u_dir is the full lifted Dirichlet vector; returns (u, z)."""
-    v, z, _ = solver.solve_step(*solver.lifted_load(u_dir, load_u), anchor)
-    return v + u_dir, z
-
-
 @dataclass
 class AprioriBound:
     """Explicit ledger bound from the data (no Gronwall constant left free).

@@ -64,9 +64,7 @@ import numpy as np
 from .asymptotics import LimitSchedule, gamma_rhos, minproblem_time
 from .constitutive import (StressPath, TimeGrid, UnstableInitialState,
                            checked_initial_state, rate_study_steps)
-from .fem import LoadProgram
 from .material import MaterialParams
-from .quasistatic import BvpProblem
 from .tensors import SQ2, Elasticity
 
 
@@ -156,7 +154,7 @@ class Scenario:
     path: StressPath
     seed: int = 0
     probes: int = 200
-    problem: Optional[BvpProblem] = None      # bvp kinds, spaces built
+    problem: Optional["BvpProblem"] = None    # bvp kinds, spaces built
     schedule: Optional[LimitSchedule] = None  # conv-rho, bvp-conv
     study: str = "evolution"                  # bvp-conv
     taus: Optional[list] = None               # conv-tau, sorted
@@ -243,6 +241,8 @@ def parse_scenario(text: str) -> Scenario:
 
     end = path.T if path else T     # the interval a conv-rho study runs on
     if kind in ("bvp-run", "bvp-conv"):
+        from .fem import LoadProgram
+        from .quasistatic import BvpProblem
         program = dict(raw.get("program", {
             "times": [0.0, T / 2.0, T], "traction": {"x1": [1.0, 0.0, 0.0]},
             "traction_amps": [0.0, 3.0, 0.0]}))

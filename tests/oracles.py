@@ -36,7 +36,9 @@ which now evaluates the stress program and the energy ledger once for the
 whole grid, is checked against the per-step loop it replaced, its stress
 program against the per-time evaluation, and the one-pass node mapping of a
 time grid against the argmin per time it replaced.  The tensor constructors
-and the path reparametrization at the end are used by tests only.
+and the path reparametrization at the end, a point problem's smooth part and
+its gradient, and the field step in the physical variables are used by
+tests only.
 """
 
 import itertools
@@ -177,6 +179,13 @@ def box_mesh_loops(n):
             raise RuntimeError("boundary face not on any box plane")
     return tets, {pl: np.array(tris, dtype=int).reshape(-1, 3)
                   for pl, tris in boundary.items()}
+
+
+def solve_bvp_step(solver, u_dir, load_u, anchor):
+    """Solve one step of the incremental problem in the physical variables:
+    u_dir is the full lifted Dirichlet vector; returns (u, z)."""
+    v, z, _ = solver.solve_step(*solver.lifted_load(u_dir, load_u), anchor)
+    return v + u_dir, z
 
 
 def joint_lu_dual_norms(solver, L_list):
@@ -406,6 +415,25 @@ def dykstra_prox(x, t, w_shift, anchor, w_zero=0.0, radius=None,
     return w
 
 
+def smooth(pb, z) -> float:
+    """The differentiable part c2 |z|^2 + core(|z|) - b.z of a
+    smaevol.proxsolve.PointProblem at one point."""
+    r = math.hypot(*z.tolist())     # scaled: no underflow for tiny vectors
+    val = pb.c2 * r * r - float(pb.b @ z)
+    if pb.core is not None:
+        val += radial_core_at(pb.core, r)[0]
+    return val
+
+
+def grad(pb, z) -> np.ndarray:
+    """The gradient of smooth(pb, .) at z."""
+    g = 2.0 * pb.c2 * z - pb.b
+    r = math.hypot(*z.tolist())
+    if pb.core is not None and r > 0:
+        g = g + (radial_core_at(pb.core, r)[1] / r) * z
+    return g
+
+
 @dataclass
 class BBPointProblem:
     """A point problem as the prox-gradient loop sees it: smooth part,
@@ -426,8 +454,8 @@ class BBPointProblem:
         lipschitz = 2.0 * pb.c2
         if pb.core is not None:
             lipschitz += pb.core.core_curvature
-        return cls(pb.smooth, pb.grad, lipschitz, pb.w_shift, pb.anchor,
-                   pb.w_zero or None, pb.radius)
+        return cls(lambda z: smooth(pb, z), lambda z: grad(pb, z), lipschitz,
+                   pb.w_shift, pb.anchor, pb.w_zero or None, pb.radius)
 
     def nonsmooth(self, z) -> float:
         v = float(np.sum(self.w_shift * np.linalg.norm(z - self.anchor, axis=-1)))

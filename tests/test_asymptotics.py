@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from smaevol import asymptotics, constitutive
+from smaevol import asymptotics, constitutive, quasistatic
 from smaevol.asymptotics import (LimitSchedule, _beside, gamma_check_F,
                                  gamma_radii, limit_constitutive,
                                  limit_evolution, limit_minproblem,
@@ -350,7 +350,7 @@ def test_a_grid_that_does_not_nest_fails_before_any_run(study, monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, run)
 
-    counted(asymptotics, "spacetime_run")
+    counted(quasistatic, "spacetime_run")
     counted(asymptotics, "run_constitutive")
     counted(constitutive, "run_constitutive")
     counted(QuasistaticSolver, "__init__")

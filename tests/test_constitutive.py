@@ -391,7 +391,7 @@ def test_driver_matches_the_per_step_loop(case):
 
     def scalar(i):
         q = constitutive.reduced_problem(p, sig[i], z[i - 1])
-        return first_order_residual(z[i], q.grad(z[i]), (
+        return first_order_residual(z[i], oracles.grad(q, z[i]), (
             (np.zeros(5), q.w_zero), (z[i - 1], q.w_shift)), q.radius)
 
     assert all(abs(r - want) <= 64.0 * EPS * (curvature * (1.0 + nz) + share)

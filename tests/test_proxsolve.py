@@ -239,7 +239,7 @@ def test_point_kernel_matches_the_prox_gradient_oracle(b, direction, length,
     pb = reduced_problem(p, dev_to_sym(b), anchor)
     z = solve_point(pb)
     oracle = BBPointProblem.of(pb)
-    J = lambda y: pb.smooth(y) + oracle.nonsmooth(y)
+    J = lambda y: oracle.smooth(y) + oracle.nonsmooth(y)
     info = BBInfo()
     try:
         z_bb = bb_solve_point(oracle, 1e-13, info=info)
@@ -677,7 +677,7 @@ def test_nearly_collinear_saturated_sharp_step_is_exact():
                          pb.w_zero, pb.radius, pb.anchor[None])[0]
     assert np.linalg.norm(z_nodal - z) <= 1e-15
     # the prox is the minimizer: its value beats nearby points on the ball
-    J = lambda y: pb.smooth(y) + pb.w_zero * np.linalg.norm(y) \
+    J = lambda y: oracles.smooth(pb, y) + pb.w_zero * np.linalg.norm(y) \
         + pb.w_shift * np.linalg.norm(y - pb.anchor)
     assert all(J(z) <= J(z + 1e-7 * e) for e in np.eye(5))
 

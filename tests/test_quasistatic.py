@@ -12,7 +12,8 @@ import scipy.sparse as sp
 
 from oracles import (colamd_solve_v, dependence_bound_oracle,
                      joint_lu_dual_norms, load_at_oracle, p_norm_sq,
-                     stability_bound_oracle, step_smooth_grad)
+                     solve_bvp_step, stability_bound_oracle,
+                     step_smooth_grad)
 from smaevol import proxsolve, quasistatic
 from smaevol.asymptotics import (LimitSchedule, limit_evolution,
                                  nstep_h_convergence)
@@ -23,8 +24,8 @@ from smaevol.material import MaterialParams
 from smaevol.proxsolve import (NonConvergence, PointProblem, StepProblem,
                                solve_point)
 from smaevol.quasistatic import (BvpProblem, QuasistaticSolver, _dual_norms,
-                                 run_incremental_bvp, solve_bvp_step,
-                                 spacetime_run, verify_energetic)
+                                 run_incremental_bvp, spacetime_run,
+                                 verify_energetic)
 from smaevol.tensors import Elasticity, dev_split
 
 RNG = np.random.default_rng(53)

@@ -544,7 +544,7 @@ def test_nstep_h_levels_run_at_the_schedule(tmp_path, monkeypatch, capsys):
 def test_evolution_manifest_keeps_every_ledger_flag(tmp_path, monkeypatch):
     # a violated ledger bound shows in the manifest as a JSON boolean, the
     # reference's included
-    run = asymptotics.spacetime_run
+    run = quasistatic.spacetime_run
 
     def flagging_run(problem, rho, nu, tau, n):
         rec = run(problem, rho, nu, tau, n)
@@ -554,7 +554,7 @@ def test_evolution_manifest_keeps_every_ledger_flag(tmp_path, monkeypatch):
         low = replace(rec.apriori, total=0.5 * rec.ledger_peak)
         return replace(rec, apriori=low)
 
-    monkeypatch.setattr(asymptotics, "spacetime_run", flagging_run)
+    monkeypatch.setattr(quasistatic, "spacetime_run", flagging_run)
     s = parse_scenario(minimal("bvp-conv", material={"rho": 0.1, "nu": 0.01},
                                time={"steps": 2}, mesh={"n": 1},
                                schedule={"rho": [0.1, 0.05], "n": 1}))
