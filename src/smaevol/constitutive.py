@@ -185,38 +185,55 @@ class StabilityReport:
         return max(self.worst_violation, self.analytic_residual) <= STABILITY_TOL
 
 
-def _ball(rng, dim, radius):
-    u = rng.standard_normal(dim)
-    u /= norm(u)
-    return u * radius * rng.uniform() ** (1.0 / dim)
+def _probe_offsets(seed, n_probes, radius):
+    """The (n, 6) strain and (n, 5) z offsets of n_probes competitors, each
+    in the ball of the given radius, from one Philox(seed) stream.  Probe by
+    probe the stream gives a strain direction and its radius fraction, then
+    a z direction and its radius fraction; each direction is divided by its
+    own norm sqrt(u.u), then scaled by the radius and by the fraction's
+    1/dim-th power (a float's C pow, as numpy's array power need not round
+    like it), all rows at once."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    draws = [(rng.standard_normal(6), rng.uniform() ** (1.0 / 6),
+              rng.standard_normal(5), rng.uniform() ** (1.0 / 5))
+             for _ in range(n_probes)]
+    u6, s6, u5, s5 = map(np.array, zip(*draws))
+    return tuple(u / np.array([norm(row) for row in u])[:, None] * radius
+                 * s[:, None] for u, s in ((u6, s6), (u5, s5)))
 
 
 def verify_stability(p: MaterialParams, sigma, state,
-                     n_probes=200, seed=0) -> StabilityReport:
+                     n_probes=200, seed=0):
     """Probe the global stability inequality with random competitors.
 
     Competitors are drawn within radius 2 c3 of the state; in the sharp
     case the competitor z is clamped into the transformation ball so the
-    probe is informative (outside it the inequality holds trivially).  The
-    competitors' energies are one stack call.
+    probe is informative (outside it the inequality holds trivially).  A
+    StabilityReport of one state (sigma (6,), state.eps (6,), state.z
+    (5,)), or a list of one per row of a stack (sigma (k, 6), state.eps
+    (k, 6), state.z (k, 5)): the offsets are drawn once, every state is
+    checked against the same competitors, and every competitor's energy is
+    one stack call; a row's report has the bits of its one-state call.
     """
     if n_probes < 1:
         raise ValueError("need at least one probe")
-    rng = np.random.Generator(np.random.Philox(seed))
-    sigma = np.asarray(sigma, dtype=float)
-    base = stored_energy_density(p, state.eps, state.z) - inner(sigma, state.eps)
-    # probe by probe, a strain offset and then a z offset from the stream
-    d_eps, d_z = map(np.array, zip(*[(_ball(rng, 6, 2.0 * p.c3),
-                                      _ball(rng, 5, 2.0 * p.c3))
-                                     for _ in range(n_probes)]))
-    eps_c, z_c = state.eps + d_eps, state.z + d_z
+    stack = np.ndim(sigma) == 2
+    sigma, eps, z = (np.atleast_2d(np.asarray(a, dtype=float))
+                     for a in (sigma, state.eps, state.z))
+    base = stored_energy_density(p, eps, z) - inner(sigma, eps)
+    d_eps, d_z = _probe_offsets(seed, n_probes, 2.0 * p.c3)
+    eps_c, z_c = eps[:, None] + d_eps, z[:, None] + d_z    # (k, n, .)
     if p.rho == 0:
         z_c = project_ball(z_c, p.c3)
-    dz = z_c - state.z
-    comp = (stored_energy_density(p, eps_c, z_c) - inner(eps_c, sigma)
+    dz = z_c - z[:, None]
+    stored = stored_energy_density(p, eps_c.reshape(-1, 6),
+                                   z_c.reshape(-1, 5)).reshape(len(z), -1)
+    comp = (stored - inner(eps_c, sigma[:, None])
             + p.R * np.sqrt(inner(dz, dz)))
-    return StabilityReport(float(np.max(base - comp)),
-                           stability_residual(p, sigma, state))
+    reports = [StabilityReport(float(np.max(b - c)),
+                               stability_residual(p, s, PointState(e, zk)))
+               for b, c, s, e, zk in zip(base, comp, sigma, eps, z)]
+    return reports if stack else reports[0]
 
 
 def checked_initial_state(p: MaterialParams, sigma0) -> PointState:

@@ -30,6 +30,9 @@ The stability residual of a point state, now the one-row point check of
 the step anchored at the state, is checked against the hand-written
 sharp/smooth closed form it replaced, and the row-wise first-order
 residual of every point check against the scalar one it replaced.  The
+stability probes' offsets, now normalized and scaled as arrays after one
+pass of random draws, are checked bit for bit against the per-probe ball
+draw they replaced.  The
 single-step continuous-dependence bound of the field step is written out
 from its derivation, with the solver's own P^-1 and lam.  The point driver,
 which now evaluates the stress program and the energy ledger once for the
@@ -839,6 +842,23 @@ def closed_form_stability_residual(p: MaterialParams, sigma, state):
             v = v - max(0.0, float(v @ zhat)) * zhat
         r_z = max(0.0, norm(v) - p.R)
     return float(r_eps + r_z)
+
+
+def _ball(rng, dim, radius):
+    u = rng.standard_normal(dim)
+    u /= norm(u)
+    return u * radius * rng.uniform() ** (1.0 / dim)
+
+
+def probe_offsets_loop(seed, n_probes, radius):
+    """The stability probes' strain and z offsets, one ball draw after the
+    other from one Philox(seed) stream: per probe a strain offset, then a z
+    offset, each a normal direction over its norm, times the radius, times
+    uniform() ** (1/dim)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    return tuple(map(np.array, zip(*[(_ball(rng, 6, radius),
+                                      _ball(rng, 5, radius))
+                                     for _ in range(n_probes)])))
 
 
 # ---------------------------------------------------------------------------

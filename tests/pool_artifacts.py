@@ -20,7 +20,10 @@ so its certificate meets the zero kink; and for ``GAMMA_EDGE`` in
 ``OUT/gamma-edge/``, a gamma-table run with no outside radii of its own, so
 only the penalty's breakpoints lie outside the ball; and for the documents
 of ``C2_POINT`` in ``OUT/c2/<name>/``, point runs at c2 = 1.5, where the
-step's modulus 2 c2 is not a power of two.  Every ``results.json``
+step's modulus 2 c2 is not a power of two; and for the documents of
+``PROBE_EDGE`` in ``OUT/probe-edge/<name>/``, a sharp and a smooth
+point-test of one stability probe each, drawn from a seed above 2^32.
+Every ``results.json``
 is parsed back as strict JSON (no NaN or Infinity); the files that fail are
 named at the end, and the exit status is then 1.  Running it in two
 checkouts and comparing with ``diff -r`` shows whether a change keeps every
@@ -103,6 +106,15 @@ C2_POINT = {
 }
 
 
+# point-tests of one stability probe from a seed wider than 32 bits (every
+# pool point-test draws 200 probes from a seed below 10), sharp and smooth
+PROBE_EDGE = {
+    name: {"kind": "point-test", "seed": 1234567890123456789, "probes": 1,
+           "material": {"rho": rho},
+           "stress_path": {"amplitudes": [0.0, 3.0, 0.0]}}
+    for name, rho in (("sharp", 0.0), ("smooth", 0.1))}
+
+
 def _workloads():
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", _ROOT / "perfbench" / "workloads.py")
@@ -146,6 +158,8 @@ def main(argv):
              (SHARP_PULL, out / "sharp-pull"), (GAMMA_EDGE, out / "gamma-edge")]
     runs += [(scenario, out / "c2" / name)
              for name, scenario in C2_POINT.items()]
+    runs += [(scenario, out / "probe-edge" / name)
+             for name, scenario in PROBE_EDGE.items()]
     bad = [e for e in (_write(*run) for run in runs) if e]
     if bad:
         sys.exit("not strict JSON:\n" + "\n".join(bad))

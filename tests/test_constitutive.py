@@ -212,6 +212,56 @@ STRESS = st.lists(st.floats(-4, 4), min_size=6, max_size=6)
 RHOS = st.sampled_from((1e-4, 1e-3, 1e-2, 1e-1, 1.0))
 # at c2 = 1/2 the step's modulus 2 c2 is 1, and gradient and prox units agree
 C2S = st.sampled_from((0.5, 2.0))
+SEEDS = st.integers(0, 2 ** 64 - 1)
+C3S = st.sampled_from((P0.c3, 0.05, 0.3, 2.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, n_probes=st.integers(1, 40), c3=C3S)
+def test_probe_offsets_match_the_per_probe_ball_draw(seed, n_probes, c3):
+    # the array normalization and scaling keep the stream's order and every
+    # bit of the draw it replaced
+    new = constitutive._probe_offsets(seed, n_probes, 2.0 * c3)
+    old = oracles.probe_offsets_loop(seed, n_probes, 2.0 * c3)
+    assert all(np.array_equal(a, b) for a, b in zip(new, old))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, n_probes=st.integers(1, 40), c3=C3S,
+       rho=st.sampled_from((0.0, 0.1)),
+       sigma=st.lists(STRESS, min_size=1, max_size=4),
+       direction=VECTOR5, length=st.just(1.0) | st.floats(0.0, 1.0))
+def test_a_stacked_stability_check_has_the_bits_of_one_state_checks(
+        seed, n_probes, c3, rho, sigma, direction, length):
+    # k states at one radius in the ball; at length 1 they are on the
+    # sphere, where a sharp check projects every outward competitor back
+    p = MaterialParams(rho=rho, c3=c3)
+    sigma = np.array(sigma)
+    z = np.array([length * c3 * np.roll(_unit(direction), k)
+                  for k in range(len(sigma))])
+    eps = p.elastic.apply_inverse(sigma) + dev_to_sym(z) + 0.01
+    reps = verify_stability(p, sigma, PointState(eps, z), n_probes=n_probes,
+                            seed=seed)
+    assert len(reps) == len(sigma)
+    for rep, s, e, zk in zip(reps, sigma, eps, z):
+        one = verify_stability(p, s, PointState(e, zk), n_probes=n_probes,
+                               seed=seed)
+        assert (rep.worst_violation, rep.analytic_residual) == \
+            (one.worst_violation, one.analytic_residual)
+
+
+def test_a_sharp_stacked_check_meets_the_ball_projection():
+    # the stacked draw reaches the projection: z on the sphere, so about
+    # half the competitors leave the ball, and the stack still flags the
+    # perturbed state alone
+    sigma = dev_to_sym(2.5 * UNIT_DEV)
+    st_ = incremental_step(P0, sigma, np.zeros(5))
+    d_z = constitutive._probe_offsets(0, 200, 2.0 * P0.c3)[1]
+    assert np.any(np.linalg.norm(st_.z + d_z, axis=1) > P0.c3)
+    states = PointState(np.array([st_.eps, st_.eps]),
+                        np.array([st_.z, 0.9 * st_.z]))
+    good, bad = verify_stability(P0, np.array([sigma, sigma]), states)
+    assert good.passed and not bad.passed
 
 
 def _unit(v):

@@ -105,6 +105,20 @@ def test_point_test_run_and_determinism(tmp_path):
     assert m1["results"]["total_dissipation"] > 0.1
 
 
+def test_a_point_test_draws_its_probes_once(tmp_path, monkeypatch):
+    # the three checked states share one draw of the probe offsets
+    made = []
+
+    def philox(*args, **kwargs):
+        made.append(args)
+        return bit_generator(*args, **kwargs)
+
+    bit_generator = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", philox)
+    run_scenario(parse_scenario(minimal("point-test", seed=3)), tmp_path)
+    assert made == [(3,)]
+
+
 def test_trajectory_csv_round_trips(tmp_path):
     s = parse_scenario(minimal("point-test", time={"T": 1.0, "steps": 6}))
     run_scenario(s, tmp_path)
@@ -454,7 +468,9 @@ _POOL_DOCUMENTS = {**pool_artifacts.STUDIES,
                    "sharp-pull": pool_artifacts.SHARP_PULL,
                    "gamma-edge": pool_artifacts.GAMMA_EDGE,
                    **{f"c2-{name}": doc
-                      for name, doc in pool_artifacts.C2_POINT.items()}}
+                      for name, doc in pool_artifacts.C2_POINT.items()},
+                   **{f"probe-edge-{name}": doc
+                      for name, doc in pool_artifacts.PROBE_EDGE.items()}}
 
 
 @pytest.mark.parametrize("name", list(_POOL_DOCUMENTS))

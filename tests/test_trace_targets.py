@@ -6,7 +6,8 @@ missing and goes on, so a renamed kernel would only show up as per-layer
 metrics silently absent from traced runs.  These tests install the tracer
 one target at a time and fail on any miss, and count the spans of a small
 bvp-run and bvp-conv evolution, whose fem and quasistatic calls are imported
-at call time; they edit nothing under perfbench/.
+at call time, and the one stacked stability check of a point-test; they
+edit nothing under perfbench/.
 """
 
 import importlib.util
@@ -54,3 +55,16 @@ def test_bvp_spans_are_counted_where_the_fe_layer_is_imported_lazily(
     assert calls["conv"]["fem.inject"] >= 1
     assert calls["conv"]["asymptotics.limit"] == 1
     assert calls["conv"]["asymptotics.member"] >= 1
+
+
+def test_a_point_test_checks_its_states_in_one_traced_call(tmp_path):
+    # the three states of a point-test are one verify_stability call, so
+    # the benchmark's span still times every check
+    doc = {"kind": "point-test", "time": {"steps": 8}}
+    with tracing.Tracer() as tracer:
+        mark = tracer.mark()
+        cli.run_scenario(scenario.parse_scenario(json.dumps(doc)), tmp_path)
+    assert not tracer.missing
+    calls = tracer.span_totals(mark)[1]
+    assert calls["constitutive.verify_stability"] == 1
+    assert calls["constitutive.run"] == 1
